@@ -125,7 +125,7 @@ def cmd_count(args) -> int:
         elif method == "formula":
             raise formulas.UnsupportedCase("no formula covers this configuration")
         else:
-            # Auto only picks the DP while the dense group stays small;
+            # Auto only picks the DP while the group stays small;
             # explicit --method dp is honored up to the enumeration cap.
             small_group = group_order(args.modulus) <= 2_000_000
             method = "dp" if (args.modulus <= ENUMERATION_CAP and small_group) else "brute"

@@ -24,7 +24,15 @@ DEFAULT_BUDGET = 1 << 27
 
 def default_budget() -> int:
     env = os.environ.get("QUIDDITY_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_BUDGET
+    try:
+        budget = int(env)
+    except ValueError:
+        budget = 0  # rejected below with the other non-positive values
+    if budget <= 0:
+        raise ValueError(f"QUIDDITY_BUDGET must be a positive integer, got {env!r}")
+    return budget
 
 
 class BudgetExceeded(RuntimeError):
@@ -62,6 +70,30 @@ def allowed_values(modulus: Modulus, constraint: Constraint) -> tuple[int, ...]:
     raise ValueError(f"unknown constraint kind {constraint.kind!r}")
 
 
+def normalize_constraints(constraints, size: int, modulus: Modulus) -> dict[int, Constraint]:
+    """Check per-position constraints (a dict or (position, constraint) pairs).
+
+    Positions must lie in 1..size and appear once; fixed values are reduced
+    mod N and "any" entries dropped.
+    """
+    out: dict[int, Constraint] = {}
+    if not constraints:
+        return out
+    pairs = constraints.items() if isinstance(constraints, dict) else constraints
+    seen = set()
+    for pos, con in pairs:
+        if not 1 <= pos <= size:
+            raise ValueError(f"constraint position {pos} outside 1..{size}")
+        if pos in seen:
+            raise ValueError(f"duplicate constraint for position {pos}")
+        seen.add(pos)
+        if con.kind == "fixed":
+            con = Constraint("fixed", con.value % modulus.n)
+        if con.kind != "any":
+            out[pos] = con
+    return out
+
+
 class SetSpec:
     """Size, target matrix, and per-position constraints (1-based positions)."""
 
@@ -72,24 +104,10 @@ class SetSpec:
             raise ValueError("tuple size must be >= 1")
         if target.det() != 1:
             raise ValueError("target must have determinant 1")
-        items = []
-        if constraints:
-            pairs = constraints.items() if isinstance(constraints, dict) else constraints
-            seen = set()
-            n = target.modulus.n
-            for pos, con in pairs:
-                if not 1 <= pos <= size:
-                    raise ValueError(f"constraint position {pos} outside 1..{size}")
-                if pos in seen:
-                    raise ValueError(f"duplicate constraint for position {pos}")
-                seen.add(pos)
-                if con.kind == "fixed":
-                    con = Constraint("fixed", con.value % n)
-                if con.kind != "any":
-                    items.append((pos, con))
         self.size = size
         self.target = target
-        self.constraints = tuple(sorted(items))
+        cons = normalize_constraints(constraints, size, target.modulus)
+        self.constraints = tuple(sorted(cons.items()))
 
     @property
     def modulus(self) -> Modulus:

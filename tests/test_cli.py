@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import quiddity
 from quiddity.cli import main, table_text
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -94,6 +96,16 @@ def test_count_budget_exhaustion(capsys, monkeypatch):
                            "--target", "id", "--method", "brute")
     assert code == 2
     assert "budget" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_count_rejects_a_bad_budget_variable(capsys, monkeypatch, value):
+    monkeypatch.setenv("QUIDDITY_BUDGET", value)
+    code, out, err = run_cli(capsys, "count", "--modulus", "12", "--size", "5",
+                             "--method", "brute")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: QUIDDITY_BUDGET must be a positive integer, got {value!r}\n"
 
 
 def test_formula_subcommand(capsys):
@@ -187,7 +199,11 @@ def test_crt_rejects_non_squarefree(capsys):
 
 
 def test_module_entry_point_runs():
+    # The child finds the package where this process found it, installed or not.
+    src = str(Path(quiddity.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     out = subprocess.run(
         [sys.executable, "-m", "quiddity", "table", "--which", "w8", "--rows", "2,3"],
-        capture_output=True, text=True, check=True)
+        capture_output=True, text=True, check=True, env=env)
     assert out.stdout == "n,count\n2,1\n3,2\n"

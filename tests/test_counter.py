@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import DenseReference, sl2_elements
 from quiddity import oracle
 from quiddity.counter import (
     dp_count,
@@ -7,10 +8,12 @@ from quiddity.counter import (
     dp_vector,
     dp_vector_sequence,
 )
+from quiddity.formulas import delta_value, w_even_bounds, w_odd_2m
 from quiddity.modring import Modulus
 from quiddity.oracle import NONUNIT, SetSpec, UNIT, fixed
 from quiddity.sl2 import (
     CapExceeded,
+    Mat2,
     TARGET_NAMES,
     elementary,
     identity,
@@ -47,6 +50,13 @@ def test_two_letter_vector_pins_neg_id():
     assert dp_vector(2, MOD8).at(neg_identity(MOD8)) == 1
 
 
+def test_no_count_off_the_group():
+    # The bottom-row lookup must not answer for a determinant other than 1.
+    off = Mat2(0, 0, 1, 7, MOD8)  # bottom row (1, -1) is reached
+    assert dp_vector(2, MOD8).at(off) == 0
+    assert dp_vector(2, MOD8, {2: UNIT}).at(off) == 0
+
+
 def test_conservation():
     for n in (3, 4, 8, 12):
         mod = Modulus(n)
@@ -57,9 +67,76 @@ def test_conservation():
 def test_sequence_snapshots_match_single_runs():
     seq = dp_vector_sequence(5, MOD8, {2: UNIT})
     assert len(seq) == 6
-    assert seq[0].counts[0] == 1 and seq[0].total() == 1
+    assert seq[0].at(identity(MOD8)) == 1 and seq[0].total() == 1
+    elements = sl2_elements(MOD8)
     for size in range(2, 6):
-        assert seq[size].counts == dp_vector(size, MOD8, {2: UNIT}).counts
+        single = dp_vector(size, MOD8, {2: UNIT})
+        assert [seq[size].at(g) for g in elements] == [single.at(g) for g in elements]
+        assert seq[size].total() == single.total()
+
+
+DIFFERENTIAL_CONSTRAINTS = [
+    lambda size: None,
+    lambda size: {1: UNIT},
+    lambda size: {size: NONUNIT},
+    lambda size: {1: fixed(2), 2: UNIT},
+    lambda size: {size: fixed(1)},
+    lambda size: {2: UNIT, 3: NONUNIT, 4: fixed(0)},
+    lambda size: {5: UNIT},  # prefix counts above 1 enter a pair step
+]
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_walk_matches_dense_group_dp(n):
+    # Every snapshot at every group element, against the dense DP over the
+    # whole group, with constraints first, last and at consecutive positions.
+    mod = Modulus(n)
+    dense = DenseReference(mod)
+    for constraints_of in DIFFERENTIAL_CONSTRAINTS:
+        for size in range(1, 7):
+            cons = constraints_of(size)
+            if cons and max(cons) > size:
+                continue
+            walk = dp_vector_sequence(size, mod, cons)
+            expected = dense.snapshots(size, cons)
+            for vec, counts in zip(walk, expected, strict=True):
+                assert [vec.at(g) for g in dense.elements] == counts, (size, cons)
+                assert vec.total() == sum(counts)
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_walk_meets_closed_forms_beyond_dense_reach(m):
+    # N = 32 and 64, where the dense group DP's N * |G| letter actions made
+    # each call take seconds to minutes.
+    mod = Modulus(1 << m)
+    n = mod.n
+    plain = dp_vector_sequence(11, mod)
+    with_unit = dp_vector_sequence(11, mod, {2: UNIT})
+    for k in range(12):
+        assert plain[k].total() == n ** k
+        assert with_unit[k].total() == (n ** (k - 1) * (n // 2) if k >= 2 else n ** k)
+    plus, minus = identity(mod), neg_identity(mod)
+    for size in range(5, 12, 2):
+        assert plain[size].at(plus) == int(w_odd_2m((size - 1) // 2, m, 1))
+        assert plain[size].at(minus) == int(w_odd_2m((size - 1) // 2, m, -1))
+    for size in (6, 8, 10):
+        for sign, target in ((1, plus), (-1, minus)):
+            lower, upper = w_even_bounds(size // 2, m, sign)
+            assert int(lower) <= plain[size].at(target) <= int(upper)
+    for size in range(3, 12):
+        for name in TARGET_NAMES:
+            got = with_unit[size].at(target_by_name(name, mod))
+            assert got == int(delta_value(size, m, name)), (size, name)
+
+
+def test_constraint_errors_match_the_oracle():
+    for cons, message in (({4: UNIT}, "constraint position 4 outside 1..3"),
+                          ([(1, UNIT), (1, NONUNIT)], "duplicate constraint for position 1")):
+        with pytest.raises(ValueError) as from_dp:
+            dp_vector(3, MOD8, cons)
+        with pytest.raises(ValueError) as from_spec:
+            SetSpec(3, identity(MOD8), cons)
+        assert str(from_dp.value) == str(from_spec.value) == message
 
 
 CONSTRAINT_CASES = [None, {2: UNIT}, {2: NONUNIT}, {2: fixed(1)}]
