@@ -127,7 +127,7 @@ def cmd_count(args) -> int:
         else:
             # Auto only picks the DP while the group stays small;
             # explicit --method dp is honored up to the enumeration cap.
-            small_group = group_order(args.modulus) <= 2_000_000
+            small_group = group_order(args.modulus) <= 5_000_000
             method = "dp" if (args.modulus <= ENUMERATION_CAP and small_group) else "brute"
     if method == "dp":
         count = counter.dp_count(spec)

@@ -26,19 +26,16 @@ def _product(t) -> Mat2:
     return continuant_product(t)
 
 
-def _require(condition: bool, message: str):
-    if not condition:
-        raise DomainViolation(message)
-
-
 # ---------------------------------------------------------------------------
 # elementwise operations
 
 
 def negate_map(t: tuple) -> tuple:
     """Negate every entry; sends odd-size solutions of +Id to -Id."""
-    _require(len(t) % 2 == 1, f"size {len(t)} is even")
-    _require(_product(t) == identity(t[0].modulus), f"product of {t} is not the identity")
+    if len(t) % 2 != 1:
+        raise DomainViolation(f"size {len(t)} is even")
+    if _product(t) != identity(t[0].modulus):
+        raise DomainViolation(f"product of {t} is not the identity")
     return tuple(-a for a in t)
 
 
@@ -47,12 +44,13 @@ def scale_map(t: tuple, lam: Residue) -> tuple:
 
     Keeps even-size tuples inside their +-Id solution set.
     """
-    _require(len(t) % 2 == 0 and len(t) >= 4, f"size {len(t)} is not even >= 4")
+    if not (len(t) % 2 == 0 and len(t) >= 4):
+        raise DomainViolation(f"size {len(t)} is not even >= 4")
     if not lam.is_unit:
         raise NotAUnit(f"{lam.value} is not invertible mod {lam.modulus.n}")
     mod = t[0].modulus
-    _require(_product(t) in (identity(mod), neg_identity(mod)),
-             f"product of {t} is not +-Id")
+    if _product(t) not in (identity(mod), neg_identity(mod)):
+        raise DomainViolation(f"product of {t} is not +-Id")
     inv = lam.inverse()
     return tuple(a * lam if i % 2 == 0 else a * inv for i, a in enumerate(t))
 
@@ -61,15 +59,18 @@ def reduce_one(t: tuple, i: int = 2) -> tuple:
     """Remove a letter 1 at interior position i, absorbing it into both
     neighbours (each drops by 1); the product is unchanged."""
     n = len(t)
-    _require(2 <= i <= n - 1, f"position {i} is not interior for size {n}")
-    _require(t[i - 1].value == 1, f"letter at position {i} is {t[i - 1].value}, not 1")
+    if not (2 <= i <= n - 1):
+        raise DomainViolation(f"position {i} is not interior for size {n}")
+    if t[i - 1].value != 1:
+        raise DomainViolation(f"letter at position {i} is {t[i - 1].value}, not 1")
     return t[: i - 2] + (t[i - 2] - 1, t[i] - 1) + t[i + 1:]
 
 
 def insert_one(t: tuple, i: int = 2) -> tuple:
     """Insert a letter 1 at position i, bumping both neighbours by 1."""
     n = len(t) + 1
-    _require(2 <= i <= n - 1, f"position {i} is not interior for size {n}")
+    if not (2 <= i <= n - 1):
+        raise DomainViolation(f"position {i} is not interior for size {n}")
     one = Residue(1, t[0].modulus)
     return t[: i - 2] + (t[i - 2] + 1, one, t[i - 1] + 1) + t[i:]
 
@@ -78,8 +79,10 @@ def reduce_minus_one(t: tuple, i: int = 2) -> tuple:
     """Remove a letter -1 at interior position i (neighbours gain 1); the
     product is negated."""
     n = len(t)
-    _require(2 <= i <= n - 1, f"position {i} is not interior for size {n}")
-    _require((-t[i - 1]).value == 1, f"letter at position {i} is {t[i - 1].value}, not -1")
+    if not (2 <= i <= n - 1):
+        raise DomainViolation(f"position {i} is not interior for size {n}")
+    if (-t[i - 1]).value != 1:
+        raise DomainViolation(f"letter at position {i} is {t[i - 1].value}, not -1")
     return t[: i - 2] + (t[i - 2] + 1, t[i] + 1) + t[i + 1:]
 
 
@@ -87,7 +90,8 @@ def insert_minus_one(t: tuple, i: int = 2) -> tuple:
     """Insert a letter -1 at position i (neighbours drop by 1); negates the
     product."""
     n = len(t) + 1
-    _require(2 <= i <= n - 1, f"position {i} is not interior for size {n}")
+    if not (2 <= i <= n - 1):
+        raise DomainViolation(f"position {i} is not interior for size {n}")
     minus_one = Residue(-1, t[0].modulus)
     return t[: i - 2] + (t[i - 2] - 1, minus_one, t[i - 1] - 1) + t[i:]
 
@@ -98,7 +102,8 @@ def reduce_pair(t: tuple) -> tuple:
     Needs a2*a3 - 1 invertible; positions 1 and 4 pick up correction
     terms and the product is unchanged.  Size drops by one.
     """
-    _require(len(t) >= 4, f"size {len(t)} < 4")
+    if len(t) < 4:
+        raise DomainViolation(f"size {len(t)} < 4")
     x, y = t[1], t[2]
     merged = x * y - 1
     if not merged.is_unit:
@@ -110,9 +115,11 @@ def reduce_pair(t: tuple) -> tuple:
 def expand_pair(t: tuple, x: Residue, y: Residue) -> tuple:
     """Inverse of reduce_pair for the split letters (x, y); the second
     entry of t must equal x*y - 1."""
-    _require(len(t) >= 3, f"size {len(t)} < 3")
+    if len(t) < 3:
+        raise DomainViolation(f"size {len(t)} < 3")
     merged = x * y - 1
-    _require(t[1] == merged, f"second entry {t[1].value} != {merged.value}")
+    if t[1] != merged:
+        raise DomainViolation(f"second entry {t[1].value} != {merged.value}")
     e = merged.inverse()
     return (t[0] - (1 - y) * e, x, y) + (t[2] - (1 - x) * e,) + t[3:]
 
@@ -124,7 +131,8 @@ def reduce_quintuple(t: tuple) -> tuple:
     Needs v and psi(u, v, w) invertible, which always holds when u and v
     are both units.
     """
-    _require(len(t) >= 5, f"size {len(t)} < 5")
+    if len(t) < 5:
+        raise DomainViolation(f"size {len(t)} < 5")
     u, v, w = t[1], t[2], t[3]
     x = psi(u, v, w)
     if not x.is_unit:
@@ -135,9 +143,11 @@ def reduce_quintuple(t: tuple) -> tuple:
 
 def expand_quintuple(t: tuple, u: Residue, v: Residue, w: Residue) -> tuple:
     """Inverse of reduce_quintuple for the split letters (u, v, w)."""
-    _require(len(t) >= 3, f"size {len(t)} < 3")
+    if len(t) < 3:
+        raise DomainViolation(f"size {len(t)} < 3")
     x = psi(u, v, w)
-    _require(t[1] == x, f"second entry {t[1].value} != psi = {x.value}")
+    if t[1] != x:
+        raise DomainViolation(f"second entry {t[1].value} != psi = {x.value}")
     xi = x.inverse()
     return (t[0] + (v * w - 2) * xi, u, v, w) + (t[2] + (u * v - 2) * xi,) + t[3:]
 
@@ -150,12 +160,13 @@ def unit_insert_map(t: tuple, u: Residue) -> tuple:
     u^-1: the first and third outputs are (a_1+1)u^-1 and (a_2+1)u^-1,
     and the tail alternates factors u (even positions) and u^-1 (odd).
     """
-    _require(len(t) % 2 == 1, f"size {len(t)} is even")
+    if len(t) % 2 != 1:
+        raise DomainViolation(f"size {len(t)} is even")
     if not u.is_unit:
         raise NotAUnit(f"{u.value} is not invertible mod {u.modulus.n}")
     mod = t[0].modulus
-    _require(_product(t) in (identity(mod), neg_identity(mod)),
-             f"product of {t} is not +-Id")
+    if _product(t) not in (identity(mod), neg_identity(mod)):
+        raise DomainViolation(f"product of {t} is not +-Id")
     ui = u.inverse()
     out = [(t[0] + 1) * ui, u, (t[1] + 1) * ui]
     for p in range(3, len(t) + 1):
@@ -165,7 +176,8 @@ def unit_insert_map(t: tuple, u: Residue) -> tuple:
 
 def unit_drop_map(t: tuple) -> tuple:
     """Inverse of unit_insert_map; the unit is read from position 2."""
-    _require(len(t) % 2 == 0, f"size {len(t)} is odd")
+    if len(t) % 2 != 0:
+        raise DomainViolation(f"size {len(t)} is odd")
     u = t[1]
     if not u.is_unit:
         raise NotAUnit(f"second entry {u.value} is not invertible mod {u.modulus.n}")
@@ -180,7 +192,8 @@ def fiber_shift_map(triple: tuple, x: Residue) -> tuple:
     """Carry a psi-fiber-of-1 triple (u, v, w) to the fiber of x via
     (xu, v x^-1, wx)."""
     u, v, w = triple
-    _require(psi(u, v, w).value == 1, f"psi{tuple(a.value for a in triple)} != 1")
+    if psi(u, v, w).value != 1:
+        raise DomainViolation(f"psi{tuple(a.value for a in triple)} != 1")
     if not x.is_unit:
         raise NotAUnit(f"{x.value} is not invertible mod {x.modulus.n}")
     xi = x.inverse()
@@ -190,7 +203,8 @@ def fiber_shift_map(triple: tuple, x: Residue) -> tuple:
 def fiber_unshift_map(triple: tuple, x: Residue) -> tuple:
     """Inverse of fiber_shift_map: from the fiber of x back to the fiber of 1."""
     u, v, w = triple
-    _require(psi(u, v, w) == x, f"psi{tuple(a.value for a in triple)} != {x.value}")
+    if psi(u, v, w) != x:
+        raise DomainViolation(f"psi{tuple(a.value for a in triple)} != {x.value}")
     xi = x.inverse()
     return (u * xi, v * x, w * xi)
 

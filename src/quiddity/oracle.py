@@ -6,6 +6,19 @@ constraints (fixed value, unit, non-unit).  Enumeration is exhaustive and
 deterministic; counting can also run as a meet-in-the-middle hash join on
 the midpoint group element, which must agree with the naive count.
 
+Everything runs on one walk over letter choices, _walk, which carries two
+rows through the recurrence (cur, prev) -> (a*cur - prev, cur).  It has
+three uses:
+
+* solve (solutions, the naive count): walk the first n - 2 letters; the
+  last two are forced by the target and kept only if they land on it and
+  are allowed at their positions;
+* bucket (_half_products, product_histogram): count every candidate's
+  product, the meet-in-the-middle prefix;
+* probe (the meet-in-the-middle suffix): walk backward from the target,
+  E(a_{k+1})^-1 ... E(a_n)^-1 @ target, and look each result up among the
+  prefix products.
+
 This module is the independent oracle for every other count source, so it
 deliberately shares no machinery with the dynamic program.
 """
@@ -14,7 +27,11 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
+from operator import add
 
 from .modring import Modulus, Residue, NotAUnit
 from .sl2 import Mat2, continuant_product
@@ -70,6 +87,11 @@ def allowed_values(modulus: Modulus, constraint: Constraint) -> tuple[int, ...]:
     raise ValueError(f"unknown constraint kind {constraint.kind!r}")
 
 
+@lru_cache(maxsize=256)
+def _allowed_set(modulus: Modulus, constraint: Constraint) -> frozenset[int]:
+    return frozenset(allowed_values(modulus, constraint))
+
+
 def normalize_constraints(constraints, size: int, modulus: Modulus) -> dict[int, Constraint]:
     """Check per-position constraints (a dict or (position, constraint) pairs).
 
@@ -97,7 +119,10 @@ def normalize_constraints(constraints, size: int, modulus: Modulus) -> dict[int,
 class SetSpec:
     """Size, target matrix, and per-position constraints (1-based positions)."""
 
-    __slots__ = ("size", "target", "constraints")
+    # _allowed caches one frozenset of values per position for matches(),
+    # shared between positions and specs with the same constraint; it is
+    # derived from the rest, so it stays out of _key().
+    __slots__ = ("size", "target", "constraints", "_allowed")
 
     def __init__(self, size: int, target: Mat2, constraints=None):
         if size < 1:
@@ -108,6 +133,7 @@ class SetSpec:
         self.target = target
         cons = normalize_constraints(constraints, size, target.modulus)
         self.constraints = tuple(sorted(cons.items()))
+        self._allowed = None
 
     @property
     def modulus(self) -> Modulus:
@@ -135,8 +161,10 @@ class SetSpec:
         """Does a tuple of residues belong to this set?"""
         if len(t) != self.size:
             return False
-        values = self.position_values()
-        if any(int(a) not in values[i] for i, a in enumerate(t)):
+        if self._allowed is None:
+            self._allowed = tuple(_allowed_set(self.modulus, self.constraint_at(p))
+                                  for p in range(1, self.size + 1))
+        if any(int(a) not in allowed for allowed, a in zip(self._allowed, t)):
             return False
         return continuant_product(t, self.modulus) == self.target
 
@@ -153,6 +181,73 @@ class SetSpec:
         return f"SetSpec(size={self.size}, target={self.target!r}, constraints={self.constraints})"
 
 
+def _walk(values, N, p, q, r, s, out=None):
+    """Yield the state after every choice of letters but the last.
+
+    The state is two rows, cur = (p, q) and prev = (r, s); a letter a sends
+    it to (a*cur - prev, cur).  Started at a matrix's (top, bottom) rows this
+    left-multiplies by the letter matrix [[a, -1], [1, 0]]; started at
+    (bottom, top) it left-multiplies by that matrix's inverse.  Letters go
+    ascending, position by position, and are written into ``out``; the
+    caller runs the last position itself.
+    """
+    inner = len(values) - 2
+    if out is None:
+        out = [0] * len(values)
+
+    def rec(pos, p, q, r, s):
+        if pos == inner:
+            for a in values[pos]:
+                out[pos] = a
+                yield (a * p - r) % N, (a * q - s) % N, p, q
+            return
+        for a in values[pos]:
+            out[pos] = a
+            yield from rec(pos + 1, (a * p - r) % N, (a * q - s) % N, p, q)
+
+    if inner < 0:
+        return iter(((p, q, r, s),))
+    return rec(0, p, q, r, s)
+
+
+def _solve(spec: SetSpec):
+    """Yield the letters of every tuple in the set, as one reused list.
+
+    Only the first n - 2 letters are walked.  The product's bottom row is
+    the top row before the last letter, so letter n-1 must put the target's
+    bottom row on top and letter n must then give its top row.  The rows of
+    a determinant-1 state are unimodular, so at most one letter does each,
+    and det = 1 gives it by Bezout.  Each forced letter is kept only if its
+    step really lands on the target rows and it is allowed at its position.
+    """
+    values = spec.position_values()
+    n = spec.size
+    N = spec.modulus.n
+    ta, tb, tc, td = spec.target.entries()
+    out = [0] * n
+    if n == 1:
+        # the lone letter a gives [[a, -1], [1, 0]]; det 1 makes tb = -1
+        # follow from the bottom row
+        if tc == 1 and td == 0 and ta in values[0]:
+            out[0] = ta
+            yield out
+        return
+    allowed_b = frozenset(values[n - 2])
+    allowed_a = frozenset(values[n - 1])
+    for p, q, r, s in _walk(values[:n - 1], N, 1, 0, 0, 1, out):
+        # letter n-1 must turn [[p, q], [r, s]] into [[tc, td], [p, q]]
+        b = (s * tc - r * td) % N
+        if (b * p - r - tc) % N or (b * q - s - td) % N or b not in allowed_b:
+            continue
+        # letter n must turn [[tc, td], [p, q]] into the target
+        a = (q * ta - p * tb) % N
+        if (a * tc - p - ta) % N or (a * td - q - tb) % N or a not in allowed_a:
+            continue
+        out[n - 2] = b
+        out[n - 1] = a
+        yield out
+
+
 def solutions(spec: SetSpec, budget: int | None = None):
     """Yield every tuple in the set, in lexicographic order.
 
@@ -163,76 +258,69 @@ def solutions(spec: SetSpec, budget: int | None = None):
     required = spec.naive_candidates()
     if required > budget:
         raise BudgetExceeded(required, budget)
-    values = spec.position_values()
-    n = spec.size
     mod = spec.modulus
-    N = mod.n
-    tgt = spec.target.entries()
-    out = [0] * n
-
-    def rec(pos, p, q, r, s):
-        if pos == n:
-            if (p, q, r, s) == tgt:
-                yield tuple(Residue(v, mod) for v in out)
-            return
-        for a in values[pos]:
-            out[pos] = a
-            yield from rec(pos + 1, (a * p - r) % N, (a * q - s) % N, p, q)
-
-    yield from rec(0, 1, 0, 0, 1)
+    for letters in _solve(spec):
+        yield tuple(Residue(v, mod) for v in letters)
 
 
 def _count_naive(spec: SetSpec) -> int:
-    values = spec.position_values()
-    n = spec.size
-    N = spec.modulus.n
-    tgt = spec.target.entries()
+    return sum(1 for _ in _solve(spec))
 
-    def rec(pos, p, q, r, s):
-        if pos == n:
-            return 1 if (p, q, r, s) == tgt else 0
-        total = 0
-        for a in values[pos]:
-            total += rec(pos + 1, (a * p - r) % N, (a * q - s) % N, p, q)
-        return total
 
-    return rec(0, 1, 0, 0, 1)
+class _LetterRows(dict):
+    """Packed-key parts of one row coordinate after the last letter, per letter.
+
+    The last letter turns a coordinate x of cur and the same coordinate y of
+    prev into a*x - y on the new cur row, and moves x to the prev row.  Key
+    x*N + y maps to [(a*x - y) % N * scale + x * lift for each letter a]:
+    both values placed at their digit of the packed matrix key.  Adding the
+    lists of the two coordinates gives the keys of all of a state's leaves
+    without a Python step per letter.  Lists are built on first use.
+    """
+
+    __slots__ = ("letters", "N", "scale", "lift")
+
+    def __init__(self, letters, N, scale, lift):
+        super().__init__()
+        self.letters, self.N, self.scale, self.lift = letters, N, scale, lift
+
+    def __missing__(self, key):
+        x, y = divmod(key, self.N)
+        row = self[key] = [(a * x - y) % self.N * self.scale + x * self.lift
+                           for a in self.letters]
+        return row
 
 
 def _half_products(values, N):
     """Map packed product key -> number of tuples over the given positions."""
-    buckets = {}
-
-    def rec(pos, p, q, r, s):
-        if pos == len(values):
-            key = ((p * N + q) * N + r) * N + s
-            buckets[key] = buckets.get(key, 0) + 1
-            return
-        for a in values[pos]:
-            rec(pos + 1, (a * p - r) % N, (a * q - s) % N, p, q)
-
-    rec(0, 1, 0, 0, 1)
+    buckets = Counter()
+    # cur is the top row, so the new cur leads the key and the old cur
+    # becomes the bottom row: digits N^3, N^2 and N, 1.
+    firsts = _LetterRows(values[-1], N, N ** 3, N)
+    seconds = _LetterRows(values[-1], N, N * N, 1)
+    for p, q, r, s in _walk(values, N, 1, 0, 0, 1):
+        buckets.update(map(add, firsts[p * N + r], seconds[q * N + s]))
     return buckets
 
 
 def _count_mitm(spec: SetSpec, split: int) -> int:
-    # Tuples factor as target == suffix_product @ prefix_product, so join the
-    # two half-enumerations on the prefix product the suffix demands.
+    # Tuples factor as target == suffix_product @ prefix_product, so the
+    # prefix product must be E(a_{k+1})^-1 ... E(a_n)^-1 @ target.  Walk the
+    # suffix backward from the target with its rows swapped and look each
+    # result up among the prefix products.
     values = spec.position_values()
     N = spec.modulus.n
     ta, tb, tc, td = spec.target.entries()
-    prefix = _half_products(values[:split], N)
+    get = _half_products(values[:split], N).get
+    suffix = values[split:][::-1]
+    # cur is the bottom row, so the old cur leads the key as the new top
+    # row: digits N, 1 and N^3, N^2.
+    firsts = _LetterRows(suffix[-1], N, N, N ** 3)
+    seconds = _LetterRows(suffix[-1], N, 1, N * N)
+    zeros = repeat(0)
     total = 0
-    for key, times in _half_products(values[split:], N).items():
-        key, s = divmod(key, N)
-        key, r = divmod(key, N)
-        p, q = divmod(key, N)
-        # inverse of a det-1 matrix [[p,q],[r,s]] is [[s,-q],[-r,p]]
-        need = (
-            ((s * ta - q * tc) % N * N + (s * tb - q * td) % N) * N
-            + (p * tc - r * ta) % N
-        ) * N + (p * td - r * tb) % N
-        total += times * prefix.get(need, 0)
+    for p, q, r, s in _walk(suffix, N, tc, td, ta, tb):
+        total += sum(map(get, map(add, firsts[p * N + r], seconds[q * N + s]), zeros))
     return total
 
 
@@ -291,26 +379,8 @@ def product_histogram(size: int, modulus: Modulus, constraints=None,
     required = probe.naive_candidates()
     if required > budget:
         raise BudgetExceeded(required, budget)
-    values = probe.position_values()
-    N = modulus.n
-    buckets: dict[int, int] = {}
-
-    def rec(pos, p, q, r, s):
-        if pos == size:
-            key = ((p * N + q) * N + r) * N + s
-            buckets[key] = buckets.get(key, 0) + 1
-            return
-        for a in values[pos]:
-            rec(pos + 1, (a * p - r) % N, (a * q - s) % N, p, q)
-
-    rec(0, 1, 0, 0, 1)
-    out = {}
-    for key, times in buckets.items():
-        key, d = divmod(key, N)
-        key, c = divmod(key, N)
-        a, b = divmod(key, N)
-        out[Mat2(a, b, c, d, modulus)] = times
-    return out
+    buckets = _half_products(probe.position_values(), modulus.n)
+    return {Mat2.from_key(key, modulus): times for key, times in buckets.items()}
 
 
 def count_zero_pairs(m: int) -> int:

@@ -49,6 +49,15 @@ class Mat2:
         n = self.modulus.n
         return ((self.a * n + self.b) * n + self.c) * n + self.d
 
+    @classmethod
+    def from_key(cls, key: int, modulus: Modulus) -> "Mat2":
+        """The matrix whose key() is ``key``."""
+        n = modulus.n
+        key, d = divmod(key, n)
+        key, c = divmod(key, n)
+        a, b = divmod(key, n)
+        return cls(a, b, c, d, modulus)
+
     def __matmul__(self, other: "Mat2") -> "Mat2":
         if other.modulus.n != self.modulus.n:
             raise ValueError("mixed moduli in matrix product")
@@ -182,14 +191,7 @@ class GroupTable:
         keys.insert(0, id_key)
         self._keys = keys
         self._ordinal = {k: i for i, k in enumerate(keys)}
-        self._elements = [self._unpack(k) for k in keys]
-
-    def _unpack(self, key: int) -> Mat2:
-        n = self.modulus.n
-        key, d = divmod(key, n)
-        key, c = divmod(key, n)
-        a, b = divmod(key, n)
-        return Mat2(a, b, c, d, self.modulus)
+        self._elements = [Mat2.from_key(k, modulus) for k in keys]
 
     def __len__(self) -> int:
         return len(self._keys)

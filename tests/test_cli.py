@@ -45,6 +45,14 @@ def test_count_fixed_constraint_uses_dp(capsys):
     assert report["method"] == "dp"
 
 
+def test_count_auto_route_takes_the_dp_past_two_million_group_elements(capsys):
+    # |SL2(Z/160Z)| = 2,949,120; the walk answers in seconds, brute force
+    # would need 160**8 candidates.
+    report = run_json(capsys, "count", "--modulus", "160", "--size", "8", "--target", "s")
+    assert report["method"] == "dp"
+    assert report["count"] == "143350824960"
+
+
 def test_count_explicit_methods_agree(capsys):
     values = {}
     for method in ("formula", "dp", "brute"):

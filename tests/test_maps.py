@@ -284,3 +284,35 @@ def test_full_grid_battery(n_mod, depth):
     for tmap in shipped_maps(Modulus(n_mod), depth):
         report = verify_reciprocal(tmap)
         assert report.ok, report.describe()
+
+
+def test_domain_violation_messages():
+    one, three = Residue(1, MOD8), Residue(3, MOD8)
+    zeros3 = "(Residue(0, mod=8), Residue(0, mod=8), Residue(0, mod=8))"
+    cases = [
+        (lambda: negate_map(rt(MOD8, 0, 0, 0)), f"product of {zeros3} is not the identity"),
+        (lambda: negate_map(rt(MOD8, 0, 0)), "size 2 is even"),
+        (lambda: scale_map(rt(MOD8, 1, 0, 0, 0), three),
+         "product of (Residue(1, mod=8), Residue(0, mod=8), Residue(0, mod=8), "
+         "Residue(0, mod=8)) is not +-Id"),
+        (lambda: scale_map(rt(MOD8, 0, 0), three), "size 2 is not even >= 4"),
+        (lambda: reduce_one(rt(MOD8, 1, 3, 1), 2), "letter at position 2 is 3, not 1"),
+        (lambda: reduce_one(rt(MOD8, 1, 1, 1), 3), "position 3 is not interior for size 3"),
+        (lambda: insert_one(rt(MOD8, 1, 1), 3), "position 3 is not interior for size 3"),
+        (lambda: reduce_minus_one(rt(MOD8, 1, 3, 1), 2), "letter at position 2 is 3, not -1"),
+        (lambda: insert_minus_one(rt(MOD8, 1, 1), 1), "position 1 is not interior for size 3"),
+        (lambda: reduce_pair(rt(MOD8, 1, 1, 1)), "size 3 < 4"),
+        (lambda: expand_pair(rt(MOD8, 1, 1, 1), three, three), "second entry 1 != 0"),
+        (lambda: expand_pair(rt(MOD8, 1, 1), three, three), "size 2 < 3"),
+        (lambda: reduce_quintuple(rt(MOD8, 1, 1, 1, 1)), "size 4 < 5"),
+        (lambda: expand_quintuple(rt(MOD8, 1, 1, 1), one, one, one), "second entry 1 != psi = 7"),
+        (lambda: unit_insert_map(rt(MOD8, 1, 1), one), "size 2 is even"),
+        (lambda: unit_insert_map(rt(MOD8, 0, 0, 0), one), f"product of {zeros3} is not +-Id"),
+        (lambda: unit_drop_map(rt(MOD8, 1, 1, 1)), "size 3 is odd"),
+        (lambda: fiber_shift_map(rt(MOD8, 1, 1, 0), three), "psi(1, 1, 0) != 1"),
+        (lambda: fiber_unshift_map(rt(MOD8, 1, 1, 1), three), "psi(1, 1, 1) != 3"),
+    ]
+    for call, message in cases:
+        with pytest.raises(DomainViolation) as err:
+            call()
+        assert str(err.value) == message

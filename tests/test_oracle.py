@@ -1,9 +1,14 @@
+import itertools
+import math
+import random
+
 import pytest
 
-from helpers import ivals
+from helpers import ivals, sl2_elements
 from quiddity import oracle
 from quiddity.modring import Modulus, NotAUnit, Residue, units_of
 from quiddity.oracle import (
+    ANY,
     BudgetExceeded,
     NONUNIT,
     SetSpec,
@@ -16,7 +21,7 @@ from quiddity.oracle import (
     psi_fiber,
     solutions,
 )
-from quiddity.sl2 import identity, neg_identity, s_mat, target_by_name
+from quiddity.sl2 import continuant_product, identity, neg_identity, s_mat, target_by_name
 
 MOD8 = Modulus(8)
 
@@ -167,3 +172,125 @@ def test_spec_validation():
 def elementary_like_nonunimodular():
     from quiddity.sl2 import Mat2
     return Mat2(2, 0, 0, 1, MOD8)
+
+
+# ---------------------------------------------------------------------------
+# differential check of the letter walk against plain enumeration
+
+
+def _reference_values(n: int, constraint) -> list[int]:
+    if constraint.kind == "unit":
+        return [v for v in range(n) if math.gcd(v, n) == 1]
+    if constraint.kind == "nonunit":
+        return [v for v in range(n) if math.gcd(v, n) != 1]
+    if constraint.kind == "fixed":
+        return [constraint.value % n]
+    return list(range(n))
+
+
+def _reference_sets(size: int, mod: Modulus, constraints: dict) -> dict:
+    """Every allowed tuple, grouped by continuant product, in lexicographic order."""
+    values = [_reference_values(mod.n, constraints.get(p, ANY)) for p in range(1, size + 1)]
+    groups: dict = {}
+    for t in itertools.product(*values):
+        groups.setdefault(continuant_product(t, mod), []).append(t)
+    return groups
+
+
+def _constraint_menu(size: int, n: int, rng: random.Random) -> list[dict]:
+    def pos():
+        return rng.randint(1, size)
+
+    menu = [{}, {pos(): UNIT}, {pos(): NONUNIT}, {pos(): fixed(rng.randrange(n))},
+            {pos(): ANY}]
+    if size >= 2:
+        menu.append({size - 1: fixed(rng.randrange(n)), size: fixed(rng.randrange(n))})
+        menu.append({1: UNIT, size - 1: NONUNIT, size: UNIT})
+    return menu
+
+
+def _check_against_reference(size, mod, constraints, groups, targets):
+    hist = product_histogram(size, mod, constraints)
+    assert hist == {mat: len(ts) for mat, ts in groups.items()}
+    for target in targets:
+        spec = SetSpec(size, target, constraints)
+        expected = groups.get(target, [])
+        assert [ivals(t) for t in solutions(spec)] == expected, (spec, "solutions")
+        assert count(spec, "naive") == len(expected), (spec, "naive")
+        for split in range(1, size):
+            assert count(spec, "mitm", split=split) == len(expected), (spec, split)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_walk_matches_plain_enumeration(n):
+    mod = Modulus(n)
+    rng = random.Random(1000 + n)
+    group = sl2_elements(mod)
+    for size in range(1, 6):
+        for constraints in _constraint_menu(size, n, rng):
+            groups = _reference_sets(size, mod, constraints)
+            targets = rng.sample(group, 3) + [identity(mod), neg_identity(mod), s_mat(mod)]
+            targets += rng.sample(sorted(groups, key=lambda m: m.key()), min(3, len(groups)))
+            _check_against_reference(size, mod, constraints, groups, targets)
+
+
+@pytest.mark.parametrize("n", [4, 6, 9])
+def test_fixed_last_letters_that_miss_the_forced_ones(n):
+    # Fix the last two positions so that a prefix of a real solution forces
+    # letters the constraint forbids: those tuples must drop out, and only
+    # tuples whose forced letters agree with the fixed ones stay.
+    mod = Modulus(n)
+    for size in range(1, 6):
+        plain = _reference_sets(size, mod, {})
+        target = max(plain, key=lambda m: (len(plain[m]), -m.key()))
+        t = plain[target][0]
+        menus = [{size: fixed(t[-1] + 1)}, {size: fixed(t[-1])}]
+        if size >= 2:
+            menus += [{size - 1: fixed(t[-2] + 1), size: fixed(t[-1])},
+                      {size - 1: fixed(t[-2]), size: fixed(t[-1] + 1)},
+                      {size - 1: fixed(t[-2]), size: fixed(t[-1])}]
+        for constraints in menus:
+            groups = _reference_sets(size, mod, constraints)
+            _check_against_reference(size, mod, constraints, groups, [target])
+
+
+def test_refusals_keep_their_required_candidates():
+    spec = SetSpec(7, identity(MOD8), {2: UNIT})
+    naive = 8 ** 6 * 4
+    mitm = 8 * 4 * 8 + 8 ** 4  # split after position 3
+    with pytest.raises(BudgetExceeded) as err:
+        count(spec, "naive", budget=naive - 1)
+    assert err.value.required == naive
+    with pytest.raises(BudgetExceeded) as err:
+        next(solutions(spec, budget=naive - 1))
+    assert err.value.required == naive
+    with pytest.raises(BudgetExceeded) as err:
+        product_histogram(7, MOD8, {2: UNIT}, budget=naive - 1)
+    assert err.value.required == naive
+    with pytest.raises(BudgetExceeded) as err:
+        count(spec, "mitm", split=3, budget=mitm - 1)
+    assert err.value.required == mitm
+    expected = count(spec, "naive", budget=naive)
+    assert count(spec, "mitm", split=3, budget=mitm) == expected
+    assert sum(1 for _ in solutions(spec, budget=naive)) == expected
+
+
+def test_auto_rule_switches_at_six_free_positions():
+    # 8**6 naive candidates but 8**3 + 8**3 for the join: a budget of 1024
+    # admits only the join, so the answer shows which method auto chose.
+    wide = SetSpec(6, identity(MOD8))
+    assert count(wide, budget=1024) == count(wide, "naive")
+    narrow = SetSpec(6, identity(MOD8), {1: fixed(1)})
+    with pytest.raises(BudgetExceeded) as err:
+        count(narrow, budget=1024)
+    assert err.value.required == 8 ** 5
+
+
+def test_membership_cache_leaves_equality_alone():
+    spec = SetSpec(5, identity(MOD8), {2: UNIT, 4: fixed(3)})
+    fresh = SetSpec(5, identity(MOD8), {2: UNIT, 4: fixed(3)})
+    member = next(solutions(spec))
+    assert spec.matches(member)
+    assert not spec.matches((member[0], member[1] + 1) + member[2:])
+    assert not spec.matches(member[:3] + (member[3] + 1,) + member[4:])
+    assert spec == fresh and hash(spec) == hash(fresh)

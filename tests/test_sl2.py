@@ -149,3 +149,12 @@ def test_key_packing():
     mat = Mat2(1, 2, 3, 4, mod8)
     assert mat.key() == ((1 * 8 + 2) * 8 + 3) * 8 + 4
     assert mat.residues() == rt(mod8, 1, 2, 3, 4)
+
+
+@pytest.mark.parametrize("n", [2, 6, 9])
+def test_key_round_trip(n):
+    mod = Modulus(n)
+    for entries in itertools.product(range(n), repeat=4):
+        mat = Mat2(*entries, mod)
+        assert Mat2.from_key(mat.key(), mod) == mat
+    assert [g.key() for g in group_table(mod)._elements] == group_table(mod)._keys
