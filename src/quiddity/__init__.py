@@ -10,12 +10,10 @@ counts together, and a CLI that reproduces the reference tables.
 
 from .modring import Modulus, NotAUnit, Residue, nonunits_of, units_of
 from .sl2 import (
-    CapExceeded,
     Mat2,
     continuant_product,
     elementary,
     group_order,
-    group_table,
     identity,
     neg_identity,
     s_mat,
@@ -37,7 +35,8 @@ from .oracle import (
     psi_fiber,
     solutions,
 )
-from .counter import CountVector, dp_count, dp_count_all_targets, dp_vector, dp_vector_sequence
+from .counter import (CapExceeded, CountVector, dp_count, dp_count_all_targets, dp_vector,
+                      dp_vector_sequence)
 from .formulas import (
     FormulaValue,
     InexactDivision,

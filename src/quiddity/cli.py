@@ -18,19 +18,12 @@ from dataclasses import dataclass
 from . import counter, crt, formulas, maps, oracle
 from .modring import Modulus, NotAUnit
 from .oracle import NONUNIT, SetSpec, UNIT, fixed
-from .sl2 import (
-    CapExceeded,
-    ENUMERATION_CAP,
-    Mat2,
-    TARGET_NAMES,
-    group_order,
-    target_by_name,
-)
+from .sl2 import Mat2, TARGET_NAMES, group_order, target_by_name
 
 USAGE_ERRORS = (
     ValueError,
     NotAUnit,
-    CapExceeded,
+    counter.CapExceeded,
     oracle.BudgetExceeded,
     formulas.UnsupportedCase,
     formulas.NonSquarefree,
@@ -48,8 +41,12 @@ def _parse_ints(text: str) -> list[int]:
     m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text)
     if m:
         lo, hi = int(m.group(1)), int(m.group(2))
-        return list(range(lo, hi + 1))
-    return [int(part) for part in text.split(",") if part]
+        values = list(range(lo, hi + 1))
+    else:
+        values = [int(part) for part in text.split(",") if part]
+    if not values:
+        raise ValueError(f"{text!r} selects no values; want e.g. 3..10 or 3,5,7")
+    return values
 
 def _parse_target(text: str, modulus: Modulus) -> tuple[Mat2, str]:
     if text in TARGET_NAMES:
@@ -126,9 +123,8 @@ def cmd_count(args) -> int:
             raise formulas.UnsupportedCase("no formula covers this configuration")
         else:
             # Auto only picks the DP while the group stays small;
-            # explicit --method dp is honored up to the enumeration cap.
-            small_group = group_order(args.modulus) <= 5_000_000
-            method = "dp" if (args.modulus <= ENUMERATION_CAP and small_group) else "brute"
+            # explicit --method dp is honored up to the DP's modulus cap.
+            method = "dp" if group_order(args.modulus) <= 5_000_000 else "brute"
     if method == "dp":
         count = counter.dp_count(spec)
     elif method == "brute":
@@ -151,66 +147,40 @@ def cmd_count(args) -> int:
 # formula
 
 
-def _need(args, *names):
-    values = []
-    for name in names:
-        value = getattr(args, name.replace("-", "_"))
-        if value is None:
-            raise ValueError(f"formula {args.name!r} needs --{name}")
-        values.append(value)
-    return values
+# name -> (function in ``formulas``, its parameters in call order).  The
+# function is looked up by name at call time, so a rebound module attribute
+# (as a tracer installs) is the one called.
+FORMULAS = {
+    "gauss-bracket": ("gauss_bracket", ("m", "k")),
+    "gauss-binom2": ("gauss_binom2", ("m", "k")),
+    "u-count": ("u_count", ("n", "q", "sign")),
+    "w4-ring4": ("w4_ring4", ("n", "sign")),
+    "w-odd-2m": ("w_odd_2m", ("n_half", "m", "sign")),
+    "delta-closed": ("delta_closed_form", ("n", "m", "target")),
+    "delta-base": ("delta_base", ("n", "m", "target")),
+    "delta-recursion": ("delta_recursion", ("prev", "prev2", "m")),
+    "w4-2m": ("w4_2m", ("m", "sign")),
+    "w-even-bounds": ("w_even_bounds", ("n_half", "m", "sign")),
+    "w8-even": ("w8_even", ("n_half",)),
+    "w8-odd": ("w8_odd", ("n_half", "sign")),
+    "zero-pairs": ("zero_pair_count", ("m",)),
+}
 
 
 def cmd_formula(args) -> int:
-    name = args.name
-    params: dict
-    if name == "gauss-bracket":
-        m, k = _need(args, "m", "k")
-        value, params = formulas.gauss_bracket(m, k), {"m": m, "k": k}
-    elif name == "gauss-binom2":
-        m, k = _need(args, "m", "k")
-        value, params = formulas.gauss_binom2(m, k), {"m": m, "k": k}
-    elif name == "u-count":
-        n, q, sign = _need(args, "n", "q", "sign")
-        value, params = formulas.u_count(n, q, sign), {"n": n, "q": q, "sign": sign}
-    elif name == "w4-ring4":
-        n, sign = _need(args, "n", "sign")
-        value, params = formulas.w4_ring4(n, sign), {"n": n, "sign": sign}
-    elif name == "w-odd-2m":
-        n_half, m, sign = _need(args, "n-half", "m", "sign")
-        value = formulas.w_odd_2m(n_half, m, sign)
-        params = {"n_half": n_half, "m": m, "sign": sign}
-    elif name == "delta-closed":
-        n, m, target = _need(args, "n", "m", "target")
-        value, params = formulas.delta_closed_form(n, m, target), {"n": n, "m": m, "target": target}
-    elif name == "delta-base":
-        n, m, target = _need(args, "n", "m", "target")
-        value, params = formulas.delta_base(n, m, target), {"n": n, "m": m, "target": target}
-    elif name == "delta-recursion":
-        prev, prev2, m = _need(args, "prev", "prev2", "m")
-        value = formulas.delta_recursion(prev, prev2, m)
-        params = {"prev": prev, "prev2": prev2, "m": m}
-    elif name == "w4-2m":
-        m, sign = _need(args, "m", "sign")
-        value, params = formulas.w4_2m(m, sign), {"m": m, "sign": sign}
-    elif name == "w-even-bounds":
-        n_half, m, sign = _need(args, "n-half", "m", "sign")
-        lower, upper = formulas.w_even_bounds(n_half, m, sign)
-        _emit({"formula": name, "params": {"n_half": n_half, "m": m, "sign": sign},
-               "lower": str(int(lower)), "upper": str(int(upper))})
-        return 0
-    elif name == "w8-even":
-        (n_half,) = _need(args, "n-half")
-        value, params = formulas.w8_even(n_half), {"n_half": n_half}
-    elif name == "w8-odd":
-        n_half, sign = _need(args, "n-half", "sign")
-        value, params = formulas.w8_odd(n_half, sign), {"n_half": n_half, "sign": sign}
-    elif name == "zero-pairs":
-        (m,) = _need(args, "m")
-        value, params = formulas.zero_pair_count(m), {"m": m}
+    function, names = FORMULAS[args.name]
+    params = {}
+    for name in names:
+        params[name] = getattr(args, name)
+        if params[name] is None:
+            raise ValueError(f"formula {args.name!r} needs --{name.replace('_', '-')}")
+    value = getattr(formulas, function)(*params.values())
+    report = {"formula": args.name, "params": params}
+    if isinstance(value, tuple):  # w_even_bounds: a (lower, upper) sandwich
+        report.update(lower=str(int(value[0])), upper=str(int(value[1])))
     else:
-        raise ValueError(f"unknown formula {name!r}")
-    _emit({"formula": name, "params": params, "value": str(int(value))})
+        report["value"] = str(int(value))
+    _emit(report)
     return 0
 
 
@@ -242,7 +212,7 @@ def _w8_cell(size: int) -> int:
 def table_text(which: str, rows: list[int] | None = None) -> str:
     """The CSV body for one reference table (header + one line per row)."""
     if which == "odd-w-plus":
-        rows = rows or [3, 5, 7, 9]
+        rows = [3, 5, 7, 9] if rows is None else rows
         if any(size % 2 == 0 or size < 3 for size in rows):
             raise ValueError("odd-w-plus rows must be odd sizes >= 3")
         lines = ["n," + ",".join(str(n) for n in ODD_W_PLUS_MODULI)]
@@ -250,12 +220,12 @@ def table_text(which: str, rows: list[int] | None = None) -> str:
             cells = [_odd_w_plus_cell(size, n) for n in ODD_W_PLUS_MODULI]
             lines.append(f"{size}," + ",".join(str(c) for c in cells))
     elif which == "w8":
-        rows = rows or list(range(2, 11))
+        rows = list(range(2, 11)) if rows is None else rows
         if any(size < 2 for size in rows):
             raise ValueError("w8 rows must be sizes >= 2")
         lines = ["n,count"] + [f"{size},{_w8_cell(size)}" for size in rows]
     elif which in ("delta-id", "delta-s"):
-        rows = rows or list(range(3, 11))
+        rows = list(range(3, 11)) if rows is None else rows
         if any(size < 3 for size in rows):
             raise ValueError("delta rows must be sizes >= 3")
         target = "id" if which == "delta-id" else "s"
@@ -267,7 +237,7 @@ def table_text(which: str, rows: list[int] | None = None) -> str:
 
 
 def cmd_table(args) -> int:
-    rows = _parse_ints(args.rows) if args.rows else None
+    rows = _parse_ints(args.rows) if args.rows is not None else None
     sys.stdout.write(table_text(args.which, rows))
     return 0
 
@@ -300,6 +270,9 @@ def _suite_bijections(moduli: list[int], max_size: int | None,
 
 
 def _suite_recursion(ms: list[int], sizes: list[int]) -> list[Check]:
+    sizes = [size for size in sizes if size >= 5]
+    if not sizes:
+        raise ValueError("recursion checks need a size >= 5")
     checks = []
     top = max(sizes)
     for m in ms:
@@ -309,13 +282,12 @@ def _suite_recursion(ms: list[int], sizes: list[int]) -> list[Check]:
             target = target_by_name(name, modulus)
             series = [vec.at(target) for vec in seq]
             for size in sizes:
-                if size < 5:
-                    continue
                 expected = int(formulas.delta_recursion(series[size - 1], series[size - 2], m))
                 checks.append(Check(
                     f"recursion dp m={m} target={name} n={size}",
                     series[size] == expected,
                     f"{series[size]} vs {expected}"))
+    mismatches = []
     for m in range(2, 7):
         for size in range(7, 41):
             for target in ("id", "s"):
@@ -324,10 +296,9 @@ def _suite_recursion(ms: list[int], sizes: list[int]) -> list[Check]:
                     formulas.delta_closed_form(size - 1, m, target),
                     formulas.delta_closed_form(size - 2, m, target), m))
                 if got != expected:
-                    checks.append(Check(
-                        f"recursion formula m={m} target={target} n={size}", False,
-                        f"{got} vs {expected}"))
-    checks.append(Check("recursion formula identity m=2..6 n=7..40", True, "exact"))
+                    mismatches.append(f"m={m} target={target} n={size}: {got} vs {expected}")
+    detail = f"{len(mismatches)} mismatches, first {mismatches[0]}" if mismatches else "exact"
+    checks.append(Check("recursion formula identity m=2..6 n=7..40", not mismatches, detail))
     return checks
 
 
@@ -385,27 +356,28 @@ def _suite_totality(moduli: list[int], sizes: list[int]) -> list[Check]:
     return checks
 
 
+# Suite name -> runner(args, moduli, sizes, ms); moduli and sizes are None
+# when not given, and each suite fills in its own default.  ``all`` runs
+# them in this order.
+SUITES = {
+    "bijections": lambda args, moduli, sizes, ms: _suite_bijections(
+        moduli or [4, 8], args.max_size, args.budget),
+    "recursion": lambda args, moduli, sizes, ms: _suite_recursion(
+        ms, sizes or list(range(5, 9))),
+    "bounds": lambda args, moduli, sizes, ms: _suite_bounds(ms, sizes),
+    "crt": lambda args, moduli, sizes, ms: _suite_crt(sizes or list(range(4, 8)), args.budget),
+    "totality": lambda args, moduli, sizes, ms: _suite_totality(
+        moduli or [3, 4, 8], sizes or list(range(1, 8))),
+}
+
+
 def cmd_verify(args) -> int:
-    suites = [args.suite] if args.suite != "all" else [
-        "bijections", "recursion", "bounds", "crt", "totality"]
-    moduli = _parse_ints(args.modulus) if args.modulus else [4, 8]
-    ms = _parse_ints(args.m) if args.m else [2, 3]
-    sizes = _parse_ints(args.sizes) if args.sizes else None
+    suites = list(SUITES) if args.suite == "all" else [args.suite]
+    moduli, sizes, ms = (_parse_ints(text) if text is not None else None
+                         for text in (args.modulus, args.sizes, args.m))
     checks: list[Check] = []
     for suite in suites:
-        if suite == "bijections":
-            checks += _suite_bijections(moduli, args.max_size, args.budget)
-        elif suite == "recursion":
-            checks += _suite_recursion(ms, sizes or list(range(5, 9)))
-        elif suite == "bounds":
-            checks += _suite_bounds(ms, sizes)
-        elif suite == "crt":
-            checks += _suite_crt(sizes or list(range(4, 8)), args.budget)
-        elif suite == "totality":
-            checks += _suite_totality(moduli if args.modulus else [3, 4, 8],
-                                      sizes or list(range(1, 8)))
-        else:
-            raise ValueError(f"unknown suite {suite!r}")
+        checks += SUITES[suite](args, moduli, sizes, ms or [2, 3])
     failures = [c for c in checks if not c.ok]
     for check in checks:
         status = "PASS" if check.ok else "FAIL"
@@ -464,10 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("formula", help="evaluate one closed-form expression")
-    p.add_argument("--name", required=True, choices=[
-        "gauss-bracket", "gauss-binom2", "u-count", "w4-ring4", "w-odd-2m",
-        "delta-closed", "delta-base", "delta-recursion", "w4-2m",
-        "w-even-bounds", "w8-even", "w8-odd", "zero-pairs"])
+    p.add_argument("--name", required=True, choices=list(FORMULAS))
     p.add_argument("--m", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--n", type=int)
@@ -486,8 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", required=True,
-                   choices=["bijections", "recursion", "bounds", "crt", "totality", "all"])
+    p.add_argument("--suite", required=True, choices=[*SUITES, "all"])
     p.add_argument("--modulus", default=None, help="moduli, e.g. 4,8")
     p.add_argument("--m", default=None, help="2-power exponents, e.g. 2,3")
     p.add_argument("--sizes", default=None, help="sizes, e.g. 5..10")

@@ -38,7 +38,14 @@ import math
 
 from .modring import Modulus
 from .oracle import SetSpec, allowed_values, normalize_constraints
-from .sl2 import CapExceeded, ENUMERATION_CAP, Mat2, TARGET_NAMES, identity, target_by_name
+from .sl2 import Mat2, TARGET_NAMES, identity, target_by_name
+
+# The walk's graph has ~N^3 edges; past this modulus it is not worth building.
+ENUMERATION_CAP = 1 << 16
+
+
+class CapExceeded(ValueError):
+    """Modulus past the DP's cap."""
 
 
 class CountVector:

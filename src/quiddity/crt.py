@@ -77,38 +77,36 @@ def _two_part_formula(size: int, m: int, sign: int):
 
 def two_part_count(size: int, m: int, sign: int, method: str = "auto") -> tuple[int, str]:
     """Count for the 2^m piece, with the source that produced it."""
-    if method in ("auto", "formula"):
-        value = _two_part_formula(size, m, sign)
-        if value is not None:
-            return int(value), "formula"
-        if method == "formula":
-            raise formulas.UnsupportedCase(
-                f"no closed form for size {size} over Z/2^{m}Z per sign")
-    if method == "brute":
-        return _brute_piece(size, Modulus(1 << m), sign), "brute"
-    spec = _piece_spec(size, Modulus(1 << m), sign)
-    return counter.dp_count(spec), "dp"
+    return _piece_count(size, Modulus(1 << m), sign, method,
+                        lambda: _two_part_formula(size, m, sign),
+                        f"no closed form for size {size} over Z/2^{m}Z per sign")
 
 
 def prime_count(size: int, p: int, sign: int, method: str = "auto") -> tuple[int, str]:
     """Count for an odd prime-field piece, with the source used."""
+    return _piece_count(size, Modulus(p), sign, method,
+                        lambda: formulas.u_count(size, p, sign) if size > 4 else None,
+                        f"no prime-field closed form for size {size}")
+
+
+def _piece_count(size: int, modulus: Modulus, sign: int, method: str,
+                 formula, refusal: str) -> tuple[int, str]:
+    """Try the piece's formula (auto, formula), else brute or the DP."""
     if method in ("auto", "formula"):
-        if size > 4:
-            return int(formulas.u_count(size, p, sign)), "formula"
+        value = formula()
+        if value is not None:
+            return int(value), "formula"
         if method == "formula":
-            raise formulas.UnsupportedCase(f"no prime-field closed form for size {size}")
+            raise formulas.UnsupportedCase(refusal)
+    spec = _piece_spec(size, modulus, sign)
     if method == "brute":
-        return _brute_piece(size, Modulus(p), sign), "brute"
-    return counter.dp_count(_piece_spec(size, Modulus(p), sign)), "dp"
+        return oracle.count(spec), "brute"
+    return counter.dp_count(spec), "dp"
 
 
 def _piece_spec(size: int, modulus: Modulus, sign: int) -> SetSpec:
     target = identity(modulus) if sign == 1 else neg_identity(modulus)
     return SetSpec(size, target)
-
-
-def _brute_piece(size: int, modulus: Modulus, sign: int) -> int:
-    return oracle.count(_piece_spec(size, modulus, sign))
 
 
 def piece_counts(size: int, fact: Factorization, sign: int,

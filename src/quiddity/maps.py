@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .modring import Modulus, NotAUnit, Residue, nonunits_of, units_of
-from .oracle import NONUNIT, SetSpec, UNIT, fixed, psi, psi_domain, solutions
+from .oracle import NONUNIT, SetSpec, UNIT, fixed, psi, psi_fiber, solutions
 from .sl2 import Mat2, continuant_product, identity, neg_identity, s_mat, t_mat
 
 
@@ -254,7 +254,7 @@ class FiberSet:
 
     def members(self, budget=None) -> tuple:
         if self._members is None:
-            self._members = tuple(t for t in psi_domain(self.modulus) if psi(*t) == self.x)
+            self._members = tuple(psi_fiber(self.modulus, self.x))
         return self._members
 
     def contains(self, t) -> bool:

@@ -1,4 +1,4 @@
-"""2x2 matrices over Z/NZ, continuant products, and a dense index of SL2(Z/NZ).
+"""2x2 matrices over Z/NZ, continuant products, and the order of SL2(Z/NZ).
 
 The continuant product multiplies a new letter on the LEFT: the last letter
 of a tuple is the leftmost factor.  That convention fixes which tuple
@@ -8,17 +8,7 @@ the brute-force enumerator and the dynamic program.
 
 from __future__ import annotations
 
-import math
-from functools import lru_cache
-
 from .modring import Modulus, Residue
-
-# Dense group enumeration is O(N^3) elements; past this it is not worth it.
-ENUMERATION_CAP = 1 << 16
-
-
-class CapExceeded(ValueError):
-    """Modulus too large for dense group enumeration."""
 
 
 class Mat2:
@@ -152,66 +142,6 @@ def continuant_product(values, modulus: Modulus | None = None) -> Mat2:
         a = int(letter)
         p, q, r, s = (a * p - r) % n, (a * q - s) % n, p, q
     return Mat2(p, q, r, s, modulus)
-
-
-def _solve_linear(a: int, t: int, n: int) -> range | None:
-    """Solutions d in [0, n) of a*d == t (mod n), or None when none exist."""
-    g = math.gcd(a, n)
-    if t % g:
-        return None
-    n_red = n // g
-    d0 = (t // g) * pow(a // g, -1, n_red) % n_red
-    return range(d0, n, n_red)
-
-
-class GroupTable:
-    """Dense ordinal <-> element bijection for SL2(Z/NZ).
-
-    Ordinal 0 is the identity; the rest follow in ascending packed-key
-    order.  Built once per modulus and then read-only.
-    """
-
-    def __init__(self, modulus: Modulus):
-        if modulus.n > ENUMERATION_CAP:
-            raise CapExceeded(f"modulus {modulus.n} exceeds enumeration cap {ENUMERATION_CAP}")
-        self.modulus = modulus
-        n = modulus.n
-        keys = []
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    ds = _solve_linear(a, 1 + b * c, n)
-                    if ds is None:
-                        continue
-                    base = ((a * n + b) * n + c) * n
-                    keys.extend(base + d for d in ds)
-        keys.sort()
-        id_key = identity(modulus).key()
-        keys.remove(id_key)
-        keys.insert(0, id_key)
-        self._keys = keys
-        self._ordinal = {k: i for i, k in enumerate(keys)}
-        self._elements = [Mat2.from_key(k, modulus) for k in keys]
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def __getitem__(self, ordinal: int) -> Mat2:
-        return self._elements[ordinal]
-
-    def index_of(self, mat: Mat2) -> int:
-        return self._ordinal[mat.key()]
-
-    def index_of_key(self, key: int) -> int:
-        return self._ordinal[key]
-
-    def __contains__(self, mat: Mat2) -> bool:
-        return isinstance(mat, Mat2) and mat.key() in self._ordinal
-
-
-@lru_cache(maxsize=None)
-def group_table(modulus: Modulus) -> GroupTable:
-    return GroupTable(modulus)
 
 
 def group_order(n: int) -> int:

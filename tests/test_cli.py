@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import quiddity
+from quiddity import formulas
 from quiddity.cli import main, table_text
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -133,6 +134,63 @@ def test_formula_missing_parameter(capsys):
     assert "n-half" in err
 
 
+FORMULA_LINES = [
+    ("gauss-bracket --m 5 --k 2",
+     '{"formula": "gauss-bracket", "params": {"m": 5, "k": 2}, "value": "31"}'),
+    ("gauss-binom2 --m 5 --k 3",
+     '{"formula": "gauss-binom2", "params": {"m": 5, "k": 3}, "value": "1210"}'),
+    ("u-count --n 7 --q 5 --sign +",
+     '{"formula": "u-count", "params": {"n": 7, "q": 5, "sign": "+"}, "value": "651"}'),
+    ("w4-ring4 --n 8 --sign +",
+     '{"formula": "w4-ring4", "params": {"n": 8, "sign": "+"}, "value": "1408"}'),
+    ("w-odd-2m --n-half 3 --m 4 --sign -",
+     '{"formula": "w-odd-2m", "params": {"n_half": 3, "m": 4, "sign": "-"}, "value": "86016"}'),
+    ("delta-closed --n 9 --m 3 --target s",
+     '{"formula": "delta-closed", "params": {"n": 9, "m": 3, "target": "s"}, "value": "172032"}'),
+    ("delta-base --n 4 --m 3 --target id",
+     '{"formula": "delta-base", "params": {"n": 4, "m": 3, "target": "id"}, "value": "4"}'),
+    ("delta-recursion --prev 320 --prev2 80 --m 3",
+     '{"formula": "delta-recursion", "params": {"prev": 320, "prev2": 80, "m": 3}, '
+     '"value": "3840"}'),
+    ("w4-2m --m 5 --sign +",
+     '{"formula": "w4-2m", "params": {"m": 5, "sign": "+"}, "value": "112"}'),
+    ("w-even-bounds --n-half 4 --m 3 --sign +",
+     '{"formula": "w-even-bounds", "params": {"n_half": 4, "m": 3, "sign": "+"}, '
+     '"lower": "32816", "upper": "77824"}'),
+    ("w8-even --n-half 5",
+     '{"formula": "w8-even", "params": {"n_half": 5}, "value": "5605376"}'),
+    ("w8-odd --n-half 3 --sign -",
+     '{"formula": "w8-odd", "params": {"n_half": 3, "sign": "-"}, "value": "5376"}'),
+    ("zero-pairs --m 6",
+     '{"formula": "zero-pairs", "params": {"m": 6}, "value": "192"}'),
+]
+
+
+@pytest.mark.parametrize("argv,line", FORMULA_LINES,
+                         ids=[argv.split()[0] for argv, _ in FORMULA_LINES])
+def test_formula_json_lines(capsys, argv, line):
+    code, out, err = run_cli(capsys, "formula", "--name", *argv.split())
+    assert (code, out, err) == (0, line + "\n", "")
+
+
+@pytest.mark.parametrize("argv,missing", [
+    ("gauss-bracket --m 5", "k"),
+    ("u-count --n 7 --sign +", "q"),
+    ("w4-ring4 --n 8", "sign"),
+    ("w-odd-2m --m 4 --sign -", "n-half"),
+    ("delta-closed --n 9 --m 3", "target"),
+    ("delta-recursion --prev 320 --m 3", "prev2"),
+    ("w4-2m --sign +", "m"),
+    ("w8-even", "n-half"),
+    ("w8-odd --n-half 3", "sign"),
+    ("zero-pairs", "m"),
+])
+def test_formula_missing_parameter_messages(capsys, argv, missing):
+    code, out, err = run_cli(capsys, "formula", "--name", *argv.split())
+    name = argv.split()[0]
+    assert (code, out, err) == (2, "", f"error: formula {name!r} needs --{missing}\n")
+
+
 @pytest.mark.parametrize("which,filename", [
     ("odd-w-plus", "odd_w_plus.csv"),
     ("w8", "w8.csv"),
@@ -158,6 +216,13 @@ def test_table_rejects_even_rows_for_odd_table(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("rows", ["9..3", ","])
+def test_table_rejects_an_empty_row_selection(capsys, rows):
+    code, out, err = run_cli(capsys, "table", "--which", "w8", "--rows", rows)
+    assert (code, out) == (2, "")
+    assert err == f"error: {rows!r} selects no values; want e.g. 3..10 or 3,5,7\n"
+
+
 def test_table_text_matches_cli(capsys):
     code, out, _ = run_cli(capsys, "table", "--which", "odd-w-plus")
     assert out == table_text("odd-w-plus")
@@ -169,6 +234,24 @@ def test_verify_recursion_suite(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "checks passed" in out
+
+
+def test_verify_recursion_rejects_sizes_below_five(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "recursion", "--sizes", "2..4")
+    assert (code, out) == (2, "")
+    assert err == "error: recursion checks need a size >= 5\n"
+
+
+def test_verify_recursion_reports_a_wrong_closed_form(capsys, monkeypatch):
+    right = formulas.delta_closed_form
+    monkeypatch.setattr(formulas, "delta_closed_form",
+                        lambda n, m, target: int(right(n, m, target)) + (n == 20))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "recursion", "--m", "2", "--sizes", "5")
+    assert code == 1
+    summary = [line for line in out.splitlines() if "formula identity" in line]
+    assert len(summary) == 1
+    assert summary[0].startswith("FAIL recursion formula identity m=2..6 n=7..40 (")
+    assert out.endswith("6/7 checks passed\n")
 
 
 def test_verify_bounds_suite(capsys):

@@ -3,6 +3,7 @@ import pytest
 from helpers import DenseReference, sl2_elements
 from quiddity import oracle
 from quiddity.counter import (
+    CapExceeded,
     dp_count,
     dp_count_all_targets,
     dp_vector,
@@ -12,7 +13,6 @@ from quiddity.formulas import delta_value, w_even_bounds, w_odd_2m
 from quiddity.modring import Modulus
 from quiddity.oracle import NONUNIT, SetSpec, UNIT, fixed
 from quiddity.sl2 import (
-    CapExceeded,
     Mat2,
     TARGET_NAMES,
     elementary,

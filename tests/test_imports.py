@@ -1,0 +1,49 @@
+"""Import rules of the package, read from its source with ``ast``.
+
+The package runs on the standard library alone, and the oracle shares no
+counting machinery with the DP or the closed forms, so that the three count
+sources stay independent.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "quiddity"
+SOURCES = sorted(PACKAGE.glob("*.py"))
+
+
+def imported_modules(path: Path) -> set[str]:
+    """Dotted names a module imports; package-relative ones start with 'quiddity'."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if not node.level:
+                names.add(node.module)
+            elif node.module:
+                names.add(f"quiddity.{node.module}")
+            else:  # from . import counter, oracle
+                names.update(f"quiddity.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_sources_are_found():
+    assert {"cli.py", "counter.py", "oracle.py"} <= {path.name for path in SOURCES}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_runtime_imports_are_standard_library(path):
+    outside = {name for name in imported_modules(path)
+               if name.split(".")[0] not in sys.stdlib_module_names
+               and name.split(".")[0] != "quiddity"}
+    assert not outside, f"{path.name} imports {sorted(outside)}"
+
+
+def test_oracle_shares_nothing_with_the_dp_or_the_formulas():
+    shared = {name for name in imported_modules(PACKAGE / "oracle.py")
+              if name in ("quiddity.counter", "quiddity.formulas")}
+    assert not shared

@@ -3,16 +3,14 @@ import random
 
 import pytest
 
-from helpers import rt
+from helpers import rt, sl2_elements
 from quiddity.modring import Modulus, Residue
 from quiddity.sl2 import (
-    CapExceeded,
     Mat2,
     TARGET_NAMES,
     continuant_product,
     elementary,
     group_order,
-    group_table,
     identity,
     neg_identity,
     s_mat,
@@ -65,61 +63,28 @@ def test_continuant_rejects_empty():
         continuant_product([], Modulus(8))
 
 
-def _brute_group_size(n: int) -> int:
-    return sum(1 for a, b, c, d in itertools.product(range(n), repeat=4)
-               if (a * d - b * c) % n == 1)
-
-
 @pytest.mark.parametrize("n,expected", [(4, 48), (8, 384), (3, 24)])
 def test_group_table_size_against_brute_force(n, expected):
-    table = group_table(Modulus(n))
-    assert len(table) == expected
-    assert _brute_group_size(n) == expected
+    assert len(sl2_elements(Modulus(n))) == expected
     assert group_order(n) == expected
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 12, 16, 24])
 def test_group_table_size_against_closed_form(n):
-    assert len(group_table(Modulus(n))) == group_order(n)
-
-
-def test_group_table_is_a_bijection():
-    for n in (3, 4, 8):
-        table = group_table(Modulus(n))
-        assert table[0] == identity(Modulus(n))
-        seen = set()
-        for ordinal in range(len(table)):
-            g = table[ordinal]
-            assert g.det() == 1
-            assert table.index_of(g) == ordinal
-            seen.add(g.key())
-        assert len(seen) == len(table)
+    assert len(sl2_elements(Modulus(n))) == group_order(n)
 
 
 def test_letters_generate_the_group():
     # Every group element is a product of letter matrices.
     for n in (3, 4, 8):
         mod = Modulus(n)
-        table = group_table(mod)
-        frontier = {elementary(a, mod).key() for a in range(n)}
-        reached = set(frontier)
         letters = [elementary(a, mod) for a in range(n)]
+        frontier = set(letters)
+        reached = set(frontier)
         while frontier:
-            new = set()
-            for key in frontier:
-                g = table[table.index_of_key(key)]
-                for letter in letters:
-                    nk = (letter @ g).key()
-                    if nk not in reached:
-                        reached.add(nk)
-                        new.add(nk)
-            frontier = new
-        assert len(reached) == len(table)
-
-
-def test_enumeration_cap():
-    with pytest.raises(CapExceeded):
-        group_table(Modulus((1 << 16) + 2))
+            frontier = {letter @ g for g in frontier for letter in letters} - reached
+            reached |= frontier
+        assert reached == set(sl2_elements(mod))
 
 
 def test_named_targets():
@@ -135,9 +100,7 @@ def test_named_targets():
 
 def test_matrix_inverse():
     mod4 = Modulus(4)
-    table = group_table(mod4)
-    for ordinal in range(len(table)):
-        g = table[ordinal]
+    for g in sl2_elements(mod4):
         assert g @ g.inverse() == identity(mod4)
         assert g.inverse() @ g == identity(mod4)
     with pytest.raises(ValueError):
@@ -157,4 +120,3 @@ def test_key_round_trip(n):
     for entries in itertools.product(range(n), repeat=4):
         mat = Mat2(*entries, mod)
         assert Mat2.from_key(mat.key(), mod) == mat
-    assert [g.key() for g in group_table(mod)._elements] == group_table(mod)._keys
