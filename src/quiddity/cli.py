@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import counter, crt, formulas, maps, oracle
 from .modring import Modulus, NotAUnit
 from .oracle import NONUNIT, SetSpec, UNIT, fixed
-from .sl2 import Mat2, TARGET_NAMES, group_order, target_by_name
+from .sl2 import Mat2, TARGET_NAMES, target_by_name
 
 USAGE_ERRORS = (
     ValueError,
@@ -83,26 +83,18 @@ def _emit(report: dict):
 # count
 
 
-def _formula_route(size: int, modulus_n: int, target_name: str | None,
-                   constraints: dict):
+def _formula_route(spec: SetSpec, target_name: str):
     """A pure-formula value for this configuration, or None."""
-    if target_name is None:
-        return None
-    cons = {p: c for p, c in constraints.items() if c.kind != "any"}
-    if not cons and target_name in ("id", "neg-id"):
-        sign = 1 if target_name == "id" else -1
-        try:
-            fact = crt.split(modulus_n)
-            return crt.assemble_count(size, fact, sign, method="formula")
-        except (ValueError, formulas.UnsupportedCase):
-            return None
-    two_adic = Modulus(modulus_n).two_adic
-    if (list(cons.items()) == [(2, UNIT)] and two_adic is not None
-            and target_name in TARGET_NAMES and size >= 2):
-        try:
-            return formulas.delta_value(size, two_adic, target_name)
-        except formulas.UnsupportedCase:
-            return None
+    two_adic = spec.modulus.two_adic
+    try:
+        if not spec.constraints and target_name in ("id", "neg-id"):
+            sign = 1 if target_name == "id" else -1
+            return crt.assemble_count(spec.size, crt.split(spec.modulus.n), sign, method="formula")
+        if (spec.constraints == ((2, UNIT),) and two_adic is not None
+                and target_name in TARGET_NAMES):
+            return formulas.delta_value(spec.size, two_adic, target_name)
+    except ValueError:  # formulas.UnsupportedCase, or a modulus crt.split refuses
+        pass
     return None
 
 
@@ -111,26 +103,9 @@ def cmd_count(args) -> int:
     target, target_name = _parse_target(args.target, modulus)
     constraints, constraint_text = _parse_constraint(args.constraint)
     spec = SetSpec(args.size, target, constraints)
-    named = target_name if target_name in TARGET_NAMES else None
     started = time.perf_counter()
-    method = args.method
-    if method in ("auto", "formula"):
-        value = _formula_route(args.size, args.modulus, named, constraints)
-        if value is not None:
-            method = "formula"
-            count = int(value)
-        elif method == "formula":
-            raise formulas.UnsupportedCase("no formula covers this configuration")
-        else:
-            # Auto only picks the DP while the group stays small;
-            # explicit --method dp is honored up to the DP's modulus cap.
-            method = "dp" if group_order(args.modulus) <= 5_000_000 else "brute"
-    if method == "dp":
-        count = counter.dp_count(spec)
-    elif method == "brute":
-        count = oracle.count(spec, "auto", args.budget)
-    elif method != "formula":
-        raise ValueError(f"unknown method {args.method!r}")
+    count, method = crt.route_count(spec, args.method, lambda: _formula_route(spec, target_name),
+                                    "no formula covers this configuration", args.budget)
     _emit({
         "modulus": args.modulus,
         "size": args.size,
@@ -255,11 +230,13 @@ class Check:
 
 def _suite_bijections(moduli: list[int], max_size: int | None,
                       budget: int | None) -> list[Check]:
+    if max_size is not None and max_size < 3:
+        raise ValueError(f"--max-size must be >= 3 (the smallest shipped map), got {max_size}")
     default_depth = {4: 8, 8: 6}
     checks = []
     for n in moduli:
         modulus = Modulus(n)
-        depth = max_size or default_depth.get(n, 6)
+        depth = default_depth.get(n, 6) if max_size is None else max_size
         for tmap in maps.shipped_maps(modulus, depth):
             report = maps.verify_reciprocal(tmap, budget)
             detail = f"|domain|={report.domain_size}"
@@ -432,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="id, neg-id, s, neg-s, t, neg-t, or four comma-separated entries")
     p.add_argument("--constraint", default=None, help="aK-unit, aK-nonunit or aK=V")
     p.add_argument("--method", default="auto", choices=["auto", "formula", "dp", "brute"])
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", default=None)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("formula", help="evaluate one closed-form expression")
@@ -460,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", default=None, help="2-power exponents, e.g. 2,3")
     p.add_argument("--sizes", default=None, help="sizes, e.g. 5..10")
     p.add_argument("--max-size", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("crt", help="assemble a count from coprime pieces")
@@ -477,6 +454,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "budget", None) is not None:  # count and verify
+            args.budget = oracle.parse_budget(args.budget, "--budget")
         return args.func(args)
     except USAGE_ERRORS as err:
         sys.stderr.write(f"error: {err}\n")

@@ -30,6 +30,8 @@ product X is c_{k-1}(bottom row of X): the letter supplies the one top row
 that completes X.  After a constrained letter it is the pair count at X.
 Across free letters the state is |G|/N counts, not |G|, and no N * |G|
 letter-action table is built.  All counts are exact Python integers.
+A call whose walk_cost exceeds the budget (QUIDDITY_BUDGET by default, as
+for the oracle) raises CapExceeded before anything is built.
 """
 
 from __future__ import annotations
@@ -37,15 +39,12 @@ from __future__ import annotations
 import math
 
 from .modring import Modulus
-from .oracle import SetSpec, allowed_values, normalize_constraints
-from .sl2 import Mat2, TARGET_NAMES, identity, target_by_name
-
-# The walk's graph has ~N^3 edges; past this modulus it is not worth building.
-ENUMERATION_CAP = 1 << 16
+from .oracle import SetSpec, allowed_values, default_budget, normalize_constraints
+from .sl2 import Mat2, TARGET_NAMES, group_order, identity, target_by_name
 
 
 class CapExceeded(ValueError):
-    """Modulus past the DP's cap."""
+    """The DP's predicted cost is past the budget."""
 
 
 class CountVector:
@@ -136,12 +135,24 @@ def _pair_step(pairs, letters: tuple[int, ...], n: int) -> dict:
     return fresh
 
 
-def dp_vector_sequence(size: int, modulus: Modulus, constraints=None) -> list[CountVector]:
+def walk_cost(size: int, modulus: Modulus, constraints=None) -> int:
+    """Upper bound on one call's additions: |G| * (1 + sum of w over positions),
+    counting the graph build as 1; w is 1 for a free or fixed letter and N for
+    a unit or non-unit one (an upper bound on its allowed letters)."""
+    cons = normalize_constraints(constraints, size, modulus).values()
+    return group_order(modulus.n) * (1 + size + sum(
+        modulus.n - 1 for con in cons if con.kind != "fixed"))
+
+
+def dp_vector_sequence(size: int, modulus: Modulus, constraints=None,
+                       budget: int | None = None) -> list[CountVector]:
     """Vectors after 0, 1, ..., size steps (one DP pass, snapshots kept)."""
     n = modulus.n
-    if n > ENUMERATION_CAP:
-        raise CapExceeded(f"modulus {n} exceeds enumeration cap {ENUMERATION_CAP}")
     cons = normalize_constraints(constraints, size, modulus)
+    budget = default_budget() if budget is None else budget
+    cost = walk_cost(size, modulus, cons)
+    if cost > budget:
+        raise CapExceeded(f"the DP needs {cost} additions, budget is {budget}")
     graph = _farey_graph(n)
     # Exactly one of these is set: the top-row counts before the last
     # letter when it was free, else the pair counts.
@@ -158,13 +169,13 @@ def dp_vector_sequence(size: int, modulus: Modulus, constraints=None) -> list[Co
     return snapshots
 
 
-def dp_vector(size: int, modulus: Modulus, constraints=None) -> CountVector:
-    return dp_vector_sequence(size, modulus, constraints)[-1]
+def dp_vector(size: int, modulus: Modulus, constraints=None, budget=None) -> CountVector:
+    return dp_vector_sequence(size, modulus, constraints, budget)[-1]
 
 
-def dp_count(spec: SetSpec) -> int:
+def dp_count(spec: SetSpec, budget: int | None = None) -> int:
     """Exact set size by DP; equals oracle.count(spec) on every feasible spec."""
-    return dp_vector(spec.size, spec.modulus, dict(spec.constraints)).at(spec.target)
+    return dp_vector(spec.size, spec.modulus, dict(spec.constraints), budget).at(spec.target)
 
 
 def dp_count_all_targets(size: int, modulus: Modulus, constraints=None) -> dict[str, int]:

@@ -77,31 +77,37 @@ def _two_part_formula(size: int, m: int, sign: int):
 
 def two_part_count(size: int, m: int, sign: int, method: str = "auto") -> tuple[int, str]:
     """Count for the 2^m piece, with the source that produced it."""
-    return _piece_count(size, Modulus(1 << m), sign, method,
-                        lambda: _two_part_formula(size, m, sign),
-                        f"no closed form for size {size} over Z/2^{m}Z per sign")
+    return route_count(_piece_spec(size, Modulus(1 << m), sign), method,
+                       lambda: _two_part_formula(size, m, sign),
+                       f"no closed form for size {size} over Z/2^{m}Z per sign")
 
 
 def prime_count(size: int, p: int, sign: int, method: str = "auto") -> tuple[int, str]:
     """Count for an odd prime-field piece, with the source used."""
-    return _piece_count(size, Modulus(p), sign, method,
-                        lambda: formulas.u_count(size, p, sign) if size > 4 else None,
-                        f"no prime-field closed form for size {size}")
+    return route_count(_piece_spec(size, Modulus(p), sign), method,
+                       lambda: formulas.u_count(size, p, sign) if size > 4 else None,
+                       f"no prime-field closed form for size {size}")
 
 
-def _piece_count(size: int, modulus: Modulus, sign: int, method: str,
-                 formula, refusal: str) -> tuple[int, str]:
-    """Try the piece's formula (auto, formula), else brute or the DP."""
+def route_count(spec: SetSpec, method: str, formula, refusal: str,
+                budget: int | None = None) -> tuple[int, str]:
+    """(count, source) from the source ``method`` allows.  auto and formula
+    take ``formula()`` unless it is None (formula then refuses with
+    ``refusal``); dp runs the DP or raises CapExceeded; brute, and auto when
+    the DP's predicted cost exceeds the budget, ask the oracle."""
     if method in ("auto", "formula"):
         value = formula()
         if value is not None:
             return int(value), "formula"
         if method == "formula":
             raise formulas.UnsupportedCase(refusal)
-    spec = _piece_spec(size, modulus, sign)
-    if method == "brute":
-        return oracle.count(spec), "brute"
-    return counter.dp_count(spec), "dp"
+    budget = oracle.default_budget() if budget is None else budget
+    if method == "dp" or method == "auto" and counter.walk_cost(
+            spec.size, spec.modulus, spec.constraints) <= budget:
+        return counter.dp_count(spec, budget), "dp"
+    if method not in ("auto", "brute"):
+        raise ValueError(f"unknown method {method!r}")
+    return oracle.count(spec, "auto", budget), "brute"
 
 
 def _piece_spec(size: int, modulus: Modulus, sign: int) -> SetSpec:

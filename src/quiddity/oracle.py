@@ -41,14 +41,17 @@ DEFAULT_BUDGET = 1 << 27
 
 def default_budget() -> int:
     env = os.environ.get("QUIDDITY_BUDGET")
-    if not env:
-        return DEFAULT_BUDGET
+    return parse_budget(env, "QUIDDITY_BUDGET") if env else DEFAULT_BUDGET
+
+
+def parse_budget(text: str, source: str) -> int:
+    """A budget given as text; refused, naming its source, unless positive."""
     try:
-        budget = int(env)
+        budget = int(text)
     except ValueError:
         budget = 0  # rejected below with the other non-positive values
     if budget <= 0:
-        raise ValueError(f"QUIDDITY_BUDGET must be a positive integer, got {env!r}")
+        raise ValueError(f"{source} must be a positive integer, got {text!r}")
     return budget
 
 

@@ -117,6 +117,45 @@ def test_count_rejects_a_bad_budget_variable(capsys, monkeypatch, value):
     assert err == f"error: QUIDDITY_BUDGET must be a positive integer, got {value!r}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("count", "--modulus", "8", "--size", "5", "--method", "dp"),
+    ("count", "--modulus", "8", "--size", "5", "--method", "brute"),
+    ("verify", "--suite", "bijections", "--modulus", "4", "--max-size", "3"),
+], ids=["count-dp", "count-brute", "verify"])
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_count_and_verify_reject_a_bad_budget_option(capsys, argv, value):
+    code, out, err = run_cli(capsys, *argv, "--budget", value)
+    assert (code, out) == (2, "")
+    assert err == f"error: --budget must be a positive integer, got {value!r}\n"
+
+
+def test_auto_route_takes_brute_force_when_only_its_cost_fits(capsys, monkeypatch):
+    # N = 12, size 3: the walk predicts |G| * 4 = 1,152 * 4 = 4,608 additions,
+    # the naive oracle 12**3 = 1,728 candidates.
+    argv = ("count", "--modulus", "12", "--size", "3", "--target", "neg-s")
+    by_dp = run_json(capsys, *argv)
+    assert (by_dp["method"], by_dp["count"]) == ("dp", "12")
+    monkeypatch.setenv("QUIDDITY_BUDGET", "3000")
+    by_brute = run_json(capsys, *argv)
+    assert (by_brute["method"], by_brute["count"]) == ("brute", "12")
+    code, out, err = run_cli(capsys, *argv, "--budget", "1727")
+    assert (code, out) == (2, "")
+    assert err == "error: enumeration needs 1728 candidates, budget is 1727\n"
+
+
+def test_explicit_dp_past_the_budget_exits_before_building():
+    # |SL2(Z/3000Z)| * 4 is about 6.9e10; building the walk's graph alone
+    # would take hours, so a missing check shows as a timeout.
+    src = str(Path(quiddity.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "QUIDDITY_BUDGET"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-m", "quiddity", "count", "--modulus", "3000", "--size", "3",
+         "--method", "dp"], capture_output=True, text=True, env=env, timeout=30)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == "error: the DP needs 69120000000 additions, budget is 134217728\n"
+
+
 def test_formula_subcommand(capsys):
     report = run_json(capsys, "formula", "--name", "w-odd-2m",
                       "--n-half", "3", "--m", "3", "--sign", "+")
@@ -252,6 +291,22 @@ def test_verify_recursion_reports_a_wrong_closed_form(capsys, monkeypatch):
     assert len(summary) == 1
     assert summary[0].startswith("FAIL recursion formula identity m=2..6 n=7..40 (")
     assert out.endswith("6/7 checks passed\n")
+
+
+@pytest.mark.parametrize("max_size", ["2", "0", "-3"])
+def test_verify_bijections_rejects_a_max_size_below_three(capsys, max_size):
+    code, out, err = run_cli(capsys, "verify", "--suite", "bijections", "--modulus", "4",
+                             "--max-size", max_size)
+    assert (code, out) == (2, "")
+    assert err == f"error: --max-size must be >= 3 (the smallest shipped map), got {max_size}\n"
+
+
+def test_verify_bijections_runs_the_smallest_depth(capsys):
+    # Size-3 negation plus the two fiber shifts over Z/4Z.
+    code, out, _ = run_cli(capsys, "verify", "--suite", "bijections", "--modulus", "4",
+                           "--max-size", "3")
+    assert code == 0
+    assert out.endswith("\n3/3 checks passed\n")
 
 
 def test_verify_bounds_suite(capsys):

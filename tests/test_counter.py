@@ -8,6 +8,7 @@ from quiddity.counter import (
     dp_count_all_targets,
     dp_vector,
     dp_vector_sequence,
+    walk_cost,
 )
 from quiddity.formulas import delta_value, w_even_bounds, w_odd_2m
 from quiddity.modring import Modulus
@@ -185,6 +186,24 @@ def test_fixed_minus_one_transfers_to_smaller_size():
             for name in TARGET_NAMES:
                 target = target_by_name(name, mod)
                 assert pinned.at(target) == plain.at(-target)
+
+
+def test_budget_bounds_the_predicted_cost():
+    mod12 = Modulus(12)
+    # |SL2(Z/12Z)| = 1,152: graph build plus three free letters.
+    assert walk_cost(3, mod12) == 1152 * 4
+    # A unit or non-unit position counts N letters, a fixed one a single letter.
+    assert walk_cost(3, mod12, {1: NONUNIT, 2: UNIT, 3: fixed(5)}) == 1152 * (1 + 12 + 12 + 1)
+    with pytest.raises(CapExceeded, match="the DP needs 4608 additions, budget is 4607"):
+        dp_vector(3, mod12, budget=4607)
+    assert dp_vector(3, mod12, budget=4608).total() == 12 ** 3
+
+
+def test_budget_admits_the_walk_past_five_million_group_elements():
+    # |SL2(Z/191Z)| = 6,967,680 > 5,000,000: the size-8 walk (about 8 s)
+    # fits the default budget; the size-3 walk over Z/3000Z does not.
+    assert walk_cost(8, Modulus(191)) == 6_967_680 * 9 <= oracle.DEFAULT_BUDGET
+    assert walk_cost(3, Modulus(3000)) > oracle.DEFAULT_BUDGET
 
 
 def test_cap_is_enforced():

@@ -1,6 +1,6 @@
 import pytest
 
-from quiddity.counter import dp_count, dp_vector, dp_vector_sequence
+from quiddity.counter import CapExceeded, dp_count, dp_vector, dp_vector_sequence
 from quiddity.crt import (
     Factorization,
     NonSquarefreeOddPart,
@@ -12,7 +12,7 @@ from quiddity.crt import (
 from quiddity.formulas import UnsupportedCase
 from quiddity.maps import verify_reciprocal
 from quiddity.modring import Modulus
-from quiddity.oracle import SetSpec
+from quiddity.oracle import BudgetExceeded, SetSpec
 from quiddity.sl2 import identity, neg_identity
 
 
@@ -85,6 +85,21 @@ def test_piece_source_methods():
     brute = piece_counts(4, split(12), 1, method="brute")
     auto = piece_counts(4, split(12), 1, method="auto")
     assert [(mp, cnt) for mp, cnt, _ in brute] == [(mp, cnt) for mp, cnt, _ in auto]
+
+
+def test_piece_sources_follow_the_budget(monkeypatch):
+    # Size 3: the Z/4Z piece's walk predicts 48 * 4 = 192 additions against
+    # 4**3 = 64 candidates; the Z/3Z piece's 24 * 4 = 96 against 27.
+    expected = piece_counts(3, split(12), 1)
+    monkeypatch.setenv("QUIDDITY_BUDGET", "100")
+    pieces = piece_counts(3, split(12), 1)
+    assert [(mp, src) for mp, _, src in pieces] == [(4, "brute"), (3, "dp")]
+    assert [cnt for _, cnt, _ in pieces] == [cnt for _, cnt, _ in expected]
+    with pytest.raises(CapExceeded):
+        piece_counts(3, split(12), 1, method="dp")
+    monkeypatch.setenv("QUIDDITY_BUDGET", "50")
+    with pytest.raises(BudgetExceeded):
+        piece_counts(3, split(12), 1)
 
 
 def test_odd_only_modulus_assembles_too():
