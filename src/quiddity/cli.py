@@ -246,7 +246,7 @@ def _suite_bijections(moduli: list[int], max_size: int | None,
     return checks
 
 
-def _suite_recursion(ms: list[int], sizes: list[int]) -> list[Check]:
+def _suite_recursion(ms: list[int], sizes: list[int], budget: int | None) -> list[Check]:
     sizes = [size for size in sizes if size >= 5]
     if not sizes:
         raise ValueError("recursion checks need a size >= 5")
@@ -254,7 +254,7 @@ def _suite_recursion(ms: list[int], sizes: list[int]) -> list[Check]:
     top = max(sizes)
     for m in ms:
         modulus = Modulus(1 << m)
-        seq = counter.dp_vector_sequence(top, modulus, {2: UNIT})
+        seq = counter.dp_vector_sequence(top, modulus, {2: UNIT}, budget)
         for name in TARGET_NAMES:
             target = target_by_name(name, modulus)
             series = [vec.at(target) for vec in seq]
@@ -279,7 +279,8 @@ def _suite_recursion(ms: list[int], sizes: list[int]) -> list[Check]:
     return checks
 
 
-def _suite_bounds(ms: list[int], sizes: list[int] | None) -> list[Check]:
+def _suite_bounds(ms: list[int], sizes: list[int] | None,
+                  budget: int | None) -> list[Check]:
     default_sizes = {2: [6, 8, 10], 3: [6, 8]}
     checks = []
     for m in ms:
@@ -287,7 +288,7 @@ def _suite_bounds(ms: list[int], sizes: list[int] | None) -> list[Check]:
         for size in (sizes or default_sizes.get(m, [6, 8])):
             if size % 2 or size < 6:
                 raise ValueError("bounds apply to even sizes >= 6")
-            vec = counter.dp_vector(size, modulus)
+            vec = counter.dp_vector(size, modulus, budget=budget)
             for sign, name in ((1, "id"), (-1, "neg-id")):
                 lower, upper = formulas.w_even_bounds(size // 2, m, sign)
                 got = vec.at(target_by_name(name, modulus))
@@ -304,8 +305,8 @@ def _suite_crt(sizes: list[int], budget: int | None) -> list[Check]:
     fact = crt.split(12)
     for size in sizes:
         for sign, name in ((1, "id"), (-1, "neg-id")):
-            direct = counter.dp_count(SetSpec(size, target_by_name(name, mod12)))
-            assembled = int(crt.assemble_count(size, fact, sign))
+            direct = counter.dp_count(SetSpec(size, target_by_name(name, mod12)), budget)
+            assembled = int(crt.assemble_count(size, fact, sign, budget=budget))
             checks.append(Check(
                 f"crt count n={size} N=12 sign={'+' if sign == 1 else '-'}",
                 direct == assembled, f"dp={direct} assembled={assembled}"))
@@ -317,17 +318,18 @@ def _suite_crt(sizes: list[int], budget: int | None) -> list[Check]:
     return checks
 
 
-def _suite_totality(moduli: list[int], sizes: list[int]) -> list[Check]:
+def _suite_totality(moduli: list[int], sizes: list[int],
+                    budget: int | None) -> list[Check]:
     checks = []
     for n in moduli:
         modulus = Modulus(n)
         for size in sizes:
-            vec = counter.dp_vector(size, modulus)
+            vec = counter.dp_vector(size, modulus, budget=budget)
             checks.append(Check(f"totality dp N={n} n={size}",
                                 vec.total() == n ** size,
                                 f"{vec.total()} vs {n}^{size}"))
         for size in [s for s in sizes if n ** s <= 1 << 20]:
-            hist = oracle.product_histogram(size, modulus)
+            hist = oracle.product_histogram(size, modulus, budget=budget)
             checks.append(Check(f"totality oracle N={n} n={size}",
                                 sum(hist.values()) == n ** size, "bucketed walk"))
     return checks
@@ -340,11 +342,11 @@ SUITES = {
     "bijections": lambda args, moduli, sizes, ms: _suite_bijections(
         moduli or [4, 8], args.max_size, args.budget),
     "recursion": lambda args, moduli, sizes, ms: _suite_recursion(
-        ms, sizes or list(range(5, 9))),
-    "bounds": lambda args, moduli, sizes, ms: _suite_bounds(ms, sizes),
+        ms, sizes or list(range(5, 9)), args.budget),
+    "bounds": lambda args, moduli, sizes, ms: _suite_bounds(ms, sizes, args.budget),
     "crt": lambda args, moduli, sizes, ms: _suite_crt(sizes or list(range(4, 8)), args.budget),
     "totality": lambda args, moduli, sizes, ms: _suite_totality(
-        moduli or [3, 4, 8], sizes or list(range(1, 8))),
+        moduli or [3, 4, 8], sizes or list(range(1, 8)), args.budget),
 }
 
 

@@ -75,18 +75,20 @@ def _two_part_formula(size: int, m: int, sign: int):
     return None
 
 
-def two_part_count(size: int, m: int, sign: int, method: str = "auto") -> tuple[int, str]:
+def two_part_count(size: int, m: int, sign: int, method: str = "auto",
+                   budget: int | None = None) -> tuple[int, str]:
     """Count for the 2^m piece, with the source that produced it."""
     return route_count(_piece_spec(size, Modulus(1 << m), sign), method,
                        lambda: _two_part_formula(size, m, sign),
-                       f"no closed form for size {size} over Z/2^{m}Z per sign")
+                       f"no closed form for size {size} over Z/2^{m}Z per sign", budget)
 
 
-def prime_count(size: int, p: int, sign: int, method: str = "auto") -> tuple[int, str]:
+def prime_count(size: int, p: int, sign: int, method: str = "auto",
+                budget: int | None = None) -> tuple[int, str]:
     """Count for an odd prime-field piece, with the source used."""
     return route_count(_piece_spec(size, Modulus(p), sign), method,
                        lambda: formulas.u_count(size, p, sign) if size > 4 else None,
-                       f"no prime-field closed form for size {size}")
+                       f"no prime-field closed form for size {size}", budget)
 
 
 def route_count(spec: SetSpec, method: str, formula, refusal: str,
@@ -115,25 +117,25 @@ def _piece_spec(size: int, modulus: Modulus, sign: int) -> SetSpec:
     return SetSpec(size, target)
 
 
-def piece_counts(size: int, fact: Factorization, sign: int,
-                 method: str = "auto") -> list[tuple[int, int, str]]:
+def piece_counts(size: int, fact: Factorization, sign: int, method: str = "auto",
+                 budget: int | None = None) -> list[tuple[int, int, str]]:
     """(piece modulus, count, source) for every coprime piece."""
     sign = formulas.normalize_sign(sign)
     out = []
     if fact.two_exponent is not None:
-        value, source = two_part_count(size, fact.two_exponent, sign, method)
+        value, source = two_part_count(size, fact.two_exponent, sign, method, budget)
         out.append((1 << fact.two_exponent, value, source))
     for p in fact.odd_primes:
-        value, source = prime_count(size, p, sign, method)
+        value, source = prime_count(size, p, sign, method, budget)
         out.append((p, value, source))
     return out
 
 
-def assemble_count(size: int, fact: Factorization, sign,
-                   method: str = "auto") -> formulas.FormulaValue:
+def assemble_count(size: int, fact: Factorization, sign, method: str = "auto",
+                   budget: int | None = None) -> formulas.FormulaValue:
     """Product of the per-piece counts; equals the direct count over Z/NZ."""
     sign = formulas.normalize_sign(sign)
-    pieces = piece_counts(size, fact, sign, method)
+    pieces = piece_counts(size, fact, sign, method, budget)
     return formulas.crt_count(size, [(mp, cnt) for mp, cnt, _ in pieces], sign)
 
 

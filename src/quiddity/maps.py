@@ -5,25 +5,39 @@ Maps operate on explicit tuples of residues, never on counts, so a broken
 transcription surfaces as a concrete counterexample tuple instead of a
 silently wrong total.  Positions are 1-based in every docstring to match
 tuple subscripts a_1..a_n; code indexes are 0-based.
+
+The harness runs forward and backward once per domain member; in its pass
+over the codomain, a member that was already an image needs only its
+preimage's domain membership checked, so a bijection costs one forward and
+one backward per member.  A battery from shipped_maps shares its solution
+sets and computes all psi fibers in one psi pass.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from .modring import Modulus, NotAUnit, Residue, nonunits_of, units_of
-from .oracle import NONUNIT, SetSpec, UNIT, fixed, psi, psi_fiber, solutions
-from .sl2 import Mat2, continuant_product, identity, neg_identity, s_mat, t_mat
+from .oracle import NONUNIT, SetSpec, UNIT, fixed, psi, psi_domain, solutions
+from .sl2 import (Mat2, TARGET_NAMES, continuant_product, identity, neg_identity,
+                  target_by_name)
 
 
 class DomainViolation(ValueError):
     """Input tuple is outside the map's stated domain."""
 
 
-def _product(t) -> Mat2:
-    return continuant_product(t)
+def _product_sign(t) -> int:
+    """1 or -1 when the tuple's product is +Id or -Id, else 0 (1 when N = 2,
+    where the two agree)."""
+    mod = t[0].modulus
+    a, b, c, d = continuant_product([x.value for x in t], mod).entries()
+    if b or c or a != d:
+        return 0
+    return 1 if a == 1 else -1 if a == mod.n - 1 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -34,7 +48,7 @@ def negate_map(t: tuple) -> tuple:
     """Negate every entry; sends odd-size solutions of +Id to -Id."""
     if len(t) % 2 != 1:
         raise DomainViolation(f"size {len(t)} is even")
-    if _product(t) != identity(t[0].modulus):
+    if _product_sign(t) != 1:
         raise DomainViolation(f"product of {t} is not the identity")
     return tuple(-a for a in t)
 
@@ -48,8 +62,7 @@ def scale_map(t: tuple, lam: Residue) -> tuple:
         raise DomainViolation(f"size {len(t)} is not even >= 4")
     if not lam.is_unit:
         raise NotAUnit(f"{lam.value} is not invertible mod {lam.modulus.n}")
-    mod = t[0].modulus
-    if _product(t) not in (identity(mod), neg_identity(mod)):
+    if not _product_sign(t):
         raise DomainViolation(f"product of {t} is not +-Id")
     inv = lam.inverse()
     return tuple(a * lam if i % 2 == 0 else a * inv for i, a in enumerate(t))
@@ -164,8 +177,7 @@ def unit_insert_map(t: tuple, u: Residue) -> tuple:
         raise DomainViolation(f"size {len(t)} is even")
     if not u.is_unit:
         raise NotAUnit(f"{u.value} is not invertible mod {u.modulus.n}")
-    mod = t[0].modulus
-    if _product(t) not in (identity(mod), neg_identity(mod)):
+    if not _product_sign(t):
         raise DomainViolation(f"product of {t} is not +-Id")
     ui = u.inverse()
     out = [(t[0] + 1) * ui, u, (t[1] + 1) * ui]
@@ -213,12 +225,16 @@ def fiber_unshift_map(triple: tuple, x: Residue) -> tuple:
 # enumerable sets and the reciprocity harness
 
 
+@lru_cache(maxsize=64)
+def _target_names(n: int) -> dict[int, str]:
+    """Matrix key -> name for the six named targets mod n."""
+    mod = Modulus(n)
+    return {target_by_name(name, mod).key(): name for name in TARGET_NAMES}
+
+
 def _target_label(target: Mat2) -> str:
-    mod = target.modulus
-    named = {identity(mod).key(): "id", neg_identity(mod).key(): "neg-id",
-             s_mat(mod).key(): "s", (-s_mat(mod)).key(): "neg-s",
-             t_mat(mod).key(): "t", (-t_mat(mod)).key(): "neg-t"}
-    return named.get(target.key(), f"key{target.key()}")
+    key = target.key()
+    return _target_names(target.modulus.n).get(key, f"key{key}")
 
 
 class SpecSet:
@@ -240,21 +256,36 @@ class SpecSet:
         return self._members
 
     def contains(self, t) -> bool:
-        return self.spec.matches(t)
+        # matches() reads each letter with int(); plain values skip a
+        # Python-level __int__ call per letter
+        try:
+            values = [a.value for a in t]
+        except AttributeError:  # not a tuple of residues, so not a member
+            return False
+        return self.spec.matches(values)
 
 
 class FiberSet:
-    """The psi fiber over a unit x: triples (u, v, w) with psi = x."""
+    """The psi fiber over a unit x: triples (u, v, w) with psi = x.
 
-    def __init__(self, modulus: Modulus, x: Residue):
+    Members come from a psi pass over psi_domain that buckets every triple
+    by its psi value.  Fibers given one ``buckets`` dict share that pass,
+    made by the first of them to be enumerated.
+    """
+
+    def __init__(self, modulus: Modulus, x: Residue, buckets: dict | None = None):
         self.modulus = modulus
         self.x = x
         self.label = f"psi-fiber(N={modulus.n}, x={x.value})"
+        self._buckets = {} if buckets is None else buckets
         self._members = None
 
     def members(self, budget=None) -> tuple:
         if self._members is None:
-            self._members = tuple(psi_fiber(self.modulus, self.x))
+            if not self._buckets:
+                for t in psi_domain(self.modulus):
+                    self._buckets.setdefault(psi(*t).value, []).append(t)
+            self._members = tuple(self._buckets.get(self.x.value, ()))
         return self._members
 
     def contains(self, t) -> bool:
@@ -309,7 +340,12 @@ def verify_reciprocal(tmap: TupleMap, budget: int | None = None) -> ReciprocityR
     """Check that forward maps the domain into the codomain, that the two
     directions invert each other pointwise, and that the set sizes agree.
 
-    Any failure is reported with a concrete counterexample tuple.
+    The first pass maps every domain member t forward and back.  The second
+    walks the codomain: a member s that the first pass produced as
+    forward(t) already has backward(s) = t and forward(t) = s, so only
+    domain.contains(t) is left to check; any other member is mapped back
+    and forward again.  Any failure is reported with a concrete
+    counterexample tuple.
     """
     domain = tmap.domain.members(budget)
     codomain = tmap.codomain.members(budget)
@@ -318,6 +354,7 @@ def verify_reciprocal(tmap: TupleMap, budget: int | None = None) -> ReciprocityR
         return ReciprocityReport(tmap.name, False, len(domain), len(codomain),
                                  reason, witness)
 
+    preimages = {}  # forward(t) -> t, for every domain member t
     for t in domain:
         try:
             image = tmap.forward(t)
@@ -331,14 +368,18 @@ def verify_reciprocal(tmap: TupleMap, budget: int | None = None) -> ReciprocityR
             return fail(f"backward raised {err}", image)
         if back != t:
             return fail("backward(forward(t)) != t", (t, image, back))
+        preimages[image] = t
     for s in codomain:
-        try:
-            pre = tmap.backward(s)
-        except (DomainViolation, NotAUnit) as err:
-            return fail(f"backward raised {err}", s)
+        pre = preimages.get(s)
+        is_image = pre is not None
+        if not is_image:
+            try:
+                pre = tmap.backward(s)
+            except (DomainViolation, NotAUnit) as err:
+                return fail(f"backward raised {err}", s)
         if not tmap.domain.contains(pre):
             return fail("backward image left the domain", (s, pre))
-        if tmap.forward(pre) != s:
+        if not is_image and tmap.forward(pre) != s:
             return fail("forward(backward(s)) != s", (s, pre))
     if len(domain) != len(codomain):
         return fail("set sizes differ", None)
@@ -355,6 +396,14 @@ def _shared(registry, spec: SetSpec) -> SpecSet:
     if spec not in registry:
         registry[spec] = SpecSet(spec)
     return registry[spec]
+
+
+def _shared_fiber(registry, modulus: Modulus, x: Residue) -> FiberSet:
+    if registry is None:
+        return FiberSet(modulus, x)
+    if x not in registry:
+        registry[x] = FiberSet(modulus, x, registry.setdefault(modulus, {}))
+    return registry[x]
 
 
 def negation_bijection(size: int, modulus: Modulus, registry=None) -> TupleMap:
@@ -450,10 +499,11 @@ def unit_insertion_bijection(size: int, modulus: Modulus, sign: int, u: Residue,
         dom, cod, lambda t: unit_insert_map(t, u), unit_drop_map)
 
 
-def fiber_shift_bijection(modulus: Modulus, x: Residue) -> TupleMap:
+def fiber_shift_bijection(modulus: Modulus, x: Residue, registry=None) -> TupleMap:
     """The psi fiber over 1 onto the fiber over x."""
     return TupleMap(f"fiber-shift(N={modulus.n}, x={x.value})",
-                    FiberSet(modulus, Residue(1, modulus)), FiberSet(modulus, x),
+                    _shared_fiber(registry, modulus, Residue(1, modulus)),
+                    _shared_fiber(registry, modulus, x),
                     lambda t: fiber_shift_map(t, x),
                     lambda t: fiber_unshift_map(t, x))
 
@@ -462,11 +512,14 @@ def shipped_maps(modulus: Modulus, max_size: int) -> list[TupleMap]:
     """The full battery of bijections to verify for one 2-power modulus.
 
     Enumerable sets are shared between instances, so verifying the whole
-    list enumerates each underlying solution set once.
+    list enumerates each underlying solution set once, and all psi fibers
+    come from one psi pass.
     """
     if modulus.two_adic is None:
         raise ValueError("shipped maps are defined over 2-power moduli")
-    registry: dict[SetSpec, SpecSet] = {}
+    # SetSpec -> SpecSet, unit x -> FiberSet over x, and the modulus -> the
+    # psi buckets those fibers share
+    registry: dict = {}
     units = units_of(modulus)
     nonunits = nonunits_of(modulus)
     targets = (identity(modulus), neg_identity(modulus))
@@ -501,5 +554,5 @@ def shipped_maps(modulus: Modulus, max_size: int) -> list[TupleMap]:
             for u in units:
                 out.append(unit_insertion_bijection(n, modulus, sign, u, registry))
     for x in units:
-        out.append(fiber_shift_bijection(modulus, x))
+        out.append(fiber_shift_bijection(modulus, x, registry))
     return out

@@ -3,6 +3,12 @@
 Everything downstream (matrices, enumeration, bijections) works over these
 values, so residues are kept in a single canonical form: the least
 nonnegative representative.
+
+Residues are pooled: each Modulus holds one Residue per value, made on
+first use, and both the constructor and arithmetic hand back that
+instance.  Equality and hashing stay by value, so residues of two equal
+Modulus objects are equal; tuples of residues from one pool compare
+element by identity, without calling ``__eq__``.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ class Modulus:
     The 2-power rings are the main stage; general N is needed for CRT work.
     """
 
-    __slots__ = ("n", "two_adic")
+    __slots__ = ("n", "two_adic", "_pool")
 
     def __init__(self, n: int):
         if n < 2:
@@ -29,9 +35,18 @@ class Modulus:
         self.n = n
         m = n.bit_length() - 1
         self.two_adic = m if (n == 1 << m and m >= 2) else None
+        self._pool: dict[int, Residue] = {}  # canonical value -> its residue
 
     def residue(self, value: int) -> "Residue":
         return Residue(value, self)
+
+    def residues(self, values) -> tuple:
+        """The residues of ``values`` as a tuple; canonical values already
+        pooled are read straight from the pool."""
+        try:
+            return tuple(map(self._pool.__getitem__, values))
+        except KeyError:
+            return tuple(Residue(v, self) for v in values)
 
     def __eq__(self, other):
         return isinstance(other, Modulus) and self.n == other.n
@@ -39,18 +54,30 @@ class Modulus:
     def __hash__(self):
         return hash(("Modulus", self.n))
 
+    def __reduce__(self):
+        return Modulus, (self.n,)
+
     def __repr__(self):
         return f"Modulus({self.n})"
 
 
 class Residue:
-    """An element of Z/NZ stored as its least nonnegative representative."""
+    """An element of Z/NZ stored as its least nonnegative representative.
 
-    __slots__ = ("value", "modulus")
+    ``Residue(value, modulus)`` returns the modulus's pooled instance.
+    """
 
-    def __init__(self, value, modulus: Modulus):
-        self.value = int(value) % modulus.n
-        self.modulus = modulus
+    __slots__ = ("value", "modulus", "_hash")
+
+    def __new__(cls, value, modulus: Modulus):
+        value = int(value) % modulus.n
+        pooled = modulus._pool.get(value)
+        if pooled is None:
+            pooled = modulus._pool[value] = object.__new__(cls)
+            pooled.value = value
+            pooled.modulus = modulus
+            pooled._hash = hash((value, modulus.n))
+        return pooled
 
     @property
     def is_unit(self) -> bool:
@@ -59,49 +86,91 @@ class Residue:
     def inverse(self) -> "Residue":
         if not self.is_unit:
             raise NotAUnit(f"{self.value} is not invertible mod {self.modulus.n}")
-        return Residue(pow(self.value, -1, self.modulus.n), self.modulus)
+        mod = self.modulus
+        value = pow(self.value, -1, mod.n)
+        return mod._pool.get(value) or Residue(value, mod)
+
+    # Arithmetic looks its result up in the pool, and Residue() runs only
+    # for a value not made yet.  The lookup is written out in each operator
+    # because a shared helper would add a Python call to every operation,
+    # and the bijection harness makes hundreds of thousands of them.
 
     def _other_value(self, other) -> int:
         if isinstance(other, Residue):
-            if other.modulus.n != self.modulus.n:
+            if other.modulus is not self.modulus and other.modulus.n != self.modulus.n:
                 raise ValueError("mixed moduli in residue arithmetic")
             return other.value
         return int(other)
 
     def __add__(self, other):
-        return Residue(self.value + self._other_value(other), self.modulus)
+        mod = self.modulus
+        value = (self.value + self._other_value(other)) % mod.n
+        return mod._pool.get(value) or Residue(value, mod)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return Residue(self.value - self._other_value(other), self.modulus)
+        mod = self.modulus
+        value = (self.value - self._other_value(other)) % mod.n
+        return mod._pool.get(value) or Residue(value, mod)
 
     def __rsub__(self, other):
-        return Residue(self._other_value(other) - self.value, self.modulus)
+        mod = self.modulus
+        value = (self._other_value(other) - self.value) % mod.n
+        return mod._pool.get(value) or Residue(value, mod)
 
     def __mul__(self, other):
-        return Residue(self.value * self._other_value(other), self.modulus)
+        mod = self.modulus
+        value = self.value * self._other_value(other) % mod.n
+        return mod._pool.get(value) or Residue(value, mod)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return Residue(-self.value, self.modulus)
+        mod = self.modulus
+        value = -self.value % mod.n
+        return mod._pool.get(value) or Residue(value, mod)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Residue)
             and self.value == other.value
             and self.modulus.n == other.modulus.n
         )
 
     def __hash__(self):
-        return hash((self.value, self.modulus.n))
+        return self._hash
+
+    def __reduce__(self):
+        return Residue, (self.value, self.modulus)
 
     def __int__(self):
         return self.value
 
     def __repr__(self):
         return f"Residue({self.value}, mod={self.modulus.n})"
+
+
+def prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+def totient(n: int) -> int:
+    """Euler's phi: the number of units of Z/nZ."""
+    for p in prime_divisors(n):
+        n = n // p * (p - 1)
+    return n
 
 
 def units_of(modulus: Modulus) -> list[Residue]:

@@ -33,7 +33,7 @@ from functools import lru_cache
 from itertools import repeat
 from operator import add
 
-from .modring import Modulus, Residue, NotAUnit
+from .modring import Modulus, Residue, NotAUnit, totient
 from .sl2 import Mat2, continuant_product
 
 DEFAULT_BUDGET = 1 << 27
@@ -87,6 +87,20 @@ def allowed_values(modulus: Modulus, constraint: Constraint) -> tuple[int, ...]:
         return tuple(v for v in range(n) if math.gcd(v, n) != 1)
     if constraint.kind == "fixed":
         return (constraint.value % n,)
+    raise ValueError(f"unknown constraint kind {constraint.kind!r}")
+
+
+def _allowed_count(modulus: Modulus, constraint: Constraint) -> int:
+    """len(allowed_values(modulus, constraint)), without listing the values."""
+    n = modulus.n
+    if constraint.kind == "any":
+        return n
+    if constraint.kind == "unit":
+        return totient(n)
+    if constraint.kind == "nonunit":
+        return n - totient(n)
+    if constraint.kind == "fixed":
+        return 1
     raise ValueError(f"unknown constraint kind {constraint.kind!r}")
 
 
@@ -151,14 +165,16 @@ class SetSpec:
     def position_values(self) -> list[tuple[int, ...]]:
         return [allowed_values(self.modulus, self.constraint_at(p)) for p in range(1, self.size + 1)]
 
+    def position_counts(self) -> list[int]:
+        """The number of allowed letters at each position; refusals are
+        decided from these, so a refused spec lists no values."""
+        return [_allowed_count(self.modulus, self.constraint_at(p)) for p in range(1, self.size + 1)]
+
     def free_positions(self) -> int:
         return sum(1 for p in range(1, self.size + 1) if self.constraint_at(p).kind != "fixed")
 
     def naive_candidates(self) -> int:
-        total = 1
-        for vals in self.position_values():
-            total *= len(vals)
-        return total
+        return math.prod(self.position_counts())
 
     def matches(self, t) -> bool:
         """Does a tuple of residues belong to this set?"""
@@ -263,7 +279,7 @@ def solutions(spec: SetSpec, budget: int | None = None):
         raise BudgetExceeded(required, budget)
     mod = spec.modulus
     for letters in _solve(spec):
-        yield tuple(Residue(v, mod) for v in letters)
+        yield mod.residues(letters)
 
 
 def _count_naive(spec: SetSpec) -> int:
@@ -328,7 +344,7 @@ def _count_mitm(spec: SetSpec, split: int) -> int:
 
 
 def _choose_split(spec: SetSpec) -> int:
-    sizes = [len(v) for v in spec.position_values()]
+    sizes = spec.position_counts()
     best, best_cost = 1, None
     for k in range(1, spec.size):
         left = math.prod(sizes[:k])
@@ -362,7 +378,7 @@ def count(spec: SetSpec, method: str = "auto", budget: int | None = None,
         k = _choose_split(spec) if split is None else split
         if not 1 <= k < spec.size:
             raise ValueError(f"split {k} outside 1..{spec.size - 1}")
-        sizes = [len(v) for v in spec.position_values()]
+        sizes = spec.position_counts()
         required = math.prod(sizes[:k]) + math.prod(sizes[k:])
         if required > budget:
             raise BudgetExceeded(required, budget)

@@ -8,7 +8,7 @@ the brute-force enumerator and the dynamic program.
 
 from __future__ import annotations
 
-from .modring import Modulus, Residue
+from .modring import Modulus, Residue, prime_divisors
 
 
 class Mat2:
@@ -147,15 +147,6 @@ def continuant_product(values, modulus: Modulus | None = None) -> Mat2:
 def group_order(n: int) -> int:
     """|SL2(Z/NZ)| = N^3 * prod over primes p | N of (1 - p^-2), exactly."""
     order = n ** 3
-    remaining = n
-    p = 2
-    while p * p <= remaining:
-        if remaining % p == 0:
-            order = order // (p * p) * (p * p - 1)
-            while remaining % p == 0:
-                remaining //= p
-        p += 1
-    if remaining > 1:
-        p = remaining
+    for p in prime_divisors(n):
         order = order // (p * p) * (p * p - 1)
     return order

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -353,3 +354,45 @@ def test_module_entry_point_runs():
         [sys.executable, "-m", "quiddity", "table", "--which", "w8", "--rows", "2,3"],
         capture_output=True, text=True, check=True, env=env)
     assert out.stdout == "n,count\n2,1\n3,2\n"
+
+
+def test_verify_bijections_output_is_golden(capsys):
+    # 588 maps over Z/8Z up to size 6, one line each, plus the summary.
+    code, out, err = run_cli(capsys, "verify", "--suite", "bijections", "--modulus", "8",
+                             "--max-size", "6")
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / "verify_bijections_8_6.txt").read_bytes()
+
+
+def test_an_oversized_refusal_lists_no_values(capsys, monkeypatch):
+    # 1000003**3 candidates: listing each position's values alone would take
+    # about 100 MB.
+    monkeypatch.delenv("QUIDDITY_BUDGET", raising=False)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "count", "--modulus", "1000003", "--size", "3",
+                                 "--target", "t")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == ("error: enumeration needs 1000009000027000027 candidates, "
+                   "budget is 134217728\n")
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("argv,refusal", [
+    # |SL2(Z/4Z)| * 7
+    (("--suite", "bounds", "--m", "2", "--sizes", "6", "--budget", "10"),
+     "the DP needs 336 additions, budget is 10"),
+    (("--suite", "recursion", "--budget", "10"), "the DP needs 576 additions, budget is 10"),
+    (("--suite", "crt", "--budget", "10"), "the DP needs 5760 additions, budget is 10"),
+    (("--suite", "totality", "--budget", "10"), "the DP needs 48 additions, budget is 10"),
+    # the walk's 192 additions fit, the histogram's 3**7 candidates do not
+    (("--suite", "totality", "--modulus", "3", "--sizes", "7", "--budget", "1000"),
+     "enumeration needs 2187 candidates, budget is 1000"),
+], ids=["bounds", "recursion", "crt", "totality-dp", "totality-histogram"])
+def test_verify_budget_reaches_the_dp_suites(capsys, argv, refusal):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {refusal}\n"

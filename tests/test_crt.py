@@ -102,6 +102,24 @@ def test_piece_sources_follow_the_budget(monkeypatch):
         piece_counts(3, split(12), 1)
 
 
+def test_an_explicit_budget_reaches_every_piece(monkeypatch):
+    # The same choices as above, with the budget passed in and the
+    # environment left at its default.
+    monkeypatch.delenv("QUIDDITY_BUDGET", raising=False)
+    expected = piece_counts(3, split(12), 1)
+    pieces = piece_counts(3, split(12), 1, budget=100)
+    assert [(mp, src) for mp, _, src in pieces] == [(4, "brute"), (3, "dp")]
+    assert [cnt for _, cnt, _ in pieces] == [cnt for _, cnt, _ in expected]
+    # 80 sends the Z/3Z piece to brute force as well
+    pieces = piece_counts(3, split(12), 1, budget=80)
+    assert [(mp, src) for mp, _, src in pieces] == [(4, "brute"), (3, "brute")]
+    assert assemble_count(3, split(12), 1, budget=80) == assemble_count(3, split(12), 1)
+    with pytest.raises(CapExceeded):
+        assemble_count(3, split(12), 1, method="dp", budget=100)
+    with pytest.raises(BudgetExceeded):
+        assemble_count(3, split(12), 1, budget=50)
+
+
 def test_odd_only_modulus_assembles_too():
     mod15 = Modulus(15)
     for size in (5, 6):

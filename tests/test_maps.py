@@ -7,6 +7,7 @@ from quiddity.counter import dp_count
 from quiddity.maps import (
     DomainViolation,
     FiberSet,
+    ReciprocityReport,
     TupleMap,
     drop_minus_one_bijection,
     expand_pair,
@@ -32,7 +33,7 @@ from quiddity.maps import (
     verify_reciprocal,
 )
 from quiddity.modring import Modulus, NotAUnit, Residue, units_of
-from quiddity.oracle import SetSpec, UNIT, fixed, psi, solutions
+from quiddity.oracle import SetSpec, UNIT, fixed, psi, psi_fiber, solutions
 from quiddity.sl2 import continuant_product, identity, neg_identity
 
 MOD8 = Modulus(8)
@@ -316,3 +317,114 @@ def test_domain_violation_messages():
         with pytest.raises(DomainViolation) as err:
             call()
         assert str(err.value) == message
+
+
+class ListSet:
+    """A hand-made set: members() lists ``members``; contains() accepts
+    them and anything in ``also_accepts``."""
+
+    def __init__(self, members, also_accepts=()):
+        self._members = tuple(members)
+        self._accepts = set(self._members) | set(also_accepts)
+        self.label = f"list{self._members}"
+
+    def members(self, budget=None):
+        return self._members
+
+    def contains(self, t):
+        return t in self._accepts
+
+
+def table_map(pairs):
+    table = dict(pairs)
+
+    def apply(t):
+        if t not in table:
+            raise DomainViolation(f"{t} has no image")
+        return table[t]
+
+    return apply
+
+
+A, B, X, Y = (0,), (1,), (10,), (11,)
+
+
+@pytest.mark.parametrize("domain,codomain,forward,backward,failure,counterexample", [
+    ([A], [X], {}, {X: A}, "forward raised (0,) has no image", A),
+    ([A], [X], {A: Y}, {Y: A}, "forward image left the codomain", (A, Y)),
+    ([A], [X], {A: X}, {}, "backward raised (10,) has no image", X),
+    ([A, B], [X, Y], {A: X, B: Y}, {X: B, Y: A}, "backward(forward(t)) != t", (A, X, B)),
+    # injective but not onto: pass 2 must call backward on the non-image Y
+    ([A], [X, Y], {A: X}, {X: A}, "backward raised (11,) has no image", Y),
+    ([A], [X, Y], {A: X}, {X: A, Y: B}, "backward image left the domain", (Y, B)),
+    ([A], [X, Y], {A: X}, {X: A, Y: A}, "forward(backward(s)) != s", (Y, A)),
+    # codomain.contains accepts Y, but members() leaves it out
+    ([A, B], ListSet([X], also_accepts=[Y]), {A: X, B: Y}, {X: A, Y: B},
+     "set sizes differ", None),
+], ids=["forward-raised", "left-codomain", "backward-raised", "not-a-left-inverse",
+        "backward-raised-on-non-image", "left-domain", "not-a-right-inverse", "sizes-differ"])
+def test_harness_reports_every_failure(domain, codomain, forward, backward, failure,
+                                       counterexample):
+    domain = domain if isinstance(domain, ListSet) else ListSet(domain)
+    codomain = codomain if isinstance(codomain, ListSet) else ListSet(codomain)
+    tmap = TupleMap("broken", domain, codomain, table_map(forward), table_map(backward))
+    report = verify_reciprocal(tmap)
+    assert not report.ok
+    assert (report.failure, report.counterexample) == (failure, counterexample)
+    assert (report.domain_size, report.codomain_size) == (
+        len(domain.members()), len(codomain.members()))
+
+
+def test_an_image_of_plain_integers_is_reported():
+    good = negation_bijection(3, MOD8)
+    bad = TupleMap("integer-negation", good.domain, good.codomain,
+                   lambda t: tuple(int(a) for a in negate_map(t)), good.backward)
+    report = verify_reciprocal(bad)
+    assert (report.ok, report.failure) == (False, "forward image left the codomain")
+    assert report.counterexample == (rt(MOD8, 7, 7, 7), (1, 1, 1))
+
+
+def test_harness_checks_that_images_come_back_into_the_domain():
+    # The domain lists A but its contains() rejects it: the one check an
+    # image still gets in the second pass.
+    domain = ListSet([A])
+    domain._accepts = set()
+    tmap = TupleMap("broken", domain, ListSet([X]), table_map({A: X}), table_map({X: A}))
+    report = verify_reciprocal(tmap)
+    assert (report.ok, report.failure, report.counterexample) == (
+        False, "backward image left the domain", (X, A))
+
+
+def test_each_member_is_mapped_once_each_way():
+    calls = []
+
+    def logged(name, pairs):
+        apply = table_map(pairs)
+
+        def call(t):
+            calls.append((name, t))
+            return apply(t)
+
+        return call
+
+    # X and Y are images, so the second pass maps neither of them again.
+    tmap = TupleMap("swap", ListSet([A, B]), ListSet([Y, X]),
+                    logged("forward", {A: X, B: Y}), logged("backward", {X: A, Y: B}))
+    assert verify_reciprocal(tmap) == ReciprocityReport("swap", True, 2, 2)
+    assert calls == [("forward", A), ("backward", X), ("forward", B), ("backward", Y)]
+    # Y is no image: it is mapped back, and its preimage forward again.
+    calls.clear()
+    tmap = TupleMap("not-onto", ListSet([A]), ListSet([X, Y]),
+                    logged("forward", {A: X}), logged("backward", {X: A, Y: A}))
+    assert verify_reciprocal(tmap).failure == "forward(backward(s)) != s"
+    assert calls == [("forward", A), ("backward", X), ("backward", Y), ("forward", A)]
+
+
+def test_fibers_match_psi_fiber_in_order():
+    for n in (4, 8, 16):
+        mod = Modulus(n)
+        buckets = {}
+        for x in units_of(mod):
+            alone = FiberSet(mod, x).members()
+            shared = FiberSet(mod, x, buckets).members()
+            assert alone == shared == tuple(psi_fiber(mod, x))

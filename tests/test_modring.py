@@ -1,7 +1,10 @@
+import copy
+import pickle
+
 import pytest
 
 from helpers import euler_phi
-from quiddity.modring import Modulus, NotAUnit, Residue, nonunits_of, units_of
+from quiddity.modring import Modulus, NotAUnit, Residue, nonunits_of, totient, units_of
 
 
 @pytest.mark.parametrize("n,expected", [
@@ -89,3 +92,56 @@ def test_arithmetic_matches_int_arithmetic():
 def test_mixed_moduli_rejected():
     with pytest.raises(ValueError):
         Residue(1, Modulus(8)) + Residue(1, Modulus(4))
+
+
+def test_residues_are_pooled_per_modulus():
+    mod = Modulus(8)
+    three = Residue(3, mod)
+    assert Residue(11, mod) is three
+    assert Residue(-5, mod) is three
+    assert mod.residue(3) is three
+
+
+def test_arithmetic_returns_pooled_residues():
+    mod = Modulus(8)
+    a, b = Residue(3, mod), Residue(6, mod)
+    assert a + b is Residue(1, mod)
+    assert a - b is Residue(5, mod)
+    assert 1 - a is Residue(6, mod)
+    assert a * b is Residue(2, mod)
+    assert 2 * a is Residue(6, mod)
+    assert -a is Residue(5, mod)
+    assert a.inverse() is a
+
+
+def test_equality_and_hash_depend_on_the_value_alone():
+    first, second = Modulus(8), Modulus(8)
+    assert first is not second
+    for v in range(8):
+        a, b = Residue(v, first), Residue(v, second)
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert hash(a) == hash((v, 8))
+    assert Residue(1, first) + Residue(2, second) == Residue(3, second)
+
+
+def test_residues_of_different_moduli_differ():
+    assert Residue(3, Modulus(4)) != Residue(3, Modulus(8))
+    assert Residue(3, Modulus(8)) != 3
+    with pytest.raises(ValueError):
+        Residue(1, Modulus(8)) * Residue(1, Modulus(4))
+    with pytest.raises(ValueError):
+        Residue(1, Modulus(8)) - Residue(1, Modulus(4))
+
+
+def test_copies_and_pickles_are_equal():
+    r = Residue(5, Modulus(8))
+    for other in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+        assert other == r and hash(other) == hash(r)
+        assert other.value == 5 and other.modulus == r.modulus
+    assert pickle.loads(pickle.dumps(Modulus(8))) == Modulus(8)
+
+
+def test_totient_counts_the_units():
+    for n in range(2, 200):
+        assert totient(n) == euler_phi(n) == len(units_of(Modulus(n)))

@@ -294,3 +294,23 @@ def test_membership_cache_leaves_equality_alone():
     assert not spec.matches((member[0], member[1] + 1) + member[2:])
     assert not spec.matches(member[:3] + (member[3] + 1,) + member[4:])
     assert spec == fresh and hash(spec) == hash(fresh)
+
+
+def _split_from_values(spec):
+    """The first split minimizing the larger half, from listed values."""
+    sizes = [len(values) for values in spec.position_values()]
+    costs = [max(math.prod(sizes[:k]), math.prod(sizes[k:])) for k in range(1, spec.size)]
+    return costs.index(min(costs)) + 1
+
+
+def test_position_counts_match_the_listed_values():
+    for n in range(2, 41):
+        mod = Modulus(n)
+        spec = SetSpec(5, identity(mod), {1: fixed(n + 1), 2: UNIT, 3: NONUNIT, 5: ANY})
+        assert spec.position_counts() == [len(v) for v in spec.position_values()]
+        assert spec.naive_candidates() == math.prod(len(v) for v in spec.position_values())
+        for kind in (fixed(3), UNIT, NONUNIT, ANY):
+            for pos in (1, 3, 4):
+                spec = SetSpec(4, identity(mod), {pos: kind})
+                assert spec.position_counts() == [len(v) for v in spec.position_values()]
+                assert oracle._choose_split(spec) == _split_from_values(spec)
