@@ -379,7 +379,13 @@ def verify_reciprocal(tmap: TupleMap, budget: int | None = None) -> ReciprocityR
                 return fail(f"backward raised {err}", s)
         if not tmap.domain.contains(pre):
             return fail("backward image left the domain", (s, pre))
-        if not is_image and tmap.forward(pre) != s:
+        if is_image:
+            continue
+        try:
+            again = tmap.forward(pre)
+        except (DomainViolation, NotAUnit) as err:
+            return fail(f"forward raised {err}", pre)
+        if again != s:
             return fail("forward(backward(s)) != s", (s, pre))
     if len(domain) != len(codomain):
         return fail("set sizes differ", None)

@@ -17,7 +17,9 @@ three uses:
   product, the meet-in-the-middle prefix;
 * probe (the meet-in-the-middle suffix): walk backward from the target,
   E(a_{k+1})^-1 ... E(a_n)^-1 @ target, and look each result up among the
-  prefix products.
+  prefix products.  A free junction letter a_{k+1} is not walked: the
+  suffix stops one letter short and looks its bottom row up among the
+  prefix products' top rows, each the sum of N full-key probes.
 
 This module is the independent oracle for every other count source, so it
 deliberately shares no machinery with the dynamic program.
@@ -330,12 +332,30 @@ def _count_mitm(spec: SetSpec, split: int) -> int:
     values = spec.position_values()
     N = spec.modulus.n
     ta, tb, tc, td = spec.target.entries()
-    get = _half_products(values[:split], N).get
-    suffix = values[split:][::-1]
-    # cur is the bottom row, so the old cur leads the key as the new top
-    # row: digits N, 1 and N^3, N^2.
-    firsts = _LetterRows(suffix[-1], N, N, N ** 3)
-    seconds = _LetterRows(suffix[-1], N, 1, N * N)
+    buckets = _half_products(values[:split], N)
+    if spec.constraint_at(split + 1).kind == "any":
+        # A free junction letter x is not walked.  Let R be the required
+        # product once the rest of the suffix is peeled off (det R = 1).
+        # E(x)^-1 R has R's bottom row on top and x*bottom - top below.
+        # That row is unimodular, so x -> E(x)^-1 R is a bijection from
+        # Z/NZ onto the N determinant-1 matrices with that top row.
+        # Summed over x, the buckets count the prefix products with that
+        # top row: tops, keyed by the top row alone.
+        tops = Counter()
+        for key, times in buckets.items():
+            tops[key // (N * N)] += times
+        suffix = values[split + 1:][::-1]
+        if not suffix:
+            return tops[tc * N + td]
+        get, lifts = tops.get, (0, 0)
+    else:
+        get, lifts = buckets.get, (N ** 3, N * N)
+        suffix = values[split:][::-1]
+    # cur is the bottom row, so the new cur gets digits N, 1 and the old cur
+    # leads the key as the new top row at the lifts N^3, N^2; with lifts 0
+    # the key is the new bottom row alone, the top row after a free letter.
+    firsts = _LetterRows(suffix[-1], N, N, lifts[0])
+    seconds = _LetterRows(suffix[-1], N, 1, lifts[1])
     zeros = repeat(0)
     total = 0
     for p, q, r, s in _walk(suffix, N, tc, td, ta, tb):
@@ -361,8 +381,9 @@ def count(spec: SetSpec, method: str = "auto", budget: int | None = None,
 
     method "naive" walks every candidate; "mitm" joins two half
     enumerations on the midpoint product; "auto" picks mitm once six or
-    more positions are free.  All methods agree; the budget bounds the
-    number of candidates the chosen method examines.
+    more positions are free.  All methods agree; the budget is an upper
+    bound on the candidates the chosen method examines (the join counts
+    both halves in full, though it does not walk a free junction letter).
     """
     budget = default_budget() if budget is None else budget
     if method == "auto":

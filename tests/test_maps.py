@@ -358,11 +358,15 @@ A, B, X, Y = (0,), (1,), (10,), (11,)
     ([A], [X, Y], {A: X}, {X: A}, "backward raised (11,) has no image", Y),
     ([A], [X, Y], {A: X}, {X: A, Y: B}, "backward image left the domain", (Y, B)),
     ([A], [X, Y], {A: X}, {X: A, Y: A}, "forward(backward(s)) != s", (Y, A)),
+    # B is no domain member but contains() accepts it, and forward refuses it
+    (ListSet([A], also_accepts=[B]), [X, Y], {A: X}, {X: A, Y: B},
+     "forward raised (1,) has no image", B),
     # codomain.contains accepts Y, but members() leaves it out
     ([A, B], ListSet([X], also_accepts=[Y]), {A: X, B: Y}, {X: A, Y: B},
      "set sizes differ", None),
 ], ids=["forward-raised", "left-codomain", "backward-raised", "not-a-left-inverse",
-        "backward-raised-on-non-image", "left-domain", "not-a-right-inverse", "sizes-differ"])
+        "backward-raised-on-non-image", "left-domain", "not-a-right-inverse",
+        "forward-raised-on-a-preimage", "sizes-differ"])
 def test_harness_reports_every_failure(domain, codomain, forward, backward, failure,
                                        counterexample):
     domain = domain if isinstance(domain, ListSet) else ListSet(domain)

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import ivals, sl2_elements
 from quiddity import oracle
+from quiddity.formulas import u_count, w_odd_2m
 from quiddity.modring import Modulus, NotAUnit, Residue, units_of
 from quiddity.oracle import (
     ANY,
@@ -21,7 +22,15 @@ from quiddity.oracle import (
     psi_fiber,
     solutions,
 )
-from quiddity.sl2 import continuant_product, identity, neg_identity, s_mat, target_by_name
+from quiddity.sl2 import (
+    continuant_product,
+    elementary,
+    identity,
+    neg_identity,
+    s_mat,
+    t_mat,
+    target_by_name,
+)
 
 MOD8 = Modulus(8)
 
@@ -314,3 +323,49 @@ def test_position_counts_match_the_listed_values():
                 spec = SetSpec(4, identity(mod), {pos: kind})
                 assert spec.position_counts() == [len(v) for v in spec.position_values()]
                 assert oracle._choose_split(spec) == _split_from_values(spec)
+
+
+# ---------------------------------------------------------------------------
+# the join's free junction letter
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_a_free_letter_sums_the_buckets_over_one_top_row(n):
+    # Summed over x, hist[E(x)^-1 R] counts the products whose top row is
+    # R's bottom row: the join probes that sum instead of walking x.
+    mod = Modulus(n)
+    hist = product_histogram(3, mod)
+    tops = {}
+    for mat, times in hist.items():
+        a, b, _, _ = mat.entries()
+        tops[a, b] = tops.get((a, b), 0) + times
+    for r in sl2_elements(mod):
+        summed = sum(hist.get(elementary(x, mod).inverse() @ r, 0) for x in range(n))
+        assert summed == tops.get(r.entries()[2:], 0), r
+
+
+@pytest.mark.parametrize("n", [5, 6, 8])
+def test_join_at_every_split_past_size_five(n):
+    # Position k + 1 is the junction of split k: free under {}, and unit,
+    # non-unit or fixed at some splits of the other sets; a fixed last
+    # position makes split n - 1 probe full keys, a free one reads the
+    # folded table alone.
+    mod = Modulus(n)
+    for size in (6, 7):
+        menus = [{}, {2: UNIT, 4: NONUNIT, size: fixed(1)},
+                 {1: fixed(2), 3: fixed(n - 1), 5: UNIT, 6: NONUNIT}]
+        for constraints in menus:
+            for target in (identity(mod), neg_identity(mod), s_mat(mod), t_mat(mod)):
+                spec = SetSpec(size, target, constraints)
+                reference = count(spec, "naive")
+                for split in range(1, size):
+                    assert count(spec, "mitm", split=split) == reference, (spec, split)
+
+
+def test_closed_forms_at_the_joins_reach():
+    mod = Modulus(64)
+    assert count(SetSpec(7, identity(mod))) == int(w_odd_2m(3, 6, 1))
+    for q, size in ((31, 7), (29, 8)):
+        mod = Modulus(q)
+        for sign, target in ((1, identity(mod)), (-1, neg_identity(mod))):
+            assert count(SetSpec(size, target)) == int(u_count(size, q, sign)), (q, size, sign)
