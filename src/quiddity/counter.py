@@ -1,37 +1,33 @@
-"""Transfer-matrix dynamic program on the top rows of SL2(Z/NZ) products.
+"""Transfer-matrix dynamic program on the columns of SL2(Z/NZ) products.
 
-Left-multiplying a product [[p, q], [r, s]] by the letter matrix
-[[a, -1], [1, 0]] gives [[a*p - r, a*q - s], [p, q]]: the new bottom row is
-the old top row.  So the product of the first k letters is fixed by its top
-row t_k and its bottom row t_{k-1}, and det = 1 says det(t_{k-1}, t_k) = -1.
-The rows that occur are the primitive vectors of (Z/NZ)^2, |G|/N of them,
-where G = SL2(Z/NZ).
+Write M(a) = [[a, -1], [1, 0]] for a letter, e1 = (1, 0) and e2 = (0, 1),
+so a tuple's product is X = M(a_k) ... M(a_1).  Let G = SL2(Z/NZ).
 
-Free step.  For a prefix with rows (t_{k-1}, t_{k-2}), the new top row
-a*t_{k-1} - t_{k-2} hits every v with det(t_{k-1}, v) = -1 exactly once as
-the letter a runs over Z/NZ.  So the counts c_k of k-letter prefixes by top
-row depend only on c_{k-1}:
+A free first letter leaves only the second column.  Split X = Y M(a_1),
+Y the product of letters 2..k.  As M(a)^-1 = [[0, 1], [-1, a]] sends e1 to
+-e2, Y e1 = -X e2 whatever a_1 is; and as a_1 runs over Z/NZ, X M(a_1)^-1
+runs once over the N group elements with that first column.  So when
+letter 1 is free, the number of k-letter tuples with product X is
+g_k(-X e2), where g_k counts the columns M(a_k) ... M(a_2) e1.
 
-    c_k(v) = sum of c_{k-1}(w) over the N rows w with det(w, v) = -1,
+Column step.  M(a) (x', y') = (a*x' - y', x'), so the count at column
+(x, y) after one more letter gathers the counts at (y, a*y - x) for every
+allowed a.  Every letter after the first free one, free or constrained,
+is this one step on the |G|/N primitive columns.  It costs |G|/N additions
+per allowed letter; its source table is built once per call for each
+distinct allowed set, at the same cost.
 
-a walk on the Farey graph mod N.  A free step costs |G| additions; the
-graph's in-neighbour lists are built once per call at the same cost.
+Heads.  A leading run of constrained letters 1..j takes exact sparse steps
+on group elements Z, keyed by entries: [[p, q], [r, s]] ->
+[[a*p - r, a*q - s], [p, q]] for each allowed a.  At the first free letter
+the product is Y M(a_{j+1}) Z, and the argument above, applied to X Z^-1,
+gives the count at X as the sum of w_Z g(-X Z^-1 e2) = w_Z g(X (q, -p)).
+That depends on Z's top row (p, q) alone, so the run folds once into its
+top-row counts, the heads; with no leading run the one head is (1, 0).
 
-Pair step.  A constrained position (unit, non-unit or fixed letter) takes
-one exact sparse step on (top, bottom) pairs, i.e. on group elements:
-[[p, q], [r, s]] -> [[a*p - r, a*q - s], [p, q]] for each allowed a.  After
-a free letter the pair counts are c_{k-2}(w) at top v and bottom w for each
-det(w, v) = -1; after a constrained letter they are the previous pair
-state.  A pair step costs (number of pairs) * (allowed letters), at most
-|G| times that; the first steps from the identity are sparse.
-
-Reading counts.  After a free letter k, the number of k-letter tuples with
-product X is c_{k-1}(bottom row of X): the letter supplies the one top row
-that completes X.  After a constrained letter it is the pair count at X.
-Across free letters the state is |G|/N counts, not |G|, and no N * |G|
-letter-action table is built.  All counts are exact Python integers.
-A call whose walk_cost exceeds the budget (QUIDDITY_BUDGET by default, as
-for the oracle) raises CapExceeded before anything is built.
+All counts are exact Python integers.  A call whose walk_cost exceeds the
+budget (QUIDDITY_BUDGET by default, as for the oracle) raises CapExceeded
+before anything is built.
 """
 
 from __future__ import annotations
@@ -39,7 +35,7 @@ from __future__ import annotations
 import math
 
 from .modring import Modulus
-from .oracle import SetSpec, allowed_values, default_budget, normalize_constraints
+from .oracle import ANY, SetSpec, allowed_values, default_budget, normalize_constraints
 from .sl2 import Mat2, TARGET_NAMES, group_order, identity, target_by_name
 
 
@@ -50,95 +46,85 @@ class CapExceeded(ValueError):
 class CountVector:
     """Counts of tuples by product after some number of letters.
 
-    Holds either the top-row counts before a free last letter or the pair
-    counts after a constrained one (or after no letter at all).
+    Before the first free letter it holds the counts of group elements;
+    from it on, the heads (p, q, w) and the column counts g, and the count
+    at X is the sum of w * g(X (q, -p)) over the heads.
     """
 
-    __slots__ = ("modulus", "_tops", "_pairs")
+    __slots__ = ("modulus", "_pairs", "_heads", "_cols")
 
-    def __init__(self, modulus: Modulus, tops: list[int] | None = None,
-                 pairs: dict[tuple[int, int, int, int], int] | None = None):
+    def __init__(self, modulus: Modulus, pairs: dict | None = None,
+                 heads: list[tuple[int, int, int]] | None = None,
+                 cols: list[int] | None = None):
         self.modulus = modulus
-        self._tops = tops
         self._pairs = pairs
+        self._heads = heads
+        self._cols = cols
 
     def total(self) -> int:
-        if self._tops is not None:
-            return self.modulus.n * sum(self._tops)
-        return sum(self._pairs.values())
+        if self._pairs is not None:
+            return sum(self._pairs.values())
+        # X -> X (q, -p) sends the group onto the primitive columns N to one.
+        return self.modulus.n * sum(w for _, _, w in self._heads) * sum(self._cols)
 
     def at(self, target: Mat2) -> int:
-        if self._tops is not None:
-            if target.det() != 1:
-                return 0
-            return self._tops[target.c * self.modulus.n + target.d]
-        return self._pairs.get(target.entries(), 0)
+        if self._pairs is not None:
+            return self._pairs.get(target.entries(), 0)
+        if target.det() != 1:
+            return 0
+        n, cols = self.modulus.n, self._cols
+        a, b, c, d = target.entries()
+        return sum(w * cols[(a * q - b * p) % n * n + (c * q - d * p) % n]
+                   for p, q, w in self._heads)
 
 
-def _farey_graph(n: int) -> list[tuple[int, tuple[int, ...]]]:
-    """(v, rows w with det(w, v) = -1) for every primitive row v mod n.
+def _sources(n: int, letters: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """(column, the columns it gathers from) for every primitive column mod n.
 
-    Rows are packed as x*n + y.  The in-neighbours of v = (x, y) are
-    u + lam*v for any u with det(v, u) = 1.
+    Columns are packed as x*n + y; M(a) sends (y, a*y - x) to (x, y).
     """
-    packed = list(range(n * n))  # shared int objects for the lists below
-    graph = []
-    for x in range(n):
-        for y in range(n):
-            if math.gcd(x, y, n) != 1:
-                continue
-            # Solve x*q - y*p == 1 (mod n); y is a unit mod gcd(x, n).
-            g = math.gcd(x, n)
-            p = -pow(y, -1, g) % g
-            q = (1 + y * p) // g * pow(x // g, -1, n // g) % n
-            sources = tuple(packed[(p + lam * x) % n * n + (q + lam * y) % n]
-                            for lam in range(n))
-            graph.append((x * n + y, sources))
-    return graph
+    packed = list(range(n * n))  # shared int objects for the tuples below
+    return [(x * n + y, tuple(packed[y * n + (a * y - x) % n] for a in letters))
+            for x in range(n) for y in range(n) if math.gcd(x, y, n) == 1]
 
 
-def _walk(tops: list[int], graph) -> list[int]:
-    """One free letter: c_k from c_{k-1}."""
-    get = tops.__getitem__
-    fresh = [0] * len(tops)
-    for v, sources in graph:
+def _walk(cols: list[int], table) -> list[int]:
+    """One letter on the column counts."""
+    get = cols.__getitem__
+    fresh = [0] * len(cols)
+    for v, sources in table:
         fresh[v] = sum(map(get, sources))
     return fresh
 
 
-def _marginal(pairs: dict, n: int) -> list[int]:
-    """Top-row counts of a pair state."""
-    tops = [0] * (n * n)
-    for (p, q, _, _), c in pairs.items():
-        tops[p * n + q] += c
-    return tops
-
-
-def _free_pairs(prev_tops: list[int], graph, n: int):
-    """Pair counts after a free letter, from the top-row counts before it."""
-    for v, sources in graph:
-        p, q = divmod(v, n)
-        for w in sources:
-            c = prev_tops[w]
-            if c:
-                r, s = divmod(w, n)
-                yield (p, q, r, s), c
-
-
-def _pair_step(pairs, letters: tuple[int, ...], n: int) -> dict:
-    """One constrained letter on (entries, count) pairs of group elements."""
+def _pair_step(pairs: dict, letters: tuple[int, ...], n: int) -> dict:
+    """One constrained letter of a leading run, on group elements."""
     fresh: dict[tuple[int, int, int, int], int] = {}
-    for (p, q, r, s), c in pairs:
+    for (p, q, r, s), c in pairs.items():
         for a in letters:
             key = ((a * p - r) % n, (a * q - s) % n, p, q)
             fresh[key] = fresh.get(key, 0) + c
     return fresh
 
 
+def _heads(pairs: dict) -> list[tuple[int, int, int]]:
+    """Top-row counts (p, q, w) of the group elements after a leading run."""
+    tops: dict[tuple[int, int], int] = {}
+    for (p, q, _, _), c in pairs.items():
+        tops[p, q] = tops.get((p, q), 0) + c
+    return [(p, q, w) for (p, q), w in tops.items()]
+
+
 def walk_cost(size: int, modulus: Modulus, constraints=None) -> int:
     """Upper bound on one call's additions: |G| * (1 + sum of w over positions),
-    counting the graph build as 1; w is 1 for a free or fixed letter and N for
-    a unit or non-unit one (an upper bound on its allowed letters)."""
+    w = 1 for a free or fixed letter and N for a unit or non-unit one.
+
+    A source table or column step costs |G|/N per allowed letter, and a
+    leading pair step at most |G| per allowed letter.  So a position's pair
+    step, or its column step plus its table if it is the first with its
+    allowed set, fits in w * |G| (N >= 2 covers a fixed letter's table and
+    step); the first free letter's w covers the fold into heads, and the 1
+    the free letters' table."""
     cons = normalize_constraints(constraints, size, modulus).values()
     return group_order(modulus.n) * (1 + size + sum(
         modulus.n - 1 for con in cons if con.kind != "fixed"))
@@ -153,19 +139,21 @@ def dp_vector_sequence(size: int, modulus: Modulus, constraints=None,
     cost = walk_cost(size, modulus, cons)
     if cost > budget:
         raise CapExceeded(f"the DP needs {cost} additions, budget is {budget}")
-    graph = _farey_graph(n)
-    # Exactly one of these is set: the top-row counts before the last
-    # letter when it was free, else the pair counts.
-    prev_tops, pairs = None, {identity(modulus).entries(): 1}
-    snapshots = [CountVector(modulus, pairs=pairs)]
+    pairs, heads, cols = {identity(modulus).entries(): 1}, None, None
+    snapshots = [CountVector(modulus, pairs)]
+    tables: dict = {}
     for pos in range(1, size + 1):
-        if pos in cons:
-            source = pairs.items() if pairs is not None else _free_pairs(prev_tops, graph, n)
-            prev_tops, pairs = None, _pair_step(source, allowed_values(modulus, cons[pos]), n)
+        con = cons.get(pos, ANY)
+        if cols is not None:
+            if con not in tables:
+                tables[con] = _sources(n, allowed_values(modulus, con))
+            cols = _walk(cols, tables[con])
+        elif con is not ANY:
+            pairs = _pair_step(pairs, allowed_values(modulus, con), n)
         else:
-            prev_tops = _marginal(pairs, n) if pairs is not None else _walk(prev_tops, graph)
-            pairs = None
-        snapshots.append(CountVector(modulus, prev_tops, pairs))
+            heads, cols, pairs = _heads(pairs), [0] * (n * n), None
+            cols[n] = 1  # the column e1 = (1, 0), before any later letter
+        snapshots.append(CountVector(modulus, pairs, heads, cols))
     return snapshots
 
 

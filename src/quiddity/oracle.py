@@ -324,6 +324,11 @@ def _half_products(values, N):
     return buckets
 
 
+def _free_junction(spec: SetSpec, split: int) -> bool:
+    """Is the junction letter split + 1 free?  Then the join does not walk it."""
+    return spec.constraint_at(split + 1).kind == "any"
+
+
 def _count_mitm(spec: SetSpec, split: int) -> int:
     # Tuples factor as target == suffix_product @ prefix_product, so the
     # prefix product must be E(a_{k+1})^-1 ... E(a_n)^-1 @ target.  Walk the
@@ -333,7 +338,7 @@ def _count_mitm(spec: SetSpec, split: int) -> int:
     N = spec.modulus.n
     ta, tb, tc, td = spec.target.entries()
     buckets = _half_products(values[:split], N)
-    if spec.constraint_at(split + 1).kind == "any":
+    if _free_junction(spec, split):
         # A free junction letter x is not walked.  Let R be the required
         # product once the rest of the suffix is peeled off (det R = 1).
         # E(x)^-1 R has R's bottom row on top and x*bottom - top below.
@@ -383,7 +388,8 @@ def count(spec: SetSpec, method: str = "auto", budget: int | None = None,
     enumerations on the midpoint product; "auto" picks mitm once six or
     more positions are free.  All methods agree; the budget is an upper
     bound on the candidates the chosen method examines (the join counts
-    both halves in full, though it does not walk a free junction letter).
+    the prefix and the suffix it walks, which leaves out a free junction
+    letter).
     """
     budget = default_budget() if budget is None else budget
     if method == "auto":
@@ -400,7 +406,8 @@ def count(spec: SetSpec, method: str = "auto", budget: int | None = None,
         if not 1 <= k < spec.size:
             raise ValueError(f"split {k} outside 1..{spec.size - 1}")
         sizes = spec.position_counts()
-        required = math.prod(sizes[:k]) + math.prod(sizes[k:])
+        walked = sizes[k + 1:] if _free_junction(spec, k) else sizes[k:]
+        required = math.prod(sizes[:k]) + math.prod(walked)
         if required > budget:
             raise BudgetExceeded(required, budget)
         return _count_mitm(spec, k)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from helpers import DenseReference, sl2_elements
@@ -83,7 +85,8 @@ DIFFERENTIAL_CONSTRAINTS = [
     lambda size: {1: fixed(2), 2: UNIT},
     lambda size: {size: fixed(1)},
     lambda size: {2: UNIT, 3: NONUNIT, 4: fixed(0)},
-    lambda size: {5: UNIT},  # prefix counts above 1 enter a pair step
+    lambda size: {5: UNIT},  # a constrained column step on counts above 1
+    lambda size: {1: NONUNIT, 2: fixed(3), 3: UNIT},  # several heads
 ]
 
 
@@ -103,6 +106,20 @@ def test_walk_matches_dense_group_dp(n):
             for vec, counts in zip(walk, expected, strict=True):
                 assert [vec.at(g) for g in dense.elements] == counts, (size, cons)
                 assert vec.total() == sum(counts)
+
+
+def test_a_constrained_letter_after_free_ones_keeps_to_columns():
+    # Once a free letter has passed, a fixed letter steps on the |G|/N
+    # column counts like any other; a step on group elements would hold
+    # |G| = 196,608 counts here.
+    tracemalloc.start()
+    try:
+        vec = dp_vector(8, Modulus(64), {4: fixed(0)})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vec.total() == 64 ** 7
+    assert peak < 10_000_000
 
 
 @pytest.mark.parametrize("m", [5, 6])
@@ -140,7 +157,7 @@ def test_constraint_errors_match_the_oracle():
         assert str(from_dp.value) == str(from_spec.value) == message
 
 
-CONSTRAINT_CASES = [None, {2: UNIT}, {2: NONUNIT}, {2: fixed(1)}]
+CONSTRAINT_CASES = [None, {2: UNIT}, {2: NONUNIT}, {2: fixed(1)}, {1: fixed(1)}]
 
 
 @pytest.mark.parametrize("n,max_size", [(3, 10), (4, 10), (8, 6)])

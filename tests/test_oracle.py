@@ -114,6 +114,23 @@ def test_budget_mitm_counts_half_enumerations():
         count(spec, "mitm", budget=100)
 
 
+def test_the_join_is_charged_for_the_suffix_it_walks():
+    # Split 3 of size 7: a free junction letter 4 is not walked, so the join
+    # examines 8**3 prefix and 8**3 suffix candidates; a constrained
+    # junction is walked, and its letters count.
+    spec = SetSpec(7, identity(MOD8))
+    assert count(spec, "mitm", split=3, budget=1024) == count(spec, "naive")
+    with pytest.raises(BudgetExceeded,
+                       match="^enumeration needs 1024 candidates, budget is 1023$"):
+        count(spec, "mitm", split=3, budget=1023)
+    for junction, required in ((UNIT, 8 ** 3 + 4 * 8 ** 3), (fixed(1), 8 ** 3 + 8 ** 3)):
+        pinned = SetSpec(7, identity(MOD8), {4: junction})
+        with pytest.raises(BudgetExceeded) as err:
+            count(pinned, "mitm", split=3, budget=required - 1)
+        assert err.value.required == required
+        assert count(pinned, "mitm", split=3, budget=required) == count(pinned, "naive")
+
+
 def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("QUIDDITY_BUDGET", "100")
     assert oracle.default_budget() == 100
@@ -266,7 +283,7 @@ def test_fixed_last_letters_that_miss_the_forced_ones(n):
 def test_refusals_keep_their_required_candidates():
     spec = SetSpec(7, identity(MOD8), {2: UNIT})
     naive = 8 ** 6 * 4
-    mitm = 8 * 4 * 8 + 8 ** 4  # split after position 3
+    mitm = 8 * 4 * 8 + 8 ** 3  # split after position 3; free junction 4 not walked
     with pytest.raises(BudgetExceeded) as err:
         count(spec, "naive", budget=naive - 1)
     assert err.value.required == naive
