@@ -10,12 +10,13 @@ runs once over the N group elements with that first column.  So when
 letter 1 is free, the number of k-letter tuples with product X is
 g_k(-X e2), where g_k counts the columns M(a_k) ... M(a_2) e1.
 
-Column step.  M(a) (x', y') = (a*x' - y', x'), so the count at column
-(x, y) after one more letter gathers the counts at (y, a*y - x) for every
-allowed a.  Every letter after the first free one, free or constrained,
-is this one step on the |G|/N primitive columns.  It costs |G|/N additions
-per allowed letter; its source table is built once per call for each
-distinct allowed set, at the same cost.
+Column step.  M(a) (x', y') = (a*x' - y', x'), so after one more letter
+the count at column (x, y) is the sum of t(k) g(y, k - x), t(k) the number
+of allowed a with a*y = k: all its sources lie in row y.  With d the least
+period of t and c its commonest value, the step folds row y mod d, adds c
+times its total and the fold's rotations weighted by t(k) - c for k < d,
+and tiles the d sums over x.  Every letter after the first free one, free
+or constrained, takes this step, which builds nothing that outlives it.
 
 Heads.  A leading run of constrained letters 1..j takes exact sparse steps
 on group elements Z, keyed by entries: [[p, q], [r, s]] ->
@@ -31,8 +32,6 @@ before anything is built.
 """
 
 from __future__ import annotations
-
-import math
 
 from .modring import Modulus
 from .oracle import ANY, SetSpec, allowed_values, default_budget, normalize_constraints
@@ -78,22 +77,25 @@ class CountVector:
                    for p, q, w in self._heads)
 
 
-def _sources(n: int, letters: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
-    """(column, the columns it gathers from) for every primitive column mod n.
-
-    Columns are packed as x*n + y; M(a) sends (y, a*y - x) to (x, y).
-    """
-    packed = list(range(n * n))  # shared int objects for the tuples below
-    return [(x * n + y, tuple(packed[y * n + (a * y - x) % n] for a in letters))
-            for x in range(n) for y in range(n) if math.gcd(x, y, n) == 1]
-
-
-def _walk(cols: list[int], table) -> list[int]:
-    """One letter on the column counts."""
-    get = cols.__getitem__
-    fresh = [0] * len(cols)
-    for v, sources in table:
-        fresh[v] = sum(map(get, sources))
+def _step(cols: list[int], letters: tuple[int, ...], n: int) -> list[int]:
+    """One letter on the column counts, packed x*n + y (non-primitive ones 0)."""
+    fresh = [0] * (n * n)
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    for y in range(n):
+        row = cols[y * n:(y + 1) * n]
+        if not any(row):
+            continue
+        t = [0] * n
+        for a in letters:
+            t[a * y % n] += 1
+        d = next(d for d in divisors if t[d:] + t[:d] == t)
+        folded = [sum(row[r::d]) for r in range(d)]
+        c = max(set(t), key=t.count)
+        out = [c * sum(folded)] * d
+        for k in range(d):
+            if w := t[k] - c:
+                out = [u + w * v for u, v in zip(out, folded[k::-1] + folded[:k:-1])]
+        fresh[y::n] = out * (n // d)
     return fresh
 
 
@@ -119,12 +121,12 @@ def walk_cost(size: int, modulus: Modulus, constraints=None) -> int:
     """Upper bound on one call's additions: |G| * (1 + sum of w over positions),
     w = 1 for a free or fixed letter and N for a unit or non-unit one.
 
-    A source table or column step costs |G|/N per allowed letter, and a
-    leading pair step at most |G| per allowed letter.  So a position's pair
-    step, or its column step plus its table if it is the first with its
-    allowed set, fits in w * |G| (N >= 2 covers a fixed letter's table and
-    step); the first free letter's w covers the fold into heads, and the 1
-    the free letters' table."""
+    A leading pair step costs at most |G| per allowed letter.  A column step
+    folds each row in under N additions, then adds a rotation of d sums for
+    each k < d with t(k) != c: at most |A| d / N of them for |A| letters, one
+    for a free letter.  Its N^2 (1 + |A|) additions, 2 N^2 if free, fit in
+    w * |G| as |G| = N^3 prod(1 - 1/p^2) >= 2 N^2 for N >= 3; the first
+    free letter's w covers the fold into heads."""
     cons = normalize_constraints(constraints, size, modulus).values()
     return group_order(modulus.n) * (1 + size + sum(
         modulus.n - 1 for con in cons if con.kind != "fixed"))
@@ -141,13 +143,10 @@ def dp_vector_sequence(size: int, modulus: Modulus, constraints=None,
         raise CapExceeded(f"the DP needs {cost} additions, budget is {budget}")
     pairs, heads, cols = {identity(modulus).entries(): 1}, None, None
     snapshots = [CountVector(modulus, pairs)]
-    tables: dict = {}
     for pos in range(1, size + 1):
         con = cons.get(pos, ANY)
         if cols is not None:
-            if con not in tables:
-                tables[con] = _sources(n, allowed_values(modulus, con))
-            cols = _walk(cols, tables[con])
+            cols = _step(cols, allowed_values(modulus, con), n)
         elif con is not ANY:
             pairs = _pair_step(pairs, allowed_values(modulus, con), n)
         else:

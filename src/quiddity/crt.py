@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import counter, formulas, oracle
 from .maps import ProductSet, SpecSet, TupleMap
-from .modring import Modulus, Residue
+from .modring import Modulus, Residue, prime_divisors
 from .oracle import SetSpec
 from .sl2 import identity, neg_identity
 
@@ -44,24 +44,14 @@ def split(n: int) -> Factorization:
     """Factor N as 2^m times a squarefree odd part."""
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
-    m = 0
-    rest = n
-    while rest % 2 == 0:
-        rest //= 2
-        m += 1
+    m = (n & -n).bit_length() - 1
     if m == 1:
         raise ValueError(f"modulus {n} has 2-adic part 2^1; need 2^m with m >= 2 or odd")
-    primes = []
-    p = 3
-    while p * p <= rest:
-        if rest % p == 0:
-            rest //= p
-            if rest % p == 0:
-                raise NonSquarefreeOddPart(f"odd part of {n} is divisible by {p}^2")
-            primes.append(p)
-        p += 2
-    if rest > 1:
-        primes.append(rest)
+    rest = n >> m
+    primes = prime_divisors(rest)
+    for p in primes:
+        if rest % (p * p) == 0:
+            raise NonSquarefreeOddPart(f"odd part of {n} is divisible by {p}^2")
     return Factorization(m if m else None, tuple(primes))
 
 

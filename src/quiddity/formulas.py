@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .modring import prime_divisors
+
 
 class InexactResult(ArithmeticError):
     """A formula produced a non-integer; indicates a bug, not bad input."""
@@ -111,21 +113,10 @@ def gauss_binom2(m: int, k: int) -> int:
 
 def _prime_of(q: int) -> int:
     """The prime p with q = p^e, or raise for non prime powers."""
-    if q < 2:
+    primes = prime_divisors(q)
+    if len(primes) != 1:
         raise ValueError(f"{q} is not a prime power")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        return q
-    rest = q
-    while rest % p == 0:
-        rest //= p
-    if rest != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return p
+    return primes[0]
 
 
 def u_count(n: int, q: int, sign) -> FormulaValue:

@@ -12,7 +12,7 @@ from quiddity.counter import (
     dp_vector_sequence,
     walk_cost,
 )
-from quiddity.formulas import delta_value, w_even_bounds, w_odd_2m
+from quiddity.formulas import delta_value, u_count, w_even_bounds, w_odd_2m
 from quiddity.modring import Modulus
 from quiddity.oracle import NONUNIT, SetSpec, UNIT, fixed
 from quiddity.sl2 import (
@@ -109,27 +109,34 @@ def test_walk_matches_dense_group_dp(n):
 
 
 def test_a_constrained_letter_after_free_ones_keeps_to_columns():
-    # Once a free letter has passed, a fixed letter steps on the |G|/N
-    # column counts like any other; a step on group elements would hold
-    # |G| = 196,608 counts here.
-    tracemalloc.start()
-    try:
-        vec = dp_vector(8, Modulus(64), {4: fixed(0)})
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert vec.total() == 64 ** 7
-    assert peak < 10_000_000
+    # Once a free letter has passed, a fixed letter steps on the column
+    # counts like any other; a step on group elements would hold
+    # |G| = 196,608 counts for the first case.  The column step reads its
+    # sources from the counts themselves, so the peaks stay below what a
+    # table of |G| references would take: 912,576 of them at N = 97 and
+    # 1,572,864 at N = 128.
+    for size, n, cons, peak_bound in ((8, 64, {4: fixed(0)}, 10_000_000),
+                                      (2, 97, None, 1_000_000),
+                                      (10, 128, None, 4_000_000)):
+        tracemalloc.start()
+        try:
+            vec = dp_vector(size, Modulus(n), cons)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vec.total() == n ** (size - 1 if cons else size)
+        assert peak < peak_bound, (size, n)
 
 
-@pytest.mark.parametrize("m", [5, 6])
+@pytest.mark.parametrize("m", [5, 6, 7, 8])
 def test_walk_meets_closed_forms_beyond_dense_reach(m):
-    # N = 32 and 64, where the dense group DP's N * |G| letter actions made
-    # each call take seconds to minutes.
+    # N = 32 to 256, where the dense group DP's N * |G| letter actions made
+    # each call take seconds to hours.  walk_cost's bound refuses the larger
+    # ones under the default budget, so each call gets its own bound.
     mod = Modulus(1 << m)
     n = mod.n
-    plain = dp_vector_sequence(11, mod)
-    with_unit = dp_vector_sequence(11, mod, {2: UNIT})
+    plain = dp_vector_sequence(11, mod, budget=walk_cost(11, mod))
+    with_unit = dp_vector_sequence(11, mod, {2: UNIT}, budget=walk_cost(11, mod, {2: UNIT}))
     for k in range(12):
         assert plain[k].total() == n ** k
         assert with_unit[k].total() == (n ** (k - 1) * (n // 2) if k >= 2 else n ** k)
@@ -147,6 +154,15 @@ def test_walk_meets_closed_forms_beyond_dense_reach(m):
             assert got == int(delta_value(size, m, name)), (size, name)
 
 
+@pytest.mark.parametrize("q", [31, 97])
+def test_walk_meets_u_count_over_larger_primes(q):
+    mod = Modulus(q)
+    seq = dp_vector_sequence(9, mod)
+    for size in range(5, 10):
+        assert seq[size].at(identity(mod)) == int(u_count(size, q, 1)), size
+        assert seq[size].at(neg_identity(mod)) == int(u_count(size, q, -1)), size
+
+
 def test_constraint_errors_match_the_oracle():
     for cons, message in (({4: UNIT}, "constraint position 4 outside 1..3"),
                           ([(1, UNIT), (1, NONUNIT)], "duplicate constraint for position 1")):
@@ -160,7 +176,8 @@ def test_constraint_errors_match_the_oracle():
 CONSTRAINT_CASES = [None, {2: UNIT}, {2: NONUNIT}, {2: fixed(1)}, {1: fixed(1)}]
 
 
-@pytest.mark.parametrize("n,max_size", [(3, 10), (4, 10), (8, 6)])
+# 18 and 30 give letter counts t(k) with several hit multiplicities.
+@pytest.mark.parametrize("n,max_size", [(3, 10), (4, 10), (8, 6), (18, 5), (30, 4)])
 def test_dp_matches_oracle(n, max_size):
     mod = Modulus(n)
     for size in range(2, max_size + 1):
@@ -207,7 +224,7 @@ def test_fixed_minus_one_transfers_to_smaller_size():
 
 def test_budget_bounds_the_predicted_cost():
     mod12 = Modulus(12)
-    # |SL2(Z/12Z)| = 1,152: graph build plus three free letters.
+    # |SL2(Z/12Z)| = 1,152: the leading 1 plus three free letters.
     assert walk_cost(3, mod12) == 1152 * 4
     # A unit or non-unit position counts N letters, a fixed one a single letter.
     assert walk_cost(3, mod12, {1: NONUNIT, 2: UNIT, 3: fixed(5)}) == 1152 * (1 + 12 + 12 + 1)

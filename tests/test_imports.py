@@ -48,3 +48,18 @@ def test_oracle_shares_nothing_with_the_dp_or_the_formulas():
               if name in ("quiddity.counter", "quiddity.formulas", "quiddity.crt",
                           "quiddity.maps", "quiddity.cli")}
     assert not shared
+
+
+def test_dp_takes_only_constraint_handling_from_the_oracle():
+    # The DP reads letters, constraints and the budget through the oracle,
+    # never the whole module, so it cannot reach the oracle's walkers.
+    taken = set()
+    for node in ast.walk(ast.parse((PACKAGE / "counter.py").read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = {alias.name for alias in node.names}
+            if getattr(node, "module", None) in ("oracle", "quiddity.oracle"):
+                taken |= names
+            else:
+                assert not names & {"oracle", "quiddity.oracle"}
+    assert taken <= {"ANY", "SetSpec", "allowed_values", "default_budget",
+                     "normalize_constraints"}, sorted(taken)
