@@ -83,29 +83,13 @@ def _emit(report: dict):
 # count
 
 
-def _formula_route(spec: SetSpec, target_name: str):
-    """A pure-formula value for this configuration, or None."""
-    two_adic = spec.modulus.two_adic
-    try:
-        if not spec.constraints and target_name in ("id", "neg-id"):
-            sign = 1 if target_name == "id" else -1
-            return crt.assemble_count(spec.size, crt.split(spec.modulus.n), sign, method="formula")
-        if (spec.constraints == ((2, UNIT),) and two_adic is not None
-                and target_name in TARGET_NAMES):
-            return formulas.delta_value(spec.size, two_adic, target_name)
-    except ValueError:  # formulas.UnsupportedCase, or a modulus crt.split refuses
-        pass
-    return None
-
-
 def cmd_count(args) -> int:
     modulus = Modulus(args.modulus)
     target, target_name = _parse_target(args.target, modulus)
     constraints, constraint_text = _parse_constraint(args.constraint)
     spec = SetSpec(args.size, target, constraints)
     started = time.perf_counter()
-    count, method = crt.route_count(spec, args.method, lambda: _formula_route(spec, target_name),
-                                    "no formula covers this configuration", args.budget)
+    count, method = crt.route_count(spec, args.method, args.budget)
     _emit({
         "modulus": args.modulus,
         "size": args.size,

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from . import counter, formulas, oracle
 from .maps import ProductSet, SpecSet, TupleMap
 from .modring import Modulus, Residue, prime_divisors
-from .oracle import SetSpec
-from .sl2 import identity, neg_identity
+from .oracle import SetSpec, UNIT
+from .sl2 import identity, neg_identity, target_name
 
 
 class NonSquarefreeOddPart(ValueError):
@@ -55,7 +55,11 @@ def split(n: int) -> Factorization:
     return Factorization(m if m else None, tuple(primes))
 
 
-def _two_part_formula(size: int, m: int, sign: int):
+def _piece_formula(size: int, piece: int, sign: int):
+    """The closed form for one coprime piece (2^m or an odd prime), or None."""
+    if piece % 2:
+        return formulas.u_count(size, piece, sign) if size > 4 else None
+    m = piece.bit_length() - 1
     if size % 2 and size >= 5:
         return formulas.w_odd_2m((size - 1) // 2, m, sign)
     if size == 4:
@@ -65,34 +69,53 @@ def _two_part_formula(size: int, m: int, sign: int):
     return None
 
 
+def closed_form(spec: SetSpec) -> formulas.FormulaValue | None:
+    """The closed form that counts ``spec``, or None when none does.
+
+    An unconstrained +-Id spec over a modulus that split accepts takes the
+    product of its piece formulas, a unit second entry at a named target
+    over Z/2^mZ delta_value.  The target is read from its matrix.
+    """
+    name, m = target_name(spec.target), spec.modulus.two_adic
+    if spec.constraints == ((2, UNIT),) and m is not None and name is not None:
+        return formulas.delta_value(spec.size, m, name)
+    if spec.constraints or name not in ("id", "neg-id"):
+        return None
+    try:
+        pieces = split(spec.modulus.n).piece_moduli()
+    except ValueError:
+        return None
+    sign = 1 if name == "id" else -1
+    values = [_piece_formula(spec.size, piece, sign) for piece in pieces]
+    if any(value is None for value in values):
+        return None
+    return formulas.crt_count(spec.size, zip(pieces, values), sign)
+
+
 def two_part_count(size: int, m: int, sign: int, method: str = "auto",
                    budget: int | None = None) -> tuple[int, str]:
     """Count for the 2^m piece, with the source that produced it."""
-    return route_count(_piece_spec(size, Modulus(1 << m), sign), method,
-                       lambda: _two_part_formula(size, m, sign),
-                       f"no closed form for size {size} over Z/2^{m}Z per sign", budget)
+    return route_count(_piece_spec(size, Modulus(1 << m), sign), method, budget)
 
 
 def prime_count(size: int, p: int, sign: int, method: str = "auto",
                 budget: int | None = None) -> tuple[int, str]:
     """Count for an odd prime-field piece, with the source used."""
-    return route_count(_piece_spec(size, Modulus(p), sign), method,
-                       lambda: formulas.u_count(size, p, sign) if size > 4 else None,
-                       f"no prime-field closed form for size {size}", budget)
+    return route_count(_piece_spec(size, Modulus(p), sign), method, budget)
 
 
-def route_count(spec: SetSpec, method: str, formula, refusal: str,
-                budget: int | None = None) -> tuple[int, str]:
+def route_count(spec: SetSpec, method: str, budget: int | None = None) -> tuple[int, str]:
     """(count, source) from the source ``method`` allows.  auto and formula
-    take ``formula()`` unless it is None (formula then refuses with
-    ``refusal``); dp runs the DP or raises CapExceeded; brute, and auto when
-    the DP's predicted cost exceeds the budget, ask the oracle."""
+    take closed_form(spec) unless it is None (formula then refuses); dp runs
+    the DP or raises CapExceeded; brute, and auto when the DP's predicted
+    cost exceeds the budget, ask the oracle."""
     if method in ("auto", "formula"):
-        value = formula()
+        value = closed_form(spec)
         if value is not None:
             return int(value), "formula"
         if method == "formula":
-            raise formulas.UnsupportedCase(refusal)
+            raise formulas.UnsupportedCase(
+                f"no formula for size {spec.size} over Z/{spec.modulus.n}Z")
     budget = oracle.default_budget() if budget is None else budget
     if method == "dp" or method == "auto" and counter.walk_cost(
             spec.size, spec.modulus, spec.constraints) <= budget:

@@ -17,13 +17,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 from .modring import Modulus, NotAUnit, Residue, nonunits_of, units_of
 from .oracle import NONUNIT, SetSpec, UNIT, fixed, psi, psi_domain, solutions
-from .sl2 import (Mat2, TARGET_NAMES, continuant_product, identity, neg_identity,
-                  target_by_name)
+from .sl2 import Mat2, continuant_product, identity, neg_identity, target_name
 
 
 class DomainViolation(ValueError):
@@ -225,29 +223,15 @@ def fiber_unshift_map(triple: tuple, x: Residue) -> tuple:
 # enumerable sets and the reciprocity harness
 
 
-@lru_cache(maxsize=64)
-def _target_names(n: int) -> dict[int, str]:
-    """Matrix key -> name for the six named targets mod n."""
-    mod = Modulus(n)
-    return {target_by_name(name, mod).key(): name for name in TARGET_NAMES}
-
-
 def _target_label(target: Mat2) -> str:
-    key = target.key()
-    return _target_names(target.modulus.n).get(key, f"key{key}")
+    return target_name(target) or f"key{target.key()}"
 
 
 class SpecSet:
     """An enumerable tuple set described by a SetSpec."""
 
-    def __init__(self, spec: SetSpec, label: str | None = None):
+    def __init__(self, spec: SetSpec):
         self.spec = spec
-        cons = ",".join(f"a{p}:{c.kind}{'' if c.value is None else '=' + str(c.value)}"
-                        for p, c in spec.constraints)
-        self.label = label or (
-            f"set(n={spec.size}, N={spec.modulus.n}, target={_target_label(spec.target)}"
-            + (f", {cons}" if cons else "") + ")"
-        )
         self._members = None
 
     def members(self, budget=None) -> tuple:
@@ -276,7 +260,6 @@ class FiberSet:
     def __init__(self, modulus: Modulus, x: Residue, buckets: dict | None = None):
         self.modulus = modulus
         self.x = x
-        self.label = f"psi-fiber(N={modulus.n}, x={x.value})"
         self._buckets = {} if buckets is None else buckets
         self._members = None
 
@@ -298,7 +281,6 @@ class ProductSet:
 
     def __init__(self, components):
         self.components = tuple(components)
-        self.label = " x ".join(c.label for c in self.components)
         self._members = None
 
     def members(self, budget=None) -> tuple:

@@ -64,6 +64,14 @@ class BudgetExceeded(RuntimeError):
         self.budget = budget
 
 
+def _admit(required: int, budget: int | None):
+    """Raise BudgetExceeded unless ``required`` candidates fit the budget
+    (default_budget() when None)."""
+    budget = default_budget() if budget is None else budget
+    if required > budget:
+        raise BudgetExceeded(required, budget)
+
+
 @dataclass(frozen=True)
 class Constraint:
     kind: str  # "any" | "unit" | "nonunit" | "fixed"
@@ -275,10 +283,7 @@ def solutions(spec: SetSpec, budget: int | None = None):
     Positions are filled 1..n with values ascending, so the stream is
     reproducible run to run.
     """
-    budget = default_budget() if budget is None else budget
-    required = spec.naive_candidates()
-    if required > budget:
-        raise BudgetExceeded(required, budget)
+    _admit(spec.naive_candidates(), budget)
     mod = spec.modulus
     for letters in _solve(spec):
         yield mod.residues(letters)
@@ -391,13 +396,10 @@ def count(spec: SetSpec, method: str = "auto", budget: int | None = None,
     the prefix and the suffix it walks, which leaves out a free junction
     letter).
     """
-    budget = default_budget() if budget is None else budget
     if method == "auto":
         method = "mitm" if (spec.size >= 2 and spec.free_positions() >= 6) else "naive"
     if method == "naive":
-        required = spec.naive_candidates()
-        if required > budget:
-            raise BudgetExceeded(required, budget)
+        _admit(spec.naive_candidates(), budget)
         return _count_naive(spec)
     if method == "mitm":
         if spec.size < 2:
@@ -407,9 +409,7 @@ def count(spec: SetSpec, method: str = "auto", budget: int | None = None,
             raise ValueError(f"split {k} outside 1..{spec.size - 1}")
         sizes = spec.position_counts()
         walked = sizes[k + 1:] if _free_junction(spec, k) else sizes[k:]
-        required = math.prod(sizes[:k]) + math.prod(walked)
-        if required > budget:
-            raise BudgetExceeded(required, budget)
+        _admit(math.prod(sizes[:k]) + math.prod(walked), budget)
         return _count_mitm(spec, k)
     raise ValueError(f"unknown method {method!r}")
 
@@ -421,11 +421,8 @@ def product_histogram(size: int, modulus: Modulus, constraints=None,
     Independent full-distribution oracle: summing the histogram recovers
     the number of candidates, and each bucket equals count() on that target.
     """
-    budget = default_budget() if budget is None else budget
     probe = SetSpec(size, Mat2(1, 0, 0, 1, modulus), constraints)
-    required = probe.naive_candidates()
-    if required > budget:
-        raise BudgetExceeded(required, budget)
+    _admit(probe.naive_candidates(), budget)
     buckets = _half_products(probe.position_values(), modulus.n)
     return {Mat2.from_key(key, modulus): times for key, times in buckets.items()}
 

@@ -8,6 +8,8 @@ the brute-force enumerator and the dynamic program.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .modring import Modulus, Residue, prime_divisors
 
 
@@ -109,6 +111,18 @@ def target_by_name(name: str, modulus: Modulus) -> Mat2:
     if name.startswith("neg-") and name[4:] in base:
         return -base[name[4:]](modulus)
     raise ValueError(f"unknown target name {name!r}; expected one of {TARGET_NAMES}")
+
+
+@lru_cache(maxsize=64)
+def _named_keys(n: int) -> dict[int, str]:
+    modulus = Modulus(n)
+    return {target_by_name(name, modulus).key(): name for name in TARGET_NAMES}
+
+
+def target_name(mat: Mat2) -> str | None:
+    """The name in TARGET_NAMES of ``mat`` (mod 2, where pairs coincide, the
+    later one), or None when it has none."""
+    return _named_keys(mat.modulus.n).get(mat.key())
 
 
 def elementary(a, modulus: Modulus | None = None) -> Mat2:

@@ -98,6 +98,17 @@ def test_count_formula_unavailable_is_a_config_error(capsys):
                            "--target", "id", "--method", "formula")
     assert code == 2
     assert "formula" in err
+    assert "size 6 over Z/8Z" in err
+
+
+@pytest.mark.parametrize("spelled,name", [("1,0,0,1", "id"), ("7,0,0,7", "neg-id")])
+def test_count_routes_on_the_target_matrix_not_its_spelling(capsys, spelled, name):
+    by_name = run_json(capsys, "count", "--modulus", "8", "--size", "7", "--target", name)
+    spelled_out = run_json(capsys, "count", "--modulus", "8", "--size", "7",
+                           "--target", spelled)
+    assert spelled_out["target"] == spelled
+    assert (spelled_out["method"], spelled_out["count"]) == ("formula", by_name["count"])
+    assert by_name["method"] == "formula"
 
 
 def test_count_budget_exhaustion(capsys, monkeypatch):

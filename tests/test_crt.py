@@ -5,6 +5,7 @@ from quiddity.crt import (
     Factorization,
     NonSquarefreeOddPart,
     assemble_count,
+    closed_form,
     crt_split_bijection,
     piece_counts,
     split,
@@ -12,8 +13,8 @@ from quiddity.crt import (
 from quiddity.formulas import UnsupportedCase
 from quiddity.maps import verify_reciprocal
 from quiddity.modring import Modulus
-from quiddity.oracle import BudgetExceeded, SetSpec
-from quiddity.sl2 import identity, neg_identity
+from quiddity.oracle import NONUNIT, UNIT, BudgetExceeded, SetSpec, fixed
+from quiddity.sl2 import TARGET_NAMES, Mat2, identity, neg_identity, target_by_name
 
 
 def test_split_examples():
@@ -126,6 +127,49 @@ def test_odd_only_modulus_assembles_too():
         for sign, target in ((1, identity(mod15)), (-1, neg_identity(mod15))):
             assert int(assemble_count(size, split(15), sign)) == dp_count(
                 SetSpec(size, target))
+
+
+# Sizes 3..9 that closed_form answers at +-Id: a 2^m piece needs size 4 or
+# an odd size >= 5 (any even size >= 4 when m = 2), a prime piece size >= 5.
+CLOSED_FORM_SIZES = {
+    4: {4, 5, 6, 7, 8, 9}, 8: {4, 5, 7, 9}, 16: {4, 5, 7, 9},
+    12: {5, 6, 7, 8, 9}, 20: {5, 6, 7, 8, 9}, 24: {5, 7, 9}, 40: {5, 7, 9},
+    5: {5, 6, 7, 8, 9}, 7: {5, 6, 7, 8, 9},
+}
+
+
+@pytest.mark.parametrize("n", sorted(CLOSED_FORM_SIZES))
+def test_closed_form_equals_the_dp_at_plus_minus_id(n):
+    mod = Modulus(n)
+    covered = set()
+    for size in range(3, 10):
+        for target in (identity(mod), neg_identity(mod)):
+            spec = SetSpec(size, target)
+            value = closed_form(spec)
+            if value is not None:
+                covered.add(size)
+                assert value == dp_count(spec), (size, target)
+    assert covered == CLOSED_FORM_SIZES[n]
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_closed_form_equals_the_dp_with_a_unit_second_entry(n):
+    mod = Modulus(n)
+    for size in range(3, 10):
+        for name in TARGET_NAMES:
+            spec = SetSpec(size, target_by_name(name, mod), {2: UNIT})
+            assert closed_form(spec) == dp_count(spec), (size, name)
+
+
+def test_closed_form_refusals():
+    mod8, mod24 = Modulus(8), Modulus(24)
+    assert closed_form(SetSpec(7, identity(Modulus(18)))) is None  # split refuses 18
+    assert closed_form(SetSpec(6, identity(mod24))) is None  # no per-sign 8-piece form
+    assert closed_form(SetSpec(7, target_by_name("s", mod8))) is None
+    assert closed_form(SetSpec(7, Mat2(2, 1, 1, 1, mod8), {2: UNIT})) is None
+    assert closed_form(SetSpec(7, identity(mod24), {2: UNIT})) is None  # not a 2-power
+    for constraints in ({2: NONUNIT}, {3: UNIT}, {2: fixed(1)}, {2: UNIT, 3: UNIT}):
+        assert closed_form(SetSpec(7, identity(mod8), constraints)) is None, constraints
 
 
 def test_two_part_only_assembly_is_the_plain_count():

@@ -63,3 +63,18 @@ def test_dp_takes_only_constraint_handling_from_the_oracle():
                 assert not names & {"oracle", "quiddity.oracle"}
     assert taken <= {"ANY", "SetSpec", "allowed_values", "default_budget",
                      "normalize_constraints"}, sorted(taken)
+
+
+@pytest.mark.parametrize("path", [path for path in SOURCES if path.name != "__init__.py"],
+                         ids=lambda path: path.name)
+def test_every_imported_name_is_used(path):
+    # __init__.py imports to re-export, so it is left out.
+    tree = ast.parse(path.read_text(), str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported <= used, f"{path.name} never uses {sorted(imported - used)}"

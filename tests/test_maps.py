@@ -326,7 +326,6 @@ class ListSet:
     def __init__(self, members, also_accepts=()):
         self._members = tuple(members)
         self._accepts = set(self._members) | set(also_accepts)
-        self.label = f"list{self._members}"
 
     def members(self, budget=None):
         return self._members

@@ -16,6 +16,7 @@ from quiddity.sl2 import (
     s_mat,
     t_mat,
     target_by_name,
+    target_name,
 )
 
 
@@ -96,6 +97,11 @@ def test_named_targets():
     assert target_by_name("t", mod8) == t_mat(mod8)
     with pytest.raises(ValueError):
         target_by_name("q", mod8)
+    # the name is read from the matrix, not from how it was built
+    for name in TARGET_NAMES:
+        assert target_name(target_by_name(name, mod8)) == name
+    assert target_name(Mat2(7, 0, 0, 7, mod8)) == "neg-id"
+    assert target_name(Mat2(2, 1, 1, 1, mod8)) is None
 
 
 def test_matrix_inverse():
