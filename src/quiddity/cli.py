@@ -4,6 +4,10 @@ tables, CRT assembly, and the verification suites.
 Counts are always serialized as decimal strings; they outgrow 53-bit
 floats well inside the supported parameter range.  Output is
 deterministic for a fixed command line except for the elapsed_ms field.
+
+Every call runs in a fresh interpreter and pays for the modules it
+imports, so the bijection harness (``maps``) is imported only inside the
+suites that run it.
 """
 
 from __future__ import annotations
@@ -13,9 +17,9 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from . import counter, crt, formulas, maps, oracle
+from . import counter, crt, formulas, oracle
 from .modring import Modulus, NotAUnit
 from .oracle import NONUNIT, SetSpec, UNIT, fixed
 from .sl2 import Mat2, TARGET_NAMES, target_by_name
@@ -205,8 +209,7 @@ def cmd_table(args) -> int:
 # verification suites
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
@@ -216,6 +219,8 @@ def _suite_bijections(moduli: list[int], max_size: int | None,
                       budget: int | None) -> list[Check]:
     if max_size is not None and max_size < 3:
         raise ValueError(f"--max-size must be >= 3 (the smallest shipped map), got {max_size}")
+    from . import maps
+
     default_depth = {4: 8, 8: 6}
     checks = []
     for n in moduli:
@@ -284,6 +289,8 @@ def _suite_bounds(ms: list[int], sizes: list[int] | None,
 
 
 def _suite_crt(sizes: list[int], budget: int | None) -> list[Check]:
+    from . import maps
+
     checks = []
     mod12 = Modulus(12)
     fact = crt.split(12)

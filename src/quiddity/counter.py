@@ -133,8 +133,12 @@ def walk_cost(size: int, modulus: Modulus, constraints=None) -> int:
 
 
 def dp_vector_sequence(size: int, modulus: Modulus, constraints=None,
-                       budget: int | None = None) -> list[CountVector]:
-    """Vectors after 0, 1, ..., size steps (one DP pass, snapshots kept)."""
+                       budget: int | None = None, *, last_only: bool = False
+                       ) -> list[CountVector]:
+    """Vectors after 0, 1, ..., size steps (one DP pass, snapshots kept).
+
+    With last_only, the list holds just the vector after size steps, and
+    each earlier one is dropped as soon as the next is made."""
     n = modulus.n
     cons = normalize_constraints(constraints, size, modulus)
     budget = default_budget() if budget is None else budget
@@ -152,12 +156,15 @@ def dp_vector_sequence(size: int, modulus: Modulus, constraints=None,
         else:
             heads, cols, pairs = _heads(pairs), [0] * (n * n), None
             cols[n] = 1  # the column e1 = (1, 0), before any later letter
+        if last_only:
+            snapshots.pop()
         snapshots.append(CountVector(modulus, pairs, heads, cols))
     return snapshots
 
 
 def dp_vector(size: int, modulus: Modulus, constraints=None, budget=None) -> CountVector:
-    return dp_vector_sequence(size, modulus, constraints, budget)[-1]
+    """The vector after size steps; no earlier snapshot is kept."""
+    return dp_vector_sequence(size, modulus, constraints, budget, last_only=True)[-1]
 
 
 def dp_count(spec: SetSpec, budget: int | None = None) -> int:

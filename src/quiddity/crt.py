@@ -11,10 +11,9 @@ harness-verified, not just assumed at count level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import counter, formulas, oracle
-from .maps import ProductSet, SpecSet, TupleMap
 from .modring import Modulus, Residue, prime_divisors
 from .oracle import SetSpec, UNIT
 from .sl2 import identity, neg_identity, target_name
@@ -24,8 +23,7 @@ class NonSquarefreeOddPart(ValueError):
     """The odd part of the modulus has a repeated prime factor."""
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """N = 2^two_exponent * product of distinct odd primes (ascending)."""
 
     two_exponent: int | None
@@ -155,6 +153,9 @@ def assemble_count(size: int, fact: Factorization, sign, method: str = "auto",
 def crt_split_bijection(size: int, n: int, sign: int) -> TupleMap:
     """Componentwise residue splitting from Z/NZ tuples to tuples of
     per-piece tuples, with CRT reconstruction as the inverse."""
+    # Imported here so that counting never loads the bijection harness.
+    from .maps import ProductSet, SpecSet, TupleMap
+
     fact = split(n)
     pieces = fact.piece_moduli()
     if len(pieces) < 2:

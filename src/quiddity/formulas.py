@@ -10,7 +10,6 @@ hard InexactResult, never a rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .modring import prime_divisors
@@ -50,13 +49,19 @@ def sign_name(sign: int) -> str:
     return "+" if sign == PLUS else "-"
 
 
-@dataclass(frozen=True, eq=False)
 class FormulaValue:
-    """An exact integer tagged with the formula that produced it."""
+    """An exact integer tagged with the formula that produced it.
 
-    value: int
-    formula_id: str
-    params: tuple = field(default=())
+    Not a tuple: arithmetic on it must go through int(), never build a
+    sequence.
+    """
+
+    __slots__ = ("value", "formula_id", "params")
+
+    def __init__(self, value: int, formula_id: str, params: tuple = ()):
+        self.value = value
+        self.formula_id = formula_id
+        self.params = params
 
     def __int__(self):
         return self.value
@@ -226,9 +231,12 @@ def delta_base(n: int, m: int, target: str = "id") -> FormulaValue:
 def delta_value(n: int, m: int, target: str = "id") -> FormulaValue:
     """delta_base, delta_closed_form, or the enumerated size-2 value 0."""
     if n == 2:
+        if m < 2:
+            raise UnsupportedCase("need m >= 2")
         # A 2-letter product is [[a1*a2 - 1, -a2], [a1, -1]]; the fixed -1
         # rules out every named target except -Id (needs a2 = 0, not a
-        # unit) and -T (exactly (0, 1)).  Backed by enumeration for all m.
+        # unit) and -T (exactly (0, 1)).  Backed by enumeration for m >= 2;
+        # over Z/2Z, -T is T and the count at T is 1.
         value = 1 if target == "neg-t" else 0
         return FormulaValue(value, "delta_value", (("n", 2), ("m", m), ("target", target)))
     if n in (3, 4):

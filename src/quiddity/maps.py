@@ -16,8 +16,7 @@ sets and computes all psi fibers in one psi pass.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .modring import Modulus, NotAUnit, Residue, nonunits_of, units_of
 from .oracle import NONUNIT, SetSpec, UNIT, fixed, psi, psi_domain, solutions
@@ -293,8 +292,7 @@ class ProductSet:
                 and all(c.contains(part) for c, part in zip(self.components, t)))
 
 
-@dataclass
-class TupleMap:
+class TupleMap(NamedTuple):
     name: str
     domain: object
     codomain: object
@@ -302,8 +300,7 @@ class TupleMap:
     backward: Callable
 
 
-@dataclass
-class ReciprocityReport:
+class ReciprocityReport(NamedTuple):
     map_name: str
     ok: bool
     domain_size: int

@@ -30,10 +30,10 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from operator import add
+from typing import NamedTuple
 
 from .modring import Modulus, Residue, NotAUnit, totient
 from .sl2 import Mat2, continuant_product
@@ -72,8 +72,7 @@ def _admit(required: int, budget: int | None):
         raise BudgetExceeded(required, budget)
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     kind: str  # "any" | "unit" | "nonunit" | "fixed"
     value: int | None = None
 

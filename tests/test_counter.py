@@ -128,6 +128,31 @@ def test_a_constrained_letter_after_free_ones_keeps_to_columns():
         assert peak < peak_bound, (size, n)
 
 
+def test_dp_vector_keeps_only_its_last_snapshot():
+    # Ten kept column lists of N^2 = 16,384 slots took about 1.3 MB of the
+    # 1.38 MB peak that keeping every snapshot reached here.  Without them
+    # the step's old and new column lists are what is left.
+    mod = Modulus(128)
+    dp_vector(2, mod)  # warm the lru caches outside the measurement
+    tracemalloc.start()
+    try:
+        vec = dp_vector(10, mod)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vec.total() == 128 ** 10
+    assert peak < 500_000
+
+
+@pytest.mark.parametrize("cons", [None, {1: UNIT}, {1: fixed(3), 2: NONUNIT, 5: UNIT}])
+def test_last_only_walk_ends_where_the_full_walk_does(cons):
+    full = dp_vector_sequence(6, MOD8, cons)
+    (last,) = dp_vector_sequence(6, MOD8, cons, last_only=True)
+    targets = [target_by_name(name, MOD8) for name in TARGET_NAMES]
+    assert [last.at(t) for t in targets] == [full[-1].at(t) for t in targets]
+    assert last.total() == full[-1].total()
+
+
 @pytest.mark.parametrize("m", [5, 6, 7, 8])
 def test_walk_meets_closed_forms_beyond_dense_reach(m):
     # N = 32 to 256, where the dense group DP's N * |G| letter actions made

@@ -160,6 +160,15 @@ def test_delta_value_size_two_is_enumerated():
     assert delta_value(2, 3, "id") == 0
 
 
+def test_delta_value_refuses_m_below_two_at_every_size():
+    # Over Z/2Z, -T is T, and the size-2 count at T is 1, not the 0 that
+    # holds for m >= 2; no delta formula covers m = 1.
+    assert count(SetSpec(2, target_by_name("t", Modulus(2)), {2: UNIT})) == 1
+    for size in (2, 3, 4, 5):
+        with pytest.raises(UnsupportedCase):
+            delta_value(size, 1, "t")
+
+
 def test_delta_recursion_steps():
     assert delta_recursion(48, 4, 3) == 320
     assert delta_recursion(0, 0, 5) == 0

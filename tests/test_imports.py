@@ -43,6 +43,13 @@ def test_runtime_imports_are_standard_library(path):
     assert not outside, f"{path.name} imports {sorted(outside)}"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_module_imports_dataclasses(path):
+    # dataclasses pulls in inspect, ast, dis and tokenize, which every CLI
+    # call would pay for at start-up; records are NamedTuples instead.
+    assert "dataclasses" not in imported_modules(path)
+
+
 def test_oracle_shares_nothing_with_the_dp_or_the_formulas():
     shared = {name for name in imported_modules(PACKAGE / "oracle.py")
               if name in ("quiddity.counter", "quiddity.formulas", "quiddity.crt",
@@ -65,10 +72,8 @@ def test_dp_takes_only_constraint_handling_from_the_oracle():
                      "normalize_constraints"}, sorted(taken)
 
 
-@pytest.mark.parametrize("path", [path for path in SOURCES if path.name != "__init__.py"],
-                         ids=lambda path: path.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_every_imported_name_is_used(path):
-    # __init__.py imports to re-export, so it is left out.
     tree = ast.parse(path.read_text(), str(path))
     imported = set()
     for node in ast.walk(tree):

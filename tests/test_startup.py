@@ -1,0 +1,72 @@
+"""What a fresh interpreter loads for ``import quiddity`` and for each kind
+of CLI request.
+
+Every CLI call starts a new interpreter, so a module a command never runs
+still costs its import on every call.  Each check runs in its own
+subprocess and compares sys.modules before and after.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import quiddity
+
+SRC = str(Path(quiddity.__file__).resolve().parents[1])
+
+# Run in the child: import quiddity, optionally run one CLI request with
+# its output captured, and report the modules that appeared meanwhile.
+PROBE = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+import quiddity
+argv = json.loads(sys.argv[1])
+code, out = None, io.StringIO()
+if argv:
+    from quiddity import cli
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+print(json.dumps({"code": code, "out": out.getvalue(),
+                  "loaded": sorted(set(sys.modules) - before)}))
+"""
+
+HEAVY = {"dataclasses", "inspect", "quiddity.maps"}
+
+
+def probe(*argv) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argv)],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
+def test_import_quiddity_loads_no_submodule():
+    loaded = probe()["loaded"]
+    assert "quiddity" in loaded
+    assert not [name for name in loaded if name.startswith("quiddity.")]
+
+
+@pytest.mark.parametrize("argv, method", [
+    (("count", "--modulus", "8", "--size", "6", "--target", "s"), "dp"),
+    (("count", "--modulus", "8", "--size", "7", "--target", "id"), "formula"),
+])
+def test_a_count_loads_neither_the_harness_nor_dataclasses(argv, method):
+    report = probe(*argv)
+    assert report["code"] == 0
+    assert json.loads(report["out"])["method"] == method
+    assert "quiddity.counter" in report["loaded"]
+    assert not HEAVY & set(report["loaded"])
+
+
+def test_the_crt_suite_loads_the_harness_on_demand():
+    report = probe("verify", "--suite", "crt", "--sizes", "4,5")
+    assert report["code"] == 0
+    assert report["out"].count("PASS crt-split") == 4
+    assert report["out"].endswith("8/8 checks passed\n")
+    assert "quiddity.maps" in report["loaded"]
