@@ -6,8 +6,9 @@ floats well inside the supported parameter range.  Output is
 deterministic for a fixed command line except for the elapsed_ms field.
 
 Every call runs in a fresh interpreter and pays for the modules it
-imports, so the bijection harness (``maps``) is imported only inside the
-suites that run it.
+imports, so each command imports the counting modules (``counter``,
+``crt``, ``oracle``) it runs, and the bijection harness (``maps``) is
+imported only inside the suites that run it.
 """
 
 from __future__ import annotations
@@ -19,20 +20,20 @@ import sys
 import time
 from typing import NamedTuple
 
-from . import counter, crt, formulas, oracle
+from . import formulas
 from .modring import Modulus, NotAUnit
-from .oracle import NONUNIT, SetSpec, UNIT, fixed
 from .sl2 import Mat2, TARGET_NAMES, target_by_name
 
-USAGE_ERRORS = (
-    ValueError,
-    NotAUnit,
-    counter.CapExceeded,
-    oracle.BudgetExceeded,
-    formulas.UnsupportedCase,
-    formulas.NonSquarefree,
-    crt.NonSquarefreeOddPart,
-)
+
+def _usage_errors() -> tuple[type[Exception], ...]:
+    """The errors that report a bad request, which exits 2 with the message.
+
+    ValueError covers CapExceeded, UnsupportedCase, NonSquarefree and
+    NonSquarefreeOddPart.  BudgetExceeded is matched once the oracle is
+    loaded: a request that never imported it cannot have raised it.
+    """
+    oracle = sys.modules.get(f"{__package__}.oracle")
+    return (ValueError, NotAUnit) + ((oracle.BudgetExceeded,) if oracle else ())
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +66,8 @@ def _parse_target(text: str, modulus: Modulus) -> tuple[Mat2, str]:
 
 
 def _parse_constraint(text: str | None) -> tuple[dict, str]:
+    from .oracle import NONUNIT, UNIT, fixed
+
     if not text or text == "none":
         return {}, "none"
     m = re.fullmatch(r"a(\d+)-unit", text)
@@ -88,6 +91,9 @@ def _emit(report: dict):
 
 
 def cmd_count(args) -> int:
+    from . import crt
+    from .oracle import SetSpec
+
     modulus = Modulus(args.modulus)
     target, target_name = _parse_target(args.target, modulus)
     constraints, constraint_text = _parse_constraint(args.constraint)
@@ -155,9 +161,11 @@ ODD_W_PLUS_MODULI = (8, 16, 24, 32, 40)
 
 
 def _odd_w_plus_cell(size: int, n: int) -> int:
+    from . import crt, oracle
+
     if size == 3:
         modulus = Modulus(n)
-        spec = SetSpec(3, target_by_name("id", modulus))
+        spec = oracle.SetSpec(3, target_by_name("id", modulus))
         return oracle.count(spec, "mitm")
     return int(crt.assemble_count(size, crt.split(n), 1, method="formula"))
 
@@ -167,6 +175,8 @@ def _w8_cell(size: int) -> int:
         return int(formulas.w8_even(size // 2))
     if size >= 5 and size % 2 == 1:
         return 2 * int(formulas.w8_odd((size - 1) // 2, 1))
+    from . import counter
+
     mod8 = Modulus(8)
     vec = counter.dp_vector(size, mod8)
     return vec.at(target_by_name("id", mod8)) + vec.at(target_by_name("neg-id", mod8))
@@ -239,6 +249,9 @@ def _suite_recursion(ms: list[int], sizes: list[int], budget: int | None) -> lis
     sizes = [size for size in sizes if size >= 5]
     if not sizes:
         raise ValueError("recursion checks need a size >= 5")
+    from . import counter
+    from .oracle import UNIT
+
     checks = []
     top = max(sizes)
     for m in ms:
@@ -270,6 +283,8 @@ def _suite_recursion(ms: list[int], sizes: list[int], budget: int | None) -> lis
 
 def _suite_bounds(ms: list[int], sizes: list[int] | None,
                   budget: int | None) -> list[Check]:
+    from . import counter
+
     default_sizes = {2: [6, 8, 10], 3: [6, 8]}
     checks = []
     for m in ms:
@@ -289,7 +304,8 @@ def _suite_bounds(ms: list[int], sizes: list[int] | None,
 
 
 def _suite_crt(sizes: list[int], budget: int | None) -> list[Check]:
-    from . import maps
+    from . import counter, crt, maps
+    from .oracle import SetSpec
 
     checks = []
     mod12 = Modulus(12)
@@ -311,6 +327,8 @@ def _suite_crt(sizes: list[int], budget: int | None) -> list[Check]:
 
 def _suite_totality(moduli: list[int], sizes: list[int],
                     budget: int | None) -> list[Check]:
+    from . import counter, oracle
+
     checks = []
     for n in moduli:
         modulus = Modulus(n)
@@ -364,6 +382,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_crt(args) -> int:
+    from . import crt
+
     started = time.perf_counter()
     sign = formulas.normalize_sign(args.sign)
     fact = crt.split(args.modulus)
@@ -448,9 +468,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if getattr(args, "budget", None) is not None:  # count and verify
-            args.budget = oracle.parse_budget(args.budget, "--budget")
+            from .oracle import parse_budget
+
+            args.budget = parse_budget(args.budget, "--budget")
         return args.func(args)
-    except USAGE_ERRORS as err:
+    except _usage_errors() as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
 

@@ -31,7 +31,7 @@ import math
 import os
 from collections import Counter
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add
 from typing import NamedTuple
 
@@ -316,16 +316,25 @@ class _LetterRows(dict):
         return row
 
 
+def _leaf_keys(values, N, start, scales, lifts):
+    """Stream the packed key of every leaf of the walk from ``start``.
+
+    Each state's leaves come from adding its two coordinates' _LetterRows
+    lists; the states' streams are chained, so the caller consumes every
+    leaf in one C-level call (Counter, or sum over map) and no list of
+    leaves is built.
+    """
+    firsts = _LetterRows(values[-1], N, scales[0], lifts[0])
+    seconds = _LetterRows(values[-1], N, scales[1], lifts[1])
+    return chain.from_iterable(map(add, firsts[p * N + r], seconds[q * N + s])
+                               for p, q, r, s in _walk(values, N, *start))
+
+
 def _half_products(values, N):
     """Map packed product key -> number of tuples over the given positions."""
-    buckets = Counter()
     # cur is the top row, so the new cur leads the key and the old cur
     # becomes the bottom row: digits N^3, N^2 and N, 1.
-    firsts = _LetterRows(values[-1], N, N ** 3, N)
-    seconds = _LetterRows(values[-1], N, N * N, 1)
-    for p, q, r, s in _walk(values, N, 1, 0, 0, 1):
-        buckets.update(map(add, firsts[p * N + r], seconds[q * N + s]))
-    return buckets
+    return Counter(_leaf_keys(values, N, (1, 0, 0, 1), (N ** 3, N * N), (N, 1)))
 
 
 def _free_junction(spec: SetSpec, split: int) -> bool:
@@ -363,25 +372,22 @@ def _count_mitm(spec: SetSpec, split: int) -> int:
     # cur is the bottom row, so the new cur gets digits N, 1 and the old cur
     # leads the key as the new top row at the lifts N^3, N^2; with lifts 0
     # the key is the new bottom row alone, the top row after a free letter.
-    firsts = _LetterRows(suffix[-1], N, N, lifts[0])
-    seconds = _LetterRows(suffix[-1], N, 1, lifts[1])
-    zeros = repeat(0)
-    total = 0
-    for p, q, r, s in _walk(suffix, N, tc, td, ta, tb):
-        total += sum(map(get, map(add, firsts[p * N + r], seconds[q * N + s]), zeros))
-    return total
+    keys = _leaf_keys(suffix, N, (tc, td, ta, tb), (N, 1), lifts)
+    return sum(map(get, keys, repeat(0)))
+
+
+def _walked(spec: SetSpec, split: int, sizes: list[int]) -> int:
+    """Candidates the join at ``split`` walks: every prefix leaf, and every
+    suffix leaf but a free junction letter's."""
+    suffix = sizes[split + 1:] if _free_junction(spec, split) else sizes[split:]
+    return math.prod(sizes[:split]) + math.prod(suffix)
 
 
 def _choose_split(spec: SetSpec) -> int:
+    """The split that walks the fewest candidates; the shorter prefix on a
+    tie, since bucketing a leaf costs more than probing one."""
     sizes = spec.position_counts()
-    best, best_cost = 1, None
-    for k in range(1, spec.size):
-        left = math.prod(sizes[:k])
-        right = math.prod(sizes[k:])
-        cost = max(left, right)
-        if best_cost is None or cost < best_cost:
-            best, best_cost = k, cost
-    return best
+    return min(range(1, spec.size), key=lambda k: _walked(spec, k, sizes))
 
 
 def count(spec: SetSpec, method: str = "auto", budget: int | None = None,
@@ -393,7 +399,9 @@ def count(spec: SetSpec, method: str = "auto", budget: int | None = None,
     more positions are free.  All methods agree; the budget is an upper
     bound on the candidates the chosen method examines (the join counts
     the prefix and the suffix it walks, which leaves out a free junction
-    letter).
+    letter).  Unless ``split`` is given, the join splits where it walks
+    the fewest candidates, the same number the budget admits; a tie goes
+    to the shorter prefix.
     """
     if method == "auto":
         method = "mitm" if (spec.size >= 2 and spec.free_positions() >= 6) else "naive"
@@ -406,9 +414,7 @@ def count(spec: SetSpec, method: str = "auto", budget: int | None = None,
         k = _choose_split(spec) if split is None else split
         if not 1 <= k < spec.size:
             raise ValueError(f"split {k} outside 1..{spec.size - 1}")
-        sizes = spec.position_counts()
-        walked = sizes[k + 1:] if _free_junction(spec, k) else sizes[k:]
-        _admit(math.prod(sizes[:k]) + math.prod(walked), budget)
+        _admit(_walked(spec, k, spec.position_counts()), budget)
         return _count_mitm(spec, k)
     raise ValueError(f"unknown method {method!r}")
 

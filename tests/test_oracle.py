@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -322,10 +323,17 @@ def test_membership_cache_leaves_equality_alone():
     assert spec == fresh and hash(spec) == hash(fresh)
 
 
-def _split_from_values(spec):
-    """The first split minimizing the larger half, from listed values."""
+def _walked_from_values(spec, split):
+    """The candidates the join at ``split`` walks, from listed values: the
+    prefix, and the suffix without a junction letter that takes all N."""
     sizes = [len(values) for values in spec.position_values()]
-    costs = [max(math.prod(sizes[:k]), math.prod(sizes[k:])) for k in range(1, spec.size)]
+    free = sizes[split] == spec.modulus.n
+    return math.prod(sizes[:split]) + math.prod(sizes[split + free:])
+
+
+def _split_from_values(spec):
+    """The first split walking the fewest candidates, from listed values."""
+    costs = [_walked_from_values(spec, k) for k in range(1, spec.size)]
     return costs.index(min(costs)) + 1
 
 
@@ -340,6 +348,90 @@ def test_position_counts_match_the_listed_values():
                 spec = SetSpec(4, identity(mod), {pos: kind})
                 assert spec.position_counts() == [len(v) for v in spec.position_values()]
                 assert oracle._choose_split(spec) == _split_from_values(spec)
+
+
+# ---------------------------------------------------------------------------
+# where the join splits
+
+
+def _balanced_split(spec):
+    """The split of balanced halves: the first minimizing the larger one."""
+    sizes = spec.position_counts()
+    costs = [max(math.prod(sizes[:k]), math.prod(sizes[k:])) for k in range(1, spec.size)]
+    return costs.index(min(costs)) + 1
+
+
+def _junction_menus(size):
+    """Constraints that leave a junction free, unit, non-unit or fixed,
+    alone or beside a second constrained position."""
+    yield {}
+    for kind in (UNIT, NONUNIT, fixed(1)):
+        for pos in range(1, size + 1):
+            yield {pos: kind}
+            mirror = size + 1 - pos
+            if mirror != pos:
+                yield {pos: kind, mirror: UNIT}
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_the_split_walks_no_more_than_balanced_halves(n):
+    # The chosen split is never charged more than the balanced one, so no
+    # join admitted under the balanced rule is refused; the refusal names
+    # the walked count at the chosen split.
+    target = identity(Modulus(n))
+    for size in range(2, 11):
+        for constraints in _junction_menus(size):
+            spec = SetSpec(size, target, constraints)
+            k = oracle._choose_split(spec)
+            walked = _walked_from_values(spec, k)
+            assert k == _split_from_values(spec), (spec, k)
+            assert walked <= _walked_from_values(spec, _balanced_split(spec)), spec
+            with pytest.raises(BudgetExceeded) as err:
+                count(spec, "mitm", budget=walked - 1)
+            assert err.value.required == walked
+
+
+def _traced_peak(run):
+    """run() and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_unit_second_letter_moves_the_split_before_the_free_junction():
+    # Z/32Z, size 7, a2 a unit: balanced halves split after position 4 and
+    # walk 32*16*32*32 + 32*32 = 525,312 candidates; after position 3 the
+    # free letter 4 is not walked, which leaves 32*16*32 + 32**3 = 49,152.
+    mod = Modulus(32)
+    spec = SetSpec(7, identity(mod), {2: UNIT})
+    assert _balanced_split(spec) == 4 and oracle._choose_split(spec) == 3
+    with pytest.raises(BudgetExceeded) as err:
+        count(spec, "mitm", split=4, budget=49_152)
+    assert err.value.required == 525_312
+    with pytest.raises(BudgetExceeded,
+                       match="^enumeration needs 49152 candidates, budget is 49151$"):
+        count(spec, "mitm", budget=49_151)
+    # The smaller prefix also keeps fewer product keys: split 4 peaks at
+    # about 4.2 MB, split 3 at about 1.6 MB.
+    got, peak = _traced_peak(lambda: count(spec, "mitm", budget=49_152))
+    assert peak < 2_500_000, peak
+    # 720,896 is also the naive count, whose walk of 32*16*32**3 prefixes
+    # is too slow for the suite; here the join at the balanced split stands
+    # in for it, as every split matches the naive count in the grids below.
+    assert got == count(spec, "mitm", split=4) == 720_896
+
+
+def test_the_streamed_sides_hold_no_list_of_leaves():
+    # Z/8Z, size 12: the join buckets 8**5 prefix leaves and probes 8**6
+    # suffix leaves but keeps at most |SL2(Z/8Z)| = 384 product keys.  A
+    # list of the suffix's leaves alone would hold 2 MB of references.
+    spec = SetSpec(12, identity(MOD8))
+    assert oracle._choose_split(spec) == 5
+    got, peak = _traced_peak(lambda: count(spec, "mitm"))
+    assert peak < 256 * 1024, peak
+    assert got == count(spec, "mitm", split=6)
 
 
 # ---------------------------------------------------------------------------

@@ -19,18 +19,19 @@ import quiddity
 SRC = str(Path(quiddity.__file__).resolve().parents[1])
 
 # Run in the child: import quiddity, optionally run one CLI request with
-# its output captured, and report the modules that appeared meanwhile.
+# its output and errors captured, and report the modules that appeared
+# meanwhile.
 PROBE = """
 import contextlib, io, json, sys
 before = set(sys.modules)
 import quiddity
 argv = json.loads(sys.argv[1])
-code, out = None, io.StringIO()
+code, out, err = None, io.StringIO(), io.StringIO()
 if argv:
     from quiddity import cli
-    with contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-print(json.dumps({"code": code, "out": out.getvalue(),
+print(json.dumps({"code": code, "out": out.getvalue(), "err": err.getvalue(),
                   "loaded": sorted(set(sys.modules) - before)}))
 """
 
@@ -70,3 +71,27 @@ def test_the_crt_suite_loads_the_harness_on_demand():
     assert report["out"].count("PASS crt-split") == 4
     assert report["out"].endswith("8/8 checks passed\n")
     assert "quiddity.maps" in report["loaded"]
+
+
+COUNTING = {"quiddity.counter", "quiddity.crt", "quiddity.oracle"}
+
+
+def test_a_formula_loads_no_counting_module():
+    report = probe("formula", "--name", "w-odd-2m", "--n-half", "3", "--m", "3", "--sign", "+")
+    assert report["code"] == 0
+    assert json.loads(report["out"])["formula"] == "w-odd-2m"
+    assert "quiddity.formulas" in report["loaded"]
+    assert not COUNTING & set(report["loaded"])
+
+
+def test_usage_errors_exit_two_with_or_without_the_oracle_loaded():
+    # A formula's bad request never loads the oracle; a brute count past
+    # its budget raises the oracle's BudgetExceeded, which is no ValueError.
+    report = probe("formula", "--name", "u-count", "--n", "5")
+    assert (report["code"], report["err"]) == (2, "error: formula 'u-count' needs --q\n")
+    assert "quiddity.oracle" not in report["loaded"]
+    report = probe("count", "--modulus", "8", "--size", "6", "--method", "brute",
+                   "--budget", "10")
+    assert (report["code"], report["err"]) == (
+        2, "error: enumeration needs 576 candidates, budget is 10\n")
+    assert "quiddity.oracle" in report["loaded"]
