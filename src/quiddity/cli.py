@@ -28,9 +28,10 @@ from .sl2 import Mat2, TARGET_NAMES, target_by_name
 def _usage_errors() -> tuple[type[Exception], ...]:
     """The errors that report a bad request, which exits 2 with the message.
 
-    ValueError covers CapExceeded, UnsupportedCase, NonSquarefree and
-    NonSquarefreeOddPart.  BudgetExceeded is matched once the oracle is
-    loaded: a request that never imported it cannot have raised it.
+    ValueError covers CapExceeded, UnsupportedCase, NonSquarefree (pieces
+    that are not coprime) and a modulus too large to factor.  BudgetExceeded
+    is matched once the oracle is loaded: a request that never imported it
+    cannot have raised it.
     """
     oracle = sys.modules.get(f"{__package__}.oracle")
     return (ValueError, NotAUnit) + ((oracle.BudgetExceeded,) if oracle else ())

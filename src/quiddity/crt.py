@@ -1,10 +1,10 @@
 """Chinese-remainder assembly of counts across coprime modulus pieces.
 
-A composite modulus N = 2^m * p_1 * ... * p_r (distinct odd primes) splits
-a solution count into a product of per-piece counts.  Pieces come from
-closed formulas where those apply, falling back to the DP or the brute
-oracle for the handful of small sizes the formulas exclude.  The
-underlying componentwise tuple bijection ships as a TupleMap so it can be
+Every modulus N = 2^m * p_1^k_1 * ... * p_r^k_r (distinct odd primes)
+splits a solution count into a product of per-piece counts, one for each
+prime power.  Pieces come from closed formulas where those apply, falling
+back to the DP or the brute oracle everywhere else.  The underlying
+componentwise tuple bijection ships as a TupleMap so it can be
 harness-verified, not just assumed at count level.
 """
 
@@ -20,49 +20,58 @@ from .sl2 import identity, neg_identity, target_name
 
 
 class NonSquarefreeOddPart(ValueError):
-    """The odd part of the modulus has a repeated prime factor."""
+    """Once raised by split for a repeated odd prime; split now accepts
+    every modulus >= 2 and no longer raises it."""
 
 
 class Factorization(NamedTuple):
-    """N = 2^two_exponent * product of distinct odd primes (ascending)."""
+    """N = 2^two_exponent * product of p^k over the distinct odd primes p
+    (ascending), with k read from odd_exponents; () means every k is 1."""
 
     two_exponent: int | None
     odd_primes: tuple[int, ...]
+    odd_exponents: tuple[int, ...] = ()
+
+    def prime_powers(self) -> list[tuple[int, int]]:
+        """(p, k) for every coprime piece p^k, the 2-power first."""
+        powers = [] if self.two_exponent is None else [(2, self.two_exponent)]
+        exponents = self.odd_exponents or (1,) * len(self.odd_primes)
+        return powers + list(zip(self.odd_primes, exponents))
 
     def modulus_value(self) -> int:
-        value = 1 if self.two_exponent is None else 1 << self.two_exponent
-        return value * math.prod(self.odd_primes)
+        return math.prod(self.piece_moduli())
 
     def piece_moduli(self) -> tuple[int, ...]:
-        pieces = () if self.two_exponent is None else (1 << self.two_exponent,)
-        return pieces + self.odd_primes
+        return tuple(p ** k for p, k in self.prime_powers())
 
 
 def split(n: int) -> Factorization:
-    """Factor N as 2^m times a squarefree odd part."""
+    """Factor N >= 2 into its 2-power part and its odd prime powers."""
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
     m = (n & -n).bit_length() - 1
-    if m == 1:
-        raise ValueError(f"modulus {n} has 2-adic part 2^1; need 2^m with m >= 2 or odd")
-    rest = n >> m
-    primes = prime_divisors(rest)
-    for p in primes:
-        if rest % (p * p) == 0:
-            raise NonSquarefreeOddPart(f"odd part of {n} is divisible by {p}^2")
-    return Factorization(m if m else None, tuple(primes))
+    primes = prime_divisors(n >> m)
+    exponents = [1] * len(primes)
+    for i, p in enumerate(primes):
+        while n % p ** (exponents[i] + 1) == 0:
+            exponents[i] += 1
+    repeated = tuple(exponents) if max(exponents, default=1) > 1 else ()
+    return Factorization(m or None, tuple(primes), repeated)
 
 
-def _piece_formula(size: int, piece: int, sign: int):
-    """The closed form for one coprime piece (2^m or an odd prime), or None."""
-    if piece % 2:
-        return formulas.u_count(size, piece, sign) if size > 4 else None
-    m = piece.bit_length() - 1
+def _piece_formula(size: int, p: int, k: int, sign: int):
+    """The closed form for the piece Z/p^kZ, or None.  u_count counts over
+    a field, which Z/p^kZ is not for k >= 2 (at size 7 and +Id, F_9 has
+    6643 solutions and Z/9Z 7371); the 2-power forms need m = k >= 2."""
+    if p > 2:
+        return formulas.u_count(size, p, sign) if k == 1 and size > 4 else None
+    if k == 1:
+        return None
     if size % 2 and size >= 5:
-        return formulas.w_odd_2m((size - 1) // 2, m, sign)
+        return formulas.w_odd_2m((size - 1) // 2, k, sign)
     if size == 4:
-        return formulas.w4_2m(m, sign)
-    if size % 2 == 0 and size >= 6 and m == 2:
+        return formulas.w4_2m(k, sign)
+    if size % 2 == 0 and size >= 6 and k == 2:
         return formulas.w4_ring4(size, sign)
     return None
 
@@ -70,24 +79,22 @@ def _piece_formula(size: int, piece: int, sign: int):
 def closed_form(spec: SetSpec) -> formulas.FormulaValue | None:
     """The closed form that counts ``spec``, or None when none does.
 
-    An unconstrained +-Id spec over a modulus that split accepts takes the
-    product of its piece formulas, a unit second entry at a named target
-    over Z/2^mZ delta_value.  The target is read from its matrix.
+    An unconstrained +-Id spec takes the product of its piece formulas when
+    every piece has one, a unit second entry at a named target over
+    Z/2^mZ delta_value.  The target is read from its matrix.  A modulus
+    too large to factor raises split's ValueError.
     """
     name, m = target_name(spec.target), spec.modulus.two_adic
     if spec.constraints == ((2, UNIT),) and m is not None and name is not None:
         return formulas.delta_value(spec.size, m, name)
     if spec.constraints or name not in ("id", "neg-id"):
         return None
-    try:
-        pieces = split(spec.modulus.n).piece_moduli()
-    except ValueError:
-        return None
+    fact = split(spec.modulus.n)
     sign = 1 if name == "id" else -1
-    values = [_piece_formula(spec.size, piece, sign) for piece in pieces]
+    values = [_piece_formula(spec.size, p, k, sign) for p, k in fact.prime_powers()]
     if any(value is None for value in values):
         return None
-    return formulas.crt_count(spec.size, zip(pieces, values), sign)
+    return formulas.crt_count(spec.size, zip(fact.piece_moduli(), values), sign)
 
 
 def two_part_count(size: int, m: int, sign: int, method: str = "auto",
@@ -96,10 +103,10 @@ def two_part_count(size: int, m: int, sign: int, method: str = "auto",
     return route_count(_piece_spec(size, Modulus(1 << m), sign), method, budget)
 
 
-def prime_count(size: int, p: int, sign: int, method: str = "auto",
+def prime_count(size: int, q: int, sign: int, method: str = "auto",
                 budget: int | None = None) -> tuple[int, str]:
-    """Count for an odd prime-field piece, with the source used."""
-    return route_count(_piece_spec(size, Modulus(p), sign), method, budget)
+    """Count for an odd prime-power piece Z/qZ, with the source used."""
+    return route_count(_piece_spec(size, Modulus(q), sign), method, budget)
 
 
 def route_count(spec: SetSpec, method: str, budget: int | None = None) -> tuple[int, str]:
@@ -133,12 +140,12 @@ def piece_counts(size: int, fact: Factorization, sign: int, method: str = "auto"
     """(piece modulus, count, source) for every coprime piece."""
     sign = formulas.normalize_sign(sign)
     out = []
-    if fact.two_exponent is not None:
-        value, source = two_part_count(size, fact.two_exponent, sign, method, budget)
-        out.append((1 << fact.two_exponent, value, source))
-    for p in fact.odd_primes:
-        value, source = prime_count(size, p, sign, method, budget)
-        out.append((p, value, source))
+    for p, k in fact.prime_powers():
+        if p == 2:
+            value, source = two_part_count(size, k, sign, method, budget)
+        else:
+            value, source = prime_count(size, p ** k, sign, method, budget)
+        out.append((p ** k, value, source))
     return out
 
 

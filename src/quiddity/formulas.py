@@ -10,6 +10,7 @@ hard InexactResult, never a rounding.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .modring import prime_divisors
@@ -28,7 +29,8 @@ class UnsupportedCase(ValueError):
 
 
 class NonSquarefree(ValueError):
-    """A prime repeats where distinct primes are required."""
+    """crt_count's modulus pieces share a prime; crt.split, which yields
+    coprime prime powers for every modulus, no longer raises it."""
 
 
 PLUS = 1
@@ -305,37 +307,18 @@ def w8_odd(n_half: int, sign) -> FormulaValue:
     return FormulaValue(_exact(value, "w8_odd", (n,)), "w8_odd", params)
 
 
-def _odd_prime_factors(pieces) -> list[int]:
-    primes = []
-    for modulus_piece, _ in pieces:
-        if modulus_piece % 2:
-            primes.append(modulus_piece)
-    return primes
-
-
 def crt_count(n: int, pieces, sign) -> FormulaValue:
     """Product of per-piece counts across coprime modulus pieces.
 
-    ``pieces`` is a sequence of (piece modulus, count) with at most one
-    2-power piece and pairwise-distinct odd prime pieces.
+    ``pieces`` is a sequence of (piece modulus, count) whose moduli are
+    pairwise coprime, any prime powers or products of them.
     """
     sign = normalize_sign(sign)
     pieces = [(int(mod_piece), int(cnt)) for mod_piece, cnt in pieces]
-    odd = _odd_prime_factors(pieces)
-    if len(set(odd)) != len(odd):
-        raise NonSquarefree(f"repeated odd prime in {sorted(odd)}")
-    for p in odd:
-        if _prime_of(p) != p:
-            raise NonSquarefree(f"odd piece {p} is not prime")
-    evens = [mp for mp, _ in pieces if mp % 2 == 0]
-    if len(evens) > 1:
-        raise NonSquarefree("more than one even modulus piece")
-    for mp in evens:
-        if mp & (mp - 1) or mp < 4:
-            raise NonSquarefree(f"even piece {mp} is not a 2-power >= 4")
-    value = 1
-    for _, cnt in pieces:
-        value *= cnt
+    moduli = [mod_piece for mod_piece, _ in pieces]
+    if math.lcm(*moduli) != math.prod(moduli):
+        raise NonSquarefree(f"modulus pieces {moduli} are not pairwise coprime")
+    value = math.prod(cnt for _, cnt in pieces)
     params = (("n", n), ("pieces", tuple(pieces)), ("sign", sign_name(sign)))
     return FormulaValue(value, "crt_count", params)
 

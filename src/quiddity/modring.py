@@ -151,18 +151,56 @@ class Residue:
         return f"Residue({self.value}, mod={self.modulus.n})"
 
 
+# Trial division stops at this divisor, about 60 ms of it.  A modulus
+# below its square, which covers every N a DP or oracle walk reaches, is
+# factored by the full loop.
+_TRIAL_LIMIT = 1 << 18
+# Miller-Rabin with the first thirteen primes as bases decides primality
+# exactly below this bound (Sorenson and Webster, 2015).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_EXACT_BELOW = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for odd n above the largest base and
+    below _MILLER_RABIN_EXACT_BELOW."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def prime_divisors(n: int) -> list[int]:
-    """The distinct primes dividing n >= 1, ascending, by trial division."""
-    primes = []
+    """The distinct primes dividing n >= 1, ascending.
+
+    Trial division runs to _TRIAL_LIMIT.  A cofactor it leaves has no
+    smaller prime factor, so it is prime below the limit's square; above
+    that it must pass the exact Miller-Rabin test, or ValueError names n.
+    """
+    primes, rest = [], n
     p = 2
-    while p * p <= n:
-        if n % p == 0:
+    while p * p <= rest and p < _TRIAL_LIMIT:
+        if rest % p == 0:
             primes.append(p)
-            while n % p == 0:
-                n //= p
+            while rest % p == 0:
+                rest //= p
         p += 1
-    if n > 1:
-        primes.append(n)
+    if rest >= _TRIAL_LIMIT ** 2 and not (
+            rest < _MILLER_RABIN_EXACT_BELOW and _is_prime(rest)):
+        raise ValueError(f"cannot factor {n}: its cofactor {rest} has no prime "
+                         f"factor below {_TRIAL_LIMIT} and is not a provable prime")
+    if rest > 1:
+        primes.append(rest)
     return primes
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -352,8 +353,58 @@ def test_crt_subcommand(capsys):
 
 
 def test_crt_rejects_non_squarefree(capsys):
-    code, _, err = run_cli(capsys, "crt", "--modulus", "36", "--size", "5")
-    assert code == 2
+    # Z/36Z was once refused for its odd part 9 = 3^2; it now splits into
+    # Z/4Z and Z/9Z, and the DP counts the prime-square piece.
+    code, out, _ = run_cli(capsys, "crt", "--modulus", "36", "--size", "5")
+    assert code == 0
+    report = json.loads(out)
+    assert report["factorization"] == {"two_exponent": 2, "odd_primes": [3]}
+    assert report["pieces"] == [{"modulus": 4, "count": "20", "source": "formula"},
+                                {"modulus": 9, "count": "90", "source": "dp"}]
+    assert report["count"] == "1800"
+
+
+def test_a_prime_square_piece_keeps_the_plus_id_count_on_the_dp(capsys):
+    # u_count over F_9 is not the count over Z/9Z, so no formula answers.
+    code, out, _ = run_cli(capsys, "count", "--modulus", "36", "--size", "7", "--target", "id")
+    assert code == 0
+    assert json.loads(out)["method"] == "dp"
+
+
+HUGE_PRIME = 10 ** 18 + 3
+HUGE_SEMIPRIME = (10 ** 9 + 7) * (10 ** 9 + 9)
+
+
+# Each request once ran past 10 s in unbounded trial division.  The prime
+# is proved by Miller-Rabin; the semiprime's factors both lie beyond trial
+# division, so it is refused with a message that names it.
+@pytest.mark.parametrize("argv, error", [
+    (f"count --modulus {HUGE_PRIME} --size 5 --target id", None),
+    (f"count --modulus {HUGE_PRIME} --size 2 --target s --method dp", "the DP needs"),
+    (f"crt --modulus {HUGE_PRIME} --size 5", None),
+    (f"formula --name u-count --n 5 --q {HUGE_PRIME} --sign -", None),
+    (f"count --modulus {HUGE_SEMIPRIME} --size 5 --target id", f"cannot factor {HUGE_SEMIPRIME}"),
+    (f"crt --modulus {HUGE_SEMIPRIME} --size 5", f"cannot factor {HUGE_SEMIPRIME}"),
+    (f"count --modulus {HUGE_SEMIPRIME} --size 2 --target s --method dp",
+     f"cannot factor {HUGE_SEMIPRIME}"),
+])
+def test_huge_moduli_answer_or_refuse_quickly(capsys, argv, error):
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv.split())
+    assert time.perf_counter() - started < 2
+    if error is None:
+        assert code == 0 and out, err
+    else:
+        assert code == 2 and err.startswith(f"error: {error}"), err
+
+
+def test_a_huge_prime_modulus_answers_by_formula(capsys):
+    code, out, _ = run_cli(capsys, "count", "--modulus", str(HUGE_PRIME), "--size", "5")
+    assert code == 0
+    report = json.loads(out)
+    assert report["method"] == "formula"
+    q = HUGE_PRIME
+    assert report["count"] == str(1 + q * q)  # gauss_bracket(2, q^2)
 
 
 def test_module_entry_point_runs():

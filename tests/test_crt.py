@@ -1,5 +1,6 @@
 import pytest
 
+from quiddity import formulas
 from quiddity.counter import CapExceeded, dp_count, dp_vector, dp_vector_sequence
 from quiddity.crt import (
     Factorization,
@@ -12,7 +13,7 @@ from quiddity.crt import (
 )
 from quiddity.formulas import UnsupportedCase
 from quiddity.maps import verify_reciprocal
-from quiddity.modring import Modulus
+from quiddity.modring import Modulus, prime_divisors
 from quiddity.oracle import NONUNIT, UNIT, BudgetExceeded, SetSpec, fixed
 from quiddity.sl2 import TARGET_NAMES, Mat2, identity, neg_identity, target_by_name
 
@@ -27,19 +28,21 @@ def test_split_examples():
 
 
 def test_split_reconstructs_the_modulus():
-    for n in (8, 12, 15, 24, 40, 120, 840):
+    for n in (6, 8, 12, 15, 18, 24, 36, 40, 45, 120, 840, 2250):
         assert split(n).modulus_value() == n
 
 
 def test_split_rejections():
-    with pytest.raises(NonSquarefreeOddPart):
-        split(36)  # odd part 9 = 3^2
-    with pytest.raises(NonSquarefreeOddPart):
-        split(45)
-    with pytest.raises(ValueError):
-        split(6)  # 2-adic part 2^1 is not covered
+    # Only N < 2 is refused: a 2^1 part and repeated odd primes split too,
+    # and a squarefree split still equals its two-field form.
     with pytest.raises(ValueError):
         split(1)
+    assert split(6) == Factorization(1, (3,))
+    assert split(18) == Factorization(1, (3,), (2,))
+    assert split(36) == Factorization(2, (3,), (2,))
+    assert split(45) == Factorization(None, (3, 5), (2, 1))
+    assert split(2250).piece_moduli() == (2, 9, 125)
+    assert issubclass(NonSquarefreeOddPart, ValueError)  # kept importable
 
 
 def test_assemble_reference_values():
@@ -163,13 +166,54 @@ def test_closed_form_equals_the_dp_with_a_unit_second_entry(n):
 
 def test_closed_form_refusals():
     mod8, mod24 = Modulus(8), Modulus(24)
-    assert closed_form(SetSpec(7, identity(Modulus(18)))) is None  # split refuses 18
+    assert closed_form(SetSpec(7, identity(Modulus(18)))) is None  # Z/2Z, Z/9Z have none
     assert closed_form(SetSpec(6, identity(mod24))) is None  # no per-sign 8-piece form
     assert closed_form(SetSpec(7, target_by_name("s", mod8))) is None
     assert closed_form(SetSpec(7, Mat2(2, 1, 1, 1, mod8), {2: UNIT})) is None
     assert closed_form(SetSpec(7, identity(mod24), {2: UNIT})) is None  # not a 2-power
     for constraints in ({2: NONUNIT}, {3: UNIT}, {2: fixed(1)}, {2: UNIT, 3: UNIT}):
         assert closed_form(SetSpec(7, identity(mod8), constraints)) is None, constraints
+
+
+def _has_a_piece_without_formula(n):
+    return any(k >= 2 if p > 2 else k == 1 for p, k in split(n).prime_powers())
+
+
+def test_no_closed_form_for_a_two_or_a_prime_power_piece(monkeypatch):
+    # u_count counts over the field F_q; applied to Z/9Z it would give
+    # u_count(7, 9, +) = 6643, where Z/9Z has 7371 solutions.
+    fields = []
+    real_u_count = formulas.u_count
+
+    def u_count(n, q, sign):
+        fields.append(q)
+        return real_u_count(n, q, sign)
+
+    monkeypatch.setattr(formulas, "u_count", u_count)
+    for n in filter(_has_a_piece_without_formula, range(2, 201)):
+        mod = Modulus(n)
+        for size in range(1, 13):
+            for target in (identity(mod), neg_identity(mod)):
+                assert closed_form(SetSpec(size, target)) is None, (n, size)
+    assert fields and all(prime_divisors(q) == [q] for q in fields)
+
+
+REACH_MODULI = (2, 6, 9, 18, 27, 36, 50, 54, 100, 108)
+
+
+@pytest.mark.parametrize("n", REACH_MODULI)
+def test_assemble_matches_the_dp_with_two_and_prime_power_pieces(n):
+    mod, fact = Modulus(n), split(n)
+    seq = dp_vector_sequence(8, mod)
+    for size in range(1, 9):
+        assert int(assemble_count(size, fact, 1)) == seq[size].at(identity(mod))
+        assert int(assemble_count(size, fact, -1)) == seq[size].at(neg_identity(mod))
+
+
+def test_reach_reference_values():
+    assert [(mp, cnt) for mp, cnt, _ in piece_counts(7, split(18), 1)] == [(2, 21), (9, 7371)]
+    assert int(assemble_count(7, split(18), 1)) == 154791
+    assert int(assemble_count(7, split(108), 1)) == 200609136
 
 
 def test_two_part_only_assembly_is_the_plain_count():
@@ -181,6 +225,15 @@ def test_two_part_only_assembly_is_the_plain_count():
 def test_componentwise_split_is_a_bijection(size, sign):
     report = verify_reciprocal(crt_split_bijection(size, 12, sign))
     assert report.ok, report.describe()
+
+
+@pytest.mark.parametrize("n", [18, 50])
+@pytest.mark.parametrize("size", [4, 5])
+def test_componentwise_split_over_z2_and_a_prime_square_is_a_bijection(n, size):
+    # Admission charges all 50^5 tuples over Z/50Z; the walk visits far fewer.
+    for sign in (1, -1):
+        report = verify_reciprocal(crt_split_bijection(size, n, sign), budget=1 << 30)
+        assert report.ok, report.describe()
 
 
 def test_split_bijection_needs_two_pieces():

@@ -235,14 +235,15 @@ def test_crt_count_products():
 
 
 def test_crt_count_rejects_bad_pieces():
+    # Pieces must be pairwise coprime; prime powers and a lone composite
+    # piece are fine.
     with pytest.raises(NonSquarefree):
         crt_count(5, [(3, 10), (3, 10)], 1)
     with pytest.raises(NonSquarefree):
-        crt_count(5, [(9, 10)], 1)
-    with pytest.raises(NonSquarefree):
         crt_count(5, [(8, 80), (4, 20)], 1)
-    with pytest.raises(NonSquarefree):
-        crt_count(5, [(6, 1)], 1)
+    assert crt_count(5, [(9, 90)], 1) == 90
+    assert crt_count(5, [(6, 5)], 1) == 5
+    assert crt_count(5, [(4, 20), (9, 90)], 1) == 1800
 
 
 def test_zero_pair_count_matches_enumeration():

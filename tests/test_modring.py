@@ -4,7 +4,10 @@ import pickle
 import pytest
 
 from helpers import euler_phi
-from quiddity.modring import Modulus, NotAUnit, Residue, nonunits_of, totient, units_of
+from quiddity import modring
+from quiddity.modring import (
+    Modulus, NotAUnit, Residue, nonunits_of, prime_divisors, totient, units_of,
+)
 
 
 @pytest.mark.parametrize("n,expected", [
@@ -145,3 +148,36 @@ def test_copies_and_pickles_are_equal():
 def test_totient_counts_the_units():
     for n in range(2, 200):
         assert totient(n) == euler_phi(n) == len(units_of(Modulus(n)))
+
+
+def _is_prime_by_division(n):
+    return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_prime_divisors_match_trial_division():
+    for n in range(1, 3000):
+        assert prime_divisors(n) == [p for p in range(2, n + 1)
+                                     if n % p == 0 and _is_prime_by_division(p)], n
+
+
+def test_miller_rabin_decides_primes_and_strong_pseudoprimes():
+    for n in range(43, 20000, 2):
+        assert modring._is_prime(n) == _is_prime_by_division(n), n
+    # Strong pseudoprimes to the bases 2..23 and 2..37 (Sorenson and Webster).
+    assert not modring._is_prime(3825123056546413051)
+    assert not modring._is_prime(318665857834031151167461)
+    # The first one to all thirteen bases is where the test stops being exact.
+    assert modring._is_prime(modring._MILLER_RABIN_EXACT_BELOW)
+
+
+def test_prime_divisors_beyond_trial_division():
+    limit = modring._TRIAL_LIMIT
+    assert prime_divisors(10 ** 18 + 3) == [10 ** 18 + 3]
+    assert prime_divisors(2 ** 40 * 3 ** 5 * (10 ** 18 + 3)) == [2, 3, 10 ** 18 + 3]
+    assert prime_divisors(262139 * 262147) == [262139, 262147]  # one factor below the limit
+    assert 262139 < limit < 262147
+    for n in ((10 ** 9 + 7) * (10 ** 9 + 9), 262147 ** 2,
+              modring._MILLER_RABIN_EXACT_BELOW,  # = 1287836182261 * 2575672364521
+              (10 ** 30 + 57) * 3):
+        with pytest.raises(ValueError, match=f"^cannot factor {n}:"):
+            prime_divisors(n)
