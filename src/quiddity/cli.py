@@ -25,18 +25,6 @@ from .modring import Modulus, NotAUnit
 from .sl2 import Mat2, TARGET_NAMES, target_by_name
 
 
-def _usage_errors() -> tuple[type[Exception], ...]:
-    """The errors that report a bad request, which exits 2 with the message.
-
-    ValueError covers CapExceeded, UnsupportedCase, NonSquarefree (pieces
-    that are not coprime) and a modulus too large to factor.  BudgetExceeded
-    is matched once the oracle is loaded: a request that never imported it
-    cannot have raised it.
-    """
-    oracle = sys.modules.get(f"{__package__}.oracle")
-    return (ValueError, NotAUnit) + ((oracle.BudgetExceeded,) if oracle else ())
-
-
 # ---------------------------------------------------------------------------
 # parsing helpers
 
@@ -473,7 +461,10 @@ def main(argv=None) -> int:
 
             args.budget = parse_budget(args.budget, "--budget")
         return args.func(args)
-    except _usage_errors() as err:
+    except (ValueError, NotAUnit) as err:
+        # A bad request exits 2 with its message.  ValueError covers
+        # CapExceeded, UnsupportedCase, NonSquarefree (pieces that are not
+        # coprime), BudgetExceeded and a modulus too large to factor.
         sys.stderr.write(f"error: {err}\n")
         return 2
 

@@ -14,7 +14,7 @@ import math
 from typing import NamedTuple
 
 from . import counter, formulas, oracle
-from .modring import Modulus, Residue, prime_divisors
+from .modring import Modulus, Residue, factorize
 from .oracle import SetSpec, UNIT
 from .sl2 import identity, neg_identity, target_name
 
@@ -46,17 +46,13 @@ class Factorization(NamedTuple):
 
 
 def split(n: int) -> Factorization:
-    """Factor N >= 2 into its 2-power part and its odd prime powers."""
+    """N >= 2 as modring.factorize finds it: its 2-power and odd prime powers."""
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
-    m = (n & -n).bit_length() - 1
-    primes = prime_divisors(n >> m)
-    exponents = [1] * len(primes)
-    for i, p in enumerate(primes):
-        while n % p ** (exponents[i] + 1) == 0:
-            exponents[i] += 1
-    repeated = tuple(exponents) if max(exponents, default=1) > 1 else ()
-    return Factorization(m or None, tuple(primes), repeated)
+    powers = dict(factorize(n))
+    m = powers.pop(2, None)
+    repeated = tuple(powers.values()) if max(powers.values(), default=1) > 1 else ()
+    return Factorization(m, tuple(powers), repeated)
 
 
 def _piece_formula(size: int, p: int, k: int, sign: int):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .modring import prime_divisors
+from .modring import factorize
 
 
 class InexactResult(ArithmeticError):
@@ -120,10 +120,10 @@ def gauss_binom2(m: int, k: int) -> int:
 
 def _prime_of(q: int) -> int:
     """The prime p with q = p^e, or raise for non prime powers."""
-    primes = prime_divisors(q)
-    if len(primes) != 1:
+    pairs = factorize(q)
+    if len(pairs) != 1:
         raise ValueError(f"{q} is not a prime power")
-    return primes[0]
+    return pairs[0][0]
 
 
 def u_count(n: int, q: int, sign) -> FormulaValue:

@@ -9,10 +9,15 @@ first use, and both the constructor and arithmetic hand back that
 instance.  Equality and hashing stay by value, so residues of two equal
 Modulus objects are equal; tuples of residues from one pool compare
 element by identity, without calling ``__eq__``.
+
+N is factored in this module alone: factorize caches its prime powers,
+which the CRT split, the totient, |SL2(Z/NZ)| and the closed forms read,
+so one request factors each modulus once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 
@@ -159,6 +164,11 @@ _TRIAL_LIMIT = 1 << 18
 # exactly below this bound (Sorenson and Webster, 2015).
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MILLER_RABIN_EXACT_BELOW = 3317044064679887385961981
+# Pollard's rho splits a composite cofactor left above _TRIAL_LIMIT ** 2.
+# Its walks are capped so that a cofactor it cannot split, one whose prime
+# factors all lie far beyond 2^32, is refused in well under a second.
+_RHO_SEEDS = 3
+_RHO_STEPS = 1 << 16
 
 
 def _is_prime(n: int) -> bool:
@@ -180,35 +190,67 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def prime_divisors(n: int) -> list[int]:
-    """The distinct primes dividing n >= 1, ascending.
+@functools.lru_cache(maxsize=64)
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """(p, k) for each prime power p^k that exactly divides n >= 1, p
+    ascending.  Cached, so one request factors each modulus once.
 
     Trial division runs to _TRIAL_LIMIT.  A cofactor it leaves has no
     smaller prime factor, so it is prime below the limit's square; above
-    that it must pass the exact Miller-Rabin test, or ValueError names n.
+    that it is proved prime by the exact Miller-Rabin test or split by
+    Pollard's rho, and ValueError names n if a part is neither.
     """
-    primes, rest = [], n
+    pairs, rest = [], n
     p = 2
     while p * p <= rest and p < _TRIAL_LIMIT:
         if rest % p == 0:
-            primes.append(p)
+            k = 0
             while rest % p == 0:
-                rest //= p
+                rest, k = rest // p, k + 1
+            pairs.append((p, k))
         p += 1
-    if rest >= _TRIAL_LIMIT ** 2 and not (
-            rest < _MILLER_RABIN_EXACT_BELOW and _is_prime(rest)):
-        raise ValueError(f"cannot factor {n}: its cofactor {rest} has no prime "
+    large = _large_primes(n, rest) if rest > 1 else []
+    return tuple(pairs + [(q, large.count(q)) for q in sorted(set(large))])
+
+
+def _large_primes(n: int, part: int) -> list[int]:
+    """The primes, with multiplicity, of a part > 1 of n that trial
+    division left.
+
+    Such a part has no prime factor below _TRIAL_LIMIT, or is below the
+    square of the last divisor tried, so below _TRIAL_LIMIT ** 2 it is
+    prime.  A larger part must pass the exact Miller-Rabin test or be
+    split by Pollard's rho, else ValueError names n.
+    """
+    if part < _TRIAL_LIMIT ** 2 or (part < _MILLER_RABIN_EXACT_BELOW and _is_prime(part)):
+        return [part]
+    d = _rho(part) if part < _MILLER_RABIN_EXACT_BELOW else None
+    if d is None:
+        raise ValueError(f"cannot factor {n}: its cofactor {part} has no prime "
                          f"factor below {_TRIAL_LIMIT} and is not a provable prime")
-    if rest > 1:
-        primes.append(rest)
-    return primes
+    return _large_primes(n, d) + _large_primes(n, part // d)
+
+
+def _rho(n: int) -> int | None:
+    """A proper divisor of the odd composite n by Pollard's rho, or None
+    when _RHO_SEEDS walks of _RHO_STEPS Floyd steps each find none."""
+    for c in range(1, _RHO_SEEDS + 1):
+        x = y = 2
+        for _ in range(_RHO_STEPS):
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = math.gcd(x - y, n)
+            if d != 1:
+                break
+        if 1 < d < n:
+            return d
+    return None
 
 
 def totient(n: int) -> int:
     """Euler's phi: the number of units of Z/nZ."""
-    for p in prime_divisors(n):
-        n = n // p * (p - 1)
-    return n
+    return math.prod(p ** (k - 1) * (p - 1) for p, k in factorize(n))
 
 
 def units_of(modulus: Modulus) -> list[Residue]:

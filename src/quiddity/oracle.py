@@ -57,7 +57,10 @@ def parse_budget(text: str, source: str) -> int:
     return budget
 
 
-class BudgetExceeded(RuntimeError):
+class BudgetExceeded(RuntimeError, ValueError):
+    """A walk needs more candidates than the budget allows; a ValueError
+    too, so that the CLI reports it as a bad request."""
+
     def __init__(self, required: int, budget: int):
         super().__init__(f"enumeration needs {required} candidates, budget is {budget}")
         self.required = required

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .modring import Modulus, Residue, prime_divisors
+from .modring import Modulus, Residue, factorize
 
 
 class Mat2:
@@ -161,6 +161,6 @@ def continuant_product(values, modulus: Modulus | None = None) -> Mat2:
 def group_order(n: int) -> int:
     """|SL2(Z/NZ)| = N^3 * prod over primes p | N of (1 - p^-2), exactly."""
     order = n ** 3
-    for p in prime_divisors(n):
+    for p, _ in factorize(n):
         order = order // (p * p) * (p * p - 1)
     return order

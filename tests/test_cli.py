@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import quiddity
-from quiddity import formulas
+from quiddity import formulas, modring
 from quiddity.cli import main, table_text
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -377,16 +377,15 @@ HUGE_SEMIPRIME = (10 ** 9 + 7) * (10 ** 9 + 9)
 
 # Each request once ran past 10 s in unbounded trial division.  The prime
 # is proved by Miller-Rabin; the semiprime's factors both lie beyond trial
-# division, so it is refused with a message that names it.
+# division, so Pollard's rho splits it.
 @pytest.mark.parametrize("argv, error", [
     (f"count --modulus {HUGE_PRIME} --size 5 --target id", None),
     (f"count --modulus {HUGE_PRIME} --size 2 --target s --method dp", "the DP needs"),
     (f"crt --modulus {HUGE_PRIME} --size 5", None),
     (f"formula --name u-count --n 5 --q {HUGE_PRIME} --sign -", None),
-    (f"count --modulus {HUGE_SEMIPRIME} --size 5 --target id", f"cannot factor {HUGE_SEMIPRIME}"),
-    (f"crt --modulus {HUGE_SEMIPRIME} --size 5", f"cannot factor {HUGE_SEMIPRIME}"),
-    (f"count --modulus {HUGE_SEMIPRIME} --size 2 --target s --method dp",
-     f"cannot factor {HUGE_SEMIPRIME}"),
+    (f"count --modulus {HUGE_SEMIPRIME} --size 5 --target id", None),
+    (f"crt --modulus {HUGE_SEMIPRIME} --size 5", None),
+    (f"count --modulus {HUGE_SEMIPRIME} --size 2 --target s --method dp", "the DP needs"),
 ])
 def test_huge_moduli_answer_or_refuse_quickly(capsys, argv, error):
     started = time.perf_counter()
@@ -405,6 +404,23 @@ def test_a_huge_prime_modulus_answers_by_formula(capsys):
     assert report["method"] == "formula"
     q = HUGE_PRIME
     assert report["count"] == str(1 + q * q)  # gauss_bracket(2, q^2)
+
+
+def test_a_semiprime_beyond_trial_division_answers_by_formula(capsys):
+    # 68722098197 = 262147 * 262151: trial division to 2^18 finds neither.
+    report = run_json(capsys, "count", "--modulus", "68722098197", "--size", "5",
+                      "--target", "id")
+    assert report["method"] == "formula"
+    assert report["count"] == "4722726780735554847220"  # (1 + 262147^2)(1 + 262151^2)
+
+
+def test_a_crt_request_factors_its_modulus_once(capsys):
+    # The split, the piece's closed form and u_count's prime check all read
+    # the one cached factorization.
+    modring.factorize.cache_clear()
+    assert main(["crt", "--modulus", str(HUGE_PRIME), "--size", "5"]) == 0
+    capsys.readouterr()
+    assert modring.factorize.cache_info().misses == 1
 
 
 def test_module_entry_point_runs():

@@ -13,7 +13,7 @@ from quiddity.crt import (
 )
 from quiddity.formulas import UnsupportedCase
 from quiddity.maps import verify_reciprocal
-from quiddity.modring import Modulus, prime_divisors
+from quiddity.modring import Modulus, factorize
 from quiddity.oracle import NONUNIT, UNIT, BudgetExceeded, SetSpec, fixed
 from quiddity.sl2 import TARGET_NAMES, Mat2, identity, neg_identity, target_by_name
 
@@ -195,7 +195,7 @@ def test_no_closed_form_for_a_two_or_a_prime_power_piece(monkeypatch):
         for size in range(1, 13):
             for target in (identity(mod), neg_identity(mod)):
                 assert closed_form(SetSpec(size, target)) is None, (n, size)
-    assert fields and all(prime_divisors(q) == [q] for q in fields)
+    assert fields and all(factorize(q) == ((q, 1),) for q in fields)
 
 
 REACH_MODULI = (2, 6, 9, 18, 27, 36, 50, 54, 100, 108)

@@ -1,12 +1,14 @@
 import copy
+import math
 import pickle
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import euler_phi
 from quiddity import modring
 from quiddity.modring import (
-    Modulus, NotAUnit, Residue, nonunits_of, prime_divisors, totient, units_of,
+    Modulus, NotAUnit, Residue, factorize, nonunits_of, totient, units_of,
 )
 
 
@@ -154,10 +156,14 @@ def _is_prime_by_division(n):
     return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
 
 
-def test_prime_divisors_match_trial_division():
+def test_factorize_matches_trial_division():
     for n in range(1, 3000):
-        assert prime_divisors(n) == [p for p in range(2, n + 1)
-                                     if n % p == 0 and _is_prime_by_division(p)], n
+        pairs = factorize(n)
+        assert [p for p, _ in pairs] == [p for p in range(2, n + 1)
+                                         if n % p == 0 and _is_prime_by_division(p)], n
+        for p, k in pairs:
+            assert n % p ** k == 0 and n % p ** (k + 1), (n, p, k)
+        assert math.prod(p ** k for p, k in pairs) == n
 
 
 def test_miller_rabin_decides_primes_and_strong_pseudoprimes():
@@ -170,14 +176,40 @@ def test_miller_rabin_decides_primes_and_strong_pseudoprimes():
     assert modring._is_prime(modring._MILLER_RABIN_EXACT_BELOW)
 
 
-def test_prime_divisors_beyond_trial_division():
+def test_factorize_beyond_trial_division():
     limit = modring._TRIAL_LIMIT
-    assert prime_divisors(10 ** 18 + 3) == [10 ** 18 + 3]
-    assert prime_divisors(2 ** 40 * 3 ** 5 * (10 ** 18 + 3)) == [2, 3, 10 ** 18 + 3]
-    assert prime_divisors(262139 * 262147) == [262139, 262147]  # one factor below the limit
+    assert factorize(10 ** 18 + 3) == ((10 ** 18 + 3, 1),)
+    assert factorize(2 ** 40 * 3 ** 5 * (10 ** 18 + 3)) == ((2, 40), (3, 5), (10 ** 18 + 3, 1))
+    assert factorize(262139 * 262147) == ((262139, 1), (262147, 1))  # one factor below the limit
     assert 262139 < limit < 262147
-    for n in ((10 ** 9 + 7) * (10 ** 9 + 9), 262147 ** 2,
-              modring._MILLER_RABIN_EXACT_BELOW,  # = 1287836182261 * 2575672364521
-              (10 ** 30 + 57) * 3):
-        with pytest.raises(ValueError, match=f"^cannot factor {n}:"):
-            prime_divisors(n)
+    # Both factors beyond trial division: Pollard's rho splits the cofactor.
+    assert factorize(262147 * 262151) == ((262147, 1), (262151, 1))
+    assert factorize((10 ** 9 + 7) * (10 ** 9 + 9)) == ((10 ** 9 + 7, 1), (10 ** 9 + 9, 1))
+    assert factorize(262147 ** 2) == ((262147, 2),)
+    assert factorize(2 ** 67 - 1) == ((193707721, 1), (761838257287, 1))
+
+
+@pytest.mark.parametrize("n", [
+    modring._MILLER_RABIN_EXACT_BELOW,  # = 1287836182261 * 2575672364521
+    (10 ** 30 + 57) * 3,
+    (10 ** 12 + 39) * (10 ** 12 + 61),  # both factors too large for rho's capped walks
+])
+def test_factorize_refuses_an_unprovable_cofactor(n):
+    with pytest.raises(ValueError, match=f"^cannot factor {n}:"):
+        factorize(n)
+
+
+# Primes on both sides of the trial-division limit 2^18, and beyond 2^30.
+PRIMES = [2, 3, 5, 101, 65521, 262139, 262147, 262151, 1000003,
+          2147483647, 10 ** 9 + 7, 10 ** 18 + 3]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(st.sampled_from(PRIMES), st.integers(1, 3), min_size=1, max_size=3))
+def test_a_product_of_prime_powers_factors_back_to_itself(powers):
+    # Miller-Rabin is exact only below its bound, so the part that trial
+    # division leaves must stay under it.
+    assume(math.prod(p ** k for p, k in powers.items() if p > modring._TRIAL_LIMIT)
+           < modring._MILLER_RABIN_EXACT_BELOW)
+    assert factorize(math.prod(p ** k for p, k in powers.items())) == tuple(
+        sorted(powers.items()))
