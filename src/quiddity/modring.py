@@ -190,26 +190,36 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _proved_prime(n: int) -> bool:
+    """Is n, from _TRIAL_LIMIT up to the exact Miller-Rabin bound, prime?
+    Below the limit trial division ends within 2^9 steps anyway."""
+    return _TRIAL_LIMIT <= n < _MILLER_RABIN_EXACT_BELOW and _is_prime(n)
+
+
 @functools.lru_cache(maxsize=64)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """(p, k) for each prime power p^k that exactly divides n >= 1, p
     ascending.  Cached, so one request factors each modulus once.
 
-    Trial division runs to _TRIAL_LIMIT.  A cofactor it leaves has no
-    smaller prime factor, so it is prime below the limit's square; above
-    that it is proved prime by the exact Miller-Rabin test or split by
-    Pollard's rho, and ValueError names n if a part is neither.
+    Trial division runs to _TRIAL_LIMIT, and stops early once the
+    cofactor, at least _TRIAL_LIMIT, is proved prime by the exact
+    Miller-Rabin test.  A cofactor it leaves has no smaller prime factor,
+    so it is prime below the limit's square; above that it is proved
+    prime by the exact Miller-Rabin test or split by Pollard's rho, and
+    ValueError names n if a part is neither.
     """
     pairs, rest = [], n
     p = 2
-    while p * p <= rest and p < _TRIAL_LIMIT:
+    proved = _proved_prime(rest)
+    while not proved and p * p <= rest and p < _TRIAL_LIMIT:
         if rest % p == 0:
             k = 0
             while rest % p == 0:
                 rest, k = rest // p, k + 1
             pairs.append((p, k))
+            proved = _proved_prime(rest)
         p += 1
-    large = _large_primes(n, rest) if rest > 1 else []
+    large = [rest] if proved else _large_primes(n, rest) if rest > 1 else []
     return tuple(pairs + [(q, large.count(q)) for q in sorted(set(large))])
 
 

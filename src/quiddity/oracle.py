@@ -14,12 +14,15 @@ three uses:
   last two are forced by the target and kept only if they land on it and
   are allowed at their positions;
 * bucket (_half_products, product_histogram): count every candidate's
-  product, the meet-in-the-middle prefix;
+  product, or its top row alone, the meet-in-the-middle prefix;
 * probe (the meet-in-the-middle suffix): walk backward from the target,
   E(a_{k+1})^-1 ... E(a_n)^-1 @ target, and look each result up among the
   prefix products.  A free junction letter a_{k+1} is not walked: the
   suffix stops one letter short and looks its bottom row up among the
-  prefix products' top rows, each the sum of N full-key probes.
+  prefix products' top rows, each the sum of N full-key probes.  Those
+  top rows need not walk letter 1: the top row of Q @ E(a_1) follows from
+  Q's top row and a_1, so a long prefix walks letters 2..k and folds
+  letter 1 onto their at most N^2 top rows.
 
 This module is the independent oracle for every other count source, so it
 deliberately shares no machinery with the dynamic program.
@@ -333,16 +336,52 @@ def _leaf_keys(values, N, start, scales, lifts):
                                for p, q, r, s in _walk(values, N, *start))
 
 
-def _half_products(values, N):
-    """Map packed product key -> number of tuples over the given positions."""
+def _half_products(values, N, top_row: bool = False):
+    """Map packed product key -> number of tuples over the given positions;
+    with ``top_row`` the key is the product's top row alone."""
     # cur is the top row, so the new cur leads the key and the old cur
-    # becomes the bottom row: digits N^3, N^2 and N, 1.
+    # becomes the bottom row: digits N^3, N^2 and N, 1; or N, 1 and none.
+    if top_row:
+        return Counter(_leaf_keys(values, N, (1, 0, 0, 1), (N, 1), (0, 0)))
     return Counter(_leaf_keys(values, N, (1, 0, 0, 1), (N ** 3, N * N), (N, 1)))
 
 
 def _free_junction(spec: SetSpec, split: int) -> bool:
     """Is the junction letter split + 1 free?  Then the join does not walk it."""
     return spec.constraint_at(split + 1).kind == "any"
+
+
+def _prefix_cost(spec: SetSpec, split: int, sizes: list[int]) -> tuple[int, bool]:
+    """The candidates the join's prefix at ``split`` walks, and whether it
+    folds letter 1.
+
+    The prefix walks all of its leaves, or, before a free junction, walks
+    letters 2..k and folds letter 1 onto their products' top rows: one
+    update per top row, at most N^2 of them, and allowed letter 1.  It
+    takes the cheaper way, the full walk on a tie.
+    """
+    walked = math.prod(sizes[:split])
+    if not _free_junction(spec, split):
+        return walked, False
+    inner = math.prod(sizes[1:split])
+    folded = inner + min(spec.modulus.n ** 2, inner) * sizes[0]
+    return (folded, True) if folded < walked else (walked, False)
+
+
+def _prefix_tops(values, N, fold: bool) -> Counter:
+    """Map top row key (first * N + second) -> number of prefix tuples
+    whose product has that top row."""
+    if not fold:
+        return _half_products(values, N, top_row=True)
+    # The product Q @ E(a_1), Q = E(a_k) ... E(a_2), has top row
+    # (a_1*q11 + q12, -q11): it needs only Q's top row and the letter.
+    tops = Counter()
+    for row, times in _half_products(values[1:], N, top_row=True).items():
+        q11, q12 = divmod(row, N)
+        second = -q11 % N
+        for a in values[0]:
+            tops[(a * q11 + q12) % N * N + second] += times
+    return tops
 
 
 def _count_mitm(spec: SetSpec, split: int) -> int:
@@ -353,24 +392,22 @@ def _count_mitm(spec: SetSpec, split: int) -> int:
     values = spec.position_values()
     N = spec.modulus.n
     ta, tb, tc, td = spec.target.entries()
-    buckets = _half_products(values[:split], N)
     if _free_junction(spec, split):
         # A free junction letter x is not walked.  Let R be the required
         # product once the rest of the suffix is peeled off (det R = 1).
         # E(x)^-1 R has R's bottom row on top and x*bottom - top below.
         # That row is unimodular, so x -> E(x)^-1 R is a bijection from
         # Z/NZ onto the N determinant-1 matrices with that top row.
-        # Summed over x, the buckets count the prefix products with that
-        # top row: tops, keyed by the top row alone.
-        tops = Counter()
-        for key, times in buckets.items():
-            tops[key // (N * N)] += times
+        # Summed over x, the prefix products count those with that top
+        # row: tops, keyed by the top row alone.
+        _, fold = _prefix_cost(spec, split, spec.position_counts())
+        tops = _prefix_tops(values[:split], N, fold)
         suffix = values[split + 1:][::-1]
         if not suffix:
             return tops[tc * N + td]
         get, lifts = tops.get, (0, 0)
     else:
-        get, lifts = buckets.get, (N ** 3, N * N)
+        get, lifts = _half_products(values[:split], N).get, (N ** 3, N * N)
         suffix = values[split:][::-1]
     # cur is the bottom row, so the new cur gets digits N, 1 and the old cur
     # leads the key as the new top row at the lifts N^3, N^2; with lifts 0
@@ -380,15 +417,16 @@ def _count_mitm(spec: SetSpec, split: int) -> int:
 
 
 def _walked(spec: SetSpec, split: int, sizes: list[int]) -> int:
-    """Candidates the join at ``split`` walks: every prefix leaf, and every
-    suffix leaf but a free junction letter's."""
+    """Candidates the join at ``split`` walks: the prefix's (see
+    _prefix_cost), and every suffix leaf but a free junction letter's."""
     suffix = sizes[split + 1:] if _free_junction(spec, split) else sizes[split:]
-    return math.prod(sizes[:split]) + math.prod(suffix)
+    return _prefix_cost(spec, split, sizes)[0] + math.prod(suffix)
 
 
 def _choose_split(spec: SetSpec) -> int:
-    """The split that walks the fewest candidates; the shorter prefix on a
-    tie, since bucketing a leaf costs more than probing one."""
+    """The split that walks the fewest candidates, prefix folded or not;
+    the shorter prefix on a tie, since bucketing a leaf costs more than
+    probing one."""
     sizes = spec.position_counts()
     return min(range(1, spec.size), key=lambda k: _walked(spec, k, sizes))
 
@@ -402,9 +440,11 @@ def count(spec: SetSpec, method: str = "auto", budget: int | None = None,
     more positions are free.  All methods agree; the budget is an upper
     bound on the candidates the chosen method examines (the join counts
     the prefix and the suffix it walks, which leaves out a free junction
-    letter).  Unless ``split`` is given, the join splits where it walks
-    the fewest candidates, the same number the budget admits; a tie goes
-    to the shorter prefix.
+    letter; before a free junction the prefix may instead walk letters
+    2..k and fold letter 1 onto their top rows, counted as one candidate
+    per top row and letter, whichever is fewer).  Unless ``split`` is
+    given, the join splits where it walks the fewest candidates, the same
+    number the budget admits; a tie goes to the shorter prefix.
     """
     if method == "auto":
         method = "mitm" if (spec.size >= 2 and spec.free_positions() >= 6) else "naive"

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import ivals, sl2_elements
 from quiddity import oracle
+from quiddity.counter import dp_count
 from quiddity.formulas import u_count, w_odd_2m
 from quiddity.modring import Modulus, NotAUnit, Residue, units_of
 from quiddity.oracle import (
@@ -24,6 +25,7 @@ from quiddity.oracle import (
     solutions,
 )
 from quiddity.sl2 import (
+    Mat2,
     continuant_product,
     elementary,
     identity,
@@ -325,8 +327,22 @@ def test_membership_cache_leaves_equality_alone():
 
 def _walked_from_values(spec, split):
     """The candidates the join at ``split`` walks, from listed values: the
-    prefix, and the suffix without a junction letter that takes all N."""
+    prefix, or, when that is fewer before a junction letter that takes all
+    N, letters 2..k and a fold of letter 1 onto at most N^2 top rows; and
+    the suffix without such a junction letter."""
     sizes = [len(values) for values in spec.position_values()]
+    n = spec.modulus.n
+    free = sizes[split] == n
+    prefix = math.prod(sizes[:split])
+    if free:
+        inner = math.prod(sizes[1:split])
+        prefix = min(prefix, inner + min(n * n, inner) * sizes[0])
+    return prefix + math.prod(sizes[split + free:])
+
+
+def _walked_unfolded(spec, split):
+    """The same without the fold: every prefix leaf is walked."""
+    sizes = spec.position_counts()
     free = sizes[split] == spec.modulus.n
     return math.prod(sizes[:split]) + math.prod(sizes[split + free:])
 
@@ -386,6 +402,8 @@ def test_the_split_walks_no_more_than_balanced_halves(n):
             walked = _walked_from_values(spec, k)
             assert k == _split_from_values(spec), (spec, k)
             assert walked <= _walked_from_values(spec, _balanced_split(spec)), spec
+            # nor more than the fewest a join without the fold walks
+            assert walked <= min(_walked_unfolded(spec, j) for j in range(1, size)), spec
             with pytest.raises(BudgetExceeded) as err:
                 count(spec, "mitm", budget=walked - 1)
             assert err.value.required == walked
@@ -401,20 +419,24 @@ def _traced_peak(run):
 
 
 def test_a_unit_second_letter_moves_the_split_before_the_free_junction():
-    # Z/32Z, size 7, a2 a unit: balanced halves split after position 4 and
-    # walk 32*16*32*32 + 32*32 = 525,312 candidates; after position 3 the
-    # free letter 4 is not walked, which leaves 32*16*32 + 32**3 = 49,152.
+    # Z/32Z, size 7, a2 a unit: balanced halves split after position 4.
+    # There the prefix walks letters 2..4 and folds letter 1 onto their
+    # top rows, 16*32*32 + 32**2 * 32 = 49,152, and the suffix 32*32 more:
+    # 50,176.  After position 3 the free letter 4 is not walked and the
+    # prefix is too short to fold, which leaves 32*16*32 + 32**3 = 49,152.
     mod = Modulus(32)
     spec = SetSpec(7, identity(mod), {2: UNIT})
     assert _balanced_split(spec) == 4 and oracle._choose_split(spec) == 3
+    assert oracle._prefix_cost(spec, 4, spec.position_counts()) == (49_152, True)
+    assert oracle._prefix_cost(spec, 3, spec.position_counts()) == (16_384, False)
     with pytest.raises(BudgetExceeded) as err:
         count(spec, "mitm", split=4, budget=49_152)
-    assert err.value.required == 525_312
+    assert err.value.required == 50_176
     with pytest.raises(BudgetExceeded,
                        match="^enumeration needs 49152 candidates, budget is 49151$"):
         count(spec, "mitm", budget=49_151)
-    # The smaller prefix also keeps fewer product keys: split 4 peaks at
-    # about 4.2 MB, split 3 at about 1.6 MB.
+    # Both prefixes keep top rows alone: split 4 peaks at about 650 KB,
+    # split 3 at about 460 KB.
     got, peak = _traced_peak(lambda: count(spec, "mitm", budget=49_152))
     assert peak < 2_500_000, peak
     # 720,896 is also the naive count, whose walk of 32*16*32**3 prefixes
@@ -424,14 +446,36 @@ def test_a_unit_second_letter_moves_the_split_before_the_free_junction():
 
 
 def test_the_streamed_sides_hold_no_list_of_leaves():
-    # Z/8Z, size 12: the join buckets 8**5 prefix leaves and probes 8**6
-    # suffix leaves but keeps at most |SL2(Z/8Z)| = 384 product keys.  A
-    # list of the suffix's leaves alone would hold 2 MB of references.
+    # Z/8Z, size 12: the join walks 8**5 prefix leaves, folds letter 1 onto
+    # their top rows and probes 8**5 suffix leaves, but keeps at most
+    # 8**2 top rows.  A list of either side's leaves would hold 256 KB of
+    # references; the join peaks at about 20 KB.
     spec = SetSpec(12, identity(MOD8))
-    assert oracle._choose_split(spec) == 5
+    assert oracle._choose_split(spec) == 6
     got, peak = _traced_peak(lambda: count(spec, "mitm"))
-    assert peak < 256 * 1024, peak
-    assert got == count(spec, "mitm", split=6)
+    assert peak < 64 * 1024, peak
+    assert got == count(spec, "mitm", split=5)
+
+
+def test_the_fold_pins_its_charge_and_keeps_less():
+    # Z/16Z, size 10, splits after position 5: letters 2..5 walk 16**4
+    # leaves, letter 1 folds onto at most 16**2 top rows, 16**3 updates,
+    # and the suffix past the free letter 6 walks 16**4: 135,168.  Walking
+    # every prefix leaf would charge 16**4 + 16**5 = 1,114,112 at best.
+    mod = Modulus(16)
+    spec = SetSpec(10, identity(mod))
+    assert oracle._choose_split(spec) == 5
+    assert min(_walked_unfolded(spec, k) for k in range(1, 10)) == 1_114_112
+    with pytest.raises(BudgetExceeded,
+                       match="^enumeration needs 135168 candidates, budget is 135167$"):
+        count(spec, "mitm", budget=135_167)
+    got, peak = _traced_peak(lambda: count(spec, "mitm", budget=135_168))
+    assert got == dp_count(spec)
+    # The whole join keeps less than bucketing the unfolded join's best
+    # prefix, letters 1..4, by full product key.
+    values = spec.position_values()
+    _, bucketed = _traced_peak(lambda: oracle._half_products(values[:4], 16))
+    assert peak < bucketed, (peak, bucketed)
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +513,35 @@ def test_join_at_every_split_past_size_five(n):
                 reference = count(spec, "naive")
                 for split in range(1, size):
                     assert count(spec, "mitm", split=split) == reference, (spec, split)
+
+
+def test_the_join_matches_the_naive_walk_at_every_split():
+    # Every split of every spec here, against the naive walk: letter 1 free,
+    # fixed, a unit or a non-unit, a constrained junction at split 4, the
+    # fold's first split, and named and explicit targets.  Sizes stop where
+    # the naive walk passes 2500 candidates.
+    folded = 0
+    for n in range(2, 9):
+        mod = Modulus(n)
+        targets = (identity(mod), neg_identity(mod), s_mat(mod), t_mat(mod),
+                   Mat2(2, 1, 1, 1, mod), Mat2(3, 2, 1, 1, mod))
+        for size in range(2, 9):
+            if n ** (size - 2) > 2500:
+                break
+            menus = [{}, {1: fixed(n - 1)}, {1: UNIT}, {1: NONUNIT}]
+            if size >= 3:
+                menus.append({3: fixed(2)})
+            if size >= 5:
+                menus.append({1: UNIT, 5: NONUNIT})
+            for constraints in menus:
+                for target in targets:
+                    spec = SetSpec(size, target, constraints)
+                    sizes = spec.position_counts()
+                    reference = oracle._count_naive(spec)
+                    for split in range(1, size):
+                        folded += oracle._prefix_cost(spec, split, sizes)[1]
+                        assert count(spec, "mitm", split=split) == reference, (spec, split)
+    assert folded > 0
 
 
 def test_closed_forms_at_the_joins_reach():
