@@ -307,8 +307,9 @@ def _suite_crt(sizes: list[int], budget: int | None) -> list[Check]:
                 f"crt count n={size} N=12 sign={'+' if sign == 1 else '-'}",
                 direct == assembled, f"dp={direct} assembled={assembled}"))
     for size in [s for s in sizes if s <= 5]:
-        for sign in (1, -1):
-            report = maps.verify_reciprocal(crt.crt_split_bijection(size, 12, sign), budget)
+        for name in ("id", "neg-id"):
+            tmap = crt.crt_split_bijection(SetSpec(size, target_by_name(name, mod12)))
+            report = maps.verify_reciprocal(tmap, budget)
             checks.append(Check(report.map_name, report.ok,
                                 report.failure or f"|domain|={report.domain_size}"))
     return checks
@@ -372,11 +373,13 @@ def cmd_verify(args) -> int:
 
 def cmd_crt(args) -> int:
     from . import crt
+    from .oracle import SetSpec
 
     started = time.perf_counter()
     sign = formulas.normalize_sign(args.sign)
     fact = crt.split(args.modulus)
-    pieces = crt.piece_counts(args.size, fact, sign, args.method)
+    target = target_by_name("id" if sign == 1 else "neg-id", Modulus(args.modulus))
+    pieces = crt.piece_counts(SetSpec(args.size, target), args.method)
     total = formulas.crt_count(args.size, [(mp, cnt) for mp, cnt, _ in pieces], sign)
     _emit({
         "modulus": args.modulus,
@@ -463,8 +466,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, NotAUnit) as err:
         # A bad request exits 2 with its message.  ValueError covers
-        # CapExceeded, UnsupportedCase, NonSquarefree (pieces that are not
-        # coprime), BudgetExceeded and a modulus too large to factor.
+        # CapExceeded, UnsupportedCase, BudgetExceeded and a modulus too
+        # large to factor.
         sys.stderr.write(f"error: {err}\n")
         return 2
 

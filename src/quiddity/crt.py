@@ -1,11 +1,13 @@
-"""Chinese-remainder assembly of counts across coprime modulus pieces.
+"""Chinese-remainder counting across the coprime pieces of a modulus.
 
-Every modulus N = 2^m * p_1^k_1 * ... * p_r^k_r (distinct odd primes)
-splits a solution count into a product of per-piece counts, one for each
-prime power.  Pieces come from closed formulas where those apply, falling
-back to the DP or the brute oracle everywhere else.  The underlying
-componentwise tuple bijection ships as a TupleMap so it can be
-harness-verified, not just assumed at count level.
+A tuple over Z/NZ, N = 2^m * p_1^k_1 * ... * p_r^k_r (distinct odd
+primes), is exactly its tuple of residues modulo each prime power, and its
+product reduces the same way.  So route_count, under auto and formula,
+counts a spec over two or more pieces as the product of its pieces'
+counts, each piece by a closed formula where one applies, else the DP or
+the brute oracle.  dp and brute count over Z/NZ directly, which keeps the
+three sources independent.  The componentwise tuple bijection ships as a
+TupleMap so it can be harness-verified, not just assumed at count level.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from typing import NamedTuple
 
 from . import counter, formulas, oracle
 from .modring import Modulus, Residue, factorize
-from .oracle import SetSpec, UNIT
-from .sl2 import identity, neg_identity, target_name
+from .oracle import NONUNIT, SetSpec, UNIT
+from .sl2 import Mat2, identity, neg_identity, target_name
 
 
 class NonSquarefreeOddPart(ValueError):
@@ -55,10 +57,23 @@ def split(n: int) -> Factorization:
     return Factorization(m, tuple(powers), repeated)
 
 
-def _piece_formula(size: int, p: int, k: int, sign: int):
-    """The closed form for the piece Z/p^kZ, or None.  u_count counts over
-    a field, which Z/p^kZ is not for k >= 2 (at size 7 and +Id, F_9 has
-    6643 solutions and Z/9Z 7371); the 2-power forms need m = k >= 2."""
+def closed_form(spec: SetSpec) -> formulas.FormulaValue | None:
+    """The closed form that counts ``spec`` over a prime power, or None.
+
+    A unit second entry at a named target over Z/2^mZ (m >= 2) takes
+    delta_value, an unconstrained +-Id spec its piece formula; the target
+    is read from its matrix.  u_count counts over a field, which Z/p^kZ is
+    not for k >= 2 (at size 7 and +Id, F_9 has 6643 solutions and Z/9Z
+    7371).  A composite modulus has none: route_count splits it.
+    """
+    name, ((p, k), *other_primes) = target_name(spec.target), factorize(spec.modulus.n)
+    if name is None or other_primes:
+        return None
+    if spec.constraints == ((2, UNIT),) and p == 2 and k >= 2:
+        return formulas.delta_value(spec.size, k, name)
+    if spec.constraints or name not in ("id", "neg-id"):
+        return None
+    size, sign = spec.size, 1 if name == "id" else -1
     if p > 2:
         return formulas.u_count(size, p, sign) if k == 1 and size > 4 else None
     if k == 1:
@@ -72,44 +87,29 @@ def _piece_formula(size: int, p: int, k: int, sign: int):
     return None
 
 
-def closed_form(spec: SetSpec) -> formulas.FormulaValue | None:
-    """The closed form that counts ``spec``, or None when none does.
-
-    An unconstrained +-Id spec takes the product of its piece formulas when
-    every piece has one, a unit second entry at a named target over
-    Z/2^mZ delta_value.  The target is read from its matrix.  A modulus
-    too large to factor raises split's ValueError.
-    """
-    name, m = target_name(spec.target), spec.modulus.two_adic
-    if spec.constraints == ((2, UNIT),) and m is not None and name is not None:
-        return formulas.delta_value(spec.size, m, name)
-    if spec.constraints or name not in ("id", "neg-id"):
-        return None
-    fact = split(spec.modulus.n)
-    sign = 1 if name == "id" else -1
-    values = [_piece_formula(spec.size, p, k, sign) for p, k in fact.prime_powers()]
-    if any(value is None for value in values):
-        return None
-    return formulas.crt_count(spec.size, zip(fact.piece_moduli(), values), sign)
-
-
-def two_part_count(size: int, m: int, sign: int, method: str = "auto",
-                   budget: int | None = None) -> tuple[int, str]:
-    """Count for the 2^m piece, with the source that produced it."""
-    return route_count(_piece_spec(size, Modulus(1 << m), sign), method, budget)
-
-
-def prime_count(size: int, q: int, sign: int, method: str = "auto",
-                budget: int | None = None) -> tuple[int, str]:
-    """Count for an odd prime-power piece Z/qZ, with the source used."""
-    return route_count(_piece_spec(size, Modulus(q), sign), method, budget)
-
-
 def route_count(spec: SetSpec, method: str, budget: int | None = None) -> tuple[int, str]:
-    """(count, source) from the source ``method`` allows.  auto and formula
-    take closed_form(spec) unless it is None (formula then refuses); dp runs
-    the DP or raises CapExceeded; brute, and auto when the DP's predicted
-    cost exceeds the budget, ask the oracle."""
+    """(count, source) from the source ``method`` allows.
+
+    auto and formula count a spec over two or more coprime pieces as the
+    product of its pieces' counts, a non-unit letter as a free one minus a
+    unit one; the source is formula if every piece took a closed form,
+    else brute if any piece asked the oracle, else dp.  Over a prime power
+    they take closed_form(spec) unless it is None (formula then refuses).
+    dp runs the DP or raises CapExceeded; brute, and auto when the DP's
+    predicted cost exceeds the budget, ask the oracle.
+    """
+    if method in ("auto", "formula") and len(split(spec.modulus.n).prime_powers()) > 1:
+        nonunit = next((p for p, con in spec.constraints if con == NONUNIT), None)
+        if nonunit is None:
+            routed = [(cnt, src) for _, cnt, src in piece_counts(spec, method, budget)]
+            value = math.prod(cnt for cnt, _ in routed)
+        else:
+            rest = [(p, con) for p, con in spec.constraints if p != nonunit]
+            routed = [route_count(SetSpec(spec.size, spec.target, rest + unit), method, budget)
+                      for unit in ([], [(nonunit, UNIT)])]
+            value = routed[0][0] - routed[1][0]
+        # formula only if every piece took one, else brute if any piece did
+        return value, min((src for _, src in routed), key=("brute", "dp", "formula").index)
     if method in ("auto", "formula"):
         value = closed_form(spec)
         if value is not None:
@@ -126,59 +126,56 @@ def route_count(spec: SetSpec, method: str, budget: int | None = None) -> tuple[
     return oracle.count(spec, "auto", budget), "brute"
 
 
-def _piece_spec(size: int, modulus: Modulus, sign: int) -> SetSpec:
-    target = identity(modulus) if sign == 1 else neg_identity(modulus)
-    return SetSpec(size, target)
+def pieces(spec: SetSpec) -> list[SetSpec]:
+    """``spec`` modulo each prime power of its modulus: a tuple lies in
+    ``spec`` exactly when its residues lie in every piece.  A unit letter
+    stays a unit letter; a non-unit letter, a non-unit modulo some piece
+    only, has no such reading and is refused."""
+    if any(con == NONUNIT for _, con in spec.constraints):
+        raise ValueError("a non-unit letter does not split into coprime pieces")
+    return [SetSpec(spec.size, Mat2(*spec.target.entries(), Modulus(q)), spec.constraints)
+            for q in split(spec.modulus.n).piece_moduli()]
 
 
-def piece_counts(size: int, fact: Factorization, sign: int, method: str = "auto",
+def piece_counts(spec: SetSpec, method: str = "auto",
                  budget: int | None = None) -> list[tuple[int, int, str]]:
-    """(piece modulus, count, source) for every coprime piece."""
-    sign = formulas.normalize_sign(sign)
-    out = []
-    for p, k in fact.prime_powers():
-        if p == 2:
-            value, source = two_part_count(size, k, sign, method, budget)
-        else:
-            value, source = prime_count(size, p ** k, sign, method, budget)
-        out.append((p ** k, value, source))
-    return out
+    """(piece modulus, count, source) for every piece of ``spec``."""
+    return [(piece.modulus.n, *route_count(piece, method, budget)) for piece in pieces(spec)]
 
 
 def assemble_count(size: int, fact: Factorization, sign, method: str = "auto",
                    budget: int | None = None) -> formulas.FormulaValue:
-    """Product of the per-piece counts; equals the direct count over Z/NZ."""
-    sign = formulas.normalize_sign(sign)
-    pieces = piece_counts(size, fact, sign, method, budget)
-    return formulas.crt_count(size, [(mp, cnt) for mp, cnt, _ in pieces], sign)
+    """Product of the per-piece +-Id counts; equals the direct count over Z/NZ."""
+    sign, modulus = formulas.normalize_sign(sign), Modulus(fact.modulus_value())
+    spec = SetSpec(size, identity(modulus) if sign == 1 else neg_identity(modulus))
+    counts = piece_counts(spec, method, budget)
+    return formulas.crt_count(size, [(mp, cnt) for mp, cnt, _ in counts], sign)
 
 
-def crt_split_bijection(size: int, n: int, sign: int) -> TupleMap:
-    """Componentwise residue splitting from Z/NZ tuples to tuples of
-    per-piece tuples, with CRT reconstruction as the inverse."""
+def crt_split_bijection(spec: SetSpec) -> TupleMap:
+    """Componentwise residue splitting from the tuples of ``spec`` to
+    tuples of per-piece tuples of pieces(spec), with CRT reconstruction as
+    the inverse: the reduction route_count multiplies over."""
     # Imported here so that counting never loads the bijection harness.
     from .maps import ProductSet, SpecSet, TupleMap
 
-    fact = split(n)
-    pieces = fact.piece_moduli()
-    if len(pieces) < 2:
+    parts, big, n = pieces(spec), spec.modulus, spec.modulus.n
+    if len(parts) < 2:
         raise ValueError(f"{n} does not split into two or more coprime pieces")
-    big = Modulus(n)
-    small = [Modulus(mp) for mp in pieces]
+    small = [part.modulus for part in parts]
     # CRT basis: e_i = (N / M_i) * ((N / M_i)^-1 mod M_i)
-    basis = [(n // mp) * pow(n // mp, -1, mp) for mp in pieces]
-    domain = SpecSet(_piece_spec(size, big, sign))
-    codomain = ProductSet([SpecSet(_piece_spec(size, mod, sign)) for mod in small])
+    basis = [(n // mod.n) * pow(n // mod.n, -1, mod.n) for mod in small]
 
     def forward(t):
         return tuple(tuple(Residue(a.value, mod) for a in t) for mod in small)
 
-    def backward(parts):
-        merged = []
-        for position in zip(*parts):
-            value = sum(r.value * e for r, e in zip(position, basis))
-            merged.append(Residue(value, big))
-        return tuple(merged)
+    def backward(per_piece):
+        return tuple(Residue(sum(r.value * e for r, e in zip(position, basis)), big)
+                     for position in zip(*per_piece))
 
-    return TupleMap(f"crt-split(n={size}, N={n}, sign={'+' if sign == 1 else '-'})",
-                    domain, codomain, forward, backward)
+    target = target_name(spec.target) or ",".join(map(str, spec.target.entries()))
+    letters = "".join(f", a{p}={con.value if con.value is not None else con.kind}"
+                      for p, con in spec.constraints)
+    return TupleMap(f"crt-split(n={spec.size}, N={n}, target={target}{letters})",
+                    SpecSet(spec), ProductSet(SpecSet(part) for part in parts),
+                    forward, backward)

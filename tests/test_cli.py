@@ -143,17 +143,43 @@ def test_count_and_verify_reject_a_bad_budget_option(capsys, argv, value):
 
 
 def test_auto_route_takes_brute_force_when_only_its_cost_fits(capsys, monkeypatch):
-    # N = 12, size 3: the walk predicts |G| * 4 = 1,152 * 4 = 4,608 additions,
-    # the naive oracle 12**3 = 1,728 candidates.
-    argv = ("count", "--modulus", "12", "--size", "3", "--target", "neg-s")
+    # N = 16, size 3: the walk predicts |G| * 4 = 3,072 * 4 = 12,288
+    # additions, the naive oracle 16**3 = 4,096 candidates.
+    argv = ("count", "--modulus", "16", "--size", "3", "--target", "neg-s")
     by_dp = run_json(capsys, *argv)
-    assert (by_dp["method"], by_dp["count"]) == ("dp", "12")
-    monkeypatch.setenv("QUIDDITY_BUDGET", "3000")
+    assert (by_dp["method"], by_dp["count"]) == ("dp", "16")
+    monkeypatch.setenv("QUIDDITY_BUDGET", "5000")
     by_brute = run_json(capsys, *argv)
-    assert (by_brute["method"], by_brute["count"]) == ("brute", "12")
-    code, out, err = run_cli(capsys, *argv, "--budget", "1727")
+    assert (by_brute["method"], by_brute["count"]) == ("brute", "16")
+    code, out, err = run_cli(capsys, *argv, "--budget", "4095")
     assert (code, out) == (2, "")
-    assert err == "error: enumeration needs 1728 candidates, budget is 1727\n"
+    assert err == "error: enumeration needs 4096 candidates, budget is 4095\n"
+
+
+@pytest.mark.parametrize("argv, count", [
+    # Z/2Z, Z/9Z and Z/125Z by the DP.  Over Z/2250Z itself the DP would
+    # be charged 72,900,000,000 additions, the oracle 25,651,687,500,000
+    # candidates.
+    ("--modulus 2250 --size 9 --target s", "222489443732519531250"),
+    # Z/3Z, Z/5Z, Z/7Z and Z/11Z; Z/1155Z would be charged 8,941,363,200
+    # additions or 1,542,132,900 candidates.
+    ("--modulus 1155 --size 6 --target t", "1466468640"),
+])
+def test_count_factors_a_composite_modulus(capsys, argv, count):
+    report = run_json(capsys, "count", *argv.split())
+    assert (report["method"], report["count"]) == ("dp", count)
+
+
+def test_count_brute_and_dp_stay_on_the_whole_ring(capsys, monkeypatch):
+    # Only auto and formula factor: with every piece within the DP's
+    # budget, brute force still walks Z/12Z, and --method dp refuses on
+    # the whole ring's cost.
+    argv = ("count", "--modulus", "12", "--size", "5", "--target", "s")
+    by_brute = run_json(capsys, *argv, "--method", "brute")
+    assert (by_brute["method"], by_brute["count"]) == ("brute", run_json(capsys, *argv)["count"])
+    code, _, err = run_cli(capsys, *argv, "--method", "dp", "--budget", "6000")
+    assert code == 2 and err.startswith("error: the DP needs"), err
+    assert run_json(capsys, *argv, "--budget", "6000")["method"] == "dp"
 
 
 def test_explicit_dp_past_the_budget_exits_before_building():

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from quiddity import formulas
+from quiddity import formulas, oracle
 from quiddity.counter import CapExceeded, dp_count, dp_vector, dp_vector_sequence
 from quiddity.crt import (
     Factorization,
@@ -9,13 +11,30 @@ from quiddity.crt import (
     closed_form,
     crt_split_bijection,
     piece_counts,
+    pieces,
+    route_count,
     split,
 )
 from quiddity.formulas import UnsupportedCase
 from quiddity.maps import verify_reciprocal
 from quiddity.modring import Modulus, factorize
 from quiddity.oracle import NONUNIT, UNIT, BudgetExceeded, SetSpec, fixed
-from quiddity.sl2 import TARGET_NAMES, Mat2, identity, neg_identity, target_by_name
+from quiddity.sl2 import (
+    TARGET_NAMES, Mat2, continuant_product, identity, neg_identity, target_by_name)
+
+
+def pm_id(size, n, sign=1):
+    """The unconstrained +-Id spec of one size over Z/nZ."""
+    mod = Modulus(n)
+    return SetSpec(size, identity(mod) if sign == 1 else neg_identity(mod))
+
+
+def formula_count(spec):
+    """route_count's formula answer, or None where it refuses."""
+    try:
+        return route_count(spec, "formula")[0]
+    except UnsupportedCase:
+        return None
 
 
 def test_split_examples():
@@ -72,51 +91,53 @@ def test_assemble_matches_direct_dp_over_z24():
 def test_piece_sources():
     # Formula pieces where the closed forms apply, DP fallback below their
     # validity range.
-    pieces = piece_counts(5, split(24), 1)
-    assert [(mp, src) for mp, _, src in pieces] == [(8, "formula"), (3, "formula")]
-    pieces = piece_counts(4, split(12), 1)
-    assert [(mp, src) for mp, _, src in pieces] == [(4, "formula"), (3, "dp")]
-    pieces = piece_counts(3, split(12), 1)
-    assert [(mp, src) for mp, _, src in pieces] == [(4, "dp"), (3, "dp")]
+    parts = piece_counts(pm_id(5, 24))
+    assert [(mp, src) for mp, _, src in parts] == [(8, "formula"), (3, "formula")]
+    parts = piece_counts(pm_id(4, 12))
+    assert [(mp, src) for mp, _, src in parts] == [(4, "formula"), (3, "dp")]
+    parts = piece_counts(pm_id(3, 12))
+    assert [(mp, src) for mp, _, src in parts] == [(4, "dp"), (3, "dp")]
     # per-sign even sizes over Z/8Z have no closed form either
-    pieces = piece_counts(6, split(24), 1)
-    assert [(mp, src) for mp, _, src in pieces] == [(8, "dp"), (3, "formula")]
+    parts = piece_counts(pm_id(6, 24))
+    assert [(mp, src) for mp, _, src in parts] == [(8, "dp"), (3, "formula")]
 
 
 def test_piece_source_methods():
     with pytest.raises(UnsupportedCase):
-        piece_counts(3, split(12), 1, method="formula")
-    brute = piece_counts(4, split(12), 1, method="brute")
-    auto = piece_counts(4, split(12), 1, method="auto")
+        piece_counts(pm_id(3, 12), "formula")
+    brute = piece_counts(pm_id(4, 12), "brute")
+    auto = piece_counts(pm_id(4, 12), "auto")
     assert [(mp, cnt) for mp, cnt, _ in brute] == [(mp, cnt) for mp, cnt, _ in auto]
 
 
 def test_piece_sources_follow_the_budget(monkeypatch):
     # Size 3: the Z/4Z piece's walk predicts 48 * 4 = 192 additions against
     # 4**3 = 64 candidates; the Z/3Z piece's 24 * 4 = 96 against 27.
-    expected = piece_counts(3, split(12), 1)
+    expected = piece_counts(pm_id(3, 12))
     monkeypatch.setenv("QUIDDITY_BUDGET", "100")
-    pieces = piece_counts(3, split(12), 1)
-    assert [(mp, src) for mp, _, src in pieces] == [(4, "brute"), (3, "dp")]
-    assert [cnt for _, cnt, _ in pieces] == [cnt for _, cnt, _ in expected]
+    parts = piece_counts(pm_id(3, 12))
+    assert [(mp, src) for mp, _, src in parts] == [(4, "brute"), (3, "dp")]
+    assert [cnt for _, cnt, _ in parts] == [cnt for _, cnt, _ in expected]
     with pytest.raises(CapExceeded):
-        piece_counts(3, split(12), 1, method="dp")
+        piece_counts(pm_id(3, 12), "dp")
     monkeypatch.setenv("QUIDDITY_BUDGET", "50")
     with pytest.raises(BudgetExceeded):
-        piece_counts(3, split(12), 1)
+        piece_counts(pm_id(3, 12))
 
 
 def test_an_explicit_budget_reaches_every_piece(monkeypatch):
     # The same choices as above, with the budget passed in and the
     # environment left at its default.
     monkeypatch.delenv("QUIDDITY_BUDGET", raising=False)
-    expected = piece_counts(3, split(12), 1)
-    pieces = piece_counts(3, split(12), 1, budget=100)
-    assert [(mp, src) for mp, _, src in pieces] == [(4, "brute"), (3, "dp")]
-    assert [cnt for _, cnt, _ in pieces] == [cnt for _, cnt, _ in expected]
+    expected = piece_counts(pm_id(3, 12))
+    parts = piece_counts(pm_id(3, 12), budget=100)
+    assert [(mp, src) for mp, _, src in parts] == [(4, "brute"), (3, "dp")]
+    assert [cnt for _, cnt, _ in parts] == [cnt for _, cnt, _ in expected]
+    # one piece by brute force makes the whole count's source brute
+    assert route_count(pm_id(3, 12), "auto", 100) == (dp_count(pm_id(3, 12)), "brute")
     # 80 sends the Z/3Z piece to brute force as well
-    pieces = piece_counts(3, split(12), 1, budget=80)
-    assert [(mp, src) for mp, _, src in pieces] == [(4, "brute"), (3, "brute")]
+    parts = piece_counts(pm_id(3, 12), budget=80)
+    assert [(mp, src) for mp, _, src in parts] == [(4, "brute"), (3, "brute")]
     assert assemble_count(3, split(12), 1, budget=80) == assemble_count(3, split(12), 1)
     with pytest.raises(CapExceeded):
         assemble_count(3, split(12), 1, method="dp", budget=100)
@@ -132,8 +153,9 @@ def test_odd_only_modulus_assembles_too():
                 SetSpec(size, target))
 
 
-# Sizes 3..9 that closed_form answers at +-Id: a 2^m piece needs size 4 or
-# an odd size >= 5 (any even size >= 4 when m = 2), a prime piece size >= 5.
+# Sizes 3..9 that the formula method answers at +-Id: a 2^m piece needs
+# size 4 or an odd size >= 5 (any even size >= 4 when m = 2), a prime piece
+# size >= 5.  A composite modulus needs a closed form on every piece.
 CLOSED_FORM_SIZES = {
     4: {4, 5, 6, 7, 8, 9}, 8: {4, 5, 7, 9}, 16: {4, 5, 7, 9},
     12: {5, 6, 7, 8, 9}, 20: {5, 6, 7, 8, 9}, 24: {5, 7, 9}, 40: {5, 7, 9},
@@ -143,15 +165,13 @@ CLOSED_FORM_SIZES = {
 
 @pytest.mark.parametrize("n", sorted(CLOSED_FORM_SIZES))
 def test_closed_form_equals_the_dp_at_plus_minus_id(n):
-    mod = Modulus(n)
     covered = set()
     for size in range(3, 10):
-        for target in (identity(mod), neg_identity(mod)):
-            spec = SetSpec(size, target)
-            value = closed_form(spec)
+        for spec in (pm_id(size, n), pm_id(size, n, -1)):
+            value = formula_count(spec)
             if value is not None:
                 covered.add(size)
-                assert value == dp_count(spec), (size, target)
+                assert value == dp_count(spec), spec
     assert covered == CLOSED_FORM_SIZES[n]
 
 
@@ -166,11 +186,15 @@ def test_closed_form_equals_the_dp_with_a_unit_second_entry(n):
 
 def test_closed_form_refusals():
     mod8, mod24 = Modulus(8), Modulus(24)
-    assert closed_form(SetSpec(7, identity(Modulus(18)))) is None  # Z/2Z, Z/9Z have none
-    assert closed_form(SetSpec(6, identity(mod24))) is None  # no per-sign 8-piece form
+    assert formula_count(pm_id(7, 18)) is None  # Z/2Z, Z/9Z have none
+    assert formula_count(pm_id(6, 24)) is None  # no per-sign 8-piece form
     assert closed_form(SetSpec(7, target_by_name("s", mod8))) is None
     assert closed_form(SetSpec(7, Mat2(2, 1, 1, 1, mod8), {2: UNIT})) is None
-    assert closed_form(SetSpec(7, identity(mod24), {2: UNIT})) is None  # not a 2-power
+    # the Z/3Z piece has no unit-second-entry form
+    assert formula_count(SetSpec(7, identity(mod24), {2: UNIT})) is None
+    # closed_form itself answers prime powers only; route_count splits
+    assert closed_form(pm_id(7, 24)) is None
+    assert route_count(pm_id(7, 24), "formula") == (489216, "formula")
     for constraints in ({2: NONUNIT}, {3: UNIT}, {2: fixed(1)}, {2: UNIT, 3: UNIT}):
         assert closed_form(SetSpec(7, identity(mod8), constraints)) is None, constraints
 
@@ -191,10 +215,9 @@ def test_no_closed_form_for_a_two_or_a_prime_power_piece(monkeypatch):
 
     monkeypatch.setattr(formulas, "u_count", u_count)
     for n in filter(_has_a_piece_without_formula, range(2, 201)):
-        mod = Modulus(n)
         for size in range(1, 13):
-            for target in (identity(mod), neg_identity(mod)):
-                assert closed_form(SetSpec(size, target)) is None, (n, size)
+            for spec in (pm_id(size, n), pm_id(size, n, -1)):
+                assert formula_count(spec) is None, spec
     assert fields and all(factorize(q) == ((q, 1),) for q in fields)
 
 
@@ -211,7 +234,7 @@ def test_assemble_matches_the_dp_with_two_and_prime_power_pieces(n):
 
 
 def test_reach_reference_values():
-    assert [(mp, cnt) for mp, cnt, _ in piece_counts(7, split(18), 1)] == [(2, 21), (9, 7371)]
+    assert [(mp, cnt) for mp, cnt, _ in piece_counts(pm_id(7, 18))] == [(2, 21), (9, 7371)]
     assert int(assemble_count(7, split(18), 1)) == 154791
     assert int(assemble_count(7, split(108), 1)) == 200609136
 
@@ -223,7 +246,7 @@ def test_two_part_only_assembly_is_the_plain_count():
 @pytest.mark.parametrize("size", [4, 5])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_componentwise_split_is_a_bijection(size, sign):
-    report = verify_reciprocal(crt_split_bijection(size, 12, sign))
+    report = verify_reciprocal(crt_split_bijection(pm_id(size, 12, sign)))
     assert report.ok, report.describe()
 
 
@@ -232,10 +255,79 @@ def test_componentwise_split_is_a_bijection(size, sign):
 def test_componentwise_split_over_z2_and_a_prime_square_is_a_bijection(n, size):
     # Admission charges all 50^5 tuples over Z/50Z; the walk visits far fewer.
     for sign in (1, -1):
-        report = verify_reciprocal(crt_split_bijection(size, n, sign), budget=1 << 30)
+        report = verify_reciprocal(crt_split_bijection(pm_id(size, n, sign)), budget=1 << 30)
         assert report.ok, report.describe()
 
 
 def test_split_bijection_needs_two_pieces():
     with pytest.raises(ValueError):
-        crt_split_bijection(5, 8, 1)
+        crt_split_bijection(pm_id(5, 8))
+    with pytest.raises(ValueError, match="non-unit"):
+        crt_split_bijection(SetSpec(5, identity(Modulus(12)), {2: NONUNIT}))
+
+
+def test_pieces_reduce_the_target_and_the_fixed_letters():
+    spec = SetSpec(4, Mat2(2, 1, 1, 1, Modulus(12)), {1: UNIT, 3: fixed(7)})
+    assert pieces(spec) == [
+        SetSpec(4, Mat2(2, 1, 1, 1, Modulus(4)), {1: UNIT, 3: fixed(3)}),
+        SetSpec(4, Mat2(2, 1, 1, 1, Modulus(3)), {1: UNIT, 3: fixed(1)})]
+    assert pieces(pm_id(4, 8)) == [pm_id(4, 8)]
+    with pytest.raises(ValueError, match="non-unit"):
+        pieces(SetSpec(4, identity(Modulus(12)), {3: NONUNIT}))
+
+
+@pytest.mark.parametrize("n", [12, 18])
+@pytest.mark.parametrize("target, constraints", [
+    ("s", {}), ("2,1,1,1", {}), ("t", {2: UNIT}), ("neg-s", {1: fixed(5)})],
+    ids=["s", "explicit", "a2-unit", "a1=5"])
+def test_componentwise_split_keeps_the_target_and_the_letters(n, target, constraints):
+    mod = Modulus(n)
+    matrix = (target_by_name(target, mod) if target in TARGET_NAMES
+              else Mat2(*map(int, target.split(",")), mod))
+    for size in (3, 4):
+        spec = SetSpec(size, matrix, constraints)
+        report = verify_reciprocal(crt_split_bijection(spec))
+        assert report.ok, report.describe()
+        assert report.domain_size == dp_count(spec)
+
+
+DIFFERENTIAL_MODULI = (6, 10, 12, 15, 18, 20, 24, 30, 36, 45)
+
+
+def _differential_menu(size: int, n: int, rng: random.Random) -> list[dict]:
+    """Every constraint kind, two non-unit letters, and a three-letter mix."""
+    def pos():
+        return rng.randint(1, size)
+
+    menu = [{}, {pos(): UNIT}, {pos(): NONUNIT}, {pos(): fixed(rng.randrange(n))}]
+    if size >= 2:
+        first, second = rng.sample(range(1, size + 1), 2)
+        menu.append({first: NONUNIT, second: NONUNIT})
+    if size >= 3:
+        a, b, c = rng.sample(range(1, size + 1), 3)
+        menu.append({a: UNIT, b: NONUNIT, c: fixed(rng.randrange(n))})
+    return menu
+
+
+@pytest.mark.parametrize("n", DIFFERENTIAL_MODULI)
+def test_the_factored_count_equals_the_direct_ones(n):
+    # auto splits every composite N into its prime-power pieces and takes a
+    # non-unit letter as free minus unit; dp_count walks Z/NZ itself, and
+    # the oracle enumerates it wherever its charge stays small.
+    mod = Modulus(n)
+    rng = random.Random(4000 + n)
+    by_oracle = 0
+    for size in range(1, 8):
+        for constraints in _differential_menu(size, n, rng):
+            letters = [rng.randrange(n) for _ in range(rng.randint(1, 6))]
+            named = rng.choice(("id", "neg-id", "s", "t"))
+            for target in (continuant_product(letters, mod), target_by_name(named, mod)):
+                spec = SetSpec(size, target, constraints)
+                factored, _ = route_count(spec, "auto")
+                assert factored == dp_count(spec), spec
+                try:
+                    assert factored == oracle.count(spec, budget=100_000), spec
+                    by_oracle += 1
+                except BudgetExceeded:
+                    pass
+    assert by_oracle >= 40  # 48 at N = 45, every spec at N = 6

@@ -86,7 +86,7 @@ def test_a_formula_loads_no_counting_module():
 
 def test_usage_errors_exit_two_with_or_without_the_oracle_loaded():
     # A formula's bad request never loads the oracle; a brute count past
-    # its budget raises the oracle's BudgetExceeded, which is no ValueError.
+    # its budget raises the oracle's BudgetExceeded, a ValueError too.
     report = probe("formula", "--name", "u-count", "--n", "5")
     assert (report["code"], report["err"]) == (2, "error: formula 'u-count' needs --q\n")
     assert "quiddity.oracle" not in report["loaded"]
