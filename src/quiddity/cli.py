@@ -6,9 +6,13 @@ floats well inside the supported parameter range.  Output is
 deterministic for a fixed command line except for the elapsed_ms field.
 
 Every call runs in a fresh interpreter and pays for the modules it
-imports, so each command imports the counting modules (``counter``,
-``crt``, ``oracle``) it runs, and the bijection harness (``maps``) is
-imported only inside the suites that run it.
+imports, and, without bytecode caching (PYTHONDONTWRITEBYTECODE), for
+compiling them too.  So this module imports only ``modring`` and ``sl2``
+itself.  Each command imports what it runs: ``count`` the set spec
+(``spec``) and the router ``crt``, which loads a count source only when
+its route takes it; ``formula`` and ``crt`` the closed forms
+(``formulas``); ``table`` and ``verify`` their bodies in ``reference``,
+whose suites load the bijection harness (``maps``) where they run it.
 """
 
 from __future__ import annotations
@@ -18,9 +22,7 @@ import json
 import re
 import sys
 import time
-from typing import NamedTuple
 
-from . import formulas
 from .modring import Modulus, NotAUnit
 from .sl2 import Mat2, TARGET_NAMES, target_by_name
 
@@ -55,7 +57,7 @@ def _parse_target(text: str, modulus: Modulus) -> tuple[Mat2, str]:
 
 
 def _parse_constraint(text: str | None) -> tuple[dict, str]:
-    from .oracle import NONUNIT, UNIT, fixed
+    from .spec import NONUNIT, UNIT, fixed
 
     if not text or text == "none":
         return {}, "none"
@@ -81,7 +83,7 @@ def _emit(report: dict):
 
 def cmd_count(args) -> int:
     from . import crt
-    from .oracle import SetSpec
+    from .spec import SetSpec
 
     modulus = Modulus(args.modulus)
     target, target_name = _parse_target(args.target, modulus)
@@ -126,6 +128,8 @@ FORMULAS = {
 
 
 def cmd_formula(args) -> int:
+    from . import formulas
+
     function, names = FORMULAS[args.name]
     params = {}
     for name in names:
@@ -143,228 +147,39 @@ def cmd_formula(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# tables
+# tables and verification suites: their bodies live in ``reference``
 
 
-ODD_W_PLUS_MODULI = (8, 16, 24, 32, 40)
-
-
-def _odd_w_plus_cell(size: int, n: int) -> int:
-    from . import crt, oracle
-
-    if size == 3:
-        modulus = Modulus(n)
-        spec = oracle.SetSpec(3, target_by_name("id", modulus))
-        return oracle.count(spec, "mitm")
-    return int(crt.assemble_count(size, crt.split(n), 1, method="formula"))
-
-
-def _w8_cell(size: int) -> int:
-    if size >= 4 and size % 2 == 0:
-        return int(formulas.w8_even(size // 2))
-    if size >= 5 and size % 2 == 1:
-        return 2 * int(formulas.w8_odd((size - 1) // 2, 1))
-    from . import counter
-
-    mod8 = Modulus(8)
-    vec = counter.dp_vector(size, mod8)
-    return vec.at(target_by_name("id", mod8)) + vec.at(target_by_name("neg-id", mod8))
-
-
-def table_text(which: str, rows: list[int] | None = None) -> str:
-    """The CSV body for one reference table (header + one line per row)."""
-    if which == "odd-w-plus":
-        rows = [3, 5, 7, 9] if rows is None else rows
-        if any(size % 2 == 0 or size < 3 for size in rows):
-            raise ValueError("odd-w-plus rows must be odd sizes >= 3")
-        lines = ["n," + ",".join(str(n) for n in ODD_W_PLUS_MODULI)]
-        for size in rows:
-            cells = [_odd_w_plus_cell(size, n) for n in ODD_W_PLUS_MODULI]
-            lines.append(f"{size}," + ",".join(str(c) for c in cells))
-    elif which == "w8":
-        rows = list(range(2, 11)) if rows is None else rows
-        if any(size < 2 for size in rows):
-            raise ValueError("w8 rows must be sizes >= 2")
-        lines = ["n,count"] + [f"{size},{_w8_cell(size)}" for size in rows]
-    elif which in ("delta-id", "delta-s"):
-        rows = list(range(3, 11)) if rows is None else rows
-        if any(size < 3 for size in rows):
-            raise ValueError("delta rows must be sizes >= 3")
-        target = "id" if which == "delta-id" else "s"
-        lines = ["n,count"]
-        lines += [f"{size},{int(formulas.delta_value(size, 3, target))}" for size in rows]
-    else:
-        raise ValueError(f"unknown table {which!r}")
-    return "\n".join(lines) + "\n"
+# The suites ``verify`` runs, in the order ``all`` runs them; the same keys
+# as reference.SUITES, listed here so that parsing does not import it.
+SUITE_NAMES = ("bijections", "recursion", "bounds", "crt", "totality")
 
 
 def cmd_table(args) -> int:
+    from .reference import table_text
+
     rows = _parse_ints(args.rows) if args.rows is not None else None
     sys.stdout.write(table_text(args.which, rows))
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verification suites
-
-
-class Check(NamedTuple):
-    name: str
-    ok: bool
-    detail: str = ""
-
-
-def _suite_bijections(moduli: list[int], max_size: int | None,
-                      budget: int | None) -> list[Check]:
-    if max_size is not None and max_size < 3:
-        raise ValueError(f"--max-size must be >= 3 (the smallest shipped map), got {max_size}")
-    from . import maps
-
-    default_depth = {4: 8, 8: 6}
-    checks = []
-    for n in moduli:
-        modulus = Modulus(n)
-        depth = default_depth.get(n, 6) if max_size is None else max_size
-        for tmap in maps.shipped_maps(modulus, depth):
-            report = maps.verify_reciprocal(tmap, budget)
-            detail = f"|domain|={report.domain_size}"
-            if not report.ok:
-                detail = f"{report.failure}; counterexample={report.counterexample}"
-            checks.append(Check(report.map_name, report.ok, detail))
-    return checks
-
-
-def _suite_recursion(ms: list[int], sizes: list[int], budget: int | None) -> list[Check]:
-    sizes = [size for size in sizes if size >= 5]
-    if not sizes:
-        raise ValueError("recursion checks need a size >= 5")
-    from . import counter
-    from .oracle import UNIT
-
-    checks = []
-    top = max(sizes)
-    for m in ms:
-        modulus = Modulus(1 << m)
-        seq = counter.dp_vector_sequence(top, modulus, {2: UNIT}, budget)
-        for name in TARGET_NAMES:
-            target = target_by_name(name, modulus)
-            series = [vec.at(target) for vec in seq]
-            for size in sizes:
-                expected = int(formulas.delta_recursion(series[size - 1], series[size - 2], m))
-                checks.append(Check(
-                    f"recursion dp m={m} target={name} n={size}",
-                    series[size] == expected,
-                    f"{series[size]} vs {expected}"))
-    mismatches = []
-    for m in range(2, 7):
-        for size in range(7, 41):
-            for target in ("id", "s"):
-                got = int(formulas.delta_closed_form(size, m, target))
-                expected = int(formulas.delta_recursion(
-                    formulas.delta_closed_form(size - 1, m, target),
-                    formulas.delta_closed_form(size - 2, m, target), m))
-                if got != expected:
-                    mismatches.append(f"m={m} target={target} n={size}: {got} vs {expected}")
-    detail = f"{len(mismatches)} mismatches, first {mismatches[0]}" if mismatches else "exact"
-    checks.append(Check("recursion formula identity m=2..6 n=7..40", not mismatches, detail))
-    return checks
-
-
-def _suite_bounds(ms: list[int], sizes: list[int] | None,
-                  budget: int | None) -> list[Check]:
-    from . import counter
-
-    default_sizes = {2: [6, 8, 10], 3: [6, 8]}
-    checks = []
-    for m in ms:
-        modulus = Modulus(1 << m)
-        for size in (sizes or default_sizes.get(m, [6, 8])):
-            if size % 2 or size < 6:
-                raise ValueError("bounds apply to even sizes >= 6")
-            vec = counter.dp_vector(size, modulus, budget=budget)
-            for sign, name in ((1, "id"), (-1, "neg-id")):
-                lower, upper = formulas.w_even_bounds(size // 2, m, sign)
-                got = vec.at(target_by_name(name, modulus))
-                checks.append(Check(
-                    f"bounds m={m} n={size} sign={'+' if sign == 1 else '-'}",
-                    int(lower) <= got <= int(upper),
-                    f"{int(lower)} <= {got} <= {int(upper)}"))
-    return checks
-
-
-def _suite_crt(sizes: list[int], budget: int | None) -> list[Check]:
-    from . import counter, crt, maps
-    from .oracle import SetSpec
-
-    checks = []
-    mod12 = Modulus(12)
-    fact = crt.split(12)
-    for size in sizes:
-        for sign, name in ((1, "id"), (-1, "neg-id")):
-            direct = counter.dp_count(SetSpec(size, target_by_name(name, mod12)), budget)
-            assembled = int(crt.assemble_count(size, fact, sign, budget=budget))
-            checks.append(Check(
-                f"crt count n={size} N=12 sign={'+' if sign == 1 else '-'}",
-                direct == assembled, f"dp={direct} assembled={assembled}"))
-    for size in [s for s in sizes if s <= 5]:
-        for name in ("id", "neg-id"):
-            tmap = crt.crt_split_bijection(SetSpec(size, target_by_name(name, mod12)))
-            report = maps.verify_reciprocal(tmap, budget)
-            checks.append(Check(report.map_name, report.ok,
-                                report.failure or f"|domain|={report.domain_size}"))
-    return checks
-
-
-def _suite_totality(moduli: list[int], sizes: list[int],
-                    budget: int | None) -> list[Check]:
-    from . import counter, oracle
-
-    checks = []
-    for n in moduli:
-        modulus = Modulus(n)
-        for size in sizes:
-            vec = counter.dp_vector(size, modulus, budget=budget)
-            checks.append(Check(f"totality dp N={n} n={size}",
-                                vec.total() == n ** size,
-                                f"{vec.total()} vs {n}^{size}"))
-        for size in [s for s in sizes if n ** s <= 1 << 20]:
-            hist = oracle.product_histogram(size, modulus, budget=budget)
-            checks.append(Check(f"totality oracle N={n} n={size}",
-                                sum(hist.values()) == n ** size, "bucketed walk"))
-    return checks
-
-
-# Suite name -> runner(args, moduli, sizes, ms); moduli and sizes are None
-# when not given, and each suite fills in its own default.  ``all`` runs
-# them in this order.
-SUITES = {
-    "bijections": lambda args, moduli, sizes, ms: _suite_bijections(
-        moduli or [4, 8], args.max_size, args.budget),
-    "recursion": lambda args, moduli, sizes, ms: _suite_recursion(
-        ms, sizes or list(range(5, 9)), args.budget),
-    "bounds": lambda args, moduli, sizes, ms: _suite_bounds(ms, sizes, args.budget),
-    "crt": lambda args, moduli, sizes, ms: _suite_crt(sizes or list(range(4, 8)), args.budget),
-    "totality": lambda args, moduli, sizes, ms: _suite_totality(
-        moduli or [3, 4, 8], sizes or list(range(1, 8)), args.budget),
-}
-
-
 def cmd_verify(args) -> int:
-    suites = list(SUITES) if args.suite == "all" else [args.suite]
+    from .reference import run_suites
+
     moduli, sizes, ms = (_parse_ints(text) if text is not None else None
                          for text in (args.modulus, args.sizes, args.m))
-    checks: list[Check] = []
-    for suite in suites:
-        checks += SUITES[suite](args, moduli, sizes, ms or [2, 3])
-    failures = [c for c in checks if not c.ok]
-    for check in checks:
-        status = "PASS" if check.ok else "FAIL"
-        line = f"{status} {check.name}"
-        if check.detail:
-            line += f" ({check.detail})"
-        sys.stdout.write(line + "\n")
-    sys.stdout.write(f"{len(checks) - len(failures)}/{len(checks)} checks passed\n")
-    return 1 if failures else 0
+    return run_suites(args, moduli, sizes, ms)
+
+
+def __getattr__(name):
+    # PEP 562: the table and suite names moved to ``reference`` (table_text,
+    # Check, SUITES, _suite_bijections, ...) stay readable from here.
+    if not name.startswith("__"):
+        from . import reference
+
+        if hasattr(reference, name):
+            return getattr(reference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +187,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_crt(args) -> int:
-    from . import crt
-    from .oracle import SetSpec
+    from . import crt, formulas
+    from .spec import SetSpec
 
     started = time.perf_counter()
     sign = formulas.normalize_sign(args.sign)
@@ -437,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", required=True, choices=[*SUITES, "all"])
+    p.add_argument("--suite", required=True, choices=[*SUITE_NAMES, "all"])
     p.add_argument("--modulus", default=None, help="moduli, e.g. 4,8")
     p.add_argument("--m", default=None, help="2-power exponents, e.g. 2,3")
     p.add_argument("--sizes", default=None, help="sizes, e.g. 5..10")
@@ -460,7 +275,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if getattr(args, "budget", None) is not None:  # count and verify
-            from .oracle import parse_budget
+            from .spec import parse_budget
 
             args.budget = parse_budget(args.budget, "--budget")
         return args.func(args)

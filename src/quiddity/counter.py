@@ -34,7 +34,7 @@ before anything is built.
 from __future__ import annotations
 
 from .modring import Modulus
-from .oracle import ANY, SetSpec, allowed_values, default_budget, normalize_constraints
+from .spec import ANY, SetSpec, allowed_values, default_budget, normalize_constraints
 from .sl2 import Mat2, TARGET_NAMES, group_order, identity, target_by_name
 
 

@@ -8,17 +8,24 @@ counts, each piece by a closed formula where one applies, else the DP or
 the brute oracle.  dp and brute count over Z/NZ directly, which keeps the
 three sources independent.  The componentwise tuple bijection ships as a
 TupleMap so it can be harness-verified, not just assumed at count level.
+
+Each count source is imported where the route takes it: ``formulas`` once
+a closed form is chosen, ``counter`` once the DP is costed, ``oracle`` on
+the brute branch, and the harness ``maps`` by the bijection alone.  A
+fresh process then compiles only the sources its count runs.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import counter, formulas, oracle
 from .modring import Modulus, Residue, factorize
-from .oracle import NONUNIT, SetSpec, UNIT
 from .sl2 import Mat2, identity, neg_identity, target_name
+from .spec import NONUNIT, SetSpec, UNIT, default_budget
+
+if TYPE_CHECKING:
+    from .formulas import FormulaValue
 
 
 class NonSquarefreeOddPart(ValueError):
@@ -57,34 +64,48 @@ def split(n: int) -> Factorization:
     return Factorization(m, tuple(powers), repeated)
 
 
-def closed_form(spec: SetSpec) -> formulas.FormulaValue | None:
+def _form(spec: SetSpec) -> tuple[str, tuple] | None:
+    """The name and arguments of the ``formulas`` function that counts
+    ``spec`` over a prime power, or None."""
+    name, ((p, k), *other_primes) = target_name(spec.target), factorize(spec.modulus.n)
+    if name is None or other_primes:
+        return None
+    if spec.constraints == ((2, UNIT),) and p == 2 and k >= 2:
+        return "delta_value", (spec.size, k, name)
+    if spec.constraints or name not in ("id", "neg-id"):
+        return None
+    size, sign = spec.size, 1 if name == "id" else -1
+    if p > 2:
+        return ("u_count", (size, p, sign)) if k == 1 and size > 4 else None
+    if k == 1:
+        return None
+    if size % 2 and size >= 5:
+        return "w_odd_2m", ((size - 1) // 2, k, sign)
+    if size == 4:
+        return "w4_2m", (k, sign)
+    if size % 2 == 0 and size >= 6 and k == 2:
+        return "w4_ring4", (size, sign)
+    return None
+
+
+def closed_form(spec: SetSpec) -> FormulaValue | None:
     """The closed form that counts ``spec`` over a prime power, or None.
 
     A unit second entry at a named target over Z/2^mZ (m >= 2) takes
     delta_value, an unconstrained +-Id spec its piece formula; the target
     is read from its matrix.  u_count counts over a field, which Z/p^kZ is
     not for k >= 2 (at size 7 and +Id, F_9 has 6643 solutions and Z/9Z
-    7371).  A composite modulus has none: route_count splits it.
+    7371).  A composite modulus has none: route_count splits it.  The
+    choice is made before ``formulas`` is imported, so a spec with no
+    closed form never loads it.
     """
-    name, ((p, k), *other_primes) = target_name(spec.target), factorize(spec.modulus.n)
-    if name is None or other_primes:
+    form = _form(spec)
+    if form is None:
         return None
-    if spec.constraints == ((2, UNIT),) and p == 2 and k >= 2:
-        return formulas.delta_value(spec.size, k, name)
-    if spec.constraints or name not in ("id", "neg-id"):
-        return None
-    size, sign = spec.size, 1 if name == "id" else -1
-    if p > 2:
-        return formulas.u_count(size, p, sign) if k == 1 and size > 4 else None
-    if k == 1:
-        return None
-    if size % 2 and size >= 5:
-        return formulas.w_odd_2m((size - 1) // 2, k, sign)
-    if size == 4:
-        return formulas.w4_2m(k, sign)
-    if size % 2 == 0 and size >= 6 and k == 2:
-        return formulas.w4_ring4(size, sign)
-    return None
+    from . import formulas
+
+    function, args = form
+    return getattr(formulas, function)(*args)
 
 
 def route_count(spec: SetSpec, method: str, budget: int | None = None) -> tuple[int, str]:
@@ -115,14 +136,20 @@ def route_count(spec: SetSpec, method: str, budget: int | None = None) -> tuple[
         if value is not None:
             return int(value), "formula"
         if method == "formula":
-            raise formulas.UnsupportedCase(
-                f"no formula for size {spec.size} over Z/{spec.modulus.n}Z")
-    budget = oracle.default_budget() if budget is None else budget
-    if method == "dp" or method == "auto" and counter.walk_cost(
-            spec.size, spec.modulus, spec.constraints) <= budget:
-        return counter.dp_count(spec, budget), "dp"
-    if method not in ("auto", "brute"):
+            from .formulas import UnsupportedCase
+
+            raise UnsupportedCase(f"no formula for size {spec.size} over Z/{spec.modulus.n}Z")
+    budget = default_budget() if budget is None else budget
+    if method in ("auto", "dp"):
+        from . import counter
+
+        if method == "dp" or counter.walk_cost(
+                spec.size, spec.modulus, spec.constraints) <= budget:
+            return counter.dp_count(spec, budget), "dp"
+    elif method != "brute":
         raise ValueError(f"unknown method {method!r}")
+    from . import oracle
+
     return oracle.count(spec, "auto", budget), "brute"
 
 
@@ -144,8 +171,10 @@ def piece_counts(spec: SetSpec, method: str = "auto",
 
 
 def assemble_count(size: int, fact: Factorization, sign, method: str = "auto",
-                   budget: int | None = None) -> formulas.FormulaValue:
+                   budget: int | None = None) -> FormulaValue:
     """Product of the per-piece +-Id counts; equals the direct count over Z/NZ."""
+    from . import formulas
+
     sign, modulus = formulas.normalize_sign(sign), Modulus(fact.modulus_value())
     spec = SetSpec(size, identity(modulus) if sign == 1 else neg_identity(modulus))
     counts = piece_counts(spec, method, budget)

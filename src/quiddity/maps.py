@@ -10,7 +10,8 @@ The harness runs forward and backward once per domain member; in its pass
 over the codomain, a member that was already an image needs only its
 preimage's domain membership checked, so a bijection costs one forward and
 one backward per member.  A battery from shipped_maps shares its solution
-sets and computes all psi fibers in one psi pass.
+sets, and so their membership indexes, and computes all psi fibers in one
+psi pass.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ import itertools
 from typing import Callable, NamedTuple
 
 from .modring import Modulus, NotAUnit, Residue, nonunits_of, units_of
-from .oracle import NONUNIT, SetSpec, UNIT, fixed, psi, psi_domain, solutions
+from .oracle import psi, psi_domain, solutions
 from .sl2 import Mat2, continuant_product, identity, neg_identity, target_name
+from .spec import NONUNIT, SetSpec, UNIT, fixed
 
 
 class DomainViolation(ValueError):
@@ -227,11 +229,18 @@ def _target_label(target: Mat2) -> str:
 
 
 class SpecSet:
-    """An enumerable tuple set described by a SetSpec."""
+    """An enumerable tuple set described by a SetSpec.
+
+    Membership is a lookup among the enumerated members.  The index is
+    built once per set, and each member is checked against spec.matches
+    as it goes in: a member the enumeration got wrong is left out, so the
+    harness reports it, and a tuple the enumeration missed is refused.
+    """
 
     def __init__(self, spec: SetSpec):
         self.spec = spec
         self._members = None
+        self._index = None
 
     def members(self, budget=None) -> tuple:
         if self._members is None:
@@ -239,13 +248,13 @@ class SpecSet:
         return self._members
 
     def contains(self, t) -> bool:
-        # matches() reads each letter with int(); plain values skip a
-        # Python-level __int__ call per letter
-        try:
-            values = [a.value for a in t]
-        except AttributeError:  # not a tuple of residues, so not a member
-            return False
-        return self.spec.matches(values)
+        if self._index is None:
+            # matches() reads each letter with int(); plain values skip a
+            # Python-level __int__ call per letter
+            matches = self.spec.matches
+            self._index = frozenset(m for m in self.members()
+                                    if matches([a.value for a in m]))
+        return t in self._index
 
 
 class FiberSet:

@@ -1,10 +1,11 @@
 """Brute-force ground truth: enumerate or count constrained tuple sets.
 
-A SetSpec describes tuples (a_1, ..., a_n) over Z/NZ whose continuant
-product equals a fixed target matrix, with optional per-position
-constraints (fixed value, unit, non-unit).  Enumeration is exhaustive and
-deterministic; counting can also run as a meet-in-the-middle hash join on
-the midpoint group element, which must agree with the naive count.
+A SetSpec (defined in ``spec``, with the budget) describes tuples
+(a_1, ..., a_n) over Z/NZ whose continuant product equals a fixed target
+matrix, with optional per-position constraints (fixed value, unit,
+non-unit).  Enumeration is exhaustive and deterministic; counting can also
+run as a meet-in-the-middle hash join on the midpoint group element, which
+must agree with the naive count.
 
 Everything runs on one walk over letter choices, _walk, which carries two
 rows through the recurrence (cur, prev) -> (a*cur - prev, cur).  It has
@@ -25,194 +26,29 @@ three uses:
   letter 1 onto their at most N^2 top rows.
 
 This module is the independent oracle for every other count source, so it
-deliberately shares no machinery with the dynamic program.
+deliberately shares no machinery with the dynamic program: it imports only
+``spec``, ``sl2`` and ``modring``.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from collections import Counter
-from functools import lru_cache
 from itertools import chain, repeat
 from operator import add
-from typing import NamedTuple
 
-from .modring import Modulus, Residue, NotAUnit, totient
-from .sl2 import Mat2, continuant_product
+from . import spec as _spec
+from .modring import Modulus, Residue, NotAUnit
+from .sl2 import Mat2
 
-DEFAULT_BUDGET = 1 << 27
-
-
-def default_budget() -> int:
-    env = os.environ.get("QUIDDITY_BUDGET")
-    return parse_budget(env, "QUIDDITY_BUDGET") if env else DEFAULT_BUDGET
-
-
-def parse_budget(text: str, source: str) -> int:
-    """A budget given as text; refused, naming its source, unless positive."""
-    try:
-        budget = int(text)
-    except ValueError:
-        budget = 0  # rejected below with the other non-positive values
-    if budget <= 0:
-        raise ValueError(f"{source} must be a positive integer, got {text!r}")
-    return budget
-
-
-class BudgetExceeded(RuntimeError, ValueError):
-    """A walk needs more candidates than the budget allows; a ValueError
-    too, so that the CLI reports it as a bad request."""
-
-    def __init__(self, required: int, budget: int):
-        super().__init__(f"enumeration needs {required} candidates, budget is {budget}")
-        self.required = required
-        self.budget = budget
-
-
-def _admit(required: int, budget: int | None):
-    """Raise BudgetExceeded unless ``required`` candidates fit the budget
-    (default_budget() when None)."""
-    budget = default_budget() if budget is None else budget
-    if required > budget:
-        raise BudgetExceeded(required, budget)
-
-
-class Constraint(NamedTuple):
-    kind: str  # "any" | "unit" | "nonunit" | "fixed"
-    value: int | None = None
-
-
-ANY = Constraint("any")
-UNIT = Constraint("unit")
-NONUNIT = Constraint("nonunit")
-
-
-def fixed(value) -> Constraint:
-    return Constraint("fixed", int(value))
-
-
-def allowed_values(modulus: Modulus, constraint: Constraint) -> tuple[int, ...]:
-    n = modulus.n
-    if constraint.kind == "any":
-        return tuple(range(n))
-    if constraint.kind == "unit":
-        return tuple(v for v in range(n) if math.gcd(v, n) == 1)
-    if constraint.kind == "nonunit":
-        return tuple(v for v in range(n) if math.gcd(v, n) != 1)
-    if constraint.kind == "fixed":
-        return (constraint.value % n,)
-    raise ValueError(f"unknown constraint kind {constraint.kind!r}")
-
-
-def _allowed_count(modulus: Modulus, constraint: Constraint) -> int:
-    """len(allowed_values(modulus, constraint)), without listing the values."""
-    n = modulus.n
-    if constraint.kind == "any":
-        return n
-    if constraint.kind == "unit":
-        return totient(n)
-    if constraint.kind == "nonunit":
-        return n - totient(n)
-    if constraint.kind == "fixed":
-        return 1
-    raise ValueError(f"unknown constraint kind {constraint.kind!r}")
-
-
-@lru_cache(maxsize=256)
-def _allowed_set(modulus: Modulus, constraint: Constraint) -> frozenset[int]:
-    return frozenset(allowed_values(modulus, constraint))
-
-
-def normalize_constraints(constraints, size: int, modulus: Modulus) -> dict[int, Constraint]:
-    """Check per-position constraints (a dict or (position, constraint) pairs).
-
-    Positions must lie in 1..size and appear once; fixed values are reduced
-    mod N and "any" entries dropped.
-    """
-    out: dict[int, Constraint] = {}
-    if not constraints:
-        return out
-    pairs = constraints.items() if isinstance(constraints, dict) else constraints
-    seen = set()
-    for pos, con in pairs:
-        if not 1 <= pos <= size:
-            raise ValueError(f"constraint position {pos} outside 1..{size}")
-        if pos in seen:
-            raise ValueError(f"duplicate constraint for position {pos}")
-        seen.add(pos)
-        if con.kind == "fixed":
-            con = Constraint("fixed", con.value % modulus.n)
-        if con.kind != "any":
-            out[pos] = con
-    return out
-
-
-class SetSpec:
-    """Size, target matrix, and per-position constraints (1-based positions)."""
-
-    # _allowed caches one frozenset of values per position for matches(),
-    # shared between positions and specs with the same constraint; it is
-    # derived from the rest, so it stays out of _key().
-    __slots__ = ("size", "target", "constraints", "_allowed")
-
-    def __init__(self, size: int, target: Mat2, constraints=None):
-        if size < 1:
-            raise ValueError("tuple size must be >= 1")
-        if target.det() != 1:
-            raise ValueError("target must have determinant 1")
-        self.size = size
-        self.target = target
-        cons = normalize_constraints(constraints, size, target.modulus)
-        self.constraints = tuple(sorted(cons.items()))
-        self._allowed = None
-
-    @property
-    def modulus(self) -> Modulus:
-        return self.target.modulus
-
-    def constraint_at(self, pos: int) -> Constraint:
-        for p, con in self.constraints:
-            if p == pos:
-                return con
-        return ANY
-
-    def position_values(self) -> list[tuple[int, ...]]:
-        return [allowed_values(self.modulus, self.constraint_at(p)) for p in range(1, self.size + 1)]
-
-    def position_counts(self) -> list[int]:
-        """The number of allowed letters at each position; refusals are
-        decided from these, so a refused spec lists no values."""
-        return [_allowed_count(self.modulus, self.constraint_at(p)) for p in range(1, self.size + 1)]
-
-    def free_positions(self) -> int:
-        return sum(1 for p in range(1, self.size + 1) if self.constraint_at(p).kind != "fixed")
-
-    def naive_candidates(self) -> int:
-        return math.prod(self.position_counts())
-
-    def matches(self, t) -> bool:
-        """Does a tuple of residues belong to this set?"""
-        if len(t) != self.size:
-            return False
-        if self._allowed is None:
-            self._allowed = tuple(_allowed_set(self.modulus, self.constraint_at(p))
-                                  for p in range(1, self.size + 1))
-        if any(int(a) not in allowed for allowed, a in zip(self._allowed, t)):
-            return False
-        return continuant_product(t, self.modulus) == self.target
-
-    def _key(self):
-        return (self.size, self.target.key(), self.modulus.n, self.constraints)
-
-    def __eq__(self, other):
-        return isinstance(other, SetSpec) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"SetSpec(size={self.size}, target={self.target!r}, constraints={self.constraints})"
+# The set spec and the budget are defined in ``spec``, so that the DP and
+# the CRT router read them without loading the walkers below; they stay
+# readable from the oracle as the same objects.
+SetSpec, Constraint, ANY, UNIT, NONUNIT = (
+    _spec.SetSpec, _spec.Constraint, _spec.ANY, _spec.UNIT, _spec.NONUNIT)
+fixed, allowed_values, _admit = _spec.fixed, _spec.allowed_values, _spec._admit
+DEFAULT_BUDGET, default_budget, BudgetExceeded = (
+    _spec.DEFAULT_BUDGET, _spec.default_budget, _spec.BudgetExceeded)
 
 
 def _walk(values, N, p, q, r, s, out=None):
@@ -282,13 +118,19 @@ def _solve(spec: SetSpec):
         yield out
 
 
+def _solve_cost(spec: SetSpec) -> int:
+    """Candidates _solve walks: the allowed letters at positions 1..n-2,
+    since the last two are forced (one candidate for n <= 2)."""
+    return math.prod(spec.position_counts()[:max(spec.size - 2, 0)])
+
+
 def solutions(spec: SetSpec, budget: int | None = None):
     """Yield every tuple in the set, in lexicographic order.
 
     Positions are filled 1..n with values ascending, so the stream is
-    reproducible run to run.
+    reproducible run to run.  The budget bounds the candidates _solve walks.
     """
-    _admit(spec.naive_candidates(), budget)
+    _admit(_solve_cost(spec), budget)
     mod = spec.modulus
     for letters in _solve(spec):
         yield mod.residues(letters)
@@ -435,21 +277,23 @@ def count(spec: SetSpec, method: str = "auto", budget: int | None = None,
           split: int | None = None) -> int:
     """Exact size of the set.
 
-    method "naive" walks every candidate; "mitm" joins two half
-    enumerations on the midpoint product; "auto" picks mitm once six or
-    more positions are free.  All methods agree; the budget is an upper
-    bound on the candidates the chosen method examines (the join counts
-    the prefix and the suffix it walks, which leaves out a free junction
-    letter; before a free junction the prefix may instead walk letters
-    2..k and fold letter 1 onto their top rows, counted as one candidate
-    per top row and letter, whichever is fewer).  Unless ``split`` is
+    method "naive" walks every choice of the first n - 2 letters, the
+    last two being forced; "mitm" joins two half enumerations on the
+    midpoint product; "auto" picks mitm once six or more positions are
+    free.  All methods agree; the budget is an upper bound on the
+    candidates the chosen method examines (the naive walk counts its
+    choices of n - 2 letters; the join counts the prefix and the suffix
+    it walks, which leaves out a free junction letter; before a free
+    junction the prefix may instead walk letters 2..k and fold letter 1
+    onto their top rows, counted as one candidate per top row and
+    letter, whichever is fewer).  Unless ``split`` is
     given, the join splits where it walks the fewest candidates, the same
     number the budget admits; a tie goes to the shorter prefix.
     """
     if method == "auto":
         method = "mitm" if (spec.size >= 2 and spec.free_positions() >= 6) else "naive"
     if method == "naive":
-        _admit(spec.naive_candidates(), budget)
+        _admit(_solve_cost(spec), budget)
         return _count_naive(spec)
     if method == "mitm":
         if spec.size < 2:

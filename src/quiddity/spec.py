@@ -1,0 +1,194 @@
+"""The set spec and the candidate budget, shared by every count source.
+
+A SetSpec describes tuples (a_1, ..., a_n) over Z/NZ whose continuant
+product equals a fixed target matrix, with optional per-position
+constraints (fixed value, unit, non-unit).  The budget bounds the work one
+count may do: QUIDDITY_BUDGET, else DEFAULT_BUDGET.
+
+The DP, the CRT router and the CLI read these without loading the brute
+oracle's walkers; ``oracle`` re-binds them, as the same objects, for its
+own callers.
+"""
+
+from __future__ import annotations
+
+import math
+import os
+from functools import lru_cache
+from typing import NamedTuple
+
+from .modring import Modulus, totient
+from .sl2 import Mat2, continuant_product
+
+DEFAULT_BUDGET = 1 << 27
+
+
+def default_budget() -> int:
+    env = os.environ.get("QUIDDITY_BUDGET")
+    return parse_budget(env, "QUIDDITY_BUDGET") if env else DEFAULT_BUDGET
+
+
+def parse_budget(text: str, source: str) -> int:
+    """A budget given as text; refused, naming its source, unless positive."""
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = 0  # rejected below with the other non-positive values
+    if budget <= 0:
+        raise ValueError(f"{source} must be a positive integer, got {text!r}")
+    return budget
+
+
+class BudgetExceeded(RuntimeError, ValueError):
+    """A walk needs more candidates than the budget allows; a ValueError
+    too, so that the CLI reports it as a bad request."""
+
+    def __init__(self, required: int, budget: int):
+        super().__init__(f"enumeration needs {required} candidates, budget is {budget}")
+        self.required = required
+        self.budget = budget
+
+
+def _admit(required: int, budget: int | None):
+    """Raise BudgetExceeded unless ``required`` candidates fit the budget
+    (default_budget() when None)."""
+    budget = default_budget() if budget is None else budget
+    if required > budget:
+        raise BudgetExceeded(required, budget)
+
+
+class Constraint(NamedTuple):
+    kind: str  # "any" | "unit" | "nonunit" | "fixed"
+    value: int | None = None
+
+
+ANY = Constraint("any")
+UNIT = Constraint("unit")
+NONUNIT = Constraint("nonunit")
+
+
+def fixed(value) -> Constraint:
+    return Constraint("fixed", int(value))
+
+
+def allowed_values(modulus: Modulus, constraint: Constraint) -> tuple[int, ...]:
+    n = modulus.n
+    if constraint.kind == "any":
+        return tuple(range(n))
+    if constraint.kind == "unit":
+        return tuple(v for v in range(n) if math.gcd(v, n) == 1)
+    if constraint.kind == "nonunit":
+        return tuple(v for v in range(n) if math.gcd(v, n) != 1)
+    if constraint.kind == "fixed":
+        return (constraint.value % n,)
+    raise ValueError(f"unknown constraint kind {constraint.kind!r}")
+
+
+def _allowed_count(modulus: Modulus, constraint: Constraint) -> int:
+    """len(allowed_values(modulus, constraint)), without listing the values."""
+    n = modulus.n
+    if constraint.kind == "any":
+        return n
+    if constraint.kind == "unit":
+        return totient(n)
+    if constraint.kind == "nonunit":
+        return n - totient(n)
+    if constraint.kind == "fixed":
+        return 1
+    raise ValueError(f"unknown constraint kind {constraint.kind!r}")
+
+
+@lru_cache(maxsize=256)
+def _allowed_set(modulus: Modulus, constraint: Constraint) -> frozenset[int]:
+    return frozenset(allowed_values(modulus, constraint))
+
+
+def normalize_constraints(constraints, size: int, modulus: Modulus) -> dict[int, Constraint]:
+    """Check per-position constraints (a dict or (position, constraint) pairs).
+
+    Positions must lie in 1..size and appear once; fixed values are reduced
+    mod N and "any" entries dropped.
+    """
+    out: dict[int, Constraint] = {}
+    if not constraints:
+        return out
+    pairs = constraints.items() if isinstance(constraints, dict) else constraints
+    seen = set()
+    for pos, con in pairs:
+        if not 1 <= pos <= size:
+            raise ValueError(f"constraint position {pos} outside 1..{size}")
+        if pos in seen:
+            raise ValueError(f"duplicate constraint for position {pos}")
+        seen.add(pos)
+        if con.kind == "fixed":
+            con = Constraint("fixed", con.value % modulus.n)
+        if con.kind != "any":
+            out[pos] = con
+    return out
+
+
+class SetSpec:
+    """Size, target matrix, and per-position constraints (1-based positions)."""
+
+    # _allowed caches one frozenset of values per position for matches(),
+    # shared between positions and specs with the same constraint; it is
+    # derived from the rest, so it stays out of _key().
+    __slots__ = ("size", "target", "constraints", "_allowed")
+
+    def __init__(self, size: int, target: Mat2, constraints=None):
+        if size < 1:
+            raise ValueError("tuple size must be >= 1")
+        if target.det() != 1:
+            raise ValueError("target must have determinant 1")
+        self.size = size
+        self.target = target
+        cons = normalize_constraints(constraints, size, target.modulus)
+        self.constraints = tuple(sorted(cons.items()))
+        self._allowed = None
+
+    @property
+    def modulus(self) -> Modulus:
+        return self.target.modulus
+
+    def constraint_at(self, pos: int) -> Constraint:
+        for p, con in self.constraints:
+            if p == pos:
+                return con
+        return ANY
+
+    def position_values(self) -> list[tuple[int, ...]]:
+        return [allowed_values(self.modulus, self.constraint_at(p)) for p in range(1, self.size + 1)]
+
+    def position_counts(self) -> list[int]:
+        """The number of allowed letters at each position; refusals are
+        decided from these, so a refused spec lists no values."""
+        return [_allowed_count(self.modulus, self.constraint_at(p)) for p in range(1, self.size + 1)]
+
+    def free_positions(self) -> int:
+        return sum(1 for p in range(1, self.size + 1) if self.constraint_at(p).kind != "fixed")
+
+    def naive_candidates(self) -> int:
+        return math.prod(self.position_counts())
+
+    def matches(self, t) -> bool:
+        """Does a tuple of residues belong to this set?"""
+        if len(t) != self.size:
+            return False
+        if self._allowed is None:
+            self._allowed = tuple(_allowed_set(self.modulus, self.constraint_at(p))
+                                  for p in range(1, self.size + 1))
+        if any(int(a) not in allowed for allowed, a in zip(self._allowed, t)):
+            return False
+        return continuant_product(t, self.modulus) == self.target
+
+    def _key(self):
+        return (self.size, self.target.key(), self.modulus.n, self.constraints)
+
+    def __eq__(self, other):
+        return isinstance(other, SetSpec) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"SetSpec(size={self.size}, target={self.target!r}, constraints={self.constraints})"

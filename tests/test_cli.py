@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import quiddity
-from quiddity import formulas, modring
+from quiddity import cli, formulas, modring, reference
 from quiddity.cli import main, table_text
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -144,16 +144,17 @@ def test_count_and_verify_reject_a_bad_budget_option(capsys, argv, value):
 
 def test_auto_route_takes_brute_force_when_only_its_cost_fits(capsys, monkeypatch):
     # N = 16, size 3: the walk predicts |G| * 4 = 3,072 * 4 = 12,288
-    # additions, the naive oracle 16**3 = 4,096 candidates.
+    # additions, the naive oracle 16 candidates (letter 1; the last two
+    # letters are forced).
     argv = ("count", "--modulus", "16", "--size", "3", "--target", "neg-s")
     by_dp = run_json(capsys, *argv)
     assert (by_dp["method"], by_dp["count"]) == ("dp", "16")
     monkeypatch.setenv("QUIDDITY_BUDGET", "5000")
     by_brute = run_json(capsys, *argv)
     assert (by_brute["method"], by_brute["count"]) == ("brute", "16")
-    code, out, err = run_cli(capsys, *argv, "--budget", "4095")
+    code, out, err = run_cli(capsys, *argv, "--budget", "15")
     assert (code, out) == (2, "")
-    assert err == "error: enumeration needs 4096 candidates, budget is 4095\n"
+    assert err == "error: enumeration needs 16 candidates, budget is 15\n"
 
 
 @pytest.mark.parametrize("argv, count", [
@@ -304,6 +305,17 @@ def test_table_rejects_an_empty_row_selection(capsys, rows):
 def test_table_text_matches_cli(capsys):
     code, out, _ = run_cli(capsys, "table", "--which", "odd-w-plus")
     assert out == table_text("odd-w-plus")
+
+
+def test_the_parser_lists_every_suite_in_order():
+    assert cli.SUITE_NAMES == tuple(reference.SUITES)
+
+
+def test_the_moved_bodies_stay_readable_from_the_cli():
+    assert cli.table_text is reference.table_text
+    assert cli._suite_bijections is reference._suite_bijections
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        cli.no_such_name
 
 
 def test_verify_recursion_suite(capsys):
@@ -469,18 +481,18 @@ def test_verify_bijections_output_is_golden(capsys):
 
 
 def test_an_oversized_refusal_lists_no_values(capsys, monkeypatch):
-    # 1000003**3 candidates: listing each position's values alone would take
-    # about 100 MB.
+    # 1000003**2 candidates, letters 1 and 2 (the last two are forced):
+    # listing each position's values alone would take about 130 MB.
     monkeypatch.delenv("QUIDDITY_BUDGET", raising=False)
     tracemalloc.start()
     try:
-        code, out, err = run_cli(capsys, "count", "--modulus", "1000003", "--size", "3",
+        code, out, err = run_cli(capsys, "count", "--modulus", "1000003", "--size", "4",
                                  "--target", "t")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert (code, out) == (2, "")
-    assert err == ("error: enumeration needs 1000009000027000027 candidates, "
+    assert err == ("error: enumeration needs 1000006000009 candidates, "
                    "budget is 134217728\n")
     assert peak < 1 << 20
 

@@ -112,7 +112,8 @@ def test_piece_source_methods():
 
 def test_piece_sources_follow_the_budget(monkeypatch):
     # Size 3: the Z/4Z piece's walk predicts 48 * 4 = 192 additions against
-    # 4**3 = 64 candidates; the Z/3Z piece's 24 * 4 = 96 against 27.
+    # the oracle's 4 candidates (letter 1; the last two are forced); the
+    # Z/3Z piece's 24 * 4 = 96 against 3.
     expected = piece_counts(pm_id(3, 12))
     monkeypatch.setenv("QUIDDITY_BUDGET", "100")
     parts = piece_counts(pm_id(3, 12))
@@ -120,7 +121,7 @@ def test_piece_sources_follow_the_budget(monkeypatch):
     assert [cnt for _, cnt, _ in parts] == [cnt for _, cnt, _ in expected]
     with pytest.raises(CapExceeded):
         piece_counts(pm_id(3, 12), "dp")
-    monkeypatch.setenv("QUIDDITY_BUDGET", "50")
+    monkeypatch.setenv("QUIDDITY_BUDGET", "3")
     with pytest.raises(BudgetExceeded):
         piece_counts(pm_id(3, 12))
 
@@ -142,7 +143,7 @@ def test_an_explicit_budget_reaches_every_piece(monkeypatch):
     with pytest.raises(CapExceeded):
         assemble_count(3, split(12), 1, method="dp", budget=100)
     with pytest.raises(BudgetExceeded):
-        assemble_count(3, split(12), 1, budget=50)
+        assemble_count(3, split(12), 1, budget=3)
 
 
 def test_odd_only_modulus_assembles_too():
@@ -253,10 +254,18 @@ def test_componentwise_split_is_a_bijection(size, sign):
 @pytest.mark.parametrize("n", [18, 50])
 @pytest.mark.parametrize("size", [4, 5])
 def test_componentwise_split_over_z2_and_a_prime_square_is_a_bijection(n, size):
-    # Admission charges all 50^5 tuples over Z/50Z; the walk visits far fewer.
     for sign in (1, -1):
-        report = verify_reciprocal(crt_split_bijection(pm_id(size, n, sign)), budget=1 << 30)
+        report = verify_reciprocal(crt_split_bijection(pm_id(size, n, sign)))
         assert report.ok, report.describe()
+
+
+def test_the_z50_split_fits_the_default_budget(monkeypatch):
+    # Enumerating the domain is charged its 50**3 choices of letters 1..3
+    # (the last two are forced), not all 50**5 tuples.
+    monkeypatch.delenv("QUIDDITY_BUDGET", raising=False)
+    assert verify_reciprocal(crt_split_bijection(pm_id(5, 50))).ok
+    with pytest.raises(BudgetExceeded, match="^enumeration needs 125000 candidates"):
+        verify_reciprocal(crt_split_bijection(pm_id(5, 50)), budget=50 ** 3 - 1)
 
 
 def test_split_bijection_needs_two_pieces():

@@ -50,26 +50,26 @@ def test_no_module_imports_dataclasses(path):
     assert "dataclasses" not in imported_modules(path)
 
 
+# The DP, the closed forms and the modules built on them.
+BUILT_ABOVE = {"quiddity.counter", "quiddity.formulas", "quiddity.crt", "quiddity.maps",
+               "quiddity.cli"}
+
+
 def test_oracle_shares_nothing_with_the_dp_or_the_formulas():
-    shared = {name for name in imported_modules(PACKAGE / "oracle.py")
-              if name in ("quiddity.counter", "quiddity.formulas", "quiddity.crt",
-                          "quiddity.maps", "quiddity.cli")}
-    assert not shared
+    assert not imported_modules(PACKAGE / "oracle.py") & BUILT_ABOVE
 
 
-def test_dp_takes_only_constraint_handling_from_the_oracle():
-    # The DP reads letters, constraints and the budget through the oracle,
-    # never the whole module, so it cannot reach the oracle's walkers.
-    taken = set()
-    for node in ast.walk(ast.parse((PACKAGE / "counter.py").read_text())):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            names = {alias.name for alias in node.names}
-            if getattr(node, "module", None) in ("oracle", "quiddity.oracle"):
-                taken |= names
-            else:
-                assert not names & {"oracle", "quiddity.oracle"}
-    assert taken <= {"ANY", "SetSpec", "allowed_values", "default_budget",
-                     "normalize_constraints"}, sorted(taken)
+def test_the_set_spec_imports_no_count_source():
+    # Every count source reads the set spec and the budget, so the spec
+    # imports none of them, not even the oracle.
+    assert not imported_modules(PACKAGE / "spec.py") & (BUILT_ABOVE | {"quiddity.oracle"})
+
+
+def test_dp_takes_nothing_from_the_oracle():
+    # The DP reads letters, constraints and the budget from ``spec``, so it
+    # cannot reach the oracle's walkers.
+    assert "quiddity.oracle" not in imported_modules(PACKAGE / "counter.py")
+    assert "quiddity.spec" in imported_modules(PACKAGE / "counter.py")
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)

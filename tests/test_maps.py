@@ -8,6 +8,7 @@ from quiddity.maps import (
     DomainViolation,
     FiberSet,
     ReciprocityReport,
+    SpecSet,
     TupleMap,
     drop_minus_one_bijection,
     expand_pair,
@@ -421,6 +422,30 @@ def test_each_member_is_mapped_once_each_way():
                     logged("forward", {A: X}), logged("backward", {X: A, Y: A}))
     assert verify_reciprocal(tmap).failure == "forward(backward(s)) != s"
     assert calls == [("forward", A), ("backward", X), ("backward", Y), ("forward", A)]
+
+
+def test_a_wrongly_enumerated_member_is_reported():
+    # The codomain lists a tuple outside its spec: the index leaves it out,
+    # so the second pass finds its preimage outside the domain.
+    spec = SetSpec(3, identity(MOD8))
+    domain, codomain = SpecSet(spec), SpecSet(spec)
+    stray = rt(MOD8, 0, 0, 0)
+    codomain._members = codomain.members() + (stray,)
+    tmap = TupleMap("identity", domain, codomain, lambda t: t, lambda t: t)
+    report = verify_reciprocal(tmap)
+    assert (report.ok, report.failure, report.counterexample) == (
+        False, "backward image left the domain", (stray, stray))
+    assert not codomain.contains(stray)
+
+
+def test_membership_needs_the_enumeration_too():
+    # A tuple the predicate accepts but the enumeration missed is refused.
+    members = SpecSet(SetSpec(3, identity(MOD8)))
+    first, *rest = members.members()
+    members._members = tuple(rest)
+    assert members.spec.matches(first)
+    assert not members.contains(first)
+    assert all(members.contains(t) for t in rest)
 
 
 def test_fibers_match_psi_fiber_in_order():

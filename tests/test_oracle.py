@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from helpers import ivals, sl2_elements
-from quiddity import oracle
+from quiddity import oracle, spec as set_spec
 from quiddity.counter import dp_count
 from quiddity.formulas import u_count, w_odd_2m
 from quiddity.modring import Modulus, NotAUnit, Residue, units_of
@@ -107,7 +107,7 @@ def test_budget_naive():
     spec = SetSpec(10, identity(MOD8))
     with pytest.raises(BudgetExceeded) as err:
         count(spec, "naive", budget=10_000)
-    assert err.value.required == 8 ** 10
+    assert err.value.required == 8 ** 8  # letters 1..8; the last two are forced
 
 
 def test_budget_mitm_counts_half_enumerations():
@@ -138,7 +138,7 @@ def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("QUIDDITY_BUDGET", "100")
     assert oracle.default_budget() == 100
     with pytest.raises(BudgetExceeded):
-        count(SetSpec(3, identity(MOD8)))
+        count(SetSpec(5, identity(MOD8)))
     monkeypatch.delenv("QUIDDITY_BUDGET")
     assert oracle.default_budget() == oracle.DEFAULT_BUDGET
 
@@ -285,7 +285,8 @@ def test_fixed_last_letters_that_miss_the_forced_ones(n):
 
 def test_refusals_keep_their_required_candidates():
     spec = SetSpec(7, identity(MOD8), {2: UNIT})
-    naive = 8 ** 6 * 4
+    naive = 8 ** 4 * 4  # letters 1..5; the last two are forced
+    leaves = 8 ** 6 * 4  # the histogram buckets every candidate
     mitm = 8 * 4 * 8 + 8 ** 3  # split after position 3; free junction 4 not walked
     with pytest.raises(BudgetExceeded) as err:
         count(spec, "naive", budget=naive - 1)
@@ -294,8 +295,8 @@ def test_refusals_keep_their_required_candidates():
         next(solutions(spec, budget=naive - 1))
     assert err.value.required == naive
     with pytest.raises(BudgetExceeded) as err:
-        product_histogram(7, MOD8, {2: UNIT}, budget=naive - 1)
-    assert err.value.required == naive
+        product_histogram(7, MOD8, {2: UNIT}, budget=leaves - 1)
+    assert err.value.required == leaves
     with pytest.raises(BudgetExceeded) as err:
         count(spec, "mitm", split=3, budget=mitm - 1)
     assert err.value.required == mitm
@@ -305,14 +306,23 @@ def test_refusals_keep_their_required_candidates():
 
 
 def test_auto_rule_switches_at_six_free_positions():
-    # 8**6 naive candidates but 8**3 + 8**3 for the join: a budget of 1024
-    # admits only the join, so the answer shows which method auto chose.
+    # Six free letters: 8**4 naive candidates but 576 for the join, so a
+    # budget of 1024 admits only the join and the answer shows which method
+    # auto chose.  Five: the naive walk needs 8**3, the join only 128.
     wide = SetSpec(6, identity(MOD8))
     assert count(wide, budget=1024) == count(wide, "naive")
     narrow = SetSpec(6, identity(MOD8), {1: fixed(1)})
     with pytest.raises(BudgetExceeded) as err:
-        count(narrow, budget=1024)
-    assert err.value.required == 8 ** 5
+        count(narrow, budget=511)
+    assert err.value.required == 8 ** 3
+
+
+@pytest.mark.parametrize("name", ["ANY", "BudgetExceeded", "Constraint", "DEFAULT_BUDGET",
+                                  "NONUNIT", "SetSpec", "UNIT", "allowed_values",
+                                  "default_budget", "fixed", "_admit"])
+def test_the_oracle_rebinds_the_set_spec_names(name):
+    # defined once, in ``spec``; the oracle's names are the same objects
+    assert getattr(oracle, name) is getattr(set_spec, name)
 
 
 def test_membership_cache_leaves_equality_alone():

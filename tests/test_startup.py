@@ -53,16 +53,47 @@ def test_import_quiddity_loads_no_submodule():
     assert not [name for name in loaded if name.startswith("quiddity.")]
 
 
-@pytest.mark.parametrize("argv, method", [
-    (("count", "--modulus", "8", "--size", "6", "--target", "s"), "dp"),
-    (("count", "--modulus", "8", "--size", "7", "--target", "id"), "formula"),
-])
+# The count source each route takes.  Without bytecode caching every module
+# a request loads is compiled again, and formulas also pulls in fractions
+# and decimal.
+SOURCE = {"dp": "quiddity.counter", "brute": "quiddity.oracle", "formula": "quiddity.formulas"}
+DP_COUNT = ("count", "--modulus", "8", "--size", "6", "--target", "s")
+BRUTE_COUNT = ("count", "--modulus", "8", "--size", "6", "--target", "s", "--method", "brute")
+FORMULA_COUNT = ("count", "--modulus", "8", "--size", "7", "--target", "id")
+
+
+@pytest.mark.parametrize("argv, method", [(DP_COUNT, "dp"), (FORMULA_COUNT, "formula")])
 def test_a_count_loads_neither_the_harness_nor_dataclasses(argv, method):
     report = probe(*argv)
     assert report["code"] == 0
     assert json.loads(report["out"])["method"] == method
-    assert "quiddity.counter" in report["loaded"]
+    assert SOURCE[method] in report["loaded"]
     assert not HEAVY & set(report["loaded"])
+
+
+@pytest.mark.parametrize("argv, method", [
+    (DP_COUNT, "dp"), (BRUTE_COUNT, "brute"), (FORMULA_COUNT, "formula")])
+def test_a_count_loads_only_the_source_its_route_takes(argv, method):
+    report = probe(*argv)
+    assert json.loads(report["out"])["method"] == method
+    loaded = set(report["loaded"])
+    assert {"quiddity.spec", "quiddity.crt"} <= loaded
+    assert loaded & set(SOURCE.values()) == {SOURCE[method]}
+    assert all((name in loaded) == (method == "formula") for name in ("fractions", "decimal"))
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (("table", "--which", "delta-s", "--rows", "3"), True),
+    (("verify", "--suite", "totality", "--modulus", "3", "--sizes", "2"), True),
+    (DP_COUNT, False),
+    (FORMULA_COUNT, False),
+    (("formula", "--name", "w8-even", "--n-half", "2"), False),
+    (("crt", "--modulus", "12", "--size", "5"), False),
+], ids=["table", "verify", "count-dp", "count-formula", "formula", "crt"])
+def test_only_table_and_verify_load_their_bodies(argv, loads):
+    report = probe(*argv)
+    assert report["code"] == 0
+    assert ("quiddity.reference" in report["loaded"]) == loads
 
 
 def test_the_crt_suite_loads_the_harness_on_demand():
