@@ -119,9 +119,12 @@ def _solve(spec: SetSpec):
 
 
 def _solve_cost(spec: SetSpec) -> int:
-    """Candidates _solve walks: the allowed letters at positions 1..n-2,
-    since the last two are forced (one candidate for n <= 2)."""
-    return math.prod(spec.position_counts()[:max(spec.size - 2, 0)])
+    """Candidates _solve walks, the allowed letters at positions 1..n-2
+    (the last two are forced), plus the values it lists for every position,
+    so that a short tuple over a huge modulus is refused before any list
+    is built."""
+    counts = spec.position_counts()
+    return math.prod(counts[:max(spec.size - 2, 0)]) + sum(counts)
 
 
 def solutions(spec: SetSpec, budget: int | None = None):

@@ -75,12 +75,6 @@ def table_text(which: str, rows: list[int] | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_table(args) -> int:
-    rows = _parse_ints(args.rows) if args.rows is not None else None
-    sys.stdout.write(table_text(args.which, rows))
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # verification suites
 

@@ -144,17 +144,17 @@ def test_count_and_verify_reject_a_bad_budget_option(capsys, argv, value):
 
 def test_auto_route_takes_brute_force_when_only_its_cost_fits(capsys, monkeypatch):
     # N = 16, size 3: the walk predicts |G| * 4 = 3,072 * 4 = 12,288
-    # additions, the naive oracle 16 candidates (letter 1; the last two
-    # letters are forced).
+    # additions, the naive oracle 64 candidates (letter 1, the last two
+    # letters being forced, and the 3 * 16 values it lists).
     argv = ("count", "--modulus", "16", "--size", "3", "--target", "neg-s")
     by_dp = run_json(capsys, *argv)
     assert (by_dp["method"], by_dp["count"]) == ("dp", "16")
     monkeypatch.setenv("QUIDDITY_BUDGET", "5000")
     by_brute = run_json(capsys, *argv)
     assert (by_brute["method"], by_brute["count"]) == ("brute", "16")
-    code, out, err = run_cli(capsys, *argv, "--budget", "15")
+    code, out, err = run_cli(capsys, *argv, "--budget", "63")
     assert (code, out) == (2, "")
-    assert err == "error: enumeration needs 16 candidates, budget is 15\n"
+    assert err == "error: enumeration needs 64 candidates, budget is 63\n"
 
 
 @pytest.mark.parametrize("argv, count", [
@@ -481,8 +481,9 @@ def test_verify_bijections_output_is_golden(capsys):
 
 
 def test_an_oversized_refusal_lists_no_values(capsys, monkeypatch):
-    # 1000003**2 candidates, letters 1 and 2 (the last two are forced):
-    # listing each position's values alone would take about 130 MB.
+    # 1000003**2 candidates, letters 1 and 2 (the last two are forced), and
+    # the 4 * 1000003 values listed: listing them alone would take about
+    # 130 MB.
     monkeypatch.delenv("QUIDDITY_BUDGET", raising=False)
     tracemalloc.start()
     try:
@@ -492,8 +493,29 @@ def test_an_oversized_refusal_lists_no_values(capsys, monkeypatch):
     finally:
         tracemalloc.stop()
     assert (code, out) == (2, "")
-    assert err == ("error: enumeration needs 1000006000009 candidates, "
+    assert err == ("error: enumeration needs 1000010000021 candidates, "
                    "budget is 134217728\n")
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("method", ["auto", "brute"])
+@pytest.mark.parametrize("size,required", [(1, 1000000008), (2, 2000000015),
+                                           (3, 4000000028)])
+def test_a_short_tuple_over_a_huge_modulus_lists_no_values(capsys, monkeypatch, method,
+                                                           size, required):
+    # At size 1 or 2 no letter is walked, but listing each position's
+    # values over Z/1000000007Z would take gigabytes; the walk is charged
+    # those values too, so the request is refused before any is listed.
+    monkeypatch.delenv("QUIDDITY_BUDGET", raising=False)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "count", "--modulus", "1000000007", "--size",
+                                 str(size), "--target", "s", "--method", method)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == f"error: enumeration needs {required} candidates, budget is 134217728\n"
     assert peak < 1 << 20
 
 

@@ -261,11 +261,12 @@ def test_componentwise_split_over_z2_and_a_prime_square_is_a_bijection(n, size):
 
 def test_the_z50_split_fits_the_default_budget(monkeypatch):
     # Enumerating the domain is charged its 50**3 choices of letters 1..3
-    # (the last two are forced), not all 50**5 tuples.
+    # (the last two are forced) and the 5 * 50 values listed, not all 50**5
+    # tuples.
     monkeypatch.delenv("QUIDDITY_BUDGET", raising=False)
     assert verify_reciprocal(crt_split_bijection(pm_id(5, 50))).ok
-    with pytest.raises(BudgetExceeded, match="^enumeration needs 125000 candidates"):
-        verify_reciprocal(crt_split_bijection(pm_id(5, 50)), budget=50 ** 3 - 1)
+    with pytest.raises(BudgetExceeded, match="^enumeration needs 125250 candidates"):
+        verify_reciprocal(crt_split_bijection(pm_id(5, 50)), budget=125249)
 
 
 def test_split_bijection_needs_two_pieces():

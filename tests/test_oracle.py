@@ -107,7 +107,8 @@ def test_budget_naive():
     spec = SetSpec(10, identity(MOD8))
     with pytest.raises(BudgetExceeded) as err:
         count(spec, "naive", budget=10_000)
-    assert err.value.required == 8 ** 8  # letters 1..8; the last two are forced
+    # letters 1..8 (the last two are forced), plus the 10 * 8 values listed
+    assert err.value.required == 8 ** 8 + 10 * 8
 
 
 def test_budget_mitm_counts_half_enumerations():
@@ -285,7 +286,7 @@ def test_fixed_last_letters_that_miss_the_forced_ones(n):
 
 def test_refusals_keep_their_required_candidates():
     spec = SetSpec(7, identity(MOD8), {2: UNIT})
-    naive = 8 ** 4 * 4  # letters 1..5; the last two are forced
+    naive = 8 ** 4 * 4 + 6 * 8 + 4  # letters 1..5 (the last two are forced), values listed
     leaves = 8 ** 6 * 4  # the histogram buckets every candidate
     mitm = 8 * 4 * 8 + 8 ** 3  # split after position 3; free junction 4 not walked
     with pytest.raises(BudgetExceeded) as err:
@@ -306,15 +307,15 @@ def test_refusals_keep_their_required_candidates():
 
 
 def test_auto_rule_switches_at_six_free_positions():
-    # Six free letters: 8**4 naive candidates but 576 for the join, so a
-    # budget of 1024 admits only the join and the answer shows which method
-    # auto chose.  Five: the naive walk needs 8**3, the join only 128.
+    # Six free letters: 8**4 + 48 naive candidates but 576 for the join, so
+    # a budget of 1024 admits only the join and the answer shows which method
+    # auto chose.  Five: the naive walk needs 8**3 + 41, the join only 128.
     wide = SetSpec(6, identity(MOD8))
     assert count(wide, budget=1024) == count(wide, "naive")
     narrow = SetSpec(6, identity(MOD8), {1: fixed(1)})
     with pytest.raises(BudgetExceeded) as err:
         count(narrow, budget=511)
-    assert err.value.required == 8 ** 3
+    assert err.value.required == 8 ** 3 + 5 * 8 + 1
 
 
 @pytest.mark.parametrize("name", ["ANY", "BudgetExceeded", "Constraint", "DEFAULT_BUDGET",
