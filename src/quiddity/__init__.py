@@ -22,8 +22,8 @@ _EXPORTS = {
     "modring": ("Modulus", "NotAUnit", "Residue", "nonunits_of", "units_of"),
     "sl2": ("Mat2", "continuant_product", "elementary", "group_order", "identity",
             "neg_identity", "s_mat", "t_mat", "target_by_name"),
-    "oracle": ("ANY", "BudgetExceeded", "Constraint", "NONUNIT", "SetSpec", "UNIT", "count",
-               "count_zero_pairs", "fixed", "product_histogram", "psi", "psi_fiber",
+    "spec": ("ANY", "BudgetExceeded", "Constraint", "NONUNIT", "SetSpec", "UNIT", "fixed"),
+    "oracle": ("count", "count_zero_pairs", "product_histogram", "psi", "psi_fiber",
                "solutions"),
     "counter": ("CapExceeded", "CountVector", "dp_count", "dp_count_all_targets", "dp_vector",
                 "dp_vector_sequence"),

@@ -9,17 +9,18 @@ tuple subscripts a_1..a_n; code indexes are 0-based.
 The harness runs forward and backward once per domain member; in its pass
 over the codomain, a member that was already an image needs only its
 preimage's domain membership checked, so a bijection costs one forward and
-one backward per member.  A battery from shipped_maps shares its solution
-sets, and so their membership indexes, and computes all psi fibers in one
-psi pass.
+one backward per member.  Each builder makes its own sets; shipped_maps
+alone shares them, so a battery enumerates and indexes each solution set
+once.  All psi fibers over one modulus come from one psi pass.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, NamedTuple
 
-from .modring import Modulus, NotAUnit, Residue, nonunits_of, units_of
+from .modring import Modulus, NotAUnit, Residue, nonunits_of, totient, units_of
 from .oracle import psi, psi_domain, solutions
 from .sl2 import Mat2, continuant_product, identity, neg_identity, target_name
 from .spec import NONUNIT, SetSpec, UNIT, fixed
@@ -237,6 +238,8 @@ class SpecSet:
     harness reports it, and a tuple the enumeration missed is refused.
     """
 
+    __slots__ = ("spec", "_members", "_index")
+
     def __init__(self, spec: SetSpec):
         self.spec = spec
         self._members = None
@@ -257,26 +260,30 @@ class SpecSet:
         return t in self._index
 
 
+@functools.lru_cache(maxsize=4)
+def _psi_buckets(modulus: Modulus) -> dict[int, tuple]:
+    """psi value -> the triples of psi_domain with that value, in order: one
+    psi pass per modulus, read by every fiber over it."""
+    by_value: dict[int, list] = {}
+    for t in psi_domain(modulus):
+        by_value.setdefault(psi(*t).value, []).append(t)
+    return {x: tuple(triples) for x, triples in by_value.items()}
+
+
 class FiberSet:
     """The psi fiber over a unit x: triples (u, v, w) with psi = x.
 
-    Members come from a psi pass over psi_domain that buckets every triple
-    by its psi value.  Fibers given one ``buckets`` dict share that pass,
-    made by the first of them to be enumerated.
+    Members are read from the one psi pass over this modulus (_psi_buckets).
     """
 
-    def __init__(self, modulus: Modulus, x: Residue, buckets: dict | None = None):
+    def __init__(self, modulus: Modulus, x: Residue):
         self.modulus = modulus
         self.x = x
-        self._buckets = {} if buckets is None else buckets
         self._members = None
 
     def members(self, budget=None) -> tuple:
         if self._members is None:
-            if not self._buckets:
-                for t in psi_domain(self.modulus):
-                    self._buckets.setdefault(psi(*t).value, []).append(t)
-            self._members = tuple(self._buckets.get(self.x.value, ()))
+            self._members = _psi_buckets(self.modulus).get(self.x.value, ())
         return self._members
 
     def contains(self, t) -> bool:
@@ -384,63 +391,45 @@ def verify_reciprocal(tmap: TupleMap, budget: int | None = None) -> ReciprocityR
 # shipped bijections
 
 
-def _shared(registry, spec: SetSpec) -> SpecSet:
-    if registry is None:
-        return SpecSet(spec)
-    if spec not in registry:
-        registry[spec] = SpecSet(spec)
-    return registry[spec]
-
-
-def _shared_fiber(registry, modulus: Modulus, x: Residue) -> FiberSet:
-    if registry is None:
-        return FiberSet(modulus, x)
-    if x not in registry:
-        registry[x] = FiberSet(modulus, x, registry.setdefault(modulus, {}))
-    return registry[x]
-
-
-def negation_bijection(size: int, modulus: Modulus, registry=None) -> TupleMap:
+def negation_bijection(size: int, modulus: Modulus) -> TupleMap:
     """Entrywise negation between the +Id and -Id solution sets (odd size)."""
-    dom = _shared(registry, SetSpec(size, identity(modulus)))
-    cod = _shared(registry, SetSpec(size, neg_identity(modulus)))
+    dom = SpecSet(SetSpec(size, identity(modulus)))
+    cod = SpecSet(SetSpec(size, neg_identity(modulus)))
     return TupleMap(f"negation(n={size}, N={modulus.n})", dom, cod,
                     negate_map, lambda t: tuple(-a for a in t))
 
 
-def scaling_bijection(size: int, modulus: Modulus, sign: int, lam: Residue,
-                      registry=None) -> TupleMap:
+def scaling_bijection(size: int, modulus: Modulus, sign: int, lam: Residue) -> TupleMap:
     """Alternate scaling by a unit, a self-bijection of an even-size
     solution set."""
     target = identity(modulus) if sign == 1 else neg_identity(modulus)
-    dom = _shared(registry, SetSpec(size, target))
+    dom = SpecSet(SetSpec(size, target))
     inv = lam.inverse()
     return TupleMap(
         f"scaling(n={size}, N={modulus.n}, sign={'+' if sign == 1 else '-'}, lam={lam.value})",
         dom, dom, lambda t: scale_map(t, lam), lambda t: scale_map(t, inv))
 
 
-def drop_minus_one_bijection(size: int, modulus: Modulus, target: Mat2,
-                             registry=None) -> TupleMap:
+def drop_minus_one_bijection(size: int, modulus: Modulus, target: Mat2) -> TupleMap:
     """Tuples with second entry -1 and product B, onto size-1 smaller
     tuples with product -B."""
-    dom = _shared(registry, SetSpec(size, target, {2: fixed(-1)}))
-    cod = _shared(registry, SetSpec(size - 1, -target))
+    dom = SpecSet(SetSpec(size, target, {2: fixed(-1)}))
+    cod = SpecSet(SetSpec(size - 1, -target))
     return TupleMap(
         f"drop-minus-one(n={size}, N={modulus.n}, target={_target_label(target)})",
         dom, cod, reduce_minus_one, insert_minus_one)
 
 
 def merge_after_unit_bijection(size: int, modulus: Modulus, target: Mat2,
-                               u: Residue, registry=None) -> TupleMap:
+                               u: Residue) -> TupleMap:
     """Second entry fixed to the unit u, third entry a free non-unit,
     onto size-1 smaller tuples with a free unit second entry.
 
     The merged letter u*a3 - 1 is a unit exactly because a3 is not, and
     the backward direction recovers a3 = u^-1 (merged + 1).
     """
-    dom = _shared(registry, SetSpec(size, target, {2: fixed(int(u)), 3: NONUNIT}))
-    cod = _shared(registry, SetSpec(size - 1, target, {2: UNIT}))
+    dom = SpecSet(SetSpec(size, target, {2: fixed(int(u)), 3: NONUNIT}))
+    cod = SpecSet(SetSpec(size - 1, target, {2: UNIT}))
     ui = u.inverse()
 
     def backward(t):
@@ -452,14 +441,14 @@ def merge_after_unit_bijection(size: int, modulus: Modulus, target: Mat2,
 
 
 def merge_fixed_pair_bijection(size: int, modulus: Modulus, target: Mat2,
-                               x: Residue, y: Residue, registry=None) -> TupleMap:
+                               x: Residue, y: Residue) -> TupleMap:
     """Second and third entries pinned to (x, y) with x*y - 1 a unit, onto
     size-1 smaller tuples with second entry pinned to x*y - 1."""
     merged = x * y - 1
     if not merged.is_unit:
         raise NotAUnit(f"{x.value}*{y.value} - 1 is not invertible mod {modulus.n}")
-    dom = _shared(registry, SetSpec(size, target, {2: fixed(int(x)), 3: fixed(int(y))}))
-    cod = _shared(registry, SetSpec(size - 1, target, {2: fixed(int(merged))}))
+    dom = SpecSet(SetSpec(size, target, {2: fixed(int(x)), 3: fixed(int(y))}))
+    cod = SpecSet(SetSpec(size - 1, target, {2: fixed(int(merged))}))
     return TupleMap(
         f"merge-fixed-pair(n={size}, N={modulus.n}, target={_target_label(target)}, "
         f"x={x.value}, y={y.value})",
@@ -467,73 +456,97 @@ def merge_fixed_pair_bijection(size: int, modulus: Modulus, target: Mat2,
 
 
 def merge_unit_triple_bijection(size: int, modulus: Modulus, target: Mat2,
-                                u: Residue, v: Residue, w: Residue,
-                                registry=None) -> TupleMap:
+                                u: Residue, v: Residue, w: Residue) -> TupleMap:
     """Entries 2..4 pinned to (u, v, w) with u, v units, onto size-2
     smaller tuples with second entry pinned to the unit psi(u, v, w)."""
     x = psi(u, v, w)
-    dom = _shared(registry, SetSpec(size, target,
-                                    {2: fixed(int(u)), 3: fixed(int(v)), 4: fixed(int(w))}))
-    cod = _shared(registry, SetSpec(size - 2, target, {2: fixed(int(x))}))
+    dom = SpecSet(SetSpec(size, target, {2: fixed(int(u)), 3: fixed(int(v)), 4: fixed(int(w))}))
+    cod = SpecSet(SetSpec(size - 2, target, {2: fixed(int(x))}))
     return TupleMap(
         f"merge-unit-triple(n={size}, N={modulus.n}, target={_target_label(target)}, "
         f"u={u.value}, v={v.value}, w={w.value})",
         dom, cod, reduce_quintuple, lambda t: expand_quintuple(t, u, v, w))
 
 
-def unit_insertion_bijection(size: int, modulus: Modulus, sign: int, u: Residue,
-                             registry=None) -> TupleMap:
+def unit_insertion_bijection(size: int, modulus: Modulus, sign: int, u: Residue) -> TupleMap:
     """Odd-size solutions onto the even-size solutions whose second entry
     is the unit u (same sign)."""
     target = identity(modulus) if sign == 1 else neg_identity(modulus)
-    dom = _shared(registry, SetSpec(size - 1, target))
-    cod = _shared(registry, SetSpec(size, target, {2: fixed(int(u))}))
+    dom = SpecSet(SetSpec(size - 1, target))
+    cod = SpecSet(SetSpec(size, target, {2: fixed(int(u))}))
     return TupleMap(
         f"unit-insertion(n={size}, N={modulus.n}, sign={'+' if sign == 1 else '-'}, u={u.value})",
         dom, cod, lambda t: unit_insert_map(t, u), unit_drop_map)
 
 
-def fiber_shift_bijection(modulus: Modulus, x: Residue, registry=None) -> TupleMap:
+def fiber_shift_bijection(modulus: Modulus, x: Residue) -> TupleMap:
     """The psi fiber over 1 onto the fiber over x."""
     return TupleMap(f"fiber-shift(N={modulus.n}, x={x.value})",
-                    _shared_fiber(registry, modulus, Residue(1, modulus)),
-                    _shared_fiber(registry, modulus, x),
+                    FiberSet(modulus, Residue(1, modulus)), FiberSet(modulus, x),
                     lambda t: fiber_shift_map(t, x),
                     lambda t: fiber_unshift_map(t, x))
+
+
+def _require_two_power(modulus: Modulus):
+    if modulus.two_adic is None:
+        raise ValueError("shipped maps are defined over 2-power moduli")
+
+
+def battery_cost(modulus: Modulus, max_size: int) -> int:
+    """A lower bound, in closed form, of the candidates shipped_maps'
+    battery walks: the psi pass over phi(N)^2 N triples, and the domains of
+    the unit-triple merges at sizes 5 and 6, 2 targets x phi(N)^2 x N
+    distinct specs per size, each charged _solve_cost (3N + 3 at size 5,
+    4N + 3 at size 6).  Admitted before the battery is built, it refuses
+    a modulus whose battery cannot finish without building any map.
+    """
+    _require_two_power(modulus)
+    n = modulus.n
+    triples = totient(n) ** 2 * n
+    return triples + sum(2 * triples * ((size - 2) * n + 3)
+                         for size in (5, 6) if size <= max_size)
 
 
 def shipped_maps(modulus: Modulus, max_size: int) -> list[TupleMap]:
     """The full battery of bijections to verify for one 2-power modulus.
 
-    Enumerable sets are shared between instances, so verifying the whole
-    list enumerates each underlying solution set once, and all psi fibers
-    come from one psi pass.
+    As each map is added, its solution sets are swapped for the battery's
+    first SpecSet of an equal spec, so verifying the whole list enumerates
+    and indexes each solution set once; every psi fiber reads the one psi
+    pass over the modulus.
     """
-    if modulus.two_adic is None:
-        raise ValueError("shipped maps are defined over 2-power moduli")
-    # SetSpec -> SpecSet, unit x -> FiberSet over x, and the modulus -> the
-    # psi buckets those fibers share
-    registry: dict = {}
+    _require_two_power(modulus)
     units = units_of(modulus)
     nonunits = nonunits_of(modulus)
     targets = (identity(modulus), neg_identity(modulus))
+    sets: dict[SetSpec, SpecSet] = {}
     out: list[TupleMap] = []
+
+    def add(tmap: TupleMap):
+        # a fresh TupleMap, not _replace: that one builds its tuple from an
+        # iterator and shrinks it, which raised the N = 16 battery's peak RSS
+        name, dom, cod, forward, backward = tmap
+        if isinstance(dom, SpecSet):
+            tmap = TupleMap(name, sets.setdefault(dom.spec, dom), sets.setdefault(cod.spec, cod),
+                            forward, backward)
+        out.append(tmap)
+
     for n in range(3, max_size + 1, 2):
-        out.append(negation_bijection(n, modulus, registry))
+        add(negation_bijection(n, modulus))
     for n in range(4, max_size + 1, 2):
         for sign in (1, -1):
             for lam in units:
-                out.append(scaling_bijection(n, modulus, sign, lam, registry))
+                add(scaling_bijection(n, modulus, sign, lam))
     for n in range(4, max_size + 1):
         for target in targets:
-            out.append(drop_minus_one_bijection(n, modulus, target, registry))
+            add(drop_minus_one_bijection(n, modulus, target))
             for u in units:
-                out.append(merge_after_unit_bijection(n, modulus, target, u, registry))
+                add(merge_after_unit_bijection(n, modulus, target, u))
     for n in range(6, max_size + 1, 2):
         for target in targets:
             for x in nonunits[:2]:
                 for y in (nonunits[1], units[1]):
-                    out.append(merge_fixed_pair_bijection(n, modulus, target, x, y, registry))
+                    add(merge_fixed_pair_bijection(n, modulus, target, x, y))
     for n in (5, 6):
         if n > max_size:
             continue
@@ -541,12 +554,12 @@ def shipped_maps(modulus: Modulus, max_size: int) -> list[TupleMap]:
             for u in units:
                 for v in units:
                     for w in range(modulus.n):
-                        out.append(merge_unit_triple_bijection(
-                            n, modulus, target, u, v, Residue(w, modulus), registry))
+                        add(merge_unit_triple_bijection(
+                            n, modulus, target, u, v, Residue(w, modulus)))
     for n in range(4, max_size + 1, 2):
         for sign in (1, -1):
             for u in units:
-                out.append(unit_insertion_bijection(n, modulus, sign, u, registry))
+                add(unit_insertion_bijection(n, modulus, sign, u))
     for x in units:
-        out.append(fiber_shift_bijection(modulus, x, registry))
+        add(fiber_shift_bijection(modulus, x))
     return out

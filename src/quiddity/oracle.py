@@ -234,10 +234,15 @@ def _count_mitm(spec: SetSpec, split: int) -> int:
     # prefix product must be E(a_{k+1})^-1 ... E(a_n)^-1 @ target.  Walk the
     # suffix backward from the target with its rows swapped and look each
     # result up among the prefix products.
-    values = spec.position_values()
     N = spec.modulus.n
     ta, tb, tc, td = spec.target.entries()
-    if _free_junction(spec, split):
+    free = _free_junction(spec, split)
+    # the join never reads a free junction letter, and the budget does not
+    # charge its N values, so they are not listed
+    junction = split + 1 if free else None
+    values = [() if p == junction else allowed_values(spec.modulus, spec.constraint_at(p))
+              for p in range(1, spec.size + 1)]
+    if free:
         # A free junction letter x is not walked.  Let R be the required
         # product once the rest of the suffix is peeled off (det R = 1).
         # E(x)^-1 R has R's bottom row on top and x*bottom - top below.

@@ -24,10 +24,10 @@ ODD_W_PLUS_MODULI = (8, 16, 24, 32, 40)
 
 def _odd_w_plus_cell(size: int, n: int) -> int:
     from . import crt, oracle
+    from .spec import SetSpec
 
     if size == 3:
-        modulus = Modulus(n)
-        spec = oracle.SetSpec(3, target_by_name("id", modulus))
+        spec = SetSpec(3, target_by_name("id", Modulus(n)))
         return oracle.count(spec, "mitm")
     return int(crt.assemble_count(size, crt.split(n), 1, method="formula"))
 
@@ -90,12 +90,16 @@ def _suite_bijections(moduli: list[int], max_size: int | None,
     if max_size is not None and max_size < 3:
         raise ValueError(f"--max-size must be >= 3 (the smallest shipped map), got {max_size}")
     from . import maps
+    from .spec import _admit
 
     default_depth = {4: 8, 8: 6}
+    batteries = [(Modulus(n), default_depth.get(n, 6) if max_size is None else max_size)
+                 for n in moduli]
+    # every battery is charged before any is built
+    for modulus, depth in batteries:
+        _admit(maps.battery_cost(modulus, depth), budget)
     checks = []
-    for n in moduli:
-        modulus = Modulus(n)
-        depth = default_depth.get(n, 6) if max_size is None else max_size
+    for modulus, depth in batteries:
         for tmap in maps.shipped_maps(modulus, depth):
             report = maps.verify_reciprocal(tmap, budget)
             detail = f"|domain|={report.domain_size}"

@@ -196,6 +196,28 @@ def test_explicit_dp_past_the_budget_exits_before_building():
     assert out.stderr == "error: the DP needs 69120000000 additions, budget is 134217728\n"
 
 
+@pytest.mark.parametrize("n,required", [(128, 946339840), (256, 15086911488)])
+def test_an_oversized_bijection_battery_exits_before_building(n, required):
+    # Without the battery's charge, N = 128 built maps for most of a minute
+    # and past a gigabyte before one of its walks was refused.  The child
+    # prints its own peak RSS in KiB after the request: VmHWM, which starts
+    # afresh at exec, unlike ru_maxrss, which keeps the forking parent's.
+    src = str(Path(quiddity.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "QUIDDITY_BUDGET"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    request = ("import sys; from quiddity import cli; "
+               f"code = cli.main(['verify', '--suite', 'bijections', '--modulus', '{n}']); "
+               "print(*[line.split()[1] for line in open('/proc/self/status') "
+               "if line.startswith('VmHWM:')]); sys.exit(code)")
+    started = time.monotonic()
+    out = subprocess.run([sys.executable, "-c", request], capture_output=True, text=True,
+                         env=env, timeout=30)
+    assert time.monotonic() - started < 2
+    assert out.returncode == 2
+    assert out.stderr == f"error: enumeration needs {required} candidates, budget is 134217728\n"
+    assert int(out.stdout) < 50 << 10
+
+
 def test_formula_subcommand(capsys):
     report = run_json(capsys, "formula", "--name", "w-odd-2m",
                       "--n-half", "3", "--m", "3", "--sign", "+")

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from helpers import ivals, rt
+from quiddity import maps
 from quiddity.counter import dp_count
 from quiddity.maps import (
     DomainViolation,
@@ -10,9 +11,11 @@ from quiddity.maps import (
     ReciprocityReport,
     SpecSet,
     TupleMap,
+    battery_cost,
     drop_minus_one_bijection,
     expand_pair,
     expand_quintuple,
+    fiber_shift_bijection,
     fiber_shift_map,
     fiber_unshift_map,
     insert_minus_one,
@@ -28,13 +31,15 @@ from quiddity.maps import (
     reduce_quintuple,
     scale_map,
     scaling_bijection,
+    shipped_maps,
     unit_drop_map,
     unit_insert_map,
     unit_insertion_bijection,
     verify_reciprocal,
 )
 from quiddity.modring import Modulus, NotAUnit, Residue, units_of
-from quiddity.oracle import SetSpec, UNIT, fixed, psi, psi_fiber, solutions
+from quiddity.oracle import (
+    SetSpec, UNIT, _solve_cost, fixed, psi, psi_domain, psi_fiber, solutions)
 from quiddity.sl2 import continuant_product, identity, neg_identity
 
 MOD8 = Modulus(8)
@@ -282,7 +287,6 @@ def test_scaling_bijection_reports():
 def test_full_grid_battery(n_mod, depth):
     # Wider than the CLI default depths; every shipped pair must still be
     # reciprocal on the larger solution sets.
-    from quiddity.maps import shipped_maps
     for tmap in shipped_maps(Modulus(n_mod), depth):
         report = verify_reciprocal(tmap)
         assert report.ok, report.describe()
@@ -451,8 +455,76 @@ def test_membership_needs_the_enumeration_too():
 def test_fibers_match_psi_fiber_in_order():
     for n in (4, 8, 16):
         mod = Modulus(n)
-        buckets = {}
         for x in units_of(mod):
-            alone = FiberSet(mod, x).members()
-            shared = FiberSet(mod, x, buckets).members()
-            assert alone == shared == tuple(psi_fiber(mod, x))
+            assert FiberSet(mod, x).members() == tuple(psi_fiber(mod, x))
+
+
+def test_one_psi_pass_per_modulus():
+    maps._psi_buckets.cache_clear()
+    for n in (4, 8, 16):
+        mod = Modulus(n)
+        before = maps._psi_buckets.cache_info().misses
+        for x in units_of(mod):
+            FiberSet(mod, x).members()
+        for tmap in shipped_maps(mod, 3):
+            tmap.domain.members()
+        assert maps._psi_buckets.cache_info().misses == before + 1
+
+
+def spec_sets(battery):
+    """The distinct SpecSet objects of a battery, by identity."""
+    sets = {}
+    for tmap in battery:
+        for s in (tmap.domain, tmap.codomain):
+            if isinstance(s, SpecSet):
+                sets[id(s)] = s
+    return list(sets.values())
+
+
+@pytest.mark.parametrize("n_mod,depth", [(4, 8), (8, 6), (16, 5)])
+def test_a_battery_enumerates_each_solution_set_once(monkeypatch, n_mod, depth):
+    enumerated = []
+
+    def counted(spec, budget=None):
+        enumerated.append(spec)
+        return solutions(spec, budget)
+
+    monkeypatch.setattr(maps, "solutions", counted)
+    battery = shipped_maps(Modulus(n_mod), depth)
+    sets = spec_sets(battery)
+    # maps whose specs are equal hold the same SpecSet
+    assert len({s.spec for s in sets}) == len(sets)
+    for tmap in battery:
+        assert verify_reciprocal(tmap).ok
+    assert sorted(map(repr, enumerated)) == sorted(repr(s.spec) for s in sets)
+
+
+@pytest.mark.parametrize("n_mod,depth", [(4, 8), (8, 6), (16, 5), (16, 6)])
+def test_the_battery_charge_is_a_lower_bound_of_its_walks(n_mod, depth):
+    mod = Modulus(n_mod)
+    walked = len(psi_domain(mod)) + sum(
+        _solve_cost(s.spec) for s in spec_sets(shipped_maps(mod, depth)))
+    assert battery_cost(mod, depth) <= walked
+
+
+def test_the_battery_charge_in_closed_form():
+    assert battery_cost(Modulus(16), 5) == 105472
+    assert battery_cost(Modulus(64), 6) == 59572224
+    assert battery_cost(Modulus(128), 5) == 406323200
+    with pytest.raises(ValueError, match="2-power"):
+        battery_cost(Modulus(12), 5)
+
+
+def test_each_builder_verifies_alone():
+    one, three, zero = Residue(1, MOD8), Residue(3, MOD8), Residue(0, MOD8)
+    two, target = Residue(2, MOD8), neg_identity(MOD8)
+    for tmap in (negation_bijection(5, MOD8), scaling_bijection(6, MOD8, 1, three),
+                 drop_minus_one_bijection(5, MOD8, target),
+                 merge_after_unit_bijection(5, MOD8, target, three),
+                 merge_fixed_pair_bijection(6, MOD8, target, zero, two),
+                 merge_unit_triple_bijection(6, MOD8, target, one, three, two),
+                 unit_insertion_bijection(6, MOD8, -1, three),
+                 fiber_shift_bijection(MOD8, three)):
+        report = verify_reciprocal(tmap)
+        assert report.ok, report.describe()
+        assert report.domain_size > 0

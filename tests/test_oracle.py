@@ -562,3 +562,14 @@ def test_closed_forms_at_the_joins_reach():
         mod = Modulus(q)
         for sign, target in ((1, identity(mod)), (-1, neg_identity(mod))):
             assert count(SetSpec(size, target)) == int(u_count(size, q, sign)), (q, size, sign)
+
+
+def test_the_join_lists_no_free_junction_letter():
+    # Size 2 with letter 1 fixed: the join walks one prefix letter and
+    # looks the target's bottom row up among its top rows, so it is charged
+    # 2 candidates.  Listing the free junction letter's 10^9 + 7 values,
+    # which it never reads, would take gigabytes.
+    spec = SetSpec(2, s_mat(Modulus(1000000007)), {1: fixed(0)})
+    got, peak = _traced_peak(lambda: count(spec, "mitm", budget=2))
+    assert got == 0
+    assert peak < 1 << 20, peak

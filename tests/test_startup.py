@@ -18,13 +18,15 @@ import quiddity
 
 SRC = str(Path(quiddity.__file__).resolve().parents[1])
 
-# Run in the child: import quiddity, optionally run one CLI request with
-# its output and errors captured, and report the modules that appeared
-# meanwhile.
+# Run in the child: import quiddity, read the public names given after the
+# request, optionally run one CLI request with its output and errors
+# captured, and report the modules that appeared meanwhile.
 PROBE = """
 import contextlib, io, json, sys
 before = set(sys.modules)
 import quiddity
+for name in sys.argv[2:]:
+    getattr(quiddity, name)
 argv = json.loads(sys.argv[1])
 code, out, err = None, io.StringIO(), io.StringIO()
 if argv:
@@ -38,10 +40,10 @@ print(json.dumps({"code": code, "out": out.getvalue(), "err": err.getvalue(),
 HEAVY = {"dataclasses", "inspect", "quiddity.maps"}
 
 
-def probe(*argv) -> dict:
+def probe(*argv, names=()) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
-    out = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argv)],
+    out = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argv), *names],
                          capture_output=True, text=True, env=env, timeout=60)
     assert out.returncode == 0, out.stderr
     return json.loads(out.stdout)
@@ -51,6 +53,13 @@ def test_import_quiddity_loads_no_submodule():
     loaded = probe()["loaded"]
     assert "quiddity" in loaded
     assert not [name for name in loaded if name.startswith("quiddity.")]
+
+
+def test_the_set_spec_loads_without_the_oracle():
+    # SetSpec's home is spec, so reading it leaves the oracle's walkers unloaded
+    loaded = probe(names=("SetSpec",))["loaded"]
+    assert "quiddity.spec" in loaded
+    assert "quiddity.oracle" not in loaded
 
 
 # The count source each route takes.  Without bytecode caching every module
