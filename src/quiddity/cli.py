@@ -171,17 +171,6 @@ def cmd_verify(args) -> int:
     return run_suites(args, moduli, sizes, ms)
 
 
-def __getattr__(name):
-    # PEP 562: the table and suite names moved to ``reference`` (table_text,
-    # Check, SUITES, _suite_bijections, ...) stay readable from here.
-    if not name.startswith("__"):
-        from . import reference
-
-        if hasattr(reference, name):
-            return getattr(reference, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 # ---------------------------------------------------------------------------
 # crt
 

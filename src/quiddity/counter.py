@@ -28,7 +28,7 @@ top-row counts, the heads; with no leading run the one head is (1, 0).
 
 All counts are exact Python integers.  A call whose walk_cost exceeds the
 budget (QUIDDITY_BUDGET by default, as for the oracle) raises CapExceeded
-before anything is built.
+before anything is built, which sends the CRT router's auto to the oracle.
 """
 
 from __future__ import annotations
@@ -126,10 +126,9 @@ def walk_cost(size: int, modulus: Modulus, constraints=None) -> int:
     each k < d with t(k) != c: at most |A| d / N of them for |A| letters, one
     for a free letter.  Its N^2 (1 + |A|) additions, 2 N^2 if free, fit in
     w * |G| as |G| = N^3 prod(1 - 1/p^2) >= 2 N^2 for N >= 3; the first
-    free letter's w covers the fold into heads."""
-    cons = normalize_constraints(constraints, size, modulus).values()
+    free letter's w covers the fold into heads; constraints come normalized."""
     return group_order(modulus.n) * (1 + size + sum(
-        modulus.n - 1 for con in cons if con.kind != "fixed"))
+        modulus.n - 1 for con in (constraints or {}).values() if con.kind != "fixed"))
 
 
 def dp_vector_sequence(size: int, modulus: Modulus, constraints=None,

@@ -10,9 +10,10 @@ three sources independent.  The componentwise tuple bijection ships as a
 TupleMap so it can be harness-verified, not just assumed at count level.
 
 Each count source is imported where the route takes it: ``formulas`` once
-a closed form is chosen, ``counter`` once the DP is costed, ``oracle`` on
+a closed form is chosen, ``counter`` once the DP is asked, ``oracle`` on
 the brute branch, and the harness ``maps`` by the bijection alone.  A
-fresh process then compiles only the sources its count runs.
+fresh process then compiles only the sources its count runs.  No walk is
+priced here: each source charges the walk it runs.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .modring import Modulus, Residue, factorize
 from .sl2 import Mat2, identity, neg_identity, target_name
-from .spec import NONUNIT, SetSpec, UNIT, default_budget
+from .spec import NONUNIT, SetSpec, UNIT
 
 if TYPE_CHECKING:
     from .formulas import FormulaValue
@@ -116,8 +117,8 @@ def route_count(spec: SetSpec, method: str, budget: int | None = None) -> tuple[
     unit one; the source is formula if every piece took a closed form,
     else brute if any piece asked the oracle, else dp.  Over a prime power
     they take closed_form(spec) unless it is None (formula then refuses).
-    dp runs the DP or raises CapExceeded; brute, and auto when the DP's
-    predicted cost exceeds the budget, ask the oracle.
+    dp runs the DP or raises CapExceeded; brute, and auto on that
+    refusal, ask the oracle.
     """
     if method in ("auto", "formula") and len(split(spec.modulus.n).prime_powers()) > 1:
         nonunit = next((p for p, con in spec.constraints if con == NONUNIT), None)
@@ -139,13 +140,14 @@ def route_count(spec: SetSpec, method: str, budget: int | None = None) -> tuple[
             from .formulas import UnsupportedCase
 
             raise UnsupportedCase(f"no formula for size {spec.size} over Z/{spec.modulus.n}Z")
-    budget = default_budget() if budget is None else budget
     if method in ("auto", "dp"):
         from . import counter
 
-        if method == "dp" or counter.walk_cost(
-                spec.size, spec.modulus, spec.constraints) <= budget:
+        try:
             return counter.dp_count(spec, budget), "dp"
+        except counter.CapExceeded:
+            if method == "dp":
+                raise
     elif method != "brute":
         raise ValueError(f"unknown method {method!r}")
     from . import oracle

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 from .modring import Modulus, NotAUnit, Residue, nonunits_of, totient, units_of
 from .oracle import psi, psi_domain, solutions
 from .sl2 import Mat2, continuant_product, identity, neg_identity, target_name
-from .spec import NONUNIT, SetSpec, UNIT, fixed
+from .spec import NONUNIT, SetSpec, UNIT, _admit, fixed
 
 
 class DomainViolation(ValueError):
@@ -283,6 +283,8 @@ class FiberSet:
 
     def members(self, budget=None) -> tuple:
         if self._members is None:
+            # the psi pass walks phi(N)^2 N triples, charged before it runs
+            _admit(totient(self.modulus.n) ** 2 * self.modulus.n, budget)
             self._members = _psi_buckets(self.modulus).get(self.x.value, ())
         return self._members
 

@@ -23,7 +23,8 @@ three uses:
   prefix products' top rows, each the sum of N full-key probes.  Those
   top rows need not walk letter 1: the top row of Q @ E(a_1) follows from
   Q's top row and a_1, so a long prefix walks letters 2..k and folds
-  letter 1 onto their at most N^2 top rows.
+  letter 1 onto their at most N^2 top rows.  Each split is priced once,
+  by _join, and _count_mitm runs the very _Join that count admitted.
 
 This module is the independent oracle for every other count source, so it
 deliberately shares no machinery with the dynamic program: it imports only
@@ -35,10 +36,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import chain, repeat
-from operator import add
+from operator import add, attrgetter
+from typing import NamedTuple
 
 from . import spec as _spec
-from .modring import Modulus, Residue, NotAUnit
+from .modring import Modulus, Residue, NotAUnit, units_of
 from .sl2 import Mat2
 
 # The set spec and the budget are defined in ``spec``, so that the DP and
@@ -191,28 +193,6 @@ def _half_products(values, N, top_row: bool = False):
     return Counter(_leaf_keys(values, N, (1, 0, 0, 1), (N ** 3, N * N), (N, 1)))
 
 
-def _free_junction(spec: SetSpec, split: int) -> bool:
-    """Is the junction letter split + 1 free?  Then the join does not walk it."""
-    return spec.constraint_at(split + 1).kind == "any"
-
-
-def _prefix_cost(spec: SetSpec, split: int, sizes: list[int]) -> tuple[int, bool]:
-    """The candidates the join's prefix at ``split`` walks, and whether it
-    folds letter 1.
-
-    The prefix walks all of its leaves, or, before a free junction, walks
-    letters 2..k and folds letter 1 onto their products' top rows: one
-    update per top row, at most N^2 of them, and allowed letter 1.  It
-    takes the cheaper way, the full walk on a tie.
-    """
-    walked = math.prod(sizes[:split])
-    if not _free_junction(spec, split):
-        return walked, False
-    inner = math.prod(sizes[1:split])
-    folded = inner + min(spec.modulus.n ** 2, inner) * sizes[0]
-    return (folded, True) if folded < walked else (walked, False)
-
-
 def _prefix_tops(values, N, fold: bool) -> Counter:
     """Map top row key (first * N + second) -> number of prefix tuples
     whose product has that top row."""
@@ -229,14 +209,46 @@ def _prefix_tops(values, N, fold: bool) -> Counter:
     return tops
 
 
-def _count_mitm(spec: SetSpec, split: int) -> int:
+class _Join(NamedTuple):
+    """A split's charge (the candidates walked), free junction and fold."""
+
+    split: int
+    walked: int
+    free: bool
+    fold: bool
+
+
+def _join(spec: SetSpec, split: int, sizes: list[int]) -> _Join:
+    """The join at ``split``, priced from the allowed-letter counts: the
+    suffix walks every leaf but a free junction letter's; the prefix walks
+    all of its leaves or, before a free junction and only if that is fewer,
+    letters 2..k and one fold update per top row (at most N^2) and letter 1."""
+    free = spec.constraint_at(split + 1).kind == "any"
+    prefix = math.prod(sizes[:split])
+    inner = math.prod(sizes[1:split])
+    folded = inner + min(spec.modulus.n ** 2, inner) * sizes[0]
+    fold = free and folded < prefix
+    return _Join(split, (folded if fold else prefix) + math.prod(sizes[split + free:]),
+                 free, fold)
+
+
+def _choose_join(spec: SetSpec) -> _Join:
+    """The join that walks the fewest candidates, prefix folded or not;
+    the shorter prefix on a tie, since bucketing a leaf costs more than
+    probing one."""
+    sizes = spec.position_counts()
+    return min((_join(spec, k, sizes) for k in range(1, spec.size)),
+               key=attrgetter("walked"))
+
+
+def _count_mitm(spec: SetSpec, join: _Join) -> int:
     # Tuples factor as target == suffix_product @ prefix_product, so the
     # prefix product must be E(a_{k+1})^-1 ... E(a_n)^-1 @ target.  Walk the
     # suffix backward from the target with its rows swapped and look each
     # result up among the prefix products.
     N = spec.modulus.n
     ta, tb, tc, td = spec.target.entries()
-    free = _free_junction(spec, split)
+    split, free = join.split, join.free
     # the join never reads a free junction letter, and the budget does not
     # charge its N values, so they are not listed
     junction = split + 1 if free else None
@@ -250,8 +262,7 @@ def _count_mitm(spec: SetSpec, split: int) -> int:
         # Z/NZ onto the N determinant-1 matrices with that top row.
         # Summed over x, the prefix products count those with that top
         # row: tops, keyed by the top row alone.
-        _, fold = _prefix_cost(spec, split, spec.position_counts())
-        tops = _prefix_tops(values[:split], N, fold)
+        tops = _prefix_tops(values[:split], N, join.fold)
         suffix = values[split + 1:][::-1]
         if not suffix:
             return tops[tc * N + td]
@@ -264,21 +275,6 @@ def _count_mitm(spec: SetSpec, split: int) -> int:
     # the key is the new bottom row alone, the top row after a free letter.
     keys = _leaf_keys(suffix, N, (tc, td, ta, tb), (N, 1), lifts)
     return sum(map(get, keys, repeat(0)))
-
-
-def _walked(spec: SetSpec, split: int, sizes: list[int]) -> int:
-    """Candidates the join at ``split`` walks: the prefix's (see
-    _prefix_cost), and every suffix leaf but a free junction letter's."""
-    suffix = sizes[split + 1:] if _free_junction(spec, split) else sizes[split:]
-    return _prefix_cost(spec, split, sizes)[0] + math.prod(suffix)
-
-
-def _choose_split(spec: SetSpec) -> int:
-    """The split that walks the fewest candidates, prefix folded or not;
-    the shorter prefix on a tie, since bucketing a leaf costs more than
-    probing one."""
-    sizes = spec.position_counts()
-    return min(range(1, spec.size), key=lambda k: _walked(spec, k, sizes))
 
 
 def count(spec: SetSpec, method: str = "auto", budget: int | None = None,
@@ -294,9 +290,9 @@ def count(spec: SetSpec, method: str = "auto", budget: int | None = None,
     it walks, which leaves out a free junction letter; before a free
     junction the prefix may instead walk letters 2..k and fold letter 1
     onto their top rows, counted as one candidate per top row and
-    letter, whichever is fewer).  Unless ``split`` is
-    given, the join splits where it walks the fewest candidates, the same
-    number the budget admits; a tie goes to the shorter prefix.
+    letter, whichever is fewer).  Unless ``split`` is given, the join
+    splits where it walks the fewest candidates, a tie going to the
+    shorter prefix; the plan the budget admits is the plan that runs.
     """
     if method == "auto":
         method = "mitm" if (spec.size >= 2 and spec.free_positions() >= 6) else "naive"
@@ -306,11 +302,11 @@ def count(spec: SetSpec, method: str = "auto", budget: int | None = None,
     if method == "mitm":
         if spec.size < 2:
             raise ValueError("meet-in-the-middle needs size >= 2")
-        k = _choose_split(spec) if split is None else split
-        if not 1 <= k < spec.size:
-            raise ValueError(f"split {k} outside 1..{spec.size - 1}")
-        _admit(_walked(spec, k, spec.position_counts()), budget)
-        return _count_mitm(spec, k)
+        if split is not None and not 1 <= split < spec.size:
+            raise ValueError(f"split {split} outside 1..{spec.size - 1}")
+        join = _choose_join(spec) if split is None else _join(spec, split, spec.position_counts())
+        _admit(join.walked, budget)
+        return _count_mitm(spec, join)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -345,9 +341,8 @@ def psi(u: Residue, v: Residue, w: Residue) -> Residue:
 
 def psi_domain(modulus: Modulus):
     """All (u, v, w) with u, v units and w arbitrary, in ascending order."""
-    n = modulus.n
-    units = [Residue(v, modulus) for v in range(n) if math.gcd(v, n) == 1]
-    everything = [Residue(v, modulus) for v in range(n)]
+    units = units_of(modulus)
+    everything = [Residue(v, modulus) for v in range(modulus.n)]
     return [(u, v, w) for u in units for v in units for w in everything]
 
 

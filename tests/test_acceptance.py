@@ -8,11 +8,11 @@ where the criterion states one.
 import time
 
 from quiddity import crt, formulas
-from quiddity.cli import _suite_bijections, table_text
 from quiddity.counter import dp_count, dp_vector, dp_vector_sequence
 from quiddity.maps import FiberSet
 from quiddity.modring import Modulus, units_of
 from quiddity.oracle import SetSpec, UNIT, count, fixed, product_histogram
+from quiddity.reference import _suite_bijections, table_text
 from quiddity.sl2 import TARGET_NAMES, identity, neg_identity, target_by_name
 
 MOD8 = Modulus(8)

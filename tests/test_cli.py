@@ -10,7 +10,8 @@ import pytest
 
 import quiddity
 from quiddity import cli, formulas, modring, reference
-from quiddity.cli import main, table_text
+from quiddity.cli import main
+from quiddity.reference import table_text
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -331,13 +332,6 @@ def test_table_text_matches_cli(capsys):
 
 def test_the_parser_lists_every_suite_in_order():
     assert cli.SUITE_NAMES == tuple(reference.SUITES)
-
-
-def test_the_moved_bodies_stay_readable_from_the_cli():
-    assert cli.table_text is reference.table_text
-    assert cli._suite_bijections is reference._suite_bijections
-    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
-        cli.no_such_name
 
 
 def test_verify_recursion_suite(capsys):

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from quiddity import formulas, oracle
-from quiddity.counter import CapExceeded, dp_count, dp_vector, dp_vector_sequence
+from quiddity.counter import (
+    CapExceeded, dp_count, dp_vector, dp_vector_sequence, walk_cost)
 from quiddity.crt import (
     Factorization,
     NonSquarefreeOddPart,
@@ -124,6 +125,22 @@ def test_piece_sources_follow_the_budget(monkeypatch):
     monkeypatch.setenv("QUIDDITY_BUDGET", "3")
     with pytest.raises(BudgetExceeded):
         piece_counts(pm_id(3, 12))
+
+
+@pytest.mark.parametrize("constraints", [{}, {3: UNIT}, {2: NONUNIT}, {1: fixed(3)}],
+                         ids=["free", "unit", "nonunit", "fixed"])
+def test_auto_takes_the_dp_exactly_when_its_walk_fits(constraints):
+    # route_count prices no DP: the DP refuses one addition short of
+    # walk_cost, and that refusal sends auto to the oracle.  The S target
+    # over Z/8Z has no closed form, so neither spec is counted by one.
+    mod = Modulus(8)
+    spec = SetSpec(5, target_by_name("s", mod), constraints)
+    cost = walk_cost(spec.size, mod, dict(spec.constraints))
+    want = dp_count(spec)
+    assert route_count(spec, "auto", cost) == (want, "dp")
+    assert route_count(spec, "auto", cost - 1) == (want, "brute")
+    with pytest.raises(CapExceeded, match=f"^the DP needs {cost} additions, budget is {cost - 1}$"):
+        route_count(spec, "dp", cost - 1)
 
 
 def test_an_explicit_budget_reaches_every_piece(monkeypatch):

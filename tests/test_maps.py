@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -39,7 +40,7 @@ from quiddity.maps import (
 )
 from quiddity.modring import Modulus, NotAUnit, Residue, units_of
 from quiddity.oracle import (
-    SetSpec, UNIT, _solve_cost, fixed, psi, psi_domain, psi_fiber, solutions)
+    BudgetExceeded, SetSpec, UNIT, _solve_cost, fixed, psi, psi_domain, psi_fiber, solutions)
 from quiddity.sl2 import continuant_product, identity, neg_identity
 
 MOD8 = Modulus(8)
@@ -183,6 +184,21 @@ def test_fiber_shift_examples():
 
 def test_fiber_sizes_mod8():
     assert [len(FiberSet(MOD8, x).members()) for x in units_of(MOD8)] == [32, 32, 32, 32]
+
+
+def test_a_fiber_is_charged_its_psi_pass_before_it_runs():
+    # Z/4096Z: the psi pass would walk 2048**2 * 4096 = 2**34 triples, so
+    # a small budget refuses at once.  Over Z/8Z it walks 4 * 4 * 8.
+    mod = Modulus(4096)
+    started = time.perf_counter()
+    with pytest.raises(BudgetExceeded,
+                       match="^enumeration needs 17179869184 candidates, budget is 1000$"):
+        FiberSet(mod, Residue(1, mod)).members(budget=1000)
+    assert time.perf_counter() - started < 1
+    one = Residue(1, MOD8)
+    with pytest.raises(BudgetExceeded, match="^enumeration needs 128 candidates"):
+        FiberSet(MOD8, one).members(budget=127)
+    assert len(FiberSet(MOD8, one).members(budget=128)) == 32
 
 
 def test_negation_bijection_counts():

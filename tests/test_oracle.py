@@ -374,7 +374,7 @@ def test_position_counts_match_the_listed_values():
             for pos in (1, 3, 4):
                 spec = SetSpec(4, identity(mod), {pos: kind})
                 assert spec.position_counts() == [len(v) for v in spec.position_values()]
-                assert oracle._choose_split(spec) == _split_from_values(spec)
+                assert oracle._choose_join(spec).split == _split_from_values(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +409,7 @@ def test_the_split_walks_no_more_than_balanced_halves(n):
     for size in range(2, 11):
         for constraints in _junction_menus(size):
             spec = SetSpec(size, target, constraints)
-            k = oracle._choose_split(spec)
+            k = oracle._choose_join(spec).split
             walked = _walked_from_values(spec, k)
             assert k == _split_from_values(spec), (spec, k)
             assert walked <= _walked_from_values(spec, _balanced_split(spec)), spec
@@ -437,9 +437,10 @@ def test_a_unit_second_letter_moves_the_split_before_the_free_junction():
     # prefix is too short to fold, which leaves 32*16*32 + 32**3 = 49,152.
     mod = Modulus(32)
     spec = SetSpec(7, identity(mod), {2: UNIT})
-    assert _balanced_split(spec) == 4 and oracle._choose_split(spec) == 3
-    assert oracle._prefix_cost(spec, 4, spec.position_counts()) == (49_152, True)
-    assert oracle._prefix_cost(spec, 3, spec.position_counts()) == (16_384, False)
+    assert _balanced_split(spec) == 4 and oracle._choose_join(spec).split == 3
+    sizes = spec.position_counts()
+    assert oracle._join(spec, 4, sizes) == (4, 50_176, True, True)
+    assert oracle._join(spec, 3, sizes) == (3, 49_152, True, False)
     with pytest.raises(BudgetExceeded) as err:
         count(spec, "mitm", split=4, budget=49_152)
     assert err.value.required == 50_176
@@ -462,7 +463,7 @@ def test_the_streamed_sides_hold_no_list_of_leaves():
     # 8**2 top rows.  A list of either side's leaves would hold 256 KB of
     # references; the join peaks at about 20 KB.
     spec = SetSpec(12, identity(MOD8))
-    assert oracle._choose_split(spec) == 6
+    assert oracle._choose_join(spec).split == 6
     got, peak = _traced_peak(lambda: count(spec, "mitm"))
     assert peak < 64 * 1024, peak
     assert got == count(spec, "mitm", split=5)
@@ -475,7 +476,7 @@ def test_the_fold_pins_its_charge_and_keeps_less():
     # every prefix leaf would charge 16**4 + 16**5 = 1,114,112 at best.
     mod = Modulus(16)
     spec = SetSpec(10, identity(mod))
-    assert oracle._choose_split(spec) == 5
+    assert oracle._choose_join(spec).split == 5
     assert min(_walked_unfolded(spec, k) for k in range(1, 10)) == 1_114_112
     with pytest.raises(BudgetExceeded,
                        match="^enumeration needs 135168 candidates, budget is 135167$"):
@@ -487,6 +488,60 @@ def test_the_fold_pins_its_charge_and_keeps_less():
     values = spec.position_values()
     _, bucketed = _traced_peak(lambda: oracle._half_products(values[:4], 16))
     assert peak < bucketed, (peak, bucketed)
+
+
+def _random_join_specs(rng, n):
+    """Seeded specs over small moduli, with every kind of letter."""
+    kinds = (UNIT, NONUNIT, fixed(1), fixed(2))
+    for _ in range(n):
+        mod = Modulus(rng.randint(2, 9))
+        size = rng.randint(2, 9)
+        constraints = {p: rng.choice(kinds) for p in range(1, size + 1) if rng.random() < 0.3}
+        target = rng.choice((identity(mod), neg_identity(mod), s_mat(mod), t_mat(mod)))
+        yield SetSpec(size, target, constraints)
+
+
+def test_the_join_walks_what_it_is_charged(monkeypatch):
+    # Every leaf either side of the join streams and every update of the
+    # fold is counted; an empty suffix, past a free last letter, is its
+    # one leaf, the lookup of the target's bottom row.  Without the fold
+    # that is exactly the charge; the fold's N^2 bound on the top rows of
+    # letters 2..k may overcharge it.
+    leaves, rows = [0], []
+    leaf_keys, half_products = oracle._leaf_keys, oracle._half_products
+
+    def counted_leaf_keys(*args):
+        for key in leaf_keys(*args):
+            leaves[0] += 1
+            yield key
+
+    def counted_half_products(values, N, top_row=False):
+        products = half_products(values, N, top_row)
+        rows.append(len(products))
+        return products
+
+    monkeypatch.setattr(oracle, "_leaf_keys", counted_leaf_keys)
+    monkeypatch.setattr(oracle, "_half_products", counted_half_products)
+    folded = exact = 0
+    for spec in _random_join_specs(random.Random(20), 150):
+        sizes = spec.position_counts()
+        for split in range(1, spec.size):
+            join = oracle._join(spec, split, sizes)
+            if join.walked > 20_000:
+                continue
+            leaves[0], rows[:] = 0, []
+            count(spec, "mitm", split=split, budget=join.walked)
+            # the fold adds each of letter 1's values to each top row of
+            # letters 2..k, the one bucketing the prefix runs
+            walked = leaves[0] + (rows[0] * sizes[0] if join.fold else 0)
+            walked += join.free and split == spec.size - 1
+            if join.fold:
+                folded += 1
+                assert walked <= join.walked, (spec, join)
+            else:
+                exact += 1
+                assert walked == join.walked, (spec, join)
+    assert folded > 50 and exact > 250, (folded, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +605,7 @@ def test_the_join_matches_the_naive_walk_at_every_split():
                     sizes = spec.position_counts()
                     reference = oracle._count_naive(spec)
                     for split in range(1, size):
-                        folded += oracle._prefix_cost(spec, split, sizes)[1]
+                        folded += oracle._join(spec, split, sizes).fold
                         assert count(spec, "mitm", split=split) == reference, (spec, split)
     assert folded > 0
 
