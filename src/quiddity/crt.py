@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .modring import Modulus, Residue, factorize
+from .modring import Modulus, factorize
 from .sl2 import Mat2, identity, neg_identity, target_name
 from .spec import NONUNIT, SetSpec, UNIT
 
@@ -198,11 +198,12 @@ def crt_split_bijection(spec: SetSpec) -> TupleMap:
     basis = [(n // mod.n) * pow(n // mod.n, -1, mod.n) for mod in small]
 
     def forward(t):
-        return tuple(tuple(Residue(a.value, mod) for a in t) for mod in small)
+        values = [a.value for a in t]
+        return tuple(mod.residues(values) for mod in small)
 
     def backward(per_piece):
-        return tuple(Residue(sum(r.value * e for r, e in zip(position, basis)), big)
-                     for position in zip(*per_piece))
+        return big.residues([sum(r.value * e for r, e in zip(position, basis))
+                             for position in zip(*per_piece)])
 
     target = target_name(spec.target) or ",".join(map(str, spec.target.entries()))
     letters = "".join(f", a{p}={con.value if con.value is not None else con.kind}"

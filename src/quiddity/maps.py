@@ -3,26 +3,30 @@ that proves each forward/backward pair reciprocal on enumerated domains.
 
 Maps operate on explicit tuples of residues, never on counts, so a broken
 transcription surfaces as a concrete counterexample tuple instead of a
-silently wrong total.  Positions are 1-based in every docstring to match
-tuple subscripts a_1..a_n; code indexes are 0-based.
+silently wrong total; inside, each computes on the letters' int values.
+Positions are 1-based in every docstring to match tuple subscripts
+a_1..a_n; code indexes are 0-based.
 
 The harness runs forward and backward once per domain member; in its pass
 over the codomain, a member that was already an image needs only its
 preimage's domain membership checked, so a bijection costs one forward and
 one backward per member.  Each builder makes its own sets; shipped_maps
-alone shares them, so a battery enumerates and indexes each solution set
-once.  All psi fibers over one modulus come from one psi pass.
+alone shares them, and a battery walks each size and target once: its
+constrained sets read their members from that walk.  All psi fibers over
+one modulus come from one psi pass.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
+from operator import mul
 from typing import Callable, NamedTuple
 
 from .modring import Modulus, NotAUnit, Residue, nonunits_of, totient, units_of
 from .oracle import psi, psi_domain, solutions
-from .sl2 import Mat2, continuant_product, identity, neg_identity, target_name
+from .sl2 import Mat2, continuant_entries, identity, neg_identity, target_name
 from .spec import NONUNIT, SetSpec, UNIT, _admit, fixed
 
 
@@ -30,27 +34,28 @@ class DomainViolation(ValueError):
     """Input tuple is outside the map's stated domain."""
 
 
-def _product_sign(t) -> int:
-    """1 or -1 when the tuple's product is +Id or -Id, else 0 (1 when N = 2,
+def _product_sign(values, n: int) -> int:
+    """1 or -1 when the letters' product is +Id or -Id, else 0 (1 when N = 2,
     where the two agree)."""
-    mod = t[0].modulus
-    a, b, c, d = continuant_product([x.value for x in t], mod).entries()
+    a, b, c, d = continuant_entries(values, n)
     if b or c or a != d:
         return 0
-    return 1 if a == 1 else -1 if a == mod.n - 1 else 0
+    return 1 if a == 1 else -1 if a == n - 1 else 0
 
 
 # ---------------------------------------------------------------------------
-# elementwise operations
+# elementwise operations: each reads its tuple's values once, computes on
+# ints and returns the pooled residues of the results (Modulus.residues)
 
 
 def negate_map(t: tuple) -> tuple:
     """Negate every entry; sends odd-size solutions of +Id to -Id."""
     if len(t) % 2 != 1:
         raise DomainViolation(f"size {len(t)} is even")
-    if _product_sign(t) != 1:
+    values = [a.value for a in t]
+    if _product_sign(values, t[0].modulus.n) != 1:
         raise DomainViolation(f"product of {t} is not the identity")
-    return tuple(-a for a in t)
+    return t[0].modulus.residues([-a for a in values])
 
 
 def scale_map(t: tuple, lam: Residue) -> tuple:
@@ -62,51 +67,55 @@ def scale_map(t: tuple, lam: Residue) -> tuple:
         raise DomainViolation(f"size {len(t)} is not even >= 4")
     if not lam.is_unit:
         raise NotAUnit(f"{lam.value} is not invertible mod {lam.modulus.n}")
-    if not _product_sign(t):
+    mod = t[0].modulus
+    values = [a.value for a in t]
+    if not _product_sign(values, mod.n):
         raise DomainViolation(f"product of {t} is not +-Id")
-    inv = lam.inverse()
-    return tuple(a * lam if i % 2 == 0 else a * inv for i, a in enumerate(t))
+    x = lam.value
+    return mod.residues(list(map(mul, values, [x, pow(x, -1, mod.n)] * (len(t) // 2))))
+
+
+def _drop(t: tuple, i: int, e: int) -> tuple:
+    """Remove the letter e = +-1 at interior position i; both neighbours
+    lose e."""
+    n = len(t)
+    if not (2 <= i <= n - 1):
+        raise DomainViolation(f"position {i} is not interior for size {n}")
+    mod = t[0].modulus
+    if t[i - 1].value != e % mod.n:
+        raise DomainViolation(f"letter at position {i} is {t[i - 1].value}, not {e}")
+    return t[: i - 2] + mod.residues([t[i - 2].value - e, t[i].value - e]) + t[i + 1:]
+
+
+def _insert(t: tuple, i: int, e: int) -> tuple:
+    """Insert the letter e = +-1 at position i; both neighbours gain e."""
+    n = len(t) + 1
+    if not (2 <= i <= n - 1):
+        raise DomainViolation(f"position {i} is not interior for size {n}")
+    return t[: i - 2] + t[0].modulus.residues([t[i - 2].value + e, e, t[i - 1].value + e]) + t[i:]
 
 
 def reduce_one(t: tuple, i: int = 2) -> tuple:
     """Remove a letter 1 at interior position i, absorbing it into both
     neighbours (each drops by 1); the product is unchanged."""
-    n = len(t)
-    if not (2 <= i <= n - 1):
-        raise DomainViolation(f"position {i} is not interior for size {n}")
-    if t[i - 1].value != 1:
-        raise DomainViolation(f"letter at position {i} is {t[i - 1].value}, not 1")
-    return t[: i - 2] + (t[i - 2] - 1, t[i] - 1) + t[i + 1:]
+    return _drop(t, i, 1)
 
 
 def insert_one(t: tuple, i: int = 2) -> tuple:
     """Insert a letter 1 at position i, bumping both neighbours by 1."""
-    n = len(t) + 1
-    if not (2 <= i <= n - 1):
-        raise DomainViolation(f"position {i} is not interior for size {n}")
-    one = Residue(1, t[0].modulus)
-    return t[: i - 2] + (t[i - 2] + 1, one, t[i - 1] + 1) + t[i:]
+    return _insert(t, i, 1)
 
 
 def reduce_minus_one(t: tuple, i: int = 2) -> tuple:
     """Remove a letter -1 at interior position i (neighbours gain 1); the
     product is negated."""
-    n = len(t)
-    if not (2 <= i <= n - 1):
-        raise DomainViolation(f"position {i} is not interior for size {n}")
-    if (-t[i - 1]).value != 1:
-        raise DomainViolation(f"letter at position {i} is {t[i - 1].value}, not -1")
-    return t[: i - 2] + (t[i - 2] + 1, t[i] + 1) + t[i + 1:]
+    return _drop(t, i, -1)
 
 
 def insert_minus_one(t: tuple, i: int = 2) -> tuple:
     """Insert a letter -1 at position i (neighbours drop by 1); negates the
     product."""
-    n = len(t) + 1
-    if not (2 <= i <= n - 1):
-        raise DomainViolation(f"position {i} is not interior for size {n}")
-    minus_one = Residue(-1, t[0].modulus)
-    return t[: i - 2] + (t[i - 2] - 1, minus_one, t[i - 1] - 1) + t[i:]
+    return _insert(t, i, -1)
 
 
 def reduce_pair(t: tuple) -> tuple:
@@ -117,12 +126,13 @@ def reduce_pair(t: tuple) -> tuple:
     """
     if len(t) < 4:
         raise DomainViolation(f"size {len(t)} < 4")
-    x, y = t[1], t[2]
-    merged = x * y - 1
-    if not merged.is_unit:
-        raise NotAUnit(f"{x.value}*{y.value} - 1 is not invertible mod {x.modulus.n}")
-    e = merged.inverse()
-    return (t[0] + (1 - y) * e, merged) + (t[3] + (1 - x) * e,) + t[4:]
+    mod = t[0].modulus
+    h, x, y, k = (a.value for a in t[:4])
+    merged = (x * y - 1) % mod.n
+    if math.gcd(merged, mod.n) != 1:
+        raise NotAUnit(f"{x}*{y} - 1 is not invertible mod {mod.n}")
+    e = pow(merged, -1, mod.n)
+    return mod.residues([h + (1 - y) * e, merged, k + (1 - x) * e]) + t[4:]
 
 
 def expand_pair(t: tuple, x: Residue, y: Residue) -> tuple:
@@ -131,10 +141,10 @@ def expand_pair(t: tuple, x: Residue, y: Residue) -> tuple:
     if len(t) < 3:
         raise DomainViolation(f"size {len(t)} < 3")
     merged = x * y - 1
-    if t[1] != merged:
+    if t[1] is not merged:
         raise DomainViolation(f"second entry {t[1].value} != {merged.value}")
-    e = merged.inverse()
-    return (t[0] - (1 - y) * e, x, y) + (t[2] - (1 - x) * e,) + t[3:]
+    a, b, e = x.value, y.value, merged.inverse().value
+    return x.modulus.residues([t[0].value - (1 - b) * e, a, b, t[2].value - (1 - a) * e]) + t[3:]
 
 
 def reduce_quintuple(t: tuple) -> tuple:
@@ -146,12 +156,12 @@ def reduce_quintuple(t: tuple) -> tuple:
     """
     if len(t) < 5:
         raise DomainViolation(f"size {len(t)} < 5")
-    u, v, w = t[1], t[2], t[3]
-    x = psi(u, v, w)
+    x = psi(t[1], t[2], t[3])
     if not x.is_unit:
         raise NotAUnit(f"psi value {x.value} is not invertible mod {x.modulus.n}")
-    xi = x.inverse()
-    return (t[0] - (v * w - 2) * xi, x) + (t[4] - (u * v - 2) * xi,) + t[5:]
+    h, u, v, w, k = (a.value for a in t[:5])
+    xi = pow(x.value, -1, x.modulus.n)
+    return x.modulus.residues([h - (v * w - 2) * xi, x.value, k - (u * v - 2) * xi]) + t[5:]
 
 
 def expand_quintuple(t: tuple, u: Residue, v: Residue, w: Residue) -> tuple:
@@ -159,10 +169,11 @@ def expand_quintuple(t: tuple, u: Residue, v: Residue, w: Residue) -> tuple:
     if len(t) < 3:
         raise DomainViolation(f"size {len(t)} < 3")
     x = psi(u, v, w)
-    if t[1] != x:
+    if t[1] is not x:
         raise DomainViolation(f"second entry {t[1].value} != psi = {x.value}")
-    xi = x.inverse()
-    return (t[0] + (v * w - 2) * xi, u, v, w) + (t[2] + (u * v - 2) * xi,) + t[3:]
+    a, b, c, xi = u.value, v.value, w.value, x.inverse().value
+    return x.modulus.residues([t[0].value + (b * c - 2) * xi, a, b, c,
+                               t[2].value + (a * b - 2) * xi]) + t[3:]
 
 
 def unit_insert_map(t: tuple, u: Residue) -> tuple:
@@ -177,13 +188,13 @@ def unit_insert_map(t: tuple, u: Residue) -> tuple:
         raise DomainViolation(f"size {len(t)} is even")
     if not u.is_unit:
         raise NotAUnit(f"{u.value} is not invertible mod {u.modulus.n}")
-    if not _product_sign(t):
+    values = [a.value for a in t]
+    if not _product_sign(values, u.modulus.n):
         raise DomainViolation(f"product of {t} is not +-Id")
-    ui = u.inverse()
-    out = [(t[0] + 1) * ui, u, (t[1] + 1) * ui]
-    for p in range(3, len(t) + 1):
-        out.append(t[p - 1] * (u if p % 2 == 1 else ui))
-    return tuple(out)
+    x, xi = u.value, pow(u.value, -1, u.modulus.n)
+    out = [(values[0] + 1) * xi, x, (values[1] + 1) * xi]
+    out += map(mul, values[2:], [x, xi] * (len(t) // 2))
+    return u.modulus.residues(out)
 
 
 def unit_drop_map(t: tuple) -> tuple:
@@ -193,11 +204,11 @@ def unit_drop_map(t: tuple) -> tuple:
     u = t[1]
     if not u.is_unit:
         raise NotAUnit(f"second entry {u.value} is not invertible mod {u.modulus.n}")
-    ui = u.inverse()
-    out = [t[0] * u - 1, t[2] * u - 1]
-    for p in range(2, len(t) - 1):
-        out.append(t[p + 1] * (ui if p % 2 == 0 else u))
-    return tuple(out)
+    values = [a.value for a in t]
+    x, xi = u.value, pow(u.value, -1, u.modulus.n)
+    out = [values[0] * x - 1, values[2] * x - 1]
+    out += map(mul, values[3:], [xi, x] * (len(t) // 2))
+    return u.modulus.residues(out)
 
 
 def fiber_shift_map(triple: tuple, x: Residue) -> tuple:
@@ -208,17 +219,17 @@ def fiber_shift_map(triple: tuple, x: Residue) -> tuple:
         raise DomainViolation(f"psi{tuple(a.value for a in triple)} != 1")
     if not x.is_unit:
         raise NotAUnit(f"{x.value} is not invertible mod {x.modulus.n}")
-    xi = x.inverse()
-    return (x * u, v * xi, w * x)
+    a, ai = x.value, pow(x.value, -1, x.modulus.n)
+    return x.modulus.residues([a * u.value, v.value * ai, w.value * a])
 
 
 def fiber_unshift_map(triple: tuple, x: Residue) -> tuple:
     """Inverse of fiber_shift_map: from the fiber of x back to the fiber of 1."""
     u, v, w = triple
-    if psi(u, v, w) != x:
+    if psi(u, v, w) is not x:
         raise DomainViolation(f"psi{tuple(a.value for a in triple)} != {x.value}")
-    xi = x.inverse()
-    return (u * xi, v * x, w * xi)
+    a, ai = x.value, x.inverse().value
+    return x.modulus.residues([u.value * ai, v.value * a, w.value * ai])
 
 
 # ---------------------------------------------------------------------------
@@ -233,30 +244,52 @@ class SpecSet:
     """An enumerable tuple set described by a SetSpec.
 
     Membership is a lookup among the enumerated members.  The index is
-    built once per set, and each member is checked against spec.matches
-    as it goes in: a member the enumeration got wrong is left out, so the
-    harness reports it, and a tuple the enumeration missed is refused.
+    built on the first contains, and each member is checked against
+    spec.matches as it goes in: a member the enumeration got wrong is left
+    out, so the harness reports it, and a tuple the enumeration missed is
+    refused.
+
+    shipped_maps may set ``_source`` to the set of all solutions of the
+    same size and target.  Such a set walks nothing: its members are the
+    source's members in the bucket of its fixed letters that spec.matches.
     """
 
-    __slots__ = ("spec", "_members", "_index")
+    __slots__ = ("spec", "_members", "_index", "_source", "_buckets")
 
     def __init__(self, spec: SetSpec):
         self.spec = spec
         self._members = None
         self._index = None
+        self._source = None
+        self._buckets = None  # fixed positions -> {their letters -> members}
 
     def members(self, budget=None) -> tuple:
         if self._members is None:
-            self._members = tuple(solutions(self.spec, budget))
+            if self._source is None:
+                self._members = tuple(solutions(self.spec, budget))
+            else:
+                self._members = tuple(filter(self.spec.matches,
+                                             self._source._slice(self.spec, budget)))
         return self._members
+
+    def _slice(self, spec: SetSpec, budget) -> list:
+        """The members whose letters at spec's fixed positions are its
+        fixed values."""
+        pinned = [(p - 1, con.value) for p, con in spec.constraints if con.kind == "fixed"]
+        positions = tuple(i for i, _ in pinned)
+        self._buckets = self._buckets or {}
+        if positions not in self._buckets:
+            buckets = self._buckets[positions] = {}
+            for m in self.members(budget):
+                buckets.setdefault(tuple([m[i] for i in positions]), []).append(m)
+        return self._buckets[positions].get(spec.modulus.residues([v for _, v in pinned]), [])
 
     def contains(self, t) -> bool:
         if self._index is None:
-            # matches() reads each letter with int(); plain values skip a
-            # Python-level __int__ call per letter
-            matches = self.spec.matches
-            self._index = frozenset(m for m in self.members()
-                                    if matches([a.value for a in m]))
+            members = self.members()
+            if self._source is None:  # sliced members passed matches as they were read
+                members = filter(self.spec.matches, members)
+            self._index = frozenset(members)
         return t in self._index
 
 
@@ -398,7 +431,7 @@ def negation_bijection(size: int, modulus: Modulus) -> TupleMap:
     dom = SpecSet(SetSpec(size, identity(modulus)))
     cod = SpecSet(SetSpec(size, neg_identity(modulus)))
     return TupleMap(f"negation(n={size}, N={modulus.n})", dom, cod,
-                    negate_map, lambda t: tuple(-a for a in t))
+                    negate_map, lambda t: t[0].modulus.residues([-a.value for a in t]))
 
 
 def scaling_bijection(size: int, modulus: Modulus, sign: int, lam: Residue) -> TupleMap:
@@ -432,10 +465,10 @@ def merge_after_unit_bijection(size: int, modulus: Modulus, target: Mat2,
     """
     dom = SpecSet(SetSpec(size, target, {2: fixed(int(u)), 3: NONUNIT}))
     cod = SpecSet(SetSpec(size - 1, target, {2: UNIT}))
-    ui = u.inverse()
+    ui = u.inverse().value
 
     def backward(t):
-        return expand_pair(t, u, ui * (t[1] + 1))
+        return expand_pair(t, u, Residue(ui * (t[1].value + 1), modulus))
 
     return TupleMap(
         f"merge-after-unit(n={size}, N={modulus.n}, target={_target_label(target)}, u={u.value})",
@@ -495,12 +528,14 @@ def _require_two_power(modulus: Modulus):
 
 
 def battery_cost(modulus: Modulus, max_size: int) -> int:
-    """A lower bound, in closed form, of the candidates shipped_maps'
-    battery walks: the psi pass over phi(N)^2 N triples, and the domains of
-    the unit-triple merges at sizes 5 and 6, 2 targets x phi(N)^2 x N
-    distinct specs per size, each charged _solve_cost (3N + 3 at size 5,
-    4N + 3 at size 6).  Admitted before the battery is built, it refuses
-    a modulus whose battery cannot finish without building any map.
+    """The candidates of shipped_maps' battery, in closed form: the psi
+    pass over phi(N)^2 N triples, and the domains of the unit-triple merges
+    at sizes 5 and 6, 2 targets x phi(N)^2 x N distinct specs per size, each
+    priced as if that set were walked alone, at _solve_cost (3N + 3 at size
+    5, 4N + 3 at size 6).  The battery reads them from one walk per size
+    and target, so that is at least what it walks for them.  Admitted
+    before the battery is built, it refuses N = 128 at the default budget
+    without building any map.
     """
     _require_two_power(modulus)
     n = modulus.n
@@ -513,24 +548,39 @@ def shipped_maps(modulus: Modulus, max_size: int) -> list[TupleMap]:
     """The full battery of bijections to verify for one 2-power modulus.
 
     As each map is added, its solution sets are swapped for the battery's
-    first SpecSet of an equal spec, so verifying the whole list enumerates
-    and indexes each solution set once; every psi fiber reads the one psi
-    pass over the modulus.
+    first SpecSet of an equal spec, and a constrained set reads its members
+    from the unconstrained set of its size and target.  So verifying the
+    whole list walks each (size, target) once and indexes each set once;
+    every psi fiber reads the one psi pass over the modulus.
     """
     _require_two_power(modulus)
     units = units_of(modulus)
     nonunits = nonunits_of(modulus)
     targets = (identity(modulus), neg_identity(modulus))
     sets: dict[SetSpec, SpecSet] = {}
+    walks: dict[tuple, SpecSet] = {}  # (size, target key) -> its unconstrained set
     out: list[TupleMap] = []
+
+    def shared(s: SpecSet) -> SpecSet:
+        spec = s.spec
+        found = sets.get(spec)
+        if found is None:
+            key = (spec.size, spec.target.key())
+            if spec.constraints:
+                # the negation and scaling maps, added first, hold every
+                # unconstrained (size, target) that a constrained set needs
+                s._source = walks[key]
+            else:
+                walks[key] = s
+            found = sets[spec] = s
+        return found
 
     def add(tmap: TupleMap):
         # a fresh TupleMap, not _replace: that one builds its tuple from an
         # iterator and shrinks it, which raised the N = 16 battery's peak RSS
         name, dom, cod, forward, backward = tmap
         if isinstance(dom, SpecSet):
-            tmap = TupleMap(name, sets.setdefault(dom.spec, dom), sets.setdefault(cod.spec, cod),
-                            forward, backward)
+            tmap = TupleMap(name, shared(dom), shared(cod), forward, backward)
         out.append(tmap)
 
     for n in range(3, max_size + 1, 2):

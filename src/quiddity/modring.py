@@ -4,11 +4,11 @@ Everything downstream (matrices, enumeration, bijections) works over these
 values, so residues are kept in a single canonical form: the least
 nonnegative representative.
 
-Residues are pooled: each Modulus holds one Residue per value, made on
-first use, and both the constructor and arithmetic hand back that
-instance.  Equality and hashing stay by value, so residues of two equal
-Modulus objects are equal; tuples of residues from one pool compare
-element by identity, without calling ``__eq__``.
+Residues are interned: ``Modulus(n)`` returns the one live modulus for n,
+and it holds one Residue per value, made on first use, which both the
+constructor and arithmetic hand back.  Each (value, N) is then a single
+object, so equality and hashing are by identity and a tuple of residues
+hashes and compares in C.  Copies and pickles return the same objects.
 
 N is factored in this module alone: factorize caches its prime powers,
 which the CRT split, the totient, |SL2(Z/NZ)| and the closed forms read,
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 
 
 class NotAUnit(ArithmeticError):
@@ -32,32 +33,36 @@ class Modulus:
     The 2-power rings are the main stage; general N is needed for CRT work.
     """
 
-    __slots__ = ("n", "two_adic", "_pool")
+    __slots__ = ("n", "two_adic", "_pool", "__weakref__")
+    _live = weakref.WeakValueDictionary()  # n -> the one live Modulus(n)
 
-    def __init__(self, n: int):
+    def __new__(cls, n: int):
+        live = cls._live.get(n)
+        if live is not None:
+            return live
         if n < 2:
             raise ValueError(f"modulus must be >= 2, got {n}")
+        self = object.__new__(cls)
         self.n = n
         m = n.bit_length() - 1
         self.two_adic = m if (n == 1 << m and m >= 2) else None
         self._pool: dict[int, Residue] = {}  # canonical value -> its residue
+        cls._live[n] = self
+        return self
 
     def residue(self, value: int) -> "Residue":
         return Residue(value, self)
 
     def residues(self, values) -> tuple:
-        """The residues of ``values`` as a tuple; canonical values already
-        pooled are read straight from the pool."""
+        """The residues of the ints ``values`` as a tuple, read straight
+        from the pool once each is made."""
+        pool, n = self._pool, self.n
         try:
-            return tuple(map(self._pool.__getitem__, values))
+            # from a list, so the tuple is made at its size and reuses the
+            # short tuples freed before; tuple(map(...)) would not
+            return tuple([pool[v % n] for v in values])
         except KeyError:
-            return tuple(Residue(v, self) for v in values)
-
-    def __eq__(self, other):
-        return isinstance(other, Modulus) and self.n == other.n
-
-    def __hash__(self):
-        return hash(("Modulus", self.n))
+            return tuple([Residue(v, self) for v in values])
 
     def __reduce__(self):
         return Modulus, (self.n,)
@@ -72,7 +77,7 @@ class Residue:
     ``Residue(value, modulus)`` returns the modulus's pooled instance.
     """
 
-    __slots__ = ("value", "modulus", "_hash")
+    __slots__ = ("value", "modulus")
 
     def __new__(cls, value, modulus: Modulus):
         value = int(value) % modulus.n
@@ -81,7 +86,6 @@ class Residue:
             pooled = modulus._pool[value] = object.__new__(cls)
             pooled.value = value
             pooled.modulus = modulus
-            pooled._hash = hash((value, modulus.n))
         return pooled
 
     @property
@@ -102,7 +106,7 @@ class Residue:
 
     def _other_value(self, other) -> int:
         if isinstance(other, Residue):
-            if other.modulus is not self.modulus and other.modulus.n != self.modulus.n:
+            if other.modulus is not self.modulus:
                 raise ValueError("mixed moduli in residue arithmetic")
             return other.value
         return int(other)
@@ -135,16 +139,6 @@ class Residue:
         mod = self.modulus
         value = -self.value % mod.n
         return mod._pool.get(value) or Residue(value, mod)
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, Residue)
-            and self.value == other.value
-            and self.modulus.n == other.modulus.n
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __reduce__(self):
         return Residue, (self.value, self.modulus)

@@ -336,7 +336,8 @@ def psi(u: Residue, v: Residue, w: Residue) -> Residue:
     """((vw - 1)(uv - 1) - 1) * v^-1; a unit whenever uv - 1 is a non-unit."""
     if not v.is_unit:
         raise NotAUnit(f"{v.value} is not invertible mod {v.modulus.n}")
-    return ((v * w - 1) * (u * v - 1) - 1) * v.inverse()
+    b, mod = v.value, v.modulus
+    return Residue(((b * w.value - 1) * (u.value * b - 1) - 1) * pow(b, -1, mod.n), mod)
 
 
 def psi_domain(modulus: Modulus):

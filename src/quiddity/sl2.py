@@ -149,13 +149,19 @@ def continuant_product(values, modulus: Modulus | None = None) -> Mat2:
         if not isinstance(first, Residue):
             raise ValueError("continuant_product() needs a modulus for bare integers")
         modulus = first.modulus
-    n = modulus.n
+    return Mat2(*continuant_entries(list(map(int, values)), modulus.n), modulus)
+
+
+def continuant_entries(values, n: int) -> tuple[int, int, int, int]:
+    """The entries (a, b, c, d) of continuant_product for nonempty int
+    letters, reduced mod n: the walk on ints alone."""
     # Left-multiplying by [[a,-1],[1,0]] sends [[p,q],[r,s]] to [[ap-r, aq-s],[p, q]].
-    p, q, r, s = int(values[0]) % n, n - 1, 1, 0
-    for letter in values[1:]:
-        a = int(letter)
-        p, q, r, s = (a * p - r) % n, (a * q - s) % n, p, q
-    return Mat2(p, q, r, s, modulus)
+    letters = iter(values)
+    p, q, r, s = next(letters) % n, n - 1, 1, 0
+    for a in letters:
+        p, r = (a * p - r) % n, p
+        q, s = (a * q - s) % n, q
+    return p, q, r, s
 
 
 def group_order(n: int) -> int:

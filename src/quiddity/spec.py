@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .modring import Modulus, totient
-from .sl2 import Mat2, continuant_product
+from .sl2 import Mat2, continuant_entries
 
 DEFAULT_BUDGET = 1 << 27
 
@@ -67,7 +67,9 @@ UNIT = Constraint("unit")
 NONUNIT = Constraint("nonunit")
 
 
+@lru_cache(maxsize=1024)
 def fixed(value) -> Constraint:
+    """The constraint pinning a letter to ``value``, one object per value."""
     return Constraint("fixed", int(value))
 
 
@@ -120,8 +122,8 @@ def normalize_constraints(constraints, size: int, modulus: Modulus) -> dict[int,
         if pos in seen:
             raise ValueError(f"duplicate constraint for position {pos}")
         seen.add(pos)
-        if con.kind == "fixed":
-            con = Constraint("fixed", con.value % modulus.n)
+        if con.kind == "fixed" and not 0 <= con.value < modulus.n:
+            con = fixed(con.value % modulus.n)
         if con.kind != "any":
             out[pos] = con
     return out
@@ -131,9 +133,9 @@ class SetSpec:
     """Size, target matrix, and per-position constraints (1-based positions)."""
 
     # _allowed caches one frozenset of values per position for matches(),
-    # shared between positions and specs with the same constraint; it is
-    # derived from the rest, so it stays out of _key().
-    __slots__ = ("size", "target", "constraints", "_allowed")
+    # shared between positions and specs with the same constraint, and _hash
+    # caches the hash; both derive from the rest, so they stay out of _key().
+    __slots__ = ("size", "target", "constraints", "_allowed", "_hash")
 
     def __init__(self, size: int, target: Mat2, constraints=None):
         if size < 1:
@@ -145,6 +147,7 @@ class SetSpec:
         cons = normalize_constraints(constraints, size, target.modulus)
         self.constraints = tuple(sorted(cons.items()))
         self._allowed = None
+        self._hash = None
 
     @property
     def modulus(self) -> Modulus:
@@ -171,15 +174,17 @@ class SetSpec:
         return math.prod(self.position_counts())
 
     def matches(self, t) -> bool:
-        """Does a tuple of residues belong to this set?"""
+        """Does a tuple of residues belong to this set?  The letters must
+        be Residues: their values are read with .value, not int()."""
         if len(t) != self.size:
             return False
         if self._allowed is None:
             self._allowed = tuple(_allowed_set(self.modulus, self.constraint_at(p))
                                   for p in range(1, self.size + 1))
-        if any(int(a) not in allowed for allowed, a in zip(self._allowed, t)):
-            return False
-        return continuant_product(t, self.modulus) == self.target
+        # every position's allowed set, "any" too, refuses a value outside 0..N-1
+        values = [a.value for a in t]
+        return (all(map(frozenset.__contains__, self._allowed, values))
+                and continuant_entries(values, self.modulus.n) == self.target.entries())
 
     def _key(self):
         return (self.size, self.target.key(), self.modulus.n, self.constraints)
@@ -188,7 +193,9 @@ class SetSpec:
         return isinstance(other, SetSpec) and self._key() == other._key()
 
     def __hash__(self):
-        return hash(self._key())
+        if self._hash is None:
+            self._hash = hash(self._key())
+        return self._hash
 
     def __repr__(self):
         return f"SetSpec(size={self.size}, target={self.target!r}, constraints={self.constraints})"

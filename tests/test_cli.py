@@ -496,6 +496,16 @@ def test_verify_bijections_output_is_golden(capsys):
     assert out.encode() == (GOLDEN / "verify_bijections_8_6.txt").read_bytes()
 
 
+@pytest.mark.parametrize("n_mod,depth", [(4, 8), (16, 5)])
+def test_the_other_benchmark_batteries_are_golden(capsys, n_mod, depth):
+    # the two other batteries the benchmark runs: 139 maps over Z/4Z and
+    # 2126 over Z/16Z, one line each, plus the summary
+    code, out, err = run_cli(capsys, "verify", "--suite", "bijections", "--modulus",
+                             str(n_mod), "--max-size", str(depth))
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / f"verify_bijections_{n_mod}_{depth}.txt").read_bytes()
+
+
 def test_an_oversized_refusal_lists_no_values(capsys, monkeypatch):
     # 1000003**2 candidates, letters 1 and 2 (the last two are forced), and
     # the 4 * 1000003 values listed: listing them alone would take about

@@ -498,11 +498,11 @@ def spec_sets(battery):
 
 
 @pytest.mark.parametrize("n_mod,depth", [(4, 8), (8, 6), (16, 5)])
-def test_a_battery_enumerates_each_solution_set_once(monkeypatch, n_mod, depth):
-    enumerated = []
+def test_a_battery_walks_each_size_and_target_once(monkeypatch, n_mod, depth):
+    walked = []
 
     def counted(spec, budget=None):
-        enumerated.append(spec)
+        walked.append(spec)
         return solutions(spec, budget)
 
     monkeypatch.setattr(maps, "solutions", counted)
@@ -512,7 +512,28 @@ def test_a_battery_enumerates_each_solution_set_once(monkeypatch, n_mod, depth):
     assert len({s.spec for s in sets}) == len(sets)
     for tmap in battery:
         assert verify_reciprocal(tmap).ok
-    assert sorted(map(repr, enumerated)) == sorted(repr(s.spec) for s in sets)
+    # a constrained set reads its members from the walk of its size and target
+    assert not any(spec.constraints for spec in walked)
+    walks = sorted((spec.size, spec.target.key()) for spec in walked)
+    assert walks == sorted({(s.spec.size, s.spec.target.key()) for s in sets})
+
+
+@pytest.mark.parametrize("n_mod,depth", [(4, 8), (8, 6), (16, 5)])
+def test_a_battery_set_lists_what_solutions_lists(n_mod, depth):
+    for s in spec_sets(shipped_maps(Modulus(n_mod), depth)):
+        assert s.members() == tuple(solutions(s.spec)), s.spec
+
+
+def test_the_battery_is_for_2_powers_alone():
+    # At odd p a non-unit a3 makes u*a3 - 1 = -1 (mod p), so the merge after
+    # a unit misses every codomain member whose second letter is not -1 mod p.
+    mod = Modulus(27)
+    with pytest.raises(ValueError, match="2-power"):
+        shipped_maps(mod, 5)
+    report = verify_reciprocal(
+        merge_after_unit_bijection(5, mod, identity(mod), Residue(1, mod)))
+    assert (report.ok, report.failure) == (False, "backward image left the domain")
+    assert (report.domain_size, report.codomain_size) == (9, 18)
 
 
 @pytest.mark.parametrize("n_mod,depth", [(4, 8), (8, 6), (16, 5), (16, 6)])

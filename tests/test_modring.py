@@ -119,15 +119,18 @@ def test_arithmetic_returns_pooled_residues():
     assert a.inverse() is a
 
 
-def test_equality_and_hash_depend_on_the_value_alone():
-    first, second = Modulus(8), Modulus(8)
-    assert first is not second
-    for v in range(8):
-        a, b = Residue(v, first), Residue(v, second)
-        assert a is not b
-        assert a == b and hash(a) == hash(b)
-        assert hash(a) == hash((v, 8))
-    assert Residue(1, first) + Residue(2, second) == Residue(3, second)
+def test_moduli_and_residues_are_interned():
+    # each (value, N) is one object, so equality and hashing are identity
+    assert Modulus(8) is Modulus(8)
+    assert Residue(3, Modulus(8)) is Residue(11, Modulus(8))
+    assert Residue(1, Modulus(8)) + Residue(2, Modulus(8)) is Residue(3, Modulus(8))
+    assert Residue(3, Modulus(4)) != Residue(3, Modulus(8))
+    with pytest.raises(ValueError, match="mixed moduli"):
+        Residue(1, Modulus(8)) + Residue(1, Modulus(4))
+    r = Residue(5, Modulus(8))
+    for other in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+        assert other is r
+    assert copy.deepcopy(Modulus(8)) is pickle.loads(pickle.dumps(Modulus(8))) is Modulus(8)
 
 
 def test_residues_of_different_moduli_differ():

@@ -72,6 +72,23 @@ def test_matches_rejects_outsiders():
     assert not spec.matches(bumped)
 
 
+def test_matches_refuses_letters_outside_the_ring_and_broken_constraints():
+    spec = SetSpec(6, identity(MOD8), {2: UNIT, 3: NONUNIT, 4: fixed(3)})
+    member = next(solutions(spec))
+    assert spec.matches(member)
+    # a letter v read as v + N has the same product mod N, but is no letter
+    for i, a in enumerate(member):
+        assert not spec.matches(member[:i] + (Residue(a.value + 8, Modulus(16)),) + member[i + 1:])
+    assert not spec.matches(member[:5]) and not spec.matches(member + member[:1])
+    plain = list(solutions(SetSpec(6, identity(MOD8))))
+    assert [t for t in plain if spec.matches(t)] == list(solutions(spec))
+    refused = [t for t in plain if not spec.matches(t)]
+    # each constraint alone refuses some tuple that the other two accept
+    assert any(not t[1].is_unit and not t[2].is_unit and t[3].value == 3 for t in refused)
+    assert any(t[1].is_unit and t[2].is_unit and t[3].value == 3 for t in refused)
+    assert any(t[1].is_unit and not t[2].is_unit and t[3].value != 3 for t in refused)
+
+
 def test_constraints_filter_the_plain_stream():
     mod4 = Modulus(4)
     base = list(solutions(SetSpec(4, identity(mod4))))

@@ -75,3 +75,12 @@ def test_every_member_class_has_members_and_its_cache():
         assert isinstance(sample, cls) and sample._members is None, name
         sample.members()
         assert sample._members is not None, name
+
+
+def test_every_battery_set_is_of_a_member_class():
+    # a set class the worker does not wrap would leave its maps.members
+    # spans empty, so every set a battery verifies must be of one it wraps
+    wrapped = {getattr(maps, node.attr) for node in _assigned("MEMBER_CLASSES").elts}
+    for tmap in maps.shipped_maps(Modulus(16), 5):
+        for s in (tmap.domain, tmap.codomain):
+            assert type(s) in wrapped, (tmap.name, type(s))
