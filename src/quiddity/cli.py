@@ -18,7 +18,6 @@ whose suites load the bijection harness (``maps``) where they run it.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 import time
@@ -74,6 +73,9 @@ def _parse_constraint(text: str | None) -> tuple[dict, str]:
 
 
 def _emit(report: dict):
+    # table and verify print no JSON, so only the commands that do load it
+    import json
+
     sys.stdout.write(json.dumps(report) + "\n")
 
 

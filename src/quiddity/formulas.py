@@ -1,17 +1,17 @@
 """Exact evaluation of every closed-form count, base value, bound and
 product rule used by the toolkit.
 
-All values are arbitrary-precision integers.  Internally each formula is
-evaluated over exact rationals because the 2-exponents go negative in
-valid parameter ranges (for example the smallest odd-size case over
-Z/4Z); the final result is asserted integral and a failed assertion is a
-hard InexactResult, never a rounding.
+All values are arbitrary-precision integers, and so is every
+intermediate.  Each closed form is one exact division of an integer
+numerator by an integer denominator.  A 2-exponent can go negative in a
+valid parameter range (the smallest odd-size case over Z/4Z has 2^-1), so
+such a power moves to the denominator instead (_ratio_pow2).  A division
+with a remainder is a hard InexactResult, never a rounding.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .modring import factorize
 
@@ -85,16 +85,23 @@ class FormulaValue:
         return f"{self.formula_id}({inner}) = {self.value}"
 
 
-def _exact(value, formula_id: str, params) -> int:
-    value = Fraction(value)
-    if value.denominator != 1:
-        raise InexactResult(f"{formula_id}{tuple(params)} is not an integer: {value}")
-    return value.numerator
+def _exact(num: int, den: int, formula_id: str, params) -> int:
+    """num / den for den > 0, which must divide exactly; the error shows
+    the quotient in lowest terms."""
+    quotient, remainder = divmod(num, den)
+    if remainder:
+        g = math.gcd(num, den)
+        raise InexactResult(
+            f"{formula_id}{tuple(params)} is not an integer: {num // g}/{den // g}")
+    return quotient
 
 
-def _pow2(exponent: int) -> Fraction:
-    # Negative exponents are legal intermediates.
-    return Fraction(2) ** exponent
+def _ratio_pow2(num: int, exponent: int, den: int, formula_id: str, params) -> int:
+    """num * 2^exponent / den exactly; a negative exponent shifts the
+    denominator instead of the numerator."""
+    if exponent >= 0:
+        return _exact(num << exponent, den, formula_id, params)
+    return _exact(num, den << -exponent, formula_id, params)
 
 
 def gauss_bracket(m: int, k: int) -> int:
@@ -161,17 +168,18 @@ def w4_ring4(n: int, sign) -> FormulaValue:
     if n < 3:
         raise UnsupportedCase(f"w4_ring4 needs size >= 3, got {n}")
     params = (("n", n), ("sign", sign_name(sign)))
+    # every 2-exponent is at least 0 for n >= 3
     if n % 2:
-        value = _pow2(2 * (n - 2)) - _pow2(n - 3)
+        value = 2 ** (2 * (n - 2)) - 2 ** (n - 3)
     else:
-        bigger = _pow2(2 * (n - 2)) + 4 * _pow2(n - 3)
-        smaller = _pow2(2 * (n - 2)) - _pow2(n - 2)
+        bigger = 2 ** (2 * (n - 2)) + 4 * 2 ** (n - 3)
+        smaller = 2 ** (2 * (n - 2)) - 2 ** (n - 2)
         half_even = (n // 2) % 2 == 0
         if half_even:
             value = bigger if sign == PLUS else smaller
         else:
             value = smaller if sign == PLUS else bigger
-    return FormulaValue(_exact(value / 3, "w4_ring4", (n, sign)), "w4_ring4", params)
+    return FormulaValue(_exact(value, 3, "w4_ring4", (n, sign)), "w4_ring4", params)
 
 
 def w_odd_2m(n_half: int, m: int, sign) -> FormulaValue:
@@ -179,15 +187,16 @@ def w_odd_2m(n_half: int, m: int, sign) -> FormulaValue:
 
     The two signs agree (negating every entry swaps them), so the sign
     only labels the result.  The leading 2-exponent is negative when
-    n_half == m == 2; exact rationals absorb that.
+    n_half == m == 2; it then divides the denominator.
     """
     sign = normalize_sign(sign)
     if n_half < 2 or m < 2:
         raise UnsupportedCase("w_odd_2m needs n_half >= 2 and m >= 2")
     n = n_half
-    value = _pow2(2 * m * n - 2 * n - 2 * m - 1) * (2 ** (2 * n + 3) - 8)
+    value = _ratio_pow2(2 ** (2 * n + 3) - 8, 2 * m * n - 2 * n - 2 * m - 1, 3,
+                        "w_odd_2m", (n, m))
     params = (("n_half", n), ("m", m), ("sign", sign_name(sign)))
-    return FormulaValue(_exact(value / 3, "w_odd_2m", (n, m)), "w_odd_2m", params)
+    return FormulaValue(value, "w_odd_2m", params)
 
 
 def _target_family(target: str) -> str:
@@ -209,12 +218,12 @@ def delta_closed_form(n: int, m: int, target: str = "id") -> FormulaValue:
     if m < 2:
         raise UnsupportedCase("need m >= 2")
     if _target_family(target) == "id":
-        value = _pow2(m * n - n - 3 * m) * (2 ** (n + 1) + 8 * (-1) ** (n + 1))
+        num, exponent = 2 ** (n + 1) + 8 * (-1) ** (n + 1), m * n - n - 3 * m
     else:
-        value = _pow2(m * n - n - 3 * m + 1) * (2 ** n + (-1) ** n * 8)
+        num, exponent = 2 ** n + (-1) ** n * 8, m * n - n - 3 * m + 1
+    value = _ratio_pow2(num, exponent, 3, "delta_closed_form", (n, m, target))
     params = (("n", n), ("m", m), ("target", target))
-    return FormulaValue(_exact(value / 3, "delta_closed_form", (n, m, target)),
-                        "delta_closed_form", params)
+    return FormulaValue(value, "delta_closed_form", params)
 
 
 def delta_base(n: int, m: int, target: str = "id") -> FormulaValue:
@@ -248,6 +257,8 @@ def delta_value(n: int, m: int, target: str = "id") -> FormulaValue:
 
 def delta_recursion(prev, prev2, m: int) -> FormulaValue:
     """One step of the two-term recursion: 2^(m-1)*prev + 2^(2m-1)*prev2."""
+    if m < 1:
+        raise UnsupportedCase("need m >= 1")
     value = 2 ** (m - 1) * int(prev) + 2 ** (2 * m - 1) * int(prev2)
     return FormulaValue(value, "delta_recursion",
                         (("prev", int(prev)), ("prev2", int(prev2)), ("m", m)))
@@ -290,9 +301,10 @@ def w8_even(n_half: int) -> FormulaValue:
     if n_half < 2:
         raise UnsupportedCase("w8_even needs n_half >= 2")
     n = n_half
-    tail = Fraction(2 ** (4 * n - 5) - 2 ** (3 * n - 3) + 2 ** (6 * n - 6) - 2 ** (3 * n), 3)
-    value = 28 * 8 ** (n - 2) + tail
-    return FormulaValue(_exact(value, "w8_even", (n,)), "w8_even", (("n_half", n),))
+    # 28 * 8^(n-2) + tail / 3, over the common denominator 3
+    tail = 2 ** (4 * n - 5) - 2 ** (3 * n - 3) + 2 ** (6 * n - 6) - 2 ** (3 * n)
+    value = _exact(3 * 28 * 8 ** (n - 2) + tail, 3, "w8_even", (n,))
+    return FormulaValue(value, "w8_even", (("n_half", n),))
 
 
 def w8_odd(n_half: int, sign) -> FormulaValue:
@@ -302,9 +314,9 @@ def w8_odd(n_half: int, sign) -> FormulaValue:
     if n_half < 2:
         raise UnsupportedCase("w8_odd needs n_half >= 2")
     n = n_half
-    value = Fraction(2 ** (6 * n - 2 * n - 7) * (2 ** (2 * n + 3) - 8), 3)
+    value = _exact(2 ** (6 * n - 2 * n - 7) * (2 ** (2 * n + 3) - 8), 3, "w8_odd", (n,))
     params = (("n_half", n), ("sign", sign_name(sign)))
-    return FormulaValue(_exact(value, "w8_odd", (n,)), "w8_odd", params)
+    return FormulaValue(value, "w8_odd", params)
 
 
 def crt_count(n: int, pieces, sign) -> FormulaValue:

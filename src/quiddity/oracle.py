@@ -15,7 +15,10 @@ three uses:
   last two are forced by the target and kept only if they land on it and
   are allowed at their positions;
 * bucket (_half_products, product_histogram): count every candidate's
-  product, or its top row alone, the meet-in-the-middle prefix;
+  product, or its top row alone, the meet-in-the-middle prefix.  The last
+  letter, and each letter before it that the walk reaches at least N^2
+  times, expand in C through per-row tables (_leaf_keys); Python steps
+  only through the letters ahead of those;
 * probe (the meet-in-the-middle suffix): walk backward from the target,
   E(a_{k+1})^-1 ... E(a_n)^-1 @ target, and look each result up among the
   prefix products.  A free junction letter a_{k+1} is not walked: the
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import partial
 from itertools import chain, repeat
 from operator import add, attrgetter
 from typing import NamedTuple
@@ -169,18 +173,54 @@ class _LetterRows(dict):
         return row
 
 
+class _Rows(dict):
+    """One coordinate's entries one letter before the ``inner`` table's.
+
+    Key x*N + y maps to [inner[(a*x - y) % N * N + x] for each letter a]:
+    references to the inner table's rows, so no new ints are made.  Rows
+    are built on first use, and there are at most N^2 of them.
+    """
+
+    __slots__ = ("letters", "N", "inner")
+
+    def __init__(self, letters, N, inner):
+        super().__init__()
+        self.letters, self.N, self.inner = letters, N, inner
+
+    def __missing__(self, key):
+        N, inner = self.N, self.inner
+        x, y = divmod(key, N)
+        row = self[key] = [inner[(a * x - y) % N * N + x] for a in self.letters]
+        return row
+
+
 def _leaf_keys(values, N, start, scales, lifts):
     """Stream the packed key of every leaf of the walk from ``start``.
 
-    Each state's leaves come from adding its two coordinates' _LetterRows
-    lists; the states' streams are chained, so the caller consumes every
-    leaf in one C-level call (Counter, or sum over map) and no list of
-    leaves is built.
+    The last letter is expanded through _LetterRows, and each letter before
+    it through a _Rows table over the next one, as long as the walk reaches
+    that letter at least N^2 times, the most rows a table can have; Python
+    walks the letters before those.  Each walked state's leaves come from
+    pairing its two coordinates' rows level by level (map over nested
+    ``partial(map, ...)``, down to ``add`` on the packed parts) and
+    flattening once per level.  The states' streams are chained, so the
+    caller consumes every leaf in one C-level call (Counter, or sum over
+    map) and no list of leaves is built.
     """
     firsts = _LetterRows(values[-1], N, scales[0], lifts[0])
     seconds = _LetterRows(values[-1], N, scales[1], lifts[1])
-    return chain.from_iterable(map(add, firsts[p * N + r], seconds[q * N + s])
-                               for p, q, r, s in _walk(values, N, *start))
+    pair, depth = add, 1
+    counts = [len(letters) for letters in values]
+    while math.prod(counts[:-depth - 1]) >= N * N:
+        letters = values[-depth - 1]
+        firsts, seconds = _Rows(letters, N, firsts), _Rows(letters, N, seconds)
+        pair, depth = partial(map, pair), depth + 1
+    # _walk stops before its last position, here the first expanded letter
+    leaves = (map(pair, firsts[p * N + r], seconds[q * N + s])
+              for p, q, r, s in _walk(values[:len(values) - depth + 1], N, *start))
+    for _ in range(depth):
+        leaves = chain.from_iterable(leaves)
+    return leaves
 
 
 def _half_products(values, N, top_row: bool = False):

@@ -342,6 +342,43 @@ def test_verify_recursion_suite(capsys):
     assert "checks passed" in out
 
 
+def test_the_recursion_refuses_m_below_one_and_keeps_m_one(capsys):
+    code, out, err = run_cli(capsys, "formula", "--name", "delta-recursion",
+                             "--prev", "1", "--prev2", "2", "--m", "0")
+    assert (code, out, err) == (2, "", "error: need m >= 1\n")
+    code, out, err = run_cli(capsys, "verify", "--suite", "recursion", "--m", "1")
+    assert (code, err) == (0, "")
+    assert out.endswith("25/25 checks passed\n")
+
+
+# Run in the child: table and verify requests, then a count, reporting
+# whether json was loaded before the count and the count's own line.
+JSON_PROBE = """
+import contextlib, io, sys
+from quiddity import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["table", "--which", "w8", "--rows", "2..5"]),
+             cli.main(["verify", "--suite", "totality", "--modulus", "3", "--sizes", "2"])]
+loaded = "json" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    codes.append(cli.main(["count", "--modulus", "8", "--size", "6", "--target", "s"]))
+print(codes, loaded)
+print(out.getvalue(), end="")
+"""
+
+
+def test_only_a_command_that_prints_json_loads_it():
+    src = str(Path(quiddity.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", JSON_PROBE], capture_output=True, text=True,
+                         check=True, env=env, timeout=60)
+    status, line = out.stdout.splitlines()
+    assert status == "[0, 0, 0] False"
+    report = json.loads(line)
+    assert (report["count"], report["method"]) == ("640", "dp")
+
+
 def test_verify_recursion_rejects_sizes_below_five(capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "recursion", "--sizes", "2..4")
     assert (code, out) == (2, "")
@@ -504,6 +541,15 @@ def test_the_other_benchmark_batteries_are_golden(capsys, n_mod, depth):
                              str(n_mod), "--max-size", str(depth))
     assert (code, err) == (0, "")
     assert out.encode() == (GOLDEN / f"verify_bijections_{n_mod}_{depth}.txt").read_bytes()
+
+
+@pytest.mark.parametrize("suite", ["totality", "recursion", "bounds"])
+def test_the_closed_form_and_histogram_suites_are_golden(capsys, suite):
+    # totality buckets every candidate through the oracle's histogram;
+    # recursion and bounds evaluate the closed forms against the DP
+    code, out, err = run_cli(capsys, "verify", "--suite", suite)
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / f"verify_{suite}.txt").read_bytes()
 
 
 def test_an_oversized_refusal_lists_no_values(capsys, monkeypatch):

@@ -324,3 +324,80 @@ def test_per_sign_mod8_even_sizes_come_from_the_dp():
         plus = dp_count(SetSpec(size, identity(mod8)))
         minus = dp_count(SetSpec(size, neg_identity(mod8)))
         assert plus + minus == int(w8_even(size // 2))
+
+
+# ---------------------------------------------------------------------------
+# the closed forms on exact integers, against the same forms over Fraction
+
+
+def _fraction_forms():
+    """Each rewritten closed form at every parameter on the grid, with its
+    value evaluated over exact rationals as the formula is stated."""
+    from fractions import Fraction
+
+    two = Fraction(2)
+    for n in range(3, 61):
+        if n % 2:
+            plus = minus = (two ** (2 * (n - 2)) - two ** (n - 3)) / 3
+        else:
+            bigger = (two ** (2 * (n - 2)) + 4 * two ** (n - 3)) / 3
+            smaller = (two ** (2 * (n - 2)) - two ** (n - 2)) / 3
+            plus, minus = (bigger, smaller) if (n // 2) % 2 == 0 else (smaller, bigger)
+        yield w4_ring4(n, 1), plus
+        yield w4_ring4(n, -1), minus
+    for m in range(2, 9):
+        for n in range(5, 61):
+            yield (delta_closed_form(n, m, "id"),
+                   two ** (m * n - n - 3 * m) * (2 ** (n + 1) + 8 * (-1) ** (n + 1)) / 3)
+            yield (delta_closed_form(n, m, "s"),
+                   two ** (m * n - n - 3 * m + 1) * (2 ** n + (-1) ** n * 8) / 3)
+        for n_half in range(2, 30):
+            value = two ** (2 * m * n_half - 2 * n_half - 2 * m - 1) * (2 ** (2 * n_half + 3) - 8) / 3
+            yield w_odd_2m(n_half, m, 1), value
+            yield w_odd_2m(n_half, m, -1), value
+    for n in range(2, 30):
+        yield (w8_even(n), 28 * 8 ** (n - 2) + Fraction(
+            2 ** (4 * n - 5) - 2 ** (3 * n - 3) + 2 ** (6 * n - 6) - 2 ** (3 * n), 3))
+        yield w8_odd(n, 1), Fraction(2 ** (4 * n - 7) * (2 ** (2 * n + 3) - 8), 3)
+        yield w8_odd(n, -1), Fraction(2 ** (4 * n - 7) * (2 ** (2 * n + 3) - 8), 3)
+
+
+def test_the_integer_forms_equal_their_rational_evaluation():
+    checked = 0
+    for got, value in _fraction_forms():
+        assert value.denominator == 1, (got, value)
+        assert type(got.value) is int and got.value == value.numerator, (got, value)
+        checked += 1
+    # 116 at Z/4Z, 168 per m = 2..8, 84 at Z/8Z
+    assert checked == 1376, checked
+
+
+@pytest.mark.parametrize("num, den, shown", [
+    (7, 3, "7/3"), (-7, 3, "-7/3"), (14, 6, "7/3"), (-14, 6, "-7/3"), (1, 2, "1/2")])
+def test_an_inexact_division_shows_the_quotient_in_lowest_terms(num, den, shown):
+    from fractions import Fraction
+
+    from quiddity.formulas import InexactResult, _exact
+
+    assert str(Fraction(num, den)) == shown
+    with pytest.raises(InexactResult, match=f"^f\\(1,\\) is not an integer: {shown}$"):
+        _exact(num, den, "f", (1,))
+
+
+def test_an_exact_division_and_a_negative_exponent():
+    from quiddity.formulas import InexactResult, _exact, _ratio_pow2
+
+    assert _exact(-21, 3, "f", (1,)) == -7
+    assert _ratio_pow2(120, -1, 3, "f", ()) == 20
+    assert _ratio_pow2(5, 3, 2, "f", ()) == 20
+    assert _ratio_pow2(-3, 0, 3, "f", ()) == -1
+    with pytest.raises(InexactResult, match=r"^g\(2, 3\) is not an integer: 5/4$"):
+        _ratio_pow2(5, -2, 1, "g", (2, 3))
+
+
+def test_delta_recursion_refuses_m_below_one():
+    assert delta_recursion(1, 2, 1) == 1 + 2 * 2
+    assert type(delta_recursion(1, 2, 1).value) is int
+    for m in (0, -1):
+        with pytest.raises(UnsupportedCase, match="^need m >= 1$"):
+            delta_recursion(1, 2, m)

@@ -50,6 +50,13 @@ def test_no_module_imports_dataclasses(path):
     assert "dataclasses" not in imported_modules(path)
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_module_imports_rational_arithmetic(path):
+    # Every count is an exact int; fractions would also load decimal and
+    # numbers on every call that reaches the closed forms.
+    assert not imported_modules(path) & {"fractions", "decimal", "numbers"}
+
+
 # The DP, the closed forms and the modules built on them.
 BUILT_ABOVE = {"quiddity.counter", "quiddity.formulas", "quiddity.crt", "quiddity.maps",
                "quiddity.cli"}
@@ -57,6 +64,12 @@ BUILT_ABOVE = {"quiddity.counter", "quiddity.formulas", "quiddity.crt", "quiddit
 
 def test_oracle_shares_nothing_with_the_dp_or_the_formulas():
     assert not imported_modules(PACKAGE / "oracle.py") & BUILT_ABOVE
+
+
+def test_the_oracle_imports_only_the_spec_and_the_ring():
+    package = {name for name in imported_modules(PACKAGE / "oracle.py")
+               if name.startswith("quiddity")}
+    assert package == {"quiddity.spec", "quiddity.sl2", "quiddity.modring"}
 
 
 def test_the_set_spec_imports_no_count_source():

@@ -26,6 +26,7 @@ from quiddity.oracle import (
 )
 from quiddity.sl2 import (
     Mat2,
+    continuant_entries,
     continuant_product,
     elementary,
     identity,
@@ -559,6 +560,94 @@ def test_the_join_walks_what_it_is_charged(monkeypatch):
                 exact += 1
                 assert walked == join.walked, (spec, join)
     assert folded > 50 and exact > 250, (folded, exact)
+
+
+# ---------------------------------------------------------------------------
+# the bucket walk's trailing letters, expanded through tables
+
+
+def _counting_tables(monkeypatch):
+    """Count the _Rows tables _leaf_keys builds, two per expanded level."""
+    built = [0]
+
+    class Counted(oracle._Rows):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            built[0] += 1
+
+    monkeypatch.setattr(oracle, "_Rows", Counted)
+    return built
+
+
+def _direct_histogram(values, N, top_row):
+    """Bucket every tuple of letters by its continuant product, one by one."""
+    hist = {}
+    for letters in itertools.product(*values):
+        p, q, r, s = continuant_entries(letters, N)
+        key = p * N + q if top_row else ((p * N + q) * N + r) * N + s
+        hist[key] = hist.get(key, 0) + 1
+    return hist
+
+
+def _random_walk_cases(rng, n):
+    """Seeded (modulus, size, constraints) with every kind of letter."""
+    kinds = (UNIT, NONUNIT, fixed(0), fixed(1), fixed(3))
+    for _ in range(n):
+        mod = Modulus(rng.randint(2, 8))
+        size = rng.randint(1, 7)
+        yield mod, size, {p: rng.choice(kinds) for p in range(1, size + 1) if rng.random() < 0.3}
+
+
+def test_the_expanded_walk_buckets_what_a_direct_walk_buckets(monkeypatch):
+    built = _counting_tables(monkeypatch)
+    depths = set()
+    for mod, size, constraints in _random_walk_cases(random.Random(22), 120):
+        values = SetSpec(size, identity(mod), constraints).position_values()
+        N = mod.n
+        if math.prod(map(len, values)) > 20_000:
+            continue
+        for top_row in (False, True):
+            built[0] = 0
+            got = oracle._half_products(values, N, top_row)
+            depths.add(1 + built[0] // 2)
+            assert got == _direct_histogram(values, N, top_row), (N, size, constraints)
+        hist = product_histogram(size, mod, constraints)
+        assert {mat.key(): times for mat, times in hist.items()} == \
+            _direct_histogram(values, N, False)
+    assert {1, 2, 3, 4} <= depths, depths
+
+
+def test_a_letter_is_expanded_only_where_the_walk_reaches_it_n_squared_times(monkeypatch):
+    built = _counting_tables(monkeypatch)
+    # Z/4Z: 16 states before the second-to-last of four letters, 4 before
+    # the one ahead of it
+    oracle._half_products([range(4)] * 4, 4)
+    assert built[0] == 2
+    # Z/12Z, four letters: 144 states before the third, 12 before the second
+    built[0] = 0
+    oracle._half_products([range(12)] * 4, 12)
+    assert built[0] == 2
+    # three letters over Z/12Z reach no letter 144 times
+    built[0] = 0
+    oracle._half_products([range(12)] * 3, 12)
+    assert built[0] == 0
+
+
+def test_the_join_agrees_with_the_naive_walk_where_its_halves_expand(monkeypatch):
+    built = _counting_tables(monkeypatch)
+    rng, expanded = random.Random(23), 0
+    for mod, size, constraints in _random_walk_cases(rng, 60):
+        # small rings and long tuples, so that a half reaches N^2 states
+        mod, size = Modulus(mod.n // 2 + 1), size + 4
+        constraints = {p + 2: kind for p, kind in constraints.items()}
+        target = rng.choice((identity(mod), neg_identity(mod), s_mat(mod), t_mat(mod)))
+        spec = SetSpec(size, target, constraints)
+        built[0] = 0
+        assert count(spec, "mitm") == count(spec, "naive"), spec
+        expanded += built[0] > 0
+    assert expanded > 30, expanded
 
 
 # ---------------------------------------------------------------------------
