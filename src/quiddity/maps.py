@@ -276,13 +276,16 @@ class SpecSet:
         """The members whose letters at spec's fixed positions are its
         fixed values."""
         pinned = [(p - 1, con.value) for p, con in spec.constraints if con.kind == "fixed"]
-        positions = tuple(i for i, _ in pinned)
-        self._buckets = self._buckets or {}
-        if positions not in self._buckets:
+        positions, letters = zip(*pinned) if pinned else ((), ())
+        if self._buckets is None:
+            self._buckets = {}
+        buckets = self._buckets.get(positions)
+        if buckets is None:
+            # keyed by the letters' values, as the spec gives them
             buckets = self._buckets[positions] = {}
             for m in self.members(budget):
-                buckets.setdefault(tuple([m[i] for i in positions]), []).append(m)
-        return self._buckets[positions].get(spec.modulus.residues([v for _, v in pinned]), [])
+                buckets.setdefault(tuple([m[i].value for i in positions]), []).append(m)
+        return buckets.get(letters, [])
 
     def contains(self, t) -> bool:
         if self._index is None:
@@ -494,9 +497,15 @@ def merge_unit_triple_bijection(size: int, modulus: Modulus, target: Mat2,
                                 u: Residue, v: Residue, w: Residue) -> TupleMap:
     """Entries 2..4 pinned to (u, v, w) with u, v units, onto size-2
     smaller tuples with second entry pinned to the unit psi(u, v, w)."""
-    x = psi(u, v, w)
-    dom = SpecSet(SetSpec(size, target, {2: fixed(int(u)), 3: fixed(int(v)), 4: fixed(int(w))}))
-    cod = SpecSet(SetSpec(size - 2, target, {2: fixed(int(x))}))
+    cod = SpecSet(SetSpec(size - 2, target, {2: fixed(psi(u, v, w).value)}))
+    return _unit_triple_map(size, modulus, target, u, v, w, cod)
+
+
+def _unit_triple_map(size: int, modulus: Modulus, target: Mat2,
+                     u: Residue, v: Residue, w: Residue, cod: SpecSet) -> TupleMap:
+    """merge_unit_triple_bijection onto ``cod``, the set of psi(u, v, w)."""
+    dom = SpecSet(SetSpec(size, target, {2: fixed(u.value), 3: fixed(v.value),
+                                         4: fixed(w.value)}))
     return TupleMap(
         f"merge-unit-triple(n={size}, N={modulus.n}, target={_target_label(target)}, "
         f"u={u.value}, v={v.value}, w={w.value})",
@@ -524,7 +533,8 @@ def fiber_shift_bijection(modulus: Modulus, x: Residue) -> TupleMap:
 
 def _require_two_power(modulus: Modulus):
     if modulus.two_adic is None:
-        raise ValueError("shipped maps are defined over 2-power moduli")
+        raise ValueError("shipped maps are defined over 2-power moduli N = 2^m "
+                         f"with m >= 2, got N = {modulus.n}")
 
 
 def battery_cost(modulus: Modulus, max_size: int) -> int:
@@ -551,7 +561,10 @@ def shipped_maps(modulus: Modulus, max_size: int) -> list[TupleMap]:
     first SpecSet of an equal spec, and a constrained set reads its members
     from the unconstrained set of its size and target.  So verifying the
     whole list walks each (size, target) once and indexes each set once;
-    every psi fiber reads the one psi pass over the modulus.
+    every psi fiber reads the one psi pass over the modulus.  The
+    unit-triple merges, 2 phi(N)^2 N per size, are built onto shared
+    codomains directly: no other set of the battery equals one of their
+    domains.
     """
     _require_two_power(modulus)
     units = units_of(modulus)
@@ -599,15 +612,24 @@ def shipped_maps(modulus: Modulus, max_size: int) -> list[TupleMap]:
             for x in nonunits[:2]:
                 for y in (nonunits[1], units[1]):
                     add(merge_fixed_pair_bijection(n, modulus, target, x, y))
+    letters = [Residue(w, modulus) for w in range(modulus.n)]
     for n in (5, 6):
         if n > max_size:
             continue
         for target in targets:
+            # The unit-triple merges, most of the battery, skip shared():
+            # their domains are all distinct and read the walk directly, and
+            # their codomains are the phi(N) sets pinning a_2 to a unit.
+            source = walks[n, target.key()]
+            cods = {x.value: shared(SpecSet(SetSpec(n - 2, target, {2: fixed(x.value)})))
+                    for x in units}
             for u in units:
                 for v in units:
-                    for w in range(modulus.n):
-                        add(merge_unit_triple_bijection(
-                            n, modulus, target, u, v, Residue(w, modulus)))
+                    for w in letters:
+                        tmap = _unit_triple_map(n, modulus, target, u, v, w,
+                                                cods[psi(u, v, w).value])
+                        tmap.domain._source = source
+                        out.append(tmap)
     for n in range(4, max_size + 1, 2):
         for sign in (1, -1):
             for u in units:

@@ -18,7 +18,8 @@ three uses:
   product, or its top row alone, the meet-in-the-middle prefix.  The last
   letter, and each letter before it that the walk reaches at least N^2
   times, expand in C through per-row tables (_leaf_keys); Python steps
-  only through the letters ahead of those;
+  only through the letters ahead of those.  A histogram may fold its last
+  letter onto the distinct products of the others instead (see there);
 * probe (the meet-in-the-middle suffix): walk backward from the target,
   E(a_{k+1})^-1 ... E(a_n)^-1 @ target, and look each result up among the
   prefix products.  A free junction letter a_{k+1} is not walked: the
@@ -45,7 +46,7 @@ from typing import NamedTuple
 
 from . import spec as _spec
 from .modring import Modulus, Residue, NotAUnit, units_of
-from .sl2 import Mat2
+from .sl2 import Mat2, group_order
 
 # The set spec and the budget are defined in ``spec``, so that the DP and
 # the CRT router read them without loading the walkers below; they stay
@@ -352,14 +353,32 @@ def count(spec: SetSpec, method: str = "auto", budget: int | None = None,
 
 def product_histogram(size: int, modulus: Modulus, constraints=None,
                       budget: int | None = None) -> dict[Mat2, int]:
-    """Walk all candidate tuples once and bucket them by final product.
+    """Bucket every candidate tuple by its final product.
 
     Independent full-distribution oracle: summing the histogram recovers
     the number of candidates, and each bucket equals count() on that target.
+    Where that walks fewer candidates, the last letter is folded onto the
+    products of the others instead: one update per letter and prefix
+    product, carrying that product's multiplicity, by
+    E(a) @ [[p, q], [r, s]] = [[ap - r, aq - s], [p, q]].  The budget is
+    charged the prefix leaves and |SL2(Z/NZ)| updates per last letter.
     """
     probe = SetSpec(size, Mat2(1, 0, 0, 1, modulus), constraints)
-    _admit(probe.naive_candidates(), budget)
-    buckets = _half_products(probe.position_values(), modulus.n)
+    counts, N = probe.position_counts(), modulus.n
+    prefix, last = math.prod(counts[:-1]), counts[-1]
+    walked = min(prefix * last, prefix + group_order(N) * last)
+    _admit(walked, budget)
+    values = probe.position_values()
+    if walked == prefix * last:
+        buckets = _half_products(values, N)
+    else:  # the last letter's key parts come from _half_products' tables
+        firsts = _LetterRows(values[-1], N, N ** 3, N)
+        seconds = _LetterRows(values[-1], N, N * N, 1)
+        buckets = {}
+        for key, times in _half_products(values[:-1], N).items():
+            (p, q), (r, s) = divmod(key // (N * N), N), divmod(key % (N * N), N)
+            for leaf in map(add, firsts[p * N + r], seconds[q * N + s]):
+                buckets[leaf] = buckets.get(leaf, 0) + times
     return {Mat2.from_key(key, modulus): times for key, times in buckets.items()}
 
 
@@ -374,10 +393,11 @@ def count_zero_pairs(m: int) -> int:
 
 def psi(u: Residue, v: Residue, w: Residue) -> Residue:
     """((vw - 1)(uv - 1) - 1) * v^-1; a unit whenever uv - 1 is a non-unit."""
-    if not v.is_unit:
-        raise NotAUnit(f"{v.value} is not invertible mod {v.modulus.n}")
     b, mod = v.value, v.modulus
-    return Residue(((b * w.value - 1) * (u.value * b - 1) - 1) * pow(b, -1, mod.n), mod)
+    if math.gcd(b, mod.n) != 1:
+        raise NotAUnit(f"{b} is not invertible mod {mod.n}")
+    value = ((b * w.value - 1) * (u.value * b - 1) - 1) * pow(b, -1, mod.n) % mod.n
+    return mod._pool.get(value) or Residue(value, mod)
 
 
 def psi_domain(modulus: Modulus):

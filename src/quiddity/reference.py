@@ -100,8 +100,9 @@ def _suite_bijections(moduli: list[int], max_size: int | None,
         _admit(maps.battery_cost(modulus, depth), budget)
     checks = []
     for modulus, depth in batteries:
-        for tmap in maps.shipped_maps(modulus, depth):
-            report = maps.verify_reciprocal(tmap, budget)
+        battery = maps.shipped_maps(modulus, depth)[::-1]
+        while battery:  # each map, and the sets only it holds, is freed once verified
+            report = maps.verify_reciprocal(battery.pop(), budget)
             detail = f"|domain|={report.domain_size}"
             if not report.ok:
                 detail = f"{report.failure}; counterexample={report.counterexample}"
@@ -197,15 +198,19 @@ def _suite_totality(moduli: list[int], sizes: list[int],
     checks = []
     for n in moduli:
         modulus = Modulus(n)
+        vecs = {}
         for size in sizes:
-            vec = counter.dp_vector(size, modulus, budget=budget)
+            vec = vecs[size] = counter.dp_vector(size, modulus, budget=budget)
             checks.append(Check(f"totality dp N={n} n={size}",
                                 vec.total() == n ** size,
                                 f"{vec.total()} vs {n}^{size}"))
         for size in [s for s in sizes if n ** s <= 1 << 20]:
             hist = oracle.product_histogram(size, modulus, budget=budget)
+            at = vecs[size].at
             checks.append(Check(f"totality oracle N={n} n={size}",
-                                sum(hist.values()) == n ** size, "bucketed walk"))
+                                sum(hist.values()) == n ** size
+                                and all(at(mat) == times for mat, times in hist.items()),
+                                "bucketed walk"))
     return checks
 
 

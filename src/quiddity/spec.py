@@ -134,7 +134,7 @@ class SetSpec:
 
     # _allowed caches one frozenset of values per position for matches(),
     # shared between positions and specs with the same constraint, and _hash
-    # caches the hash; both derive from the rest, so they stay out of _key().
+    # caches the hash; both derive from the rest, so equality ignores them.
     __slots__ = ("size", "target", "constraints", "_allowed", "_hash")
 
     def __init__(self, size: int, target: Mat2, constraints=None):
@@ -186,15 +186,17 @@ class SetSpec:
         return (all(map(frozenset.__contains__, self._allowed, values))
                 and continuant_entries(values, self.modulus.n) == self.target.entries())
 
-    def _key(self):
-        return (self.size, self.target.key(), self.modulus.n, self.constraints)
-
     def __eq__(self, other):
-        return isinstance(other, SetSpec) and self._key() == other._key()
+        # field by field: no key tuple is built per comparison
+        return isinstance(other, SetSpec) and (
+            self.size == other.size and self.constraints == other.constraints
+            and self.target.modulus.n == other.target.modulus.n
+            and self.target.entries() == other.target.entries())
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self._key())
+            target = self.target
+            self._hash = hash((self.size, target.key(), target.modulus.n, self.constraints))
         return self._hash
 
     def __repr__(self):

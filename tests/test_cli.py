@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import quiddity
-from quiddity import cli, formulas, modring, reference
+from quiddity import cli, formulas, modring, oracle, reference
 from quiddity.cli import main
 from quiddity.reference import table_text
 
@@ -543,9 +543,45 @@ def test_the_other_benchmark_batteries_are_golden(capsys, n_mod, depth):
     assert out.encode() == (GOLDEN / f"verify_bijections_{n_mod}_{depth}.txt").read_bytes()
 
 
+def test_the_bijection_suite_frees_each_map_once_verified():
+    # The Z/16Z battery holds about 1.9 MB of maps once built.  Verified
+    # while the whole list stayed alive, the suite peaked near 2.8 MB
+    # traced; freeing each map (and the domain only it holds) once it is
+    # verified keeps the peak near 2.1 MB.
+    modring.Modulus(16)
+    tracemalloc.start()
+    try:
+        checks = reference._suite_bijections([16], 5, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(checks) == 2126 and all(check.ok for check in checks)
+    assert peak < 2_400_000, peak
+
+
+def test_totality_checks_every_bucket_against_the_dp(monkeypatch):
+    # One tuple moved between two buckets keeps the histogram's total, but
+    # two buckets then disagree with the DP, so the oracle checks fail.
+    real = oracle.product_histogram
+
+    def moved(*args, **kwargs):
+        hist = real(*args, **kwargs)
+        first, second = list(hist)[:2]
+        hist[first] += 1
+        hist[second] -= 1
+        return hist
+
+    monkeypatch.setattr(oracle, "product_histogram", moved)
+    checks = reference._suite_totality([3], [3, 4], None)
+    assert [(check.name, check.ok) for check in checks] == [
+        ("totality dp N=3 n=3", True), ("totality dp N=3 n=4", True),
+        ("totality oracle N=3 n=3", False), ("totality oracle N=3 n=4", False)]
+
+
 @pytest.mark.parametrize("suite", ["totality", "recursion", "bounds"])
 def test_the_closed_form_and_histogram_suites_are_golden(capsys, suite):
-    # totality buckets every candidate through the oracle's histogram;
+    # totality buckets every candidate through the oracle's histogram and
+    # checks each bucket against the DP;
     # recursion and bounds evaluate the closed forms against the DP
     code, out, err = run_cli(capsys, "verify", "--suite", suite)
     assert (code, err) == (0, "")
@@ -598,9 +634,10 @@ def test_a_short_tuple_over_a_huge_modulus_lists_no_values(capsys, monkeypatch, 
     (("--suite", "recursion", "--budget", "10"), "the DP needs 576 additions, budget is 10"),
     (("--suite", "crt", "--budget", "10"), "the DP needs 5760 additions, budget is 10"),
     (("--suite", "totality", "--budget", "10"), "the DP needs 48 additions, budget is 10"),
-    # the walk's 192 additions fit, the histogram's 3**7 candidates do not
-    (("--suite", "totality", "--modulus", "3", "--sizes", "7", "--budget", "1000"),
-     "enumeration needs 2187 candidates, budget is 1000"),
+    # the walk's 192 additions fit, the histogram's 801 candidates do not:
+    # 3**6 prefix leaves and 3 updates onto each of |SL2(Z/3Z)| = 24 products
+    (("--suite", "totality", "--modulus", "3", "--sizes", "7", "--budget", "800"),
+     "enumeration needs 801 candidates, budget is 800"),
 ], ids=["bounds", "recursion", "crt", "totality-dp", "totality-histogram"])
 def test_verify_budget_reaches_the_dp_suites(capsys, argv, refusal):
     code, out, err = run_cli(capsys, "verify", *argv)

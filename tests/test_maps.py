@@ -524,6 +524,20 @@ def test_a_battery_set_lists_what_solutions_lists(n_mod, depth):
         assert s.members() == tuple(solutions(s.spec)), s.spec
 
 
+def test_the_battery_builds_each_unit_triple_merge_as_its_builder_does():
+    # The battery makes these maps without shared(): each must still equal
+    # the standalone builder's map, and verify the same.
+    battery = [t for t in shipped_maps(MOD8, 6) if t.name.startswith("merge-unit-triple")]
+    units = units_of(MOD8)
+    alone = [merge_unit_triple_bijection(n, MOD8, target, u, v, Residue(w, MOD8))
+             for n in (5, 6) for target in (identity(MOD8), neg_identity(MOD8))
+             for u in units for v in units for w in range(8)]
+    assert [t.name for t in battery] == [t.name for t in alone]
+    for got, want in zip(battery, alone):
+        assert (got.domain.spec, got.codomain.spec) == (want.domain.spec, want.codomain.spec)
+        assert verify_reciprocal(got) == verify_reciprocal(want), got.name
+
+
 def test_the_battery_is_for_2_powers_alone():
     # At odd p a non-unit a3 makes u*a3 - 1 = -1 (mod p), so the merge after
     # a unit misses every codomain member whose second letter is not -1 mod p.
@@ -542,6 +556,15 @@ def test_the_battery_charge_is_a_lower_bound_of_its_walks(n_mod, depth):
     walked = len(psi_domain(mod)) + sum(
         _solve_cost(s.spec) for s in spec_sets(shipped_maps(mod, depth)))
     assert battery_cost(mod, depth) <= walked
+
+
+def test_the_battery_refuses_n_2_naming_its_domain():
+    # 2 is a 2-power, but the battery needs N = 2^m with m >= 2
+    for build in (lambda mod: shipped_maps(mod, 5), lambda mod: battery_cost(mod, 5)):
+        with pytest.raises(ValueError, match="2-power") as err:
+            build(Modulus(2))
+        assert str(err.value) == ("shipped maps are defined over 2-power moduli "
+                                  "N = 2^m with m >= 2, got N = 2")
 
 
 def test_the_battery_charge_in_closed_form():

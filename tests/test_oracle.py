@@ -199,6 +199,18 @@ def test_psi_examples():
         psi(one, Residue(2, MOD8), one)
 
 
+@pytest.mark.parametrize("n", [8, 16])
+def test_psi_on_ints_equals_the_residue_formula(n):
+    mod = Modulus(n)
+    domain = oracle.psi_domain(mod)
+    assert len(domain) == len(units_of(mod)) ** 2 * n
+    for u, v, w in domain:
+        assert psi(u, v, w) is ((v * w - 1) * (u * v - 1) - 1) * v.inverse()
+    for v in (0, 2, n // 2, n - 2):
+        with pytest.raises(NotAUnit, match=f"^{v} is not invertible mod {n}$"):
+            psi(Residue(1, mod), Residue(v, mod), Residue(3, mod))
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_psi_fibers_share_one_size(m):
     mod = Modulus(1 << m)
@@ -305,7 +317,9 @@ def test_fixed_last_letters_that_miss_the_forced_ones(n):
 def test_refusals_keep_their_required_candidates():
     spec = SetSpec(7, identity(MOD8), {2: UNIT})
     naive = 8 ** 4 * 4 + 6 * 8 + 4  # letters 1..5 (the last two are forced), values listed
-    leaves = 8 ** 6 * 4  # the histogram buckets every candidate
+    # the histogram buckets letters 1..6 and folds letter 7 onto at most
+    # |SL2(Z/8Z)| = 384 distinct products, 8 updates each
+    leaves = 8 ** 5 * 4 + 384 * 8
     mitm = 8 * 4 * 8 + 8 ** 3  # split after position 3; free junction 4 not walked
     with pytest.raises(BudgetExceeded) as err:
         count(spec, "naive", budget=naive - 1)
@@ -322,6 +336,38 @@ def test_refusals_keep_their_required_candidates():
     expected = count(spec, "naive", budget=naive)
     assert count(spec, "mitm", split=3, budget=mitm) == expected
     assert sum(1 for _ in solutions(spec, budget=naive)) == expected
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
+def test_the_folded_histogram_buckets_what_a_direct_walk_buckets(n):
+    # The last letter free, a unit, a non-unit or fixed: the fold must give
+    # the key -> count mapping of bucketing every tuple one by one.
+    mod = Modulus(n)
+    for size in range(1, 6):
+        for last in (ANY, UNIT, NONUNIT, fixed(n - 1)):
+            constraints = {size: last}
+            values = [_reference_values(n, constraints.get(p, ANY)) for p in range(1, size + 1)]
+            direct = {}
+            for t in itertools.product(*values):
+                mat = continuant_product(t, mod)
+                direct[mat] = direct.get(mat, 0) + 1
+            assert product_histogram(size, mod, constraints) == direct, (n, size, last)
+
+
+def test_the_histogram_folds_only_where_that_walks_fewer_candidates():
+    # Size 2: the fold would be charged 8 + 384 * 8, more than the 64
+    # tuples, so every tuple is walked and charged.
+    with pytest.raises(BudgetExceeded) as err:
+        product_histogram(2, MOD8, budget=63)
+    assert err.value.required == 64
+    assert sum(product_histogram(2, MOD8, budget=64).values()) == 64
+    # Size 7, letter 2 a unit: 8**5 * 4 prefix leaves, then one update per
+    # letter onto each of at most |SL2(Z/8Z)| = 384 distinct products.
+    walked = 131_072 + 384 * 8
+    with pytest.raises(BudgetExceeded) as err:
+        product_histogram(7, MOD8, {2: UNIT}, budget=walked - 1)
+    assert err.value.required == walked == 134_144
+    assert sum(product_histogram(7, MOD8, {2: UNIT}, budget=walked).values()) == 8 ** 6 * 4
 
 
 def test_auto_rule_switches_at_six_free_positions():
@@ -352,6 +398,21 @@ def test_membership_cache_leaves_equality_alone():
     assert not spec.matches((member[0], member[1] + 1) + member[2:])
     assert not spec.matches(member[:3] + (member[3] + 1,) + member[4:])
     assert spec == fresh and hash(spec) == hash(fresh)
+
+
+def test_specs_differing_in_one_field_are_unequal():
+    # equality compares fields, not hashes: each of these differs from
+    # spec in one field alone
+    spec = SetSpec(5, identity(MOD8), {2: UNIT, 4: fixed(3)})
+    mod16 = Modulus(16)
+    others = [SetSpec(4, identity(MOD8), {2: UNIT, 4: fixed(3)}),
+              SetSpec(5, neg_identity(MOD8), {2: UNIT, 4: fixed(3)}),
+              SetSpec(5, identity(MOD8), {2: UNIT, 4: fixed(5)}),
+              SetSpec(5, identity(MOD8), {2: NONUNIT, 4: fixed(3)}),
+              SetSpec(5, identity(mod16), {2: UNIT, 4: fixed(3)})]
+    for other in others:
+        assert spec != other and other != spec, other
+    assert spec != (5, identity(MOD8), spec.constraints)
 
 
 def _walked_from_values(spec, split):
