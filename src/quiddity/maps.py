@@ -3,7 +3,8 @@ that proves each forward/backward pair reciprocal on enumerated domains.
 
 Maps operate on explicit tuples of residues, never on counts, so a broken
 transcription surfaces as a concrete counterexample tuple instead of a
-silently wrong total; inside, each computes on the letters' int values.
+silently wrong total; inside, each computes on the letters' int values or
+reads each letter's image from a table of its unit's multiples.
 Positions are 1-based in every docstring to match tuple subscripts
 a_1..a_n; code indexes are 0-based.
 
@@ -14,6 +15,12 @@ one backward per member.  Each builder makes its own sets; shipped_maps
 alone shares them, and a battery walks each size and target once: its
 constrained sets read their members from that walk.  All psi fibers over
 one modulus come from one psi pass.
+
+A member's product is walked once, as the index of the set that lists it
+is built.  The negation, scaling, unit-insertion and fiber-shift maps of
+the builders guard by membership in their input set's index, where the
+free maps negate_map, scale_map, unit_insert_map and fiber_shift_map walk
+the product or compute psi.
 """
 
 from __future__ import annotations
@@ -21,13 +28,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from operator import mul
 from typing import Callable, NamedTuple
 
 from .modring import Modulus, NotAUnit, Residue, nonunits_of, totient, units_of
 from .oracle import psi, psi_domain, solutions
 from .sl2 import Mat2, continuant_entries, identity, neg_identity, target_name
-from .spec import NONUNIT, SetSpec, UNIT, _admit, fixed
+from .spec import NONUNIT, SetSpec, UNIT, _admit, _allowed_set, fixed
 
 
 class DomainViolation(ValueError):
@@ -44,18 +50,52 @@ def _product_sign(values, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# elementwise operations: each reads its tuple's values once, computes on
-# ints and returns the pooled residues of the results (Modulus.residues)
+# elementwise operations: each maps its letters through tables of the
+# pooled residues of their multiples (_tables), one table per unit
+
+
+class _Scaled(dict):
+    """Letter -> the pooled residue of ``unit`` times it, each entry made
+    on first use, so a table over a huge modulus holds only what it read."""
+
+    __slots__ = ("unit",)
+
+    def __init__(self, unit: Residue):
+        self.unit = unit
+
+    def __missing__(self, a):
+        out = self[a] = Residue(self.unit.value * a.value, a.modulus)
+        return out
+
+
+@functools.lru_cache(maxsize=256)
+def _tables(u: Residue) -> tuple[_Scaled, _Scaled]:
+    """The letter tables of the unit u and of u^-1, made once per unit."""
+    return _Scaled(u), _Scaled(u.inverse())
+
+
+def _alternate(t: tuple, tables) -> tuple:
+    """t's letters, the i-th (0-based) read from tables[i % len(tables)]."""
+    # a display, so the tuple is made at its size and reuses the short
+    # tuples freed before, as in Modulus.residues
+    return (*map(dict.__getitem__, itertools.cycle(tables), t),)
+
+
+def _insert_unit(t: tuple, tables) -> tuple:
+    """unit_insert_map's image of t, for tables = _tables(u)."""
+    times, over = tables
+    return (over[t[0] + 1], times.unit, over[t[1] + 1],
+            *map(dict.__getitem__, itertools.cycle(tables), t[2:]))
 
 
 def negate_map(t: tuple) -> tuple:
     """Negate every entry; sends odd-size solutions of +Id to -Id."""
     if len(t) % 2 != 1:
         raise DomainViolation(f"size {len(t)} is even")
-    values = [a.value for a in t]
-    if _product_sign(values, t[0].modulus.n) != 1:
+    mod = t[0].modulus
+    if _product_sign([a.value for a in t], mod.n) != 1:
         raise DomainViolation(f"product of {t} is not the identity")
-    return t[0].modulus.residues([-a for a in values])
+    return _alternate(t, _tables(Residue(-1, mod))[:1])
 
 
 def scale_map(t: tuple, lam: Residue) -> tuple:
@@ -67,12 +107,9 @@ def scale_map(t: tuple, lam: Residue) -> tuple:
         raise DomainViolation(f"size {len(t)} is not even >= 4")
     if not lam.is_unit:
         raise NotAUnit(f"{lam.value} is not invertible mod {lam.modulus.n}")
-    mod = t[0].modulus
-    values = [a.value for a in t]
-    if not _product_sign(values, mod.n):
+    if not _product_sign([a.value for a in t], t[0].modulus.n):
         raise DomainViolation(f"product of {t} is not +-Id")
-    x = lam.value
-    return mod.residues(list(map(mul, values, [x, pow(x, -1, mod.n)] * (len(t) // 2))))
+    return _alternate(t, _tables(lam))
 
 
 def _drop(t: tuple, i: int, e: int) -> tuple:
@@ -188,13 +225,9 @@ def unit_insert_map(t: tuple, u: Residue) -> tuple:
         raise DomainViolation(f"size {len(t)} is even")
     if not u.is_unit:
         raise NotAUnit(f"{u.value} is not invertible mod {u.modulus.n}")
-    values = [a.value for a in t]
-    if not _product_sign(values, u.modulus.n):
+    if not _product_sign([a.value for a in t], u.modulus.n):
         raise DomainViolation(f"product of {t} is not +-Id")
-    x, xi = u.value, pow(u.value, -1, u.modulus.n)
-    out = [(values[0] + 1) * xi, x, (values[1] + 1) * xi]
-    out += map(mul, values[2:], [x, xi] * (len(t) // 2))
-    return u.modulus.residues(out)
+    return _insert_unit(t, _tables(u))
 
 
 def unit_drop_map(t: tuple) -> tuple:
@@ -204,11 +237,9 @@ def unit_drop_map(t: tuple) -> tuple:
     u = t[1]
     if not u.is_unit:
         raise NotAUnit(f"second entry {u.value} is not invertible mod {u.modulus.n}")
-    values = [a.value for a in t]
-    x, xi = u.value, pow(u.value, -1, u.modulus.n)
-    out = [values[0] * x - 1, values[2] * x - 1]
-    out += map(mul, values[3:], [xi, x] * (len(t) // 2))
-    return u.modulus.residues(out)
+    times, over = _tables(u)
+    return (times[t[0]] - 1, times[t[2]] - 1,
+            *map(dict.__getitem__, itertools.cycle((over, times)), t[3:]))
 
 
 def fiber_shift_map(triple: tuple, x: Residue) -> tuple:
@@ -219,8 +250,7 @@ def fiber_shift_map(triple: tuple, x: Residue) -> tuple:
         raise DomainViolation(f"psi{tuple(a.value for a in triple)} != 1")
     if not x.is_unit:
         raise NotAUnit(f"{x.value} is not invertible mod {x.modulus.n}")
-    a, ai = x.value, pow(x.value, -1, x.modulus.n)
-    return x.modulus.residues([a * u.value, v.value * ai, w.value * a])
+    return _alternate(triple, _tables(x))
 
 
 def fiber_unshift_map(triple: tuple, x: Residue) -> tuple:
@@ -228,8 +258,20 @@ def fiber_unshift_map(triple: tuple, x: Residue) -> tuple:
     u, v, w = triple
     if psi(u, v, w) is not x:
         raise DomainViolation(f"psi{tuple(a.value for a in triple)} != {x.value}")
-    a, ai = x.value, x.inverse().value
-    return x.modulus.residues([u.value * ai, v.value * a, w.value * ai])
+    return _alternate(triple, _tables(x)[::-1])
+
+
+def _guarded(s, apply, tables) -> Callable:
+    """apply(t, tables) for the members t of the set s; DomainViolation for
+    any other t.  The builders' maps guard so: a lookup in s's index, where
+    the free maps walk the product."""
+
+    def call(t):
+        if t in (s._index or s._indexed()):  # s.contains(t), without the call
+            return apply(t, tables)
+        raise DomainViolation(f"{t} is not a member of the map's input set")
+
+    return call
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +285,17 @@ def _target_label(target: Mat2) -> str:
 class SpecSet:
     """An enumerable tuple set described by a SetSpec.
 
-    Membership is a lookup among the enumerated members.  The index is
-    built on the first contains, and each member is checked against
-    spec.matches as it goes in: a member the enumeration got wrong is left
-    out, so the harness reports it, and a tuple the enumeration missed is
-    refused.
+    Membership is a lookup in an index of the enumerated members, built
+    once, and each member is checked against spec.matches as it goes in:
+    a member the enumeration got wrong is left out, so the harness reports
+    it, and a tuple the enumeration missed is refused.  That check is the
+    one walk of a member's product: the maps built on a SpecSet guard by
+    its index.
 
     shipped_maps may set ``_source`` to the set of all solutions of the
     same size and target.  Such a set walks nothing: its members are the
-    source's members in the bucket of its fixed letters that spec.matches.
+    source's checked members in the bucket of its fixed letters, and only
+    its constrained letters are checked as they are read.
     """
 
     __slots__ = ("spec", "_members", "_index", "_source", "_buckets")
@@ -261,20 +305,27 @@ class SpecSet:
         self._members = None
         self._index = None
         self._source = None
-        self._buckets = None  # fixed positions -> {their letters -> members}
+        self._buckets = None  # fixed positions -> {their letters -> checked members}
 
     def members(self, budget=None) -> tuple:
         if self._members is None:
             if self._source is None:
                 self._members = tuple(solutions(self.spec, budget))
             else:
-                self._members = tuple(filter(self.spec.matches,
-                                             self._source._slice(self.spec, budget)))
+                self._members = self._source._slice(self.spec, budget)
         return self._members
 
-    def _slice(self, spec: SetSpec, budget) -> list:
-        """The members whose letters at spec's fixed positions are its
-        fixed values."""
+    def _indexed(self, budget=None) -> frozenset:
+        if self._index is None:
+            members = self.members(budget)
+            if self._source is None:  # sliced members were checked as they were read
+                members = filter(self.spec.matches, members)
+            self._index = frozenset(members)
+        return self._index
+
+    def _slice(self, spec: SetSpec, budget) -> tuple:
+        """The checked members whose letters spec allows: those in the
+        bucket of spec's fixed letters, each letter checked once more."""
         pinned = [(p - 1, con.value) for p, con in spec.constraints if con.kind == "fixed"]
         positions, letters = zip(*pinned) if pinned else ((), ())
         if self._buckets is None:
@@ -283,17 +334,22 @@ class SpecSet:
         if buckets is None:
             # keyed by the letters' values, as the spec gives them
             buckets = self._buckets[positions] = {}
-            for m in self.members(budget):
+            members, index = self.members(budget), self._indexed(budget)
+            # a walk lists each tuple once: an index as large means all passed
+            checked = members if len(index) == len(members) else filter(index.__contains__,
+                                                                        members)
+            for m in checked:
                 buckets.setdefault(tuple([m[i].value for i in positions]), []).append(m)
-        return buckets.get(letters, [])
+        found = buckets.get(letters)
+        if not found:
+            return ()
+        for p, con in spec.constraints:
+            i, allowed = p - 1, _allowed_set(spec.modulus, con)
+            found = [m for m in found if m[i].value in allowed]
+        return tuple(found)
 
     def contains(self, t) -> bool:
-        if self._index is None:
-            members = self.members()
-            if self._source is None:  # sliced members passed matches as they were read
-                members = filter(self.spec.matches, members)
-            self._index = frozenset(members)
-        return t in self._index
+        return t in (self._index or self._indexed())
 
 
 @functools.lru_cache(maxsize=4)
@@ -310,12 +366,17 @@ class FiberSet:
     """The psi fiber over a unit x: triples (u, v, w) with psi = x.
 
     Members are read from the one psi pass over this modulus (_psi_buckets).
+    Membership is a lookup in their index, built once, each member checked
+    by the predicate as it goes in, as SpecSet does.
     """
+
+    __slots__ = ("modulus", "x", "_members", "_index")
 
     def __init__(self, modulus: Modulus, x: Residue):
         self.modulus = modulus
         self.x = x
         self._members = None
+        self._index = None
 
     def members(self, budget=None) -> tuple:
         if self._members is None:
@@ -324,9 +385,17 @@ class FiberSet:
             self._members = _psi_buckets(self.modulus).get(self.x.value, ())
         return self._members
 
-    def contains(self, t) -> bool:
+    def _matches(self, t) -> bool:
         return (len(t) == 3 and t[0].is_unit and t[1].is_unit
-                and psi(t[0], t[1], t[2]) == self.x)
+                and psi(t[0], t[1], t[2]) is self.x)
+
+    def _indexed(self) -> frozenset:
+        if self._index is None:
+            self._index = frozenset(filter(self._matches, self.members()))
+        return self._index
+
+    def contains(self, t) -> bool:
+        return t in (self._index or self._indexed())
 
 
 class ProductSet:
@@ -431,21 +500,33 @@ def verify_reciprocal(tmap: TupleMap, budget: int | None = None) -> ReciprocityR
 
 def negation_bijection(size: int, modulus: Modulus) -> TupleMap:
     """Entrywise negation between the +Id and -Id solution sets (odd size)."""
-    dom = SpecSet(SetSpec(size, identity(modulus)))
-    cod = SpecSet(SetSpec(size, neg_identity(modulus)))
-    return TupleMap(f"negation(n={size}, N={modulus.n})", dom, cod,
-                    negate_map, lambda t: t[0].modulus.residues([-a.value for a in t]))
+    return _negation_map(size, modulus, SpecSet)
+
+
+def _negation_map(size: int, modulus: Modulus, sets: Callable) -> TupleMap:
+    """negation_bijection between the sets ``sets`` gives for its specs."""
+    dom = sets(SetSpec(size, identity(modulus)))
+    negations = _tables(Residue(-1, modulus))[:1]
+    return TupleMap(f"negation(n={size}, N={modulus.n})", dom,
+                    sets(SetSpec(size, neg_identity(modulus))),
+                    _guarded(dom, _alternate, negations),
+                    lambda t: _alternate(t, negations))
 
 
 def scaling_bijection(size: int, modulus: Modulus, sign: int, lam: Residue) -> TupleMap:
     """Alternate scaling by a unit, a self-bijection of an even-size
     solution set."""
-    target = identity(modulus) if sign == 1 else neg_identity(modulus)
-    dom = SpecSet(SetSpec(size, target))
-    inv = lam.inverse()
+    return _scaling_map(size, modulus, sign, lam, SpecSet)
+
+
+def _scaling_map(size: int, modulus: Modulus, sign: int, lam: Residue,
+                 sets: Callable) -> TupleMap:
+    """scaling_bijection on the set ``sets`` gives for its spec."""
+    dom = sets(SetSpec(size, identity(modulus) if sign == 1 else neg_identity(modulus)))
+    tables = _tables(lam)
     return TupleMap(
         f"scaling(n={size}, N={modulus.n}, sign={'+' if sign == 1 else '-'}, lam={lam.value})",
-        dom, dom, lambda t: scale_map(t, lam), lambda t: scale_map(t, inv))
+        dom, dom, _guarded(dom, _alternate, tables), _guarded(dom, _alternate, tables[::-1]))
 
 
 def drop_minus_one_bijection(size: int, modulus: Modulus, target: Mat2) -> TupleMap:
@@ -515,20 +596,30 @@ def _unit_triple_map(size: int, modulus: Modulus, target: Mat2,
 def unit_insertion_bijection(size: int, modulus: Modulus, sign: int, u: Residue) -> TupleMap:
     """Odd-size solutions onto the even-size solutions whose second entry
     is the unit u (same sign)."""
+    return _unit_insertion_map(size, modulus, sign, u, SpecSet)
+
+
+def _unit_insertion_map(size: int, modulus: Modulus, sign: int, u: Residue,
+                        sets: Callable) -> TupleMap:
+    """unit_insertion_bijection between the sets ``sets`` gives for its specs."""
     target = identity(modulus) if sign == 1 else neg_identity(modulus)
-    dom = SpecSet(SetSpec(size - 1, target))
-    cod = SpecSet(SetSpec(size, target, {2: fixed(int(u))}))
+    dom = sets(SetSpec(size - 1, target))
     return TupleMap(
         f"unit-insertion(n={size}, N={modulus.n}, sign={'+' if sign == 1 else '-'}, u={u.value})",
-        dom, cod, lambda t: unit_insert_map(t, u), unit_drop_map)
+        dom, sets(SetSpec(size, target, {2: fixed(int(u))})),
+        _guarded(dom, _insert_unit, _tables(u)), unit_drop_map)
 
 
 def fiber_shift_bijection(modulus: Modulus, x: Residue) -> TupleMap:
     """The psi fiber over 1 onto the fiber over x."""
-    return TupleMap(f"fiber-shift(N={modulus.n}, x={x.value})",
-                    FiberSet(modulus, Residue(1, modulus)), FiberSet(modulus, x),
-                    lambda t: fiber_shift_map(t, x),
-                    lambda t: fiber_unshift_map(t, x))
+    return _fiber_map(modulus, x, FiberSet(modulus, Residue(1, modulus)), FiberSet(modulus, x))
+
+
+def _fiber_map(modulus: Modulus, x: Residue, one: FiberSet, fiber: FiberSet) -> TupleMap:
+    """fiber_shift_bijection from ``one``, the fiber over 1, onto ``fiber``."""
+    tables = _tables(x)
+    return TupleMap(f"fiber-shift(N={modulus.n}, x={x.value})", one, fiber,
+                    _guarded(one, _alternate, tables), _guarded(fiber, _alternate, tables[::-1]))
 
 
 def _require_two_power(modulus: Modulus):
@@ -538,33 +629,50 @@ def _require_two_power(modulus: Modulus):
 
 
 def battery_cost(modulus: Modulus, max_size: int) -> int:
-    """The candidates of shipped_maps' battery, in closed form: the psi
-    pass over phi(N)^2 N triples, and the domains of the unit-triple merges
-    at sizes 5 and 6, 2 targets x phi(N)^2 x N distinct specs per size, each
-    priced as if that set were walked alone, at _solve_cost (3N + 3 at size
-    5, 4N + 3 at size 6).  The battery reads them from one walk per size
-    and target, so that is at least what it walks for them.  Admitted
-    before the battery is built, it refuses N = 128 at the default budget
-    without building any map.
+    """The candidates of shipped_maps' battery, in closed form.
+
+    - The psi pass over phi(N)^2 N triples.
+    - The unconstrained walk of each size 3..max_size and target, at what
+      oracle.solutions charges it (_solve_cost: N^(size-2) + size N), plus
+      size N^(size-2) for the letters of the members it lists: each of its
+      N^(size-2) leaves yields at most one tuple.
+    - The domains of the unit-triple merges at sizes 5 and 6, 2 targets x
+      phi(N)^2 x N distinct specs per size, each priced as if that set were
+      walked alone, at _solve_cost (3N + 3 at size 5, 4N + 3 at size 6).
+      The battery reads them from the walks above, so that is at least what
+      it walks for them.
+
+    Admitted before the battery is built, it refuses N = 128 (and N = 4
+    beyond size 12) at the default budget without building any map.
     """
     _require_two_power(modulus)
     n = modulus.n
     triples = totient(n) ** 2 * n
-    return triples + sum(2 * triples * ((size - 2) * n + 3)
-                         for size in (5, 6) if size <= max_size)
+    merges = sum(2 * triples * ((size - 2) * n + 3) for size in (5, 6) if size <= max_size)
+    # sum over sizes 3..max_size of (size + 1) N^(size-2) + size N, per
+    # target, as sums of k N^k and N^k over k = 1..K: a loop would square
+    # the cost of the big powers at a large --max-size
+    k = max_size - 2
+    if k < 1:
+        return triples + merges
+    powers = (n ** (k + 1) - n) // (n - 1)
+    weighted = (k * n ** (k + 2) - (k + 1) * n ** (k + 1) + n) // (n - 1) ** 2
+    walks = weighted + 3 * powers + n * (max_size * (max_size + 1) // 2 - 3)
+    return triples + merges + 2 * walks
 
 
 def shipped_maps(modulus: Modulus, max_size: int) -> list[TupleMap]:
     """The full battery of bijections to verify for one 2-power modulus.
 
-    As each map is added, its solution sets are swapped for the battery's
-    first SpecSet of an equal spec, and a constrained set reads its members
-    from the unconstrained set of its size and target.  So verifying the
-    whole list walks each (size, target) once and indexes each set once;
-    every psi fiber reads the one psi pass over the modulus.  The
-    unit-triple merges, 2 phi(N)^2 N per size, are built onto shared
-    codomains directly: no other set of the battery equals one of their
-    domains.
+    Each map is built on the battery's one SpecSet of each spec, and a
+    constrained set reads its members from the unconstrained set of its
+    size and target.  So verifying the whole list walks each member's
+    product once, as its (size, target) set is indexed: the negation,
+    scaling and unit-insertion maps guard by those indexes, and the fiber
+    shifts by the fibers', all from the one psi pass over the modulus and
+    all starting from one fiber over 1.  The unit-triple merges,
+    2 phi(N)^2 N per size, are built onto shared codomains directly: no
+    other set of the battery equals one of their domains.
     """
     _require_two_power(modulus)
     units = units_of(modulus)
@@ -574,34 +682,31 @@ def shipped_maps(modulus: Modulus, max_size: int) -> list[TupleMap]:
     walks: dict[tuple, SpecSet] = {}  # (size, target key) -> its unconstrained set
     out: list[TupleMap] = []
 
-    def shared(s: SpecSet) -> SpecSet:
-        spec = s.spec
+    def shared(spec: SetSpec) -> SpecSet:
         found = sets.get(spec)
         if found is None:
+            found = sets[spec] = SpecSet(spec)
             key = (spec.size, spec.target.key())
             if spec.constraints:
                 # the negation and scaling maps, added first, hold every
                 # unconstrained (size, target) that a constrained set needs
-                s._source = walks[key]
+                found._source = walks[key]
             else:
-                walks[key] = s
-            found = sets[spec] = s
+                walks[key] = found
         return found
 
     def add(tmap: TupleMap):
         # a fresh TupleMap, not _replace: that one builds its tuple from an
         # iterator and shrinks it, which raised the N = 16 battery's peak RSS
         name, dom, cod, forward, backward = tmap
-        if isinstance(dom, SpecSet):
-            tmap = TupleMap(name, shared(dom), shared(cod), forward, backward)
-        out.append(tmap)
+        out.append(TupleMap(name, shared(dom.spec), shared(cod.spec), forward, backward))
 
     for n in range(3, max_size + 1, 2):
-        add(negation_bijection(n, modulus))
+        out.append(_negation_map(n, modulus, shared))
     for n in range(4, max_size + 1, 2):
         for sign in (1, -1):
             for lam in units:
-                add(scaling_bijection(n, modulus, sign, lam))
+                out.append(_scaling_map(n, modulus, sign, lam, shared))
     for n in range(4, max_size + 1):
         for target in targets:
             add(drop_minus_one_bijection(n, modulus, target))
@@ -613,6 +718,10 @@ def shipped_maps(modulus: Modulus, max_size: int) -> list[TupleMap]:
                 for y in (nonunits[1], units[1]):
                     add(merge_fixed_pair_bijection(n, modulus, target, x, y))
     letters = [Residue(w, modulus) for w in range(modulus.n)]
+    # each unit triple's psi, computed once for its four merges; ints, not
+    # triples, since the suite's traced peak comes while the battery is built
+    psis = ([psi(*t).value for t in itertools.product(units, units, letters)]
+            if max_size >= 5 else [])
     for n in (5, 6):
         if n > max_size:
             continue
@@ -621,19 +730,16 @@ def shipped_maps(modulus: Modulus, max_size: int) -> list[TupleMap]:
             # their domains are all distinct and read the walk directly, and
             # their codomains are the phi(N) sets pinning a_2 to a unit.
             source = walks[n, target.key()]
-            cods = {x.value: shared(SpecSet(SetSpec(n - 2, target, {2: fixed(x.value)})))
-                    for x in units}
-            for u in units:
-                for v in units:
-                    for w in letters:
-                        tmap = _unit_triple_map(n, modulus, target, u, v, w,
-                                                cods[psi(u, v, w).value])
-                        tmap.domain._source = source
-                        out.append(tmap)
+            cods = {x.value: shared(SetSpec(n - 2, target, {2: fixed(x.value)})) for x in units}
+            for (u, v, w), x in zip(itertools.product(units, units, letters), psis):
+                tmap = _unit_triple_map(n, modulus, target, u, v, w, cods[x])
+                tmap.domain._source = source
+                out.append(tmap)
     for n in range(4, max_size + 1, 2):
         for sign in (1, -1):
             for u in units:
-                add(unit_insertion_bijection(n, modulus, sign, u))
+                out.append(_unit_insertion_map(n, modulus, sign, u, shared))
+    fibers = {x: FiberSet(modulus, x) for x in units}
     for x in units:
-        add(fiber_shift_bijection(modulus, x))
+        out.append(_fiber_map(modulus, x, fibers[Residue(1, modulus)], fibers[x]))
     return out

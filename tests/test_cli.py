@@ -197,7 +197,7 @@ def test_explicit_dp_past_the_budget_exits_before_building():
     assert out.stderr == "error: the DP needs 69120000000 additions, budget is 134217728\n"
 
 
-@pytest.mark.parametrize("n,required", [(128, 946339840), (256, 15086911488)])
+@pytest.mark.parametrize("n,required", [(128, 4729771520), (256, 75418446848)])
 def test_an_oversized_bijection_battery_exits_before_building(n, required):
     # Without the battery's charge, N = 128 built maps for most of a minute
     # and past a gigabyte before one of its walks was refused.  The child
@@ -217,6 +217,26 @@ def test_an_oversized_bijection_battery_exits_before_building(n, required):
     assert out.returncode == 2
     assert out.stderr == f"error: enumeration needs {required} candidates, budget is 134217728\n"
     assert int(out.stdout) < 50 << 10
+
+
+def test_a_battery_past_the_budget_exits_before_building():
+    # Charged the psi pass and the unit-triple merges alone, N = 4 was
+    # admitted at every depth: at --max-size 12 it ran for over a minute
+    # and past 250 MB, and its two size-14 walks list about 5.6M tuples
+    # each.  Its walks are charged too, so the request is refused at once.
+    # A child runs it, so that a battery that is built times out here; it
+    # prints the seconds its request took.
+    src = str(Path(quiddity.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "QUIDDITY_BUDGET"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    request = ("import sys, time; from quiddity import cli; started = time.perf_counter(); "
+               "code = cli.main(['verify', '--suite', 'bijections', '--modulus', '4', "
+               "'--max-size', '14']); print(time.perf_counter() - started); sys.exit(code)")
+    out = subprocess.run([sys.executable, "-c", request], capture_output=True, text=True,
+                         env=env, timeout=30)
+    assert out.returncode == 2
+    assert out.stderr == "error: enumeration needs 656177472 candidates, budget is 134217728\n"
+    assert float(out.stdout) < 1
 
 
 def test_formula_subcommand(capsys):

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from helpers import ivals, rt
-from quiddity import maps
+from quiddity import maps, spec
 from quiddity.counter import dp_count
 from quiddity.maps import (
     DomainViolation,
@@ -41,7 +41,8 @@ from quiddity.maps import (
 from quiddity.modring import Modulus, NotAUnit, Residue, units_of
 from quiddity.oracle import (
     BudgetExceeded, SetSpec, UNIT, _solve_cost, fixed, psi, psi_domain, psi_fiber, solutions)
-from quiddity.sl2 import continuant_product, identity, neg_identity
+from quiddity.sl2 import continuant_entries, continuant_product, identity, neg_identity
+from quiddity.spec import DEFAULT_BUDGET
 
 MOD8 = Modulus(8)
 
@@ -524,18 +525,95 @@ def test_a_battery_set_lists_what_solutions_lists(n_mod, depth):
         assert s.members() == tuple(solutions(s.spec)), s.spec
 
 
+@pytest.mark.parametrize("n_mod,depth,walks", [(4, 8, 3654), (8, 6, 1630), (16, 5, 706)])
+def test_a_battery_walks_each_members_product_once(monkeypatch, n_mod, depth, walks):
+    # Only the index of each unconstrained (size, target) set walks a
+    # product: sliced sets check their letters, and the maps guard by the
+    # indexes.
+    calls = []
+
+    def counted(values, n):
+        calls.append(n)
+        return continuant_entries(values, n)
+
+    monkeypatch.setattr(spec, "continuant_entries", counted)
+    monkeypatch.setattr(maps, "continuant_entries", counted)
+    battery = shipped_maps(Modulus(n_mod), depth)
+    walked = [s for s in spec_sets(battery) if not s.spec.constraints]
+    for tmap in battery:
+        assert verify_reciprocal(tmap).ok
+    assert len(calls) == sum(len(s.members()) for s in walked) == walks
+
+
+def test_a_battery_map_refuses_a_tuple_its_input_set_does_not_list():
+    battery = {tmap.name: tmap for tmap in shipped_maps(MOD8, 6)}
+    one, three = Residue(1, MOD8), Residue(3, MOD8)
+
+    def member(size, target):
+        return next(solutions(SetSpec(size, target)))
+
+    plus4, minus4 = member(4, identity(MOD8)), member(4, neg_identity(MOD8))
+    minus5, not_pm4 = member(5, neg_identity(MOD8)), rt(MOD8, 1, 0, 0, 0)
+    zeros5 = rt(MOD8, 0, 0, 0, 0, 0)  # E(0)^5 = E(0), neither +Id nor -Id
+    negation = battery["negation(n=5, N=8)"]
+    scaling = battery["scaling(n=4, N=8, sign=+, lam=3)"]
+    insertion = battery["unit-insertion(n=6, N=8, sign=+, u=3)"]
+    shift = battery["fiber-shift(N=8, x=3)"]
+    cases = [
+        (negation.forward, minus5), (negation.forward, zeros5),
+        (scaling.forward, minus4), (scaling.forward, not_pm4),
+        (scaling.backward, minus4), (scaling.backward, not_pm4),
+        (battery["scaling(n=4, N=8, sign=-, lam=3)"].backward, plus4),
+        (insertion.forward, minus5), (insertion.forward, zeros5),
+        (shift.forward, FiberSet(MOD8, three).members()[0]),
+        (shift.backward, FiberSet(MOD8, one).members()[0]),
+    ]
+    for call, t in cases:
+        with pytest.raises(DomainViolation) as err:
+            call(t)
+        assert str(err.value) == f"{t} is not a member of the map's input set"
+
+
+def _standalone(kind):
+    """The maps of one kind in shipped_maps(MOD8, 6), in battery order, from
+    their public builders."""
+    units, signs, targets = units_of(MOD8), (1, -1), (identity(MOD8), neg_identity(MOD8))
+    return {
+        "negation": [negation_bijection(n, MOD8) for n in (3, 5)],
+        "scaling": [scaling_bijection(n, MOD8, sign, lam)
+                    for n in (4, 6) for sign in signs for lam in units],
+        "merge-unit-triple": [merge_unit_triple_bijection(n, MOD8, target, u, v, Residue(w, MOD8))
+                              for n in (5, 6) for target in targets
+                              for u in units for v in units for w in range(8)],
+        "unit-insertion": [unit_insertion_bijection(n, MOD8, sign, u)
+                           for n in (4, 6) for sign in signs for u in units],
+        "fiber-shift": [fiber_shift_bijection(MOD8, x) for x in units],
+    }[kind]
+
+
+def _described(s):
+    return s.spec if isinstance(s, SpecSet) else (s.modulus, s.x)
+
+
 def test_the_battery_builds_each_unit_triple_merge_as_its_builder_does():
-    # The battery makes these maps without shared(): each must still equal
-    # the standalone builder's map, and verify the same.
-    battery = [t for t in shipped_maps(MOD8, 6) if t.name.startswith("merge-unit-triple")]
-    units = units_of(MOD8)
-    alone = [merge_unit_triple_bijection(n, MOD8, target, u, v, Residue(w, MOD8))
-             for n in (5, 6) for target in (identity(MOD8), neg_identity(MOD8))
-             for u in units for v in units for w in range(8)]
-    assert [t.name for t in battery] == [t.name for t in alone]
-    for got, want in zip(battery, alone):
-        assert (got.domain.spec, got.codomain.spec) == (want.domain.spec, want.codomain.spec)
-        assert verify_reciprocal(got) == verify_reciprocal(want), got.name
+    # The battery makes the unit-triple merges without shared(), and the
+    # negation, scaling, unit-insertion and fiber-shift maps on its shared
+    # sets, which they guard by: each must still equal the standalone
+    # builder's map, and verify the same.
+    battery = shipped_maps(MOD8, 6)
+    for kind in ("negation", "scaling", "merge-unit-triple", "unit-insertion", "fiber-shift"):
+        built = [t for t in battery if t.name.startswith(kind + "(")]
+        alone = _standalone(kind)
+        assert [t.name for t in built] == [t.name for t in alone]
+        for got, want in zip(built, alone):
+            assert ([_described(got.domain), _described(got.codomain)]
+                    == [_described(want.domain), _described(want.codomain)])
+            assert verify_reciprocal(got) == verify_reciprocal(want), got.name
+
+
+def test_the_battery_shares_one_fiber_over_1():
+    shifts = [t for t in shipped_maps(MOD8, 3) if t.name.startswith("fiber-shift")]
+    assert len(shifts) == 4 and len({id(t.domain) for t in shifts}) == 1
 
 
 def test_the_battery_is_for_2_powers_alone():
@@ -550,12 +628,26 @@ def test_the_battery_is_for_2_powers_alone():
     assert (report.domain_size, report.codomain_size) == (9, 18)
 
 
+def _letters_charge(s: SpecSet) -> int:
+    """size x N^(size-2) for an unconstrained set, whose walk has N^(size-2)
+    leaves and lists at most one tuple per leaf; 0 for a sliced set."""
+    size = s.spec.size
+    return 0 if s.spec.constraints else size * s.spec.modulus.n ** (size - 2)
+
+
 @pytest.mark.parametrize("n_mod,depth", [(4, 8), (8, 6), (16, 5), (16, 6)])
 def test_the_battery_charge_is_a_lower_bound_of_its_walks(n_mod, depth):
     mod = Modulus(n_mod)
     walked = len(psi_domain(mod)) + sum(
-        _solve_cost(s.spec) for s in spec_sets(shipped_maps(mod, depth)))
+        _solve_cost(s.spec) + _letters_charge(s) for s in spec_sets(shipped_maps(mod, depth)))
     assert battery_cost(mod, depth) <= walked
+
+
+@pytest.mark.parametrize("n_mod,depth", [(4, 8), (8, 6), (16, 5)])
+def test_the_letters_a_battery_lists_fit_its_charge(n_mod, depth):
+    for s in spec_sets(shipped_maps(Modulus(n_mod), depth)):
+        if not s.spec.constraints:
+            assert sum(map(len, s.members())) <= _letters_charge(s), s.spec
 
 
 def test_the_battery_refuses_n_2_naming_its_domain():
@@ -568,9 +660,27 @@ def test_the_battery_refuses_n_2_naming_its_domain():
 
 
 def test_the_battery_charge_in_closed_form():
-    assert battery_cost(Modulus(16), 5) == 105472
-    assert battery_cost(Modulus(64), 6) == 59572224
-    assert battery_cost(Modulus(128), 5) == 406323200
+    assert battery_cost(Modulus(4), 8) == 96024
+    assert battery_cost(Modulus(8), 6) == 80480
+    assert battery_cost(Modulus(16), 5) == 157696
+    assert battery_cost(Modulus(64), 6) == 297642752
+    assert battery_cost(Modulus(128), 5) == 431656960
+    # the deepest batteries the default budget admits
+    for n, depth in ((4, 12), (8, 9), (32, 6)):
+        assert battery_cost(Modulus(n), depth) <= DEFAULT_BUDGET < battery_cost(Modulus(n), depth + 1)
+    # the psi pass; each unconstrained walk at _solve_cost plus its letters;
+    # each unit-triple merge's domain at _solve_cost
+    for n in (4, 8, 16, 32):
+        mod = Modulus(n)
+        triples = len(psi_domain(mod))
+        for depth in range(2, 15):
+            charged = triples + sum(
+                _solve_cost(SetSpec(size, target)) + size * n ** (size - 2)
+                + (triples * _solve_cost(SetSpec(size, target, {2: fixed(1), 3: fixed(1),
+                                                                 4: fixed(0)}))
+                   if size in (5, 6) else 0)
+                for size in range(3, depth + 1) for target in (identity(mod), neg_identity(mod)))
+            assert battery_cost(mod, depth) == charged, (n, depth)
     with pytest.raises(ValueError, match="2-power"):
         battery_cost(Modulus(12), 5)
 
