@@ -27,6 +27,7 @@ from .spec import NONUNIT, SetSpec, UNIT
 
 if TYPE_CHECKING:
     from .formulas import FormulaValue
+    from .maps import TupleMap
 
 
 class NonSquarefreeOddPart(ValueError):

@@ -8,19 +8,16 @@ reads each letter's image from a table of its unit's multiples.
 Positions are 1-based in every docstring to match tuple subscripts
 a_1..a_n; code indexes are 0-based.
 
-The harness runs forward and backward once per domain member; in its pass
-over the codomain, a member that was already an image needs only its
-preimage's domain membership checked, so a bijection costs one forward and
-one backward per member.  Each builder makes its own sets; shipped_maps
-alone shares them, and a battery walks each size and target once: its
-constrained sets read their members from that walk.  All psi fibers over
-one modulus come from one psi pass.
-
-A member's product is walked once, as the index of the set that lists it
-is built.  The negation, scaling, unit-insertion and fiber-shift maps of
-the builders guard by membership in their input set's index, where the
-free maps negate_map, scale_map, unit_insert_map and fiber_shift_map walk
-the product or compute psi.
+The harness, not the maps, decides membership: it looks each listed domain
+member up in the domain's index before mapping it forward, and each image
+up in the codomain's, so a map is plain arithmetic on the tuple it is
+given.  In its pass over the codomain, a member that was already an image
+needs nothing more, so a bijection costs one forward, one backward and two
+lookups per member.  Each builder makes its own sets; shipped_maps alone
+shares them, and a battery walks each size and target once: its
+constrained sets read their members from that walk, and a member's product
+is walked once, as the index of the set that lists it is built.  All psi
+fibers over one modulus come from one psi pass.
 """
 
 from __future__ import annotations
@@ -32,21 +29,12 @@ from typing import Callable, NamedTuple
 
 from .modring import Modulus, NotAUnit, Residue, nonunits_of, totient, units_of
 from .oracle import psi, psi_domain, solutions
-from .sl2 import Mat2, continuant_entries, identity, neg_identity, target_name
+from .sl2 import Mat2, identity, neg_identity, target_name
 from .spec import NONUNIT, SetSpec, UNIT, _admit, _allowed_set, fixed
 
 
 class DomainViolation(ValueError):
     """Input tuple is outside the map's stated domain."""
-
-
-def _product_sign(values, n: int) -> int:
-    """1 or -1 when the letters' product is +Id or -Id, else 0 (1 when N = 2,
-    where the two agree)."""
-    a, b, c, d = continuant_entries(values, n)
-    if b or c or a != d:
-        return 0
-    return 1 if a == 1 else -1 if a == n - 1 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -74,42 +62,23 @@ def _tables(u: Residue) -> tuple[_Scaled, _Scaled]:
     return _Scaled(u), _Scaled(u.inverse())
 
 
-def _alternate(t: tuple, tables) -> tuple:
-    """t's letters, the i-th (0-based) read from tables[i % len(tables)]."""
+def _alternate(tables, t: tuple) -> tuple:
+    """t's letters, the i-th (0-based) read from tables[i % len(tables)].
+
+    Tables first, so that a map is functools.partial(_alternate, tables).
+    """
     # a display, so the tuple is made at its size and reuses the short
     # tuples freed before, as in Modulus.residues
     return (*map(dict.__getitem__, itertools.cycle(tables), t),)
 
 
-def _insert_unit(t: tuple, tables) -> tuple:
-    """unit_insert_map's image of t, for tables = _tables(u)."""
+def _insert_unit(tables, t: tuple) -> tuple:
+    """t with a 1 inserted at position 2, then scaled alternately by u^-1
+    (odd positions) and u (even), for tables = _tables(u): the first and
+    third letters become (a_1+1)u^-1 and (a_2+1)u^-1, the second u."""
     times, over = tables
     return (over[t[0] + 1], times.unit, over[t[1] + 1],
             *map(dict.__getitem__, itertools.cycle(tables), t[2:]))
-
-
-def negate_map(t: tuple) -> tuple:
-    """Negate every entry; sends odd-size solutions of +Id to -Id."""
-    if len(t) % 2 != 1:
-        raise DomainViolation(f"size {len(t)} is even")
-    mod = t[0].modulus
-    if _product_sign([a.value for a in t], mod.n) != 1:
-        raise DomainViolation(f"product of {t} is not the identity")
-    return _alternate(t, _tables(Residue(-1, mod))[:1])
-
-
-def scale_map(t: tuple, lam: Residue) -> tuple:
-    """Scale odd positions by lam and even positions by lam^-1.
-
-    Keeps even-size tuples inside their +-Id solution set.
-    """
-    if not (len(t) % 2 == 0 and len(t) >= 4):
-        raise DomainViolation(f"size {len(t)} is not even >= 4")
-    if not lam.is_unit:
-        raise NotAUnit(f"{lam.value} is not invertible mod {lam.modulus.n}")
-    if not _product_sign([a.value for a in t], t[0].modulus.n):
-        raise DomainViolation(f"product of {t} is not +-Id")
-    return _alternate(t, _tables(lam))
 
 
 def _drop(t: tuple, i: int, e: int) -> tuple:
@@ -213,25 +182,9 @@ def expand_quintuple(t: tuple, u: Residue, v: Residue, w: Residue) -> tuple:
                                t[2].value + (a * b - 2) * xi]) + t[3:]
 
 
-def unit_insert_map(t: tuple, u: Residue) -> tuple:
-    """Send an odd-size +-Id solution to the even-size one whose second
-    entry is the unit u.
-
-    Composition of inserting a 1 at position 2 with alternate scaling by
-    u^-1: the first and third outputs are (a_1+1)u^-1 and (a_2+1)u^-1,
-    and the tail alternates factors u (even positions) and u^-1 (odd).
-    """
-    if len(t) % 2 != 1:
-        raise DomainViolation(f"size {len(t)} is even")
-    if not u.is_unit:
-        raise NotAUnit(f"{u.value} is not invertible mod {u.modulus.n}")
-    if not _product_sign([a.value for a in t], u.modulus.n):
-        raise DomainViolation(f"product of {t} is not +-Id")
-    return _insert_unit(t, _tables(u))
-
-
 def unit_drop_map(t: tuple) -> tuple:
-    """Inverse of unit_insert_map; the unit is read from position 2."""
+    """Inverse of unit insertion (_insert_unit); the unit is read from
+    position 2."""
     if len(t) % 2 != 0:
         raise DomainViolation(f"size {len(t)} is odd")
     u = t[1]
@@ -240,38 +193,6 @@ def unit_drop_map(t: tuple) -> tuple:
     times, over = _tables(u)
     return (times[t[0]] - 1, times[t[2]] - 1,
             *map(dict.__getitem__, itertools.cycle((over, times)), t[3:]))
-
-
-def fiber_shift_map(triple: tuple, x: Residue) -> tuple:
-    """Carry a psi-fiber-of-1 triple (u, v, w) to the fiber of x via
-    (xu, v x^-1, wx)."""
-    u, v, w = triple
-    if psi(u, v, w).value != 1:
-        raise DomainViolation(f"psi{tuple(a.value for a in triple)} != 1")
-    if not x.is_unit:
-        raise NotAUnit(f"{x.value} is not invertible mod {x.modulus.n}")
-    return _alternate(triple, _tables(x))
-
-
-def fiber_unshift_map(triple: tuple, x: Residue) -> tuple:
-    """Inverse of fiber_shift_map: from the fiber of x back to the fiber of 1."""
-    u, v, w = triple
-    if psi(u, v, w) is not x:
-        raise DomainViolation(f"psi{tuple(a.value for a in triple)} != {x.value}")
-    return _alternate(triple, _tables(x)[::-1])
-
-
-def _guarded(s, apply, tables) -> Callable:
-    """apply(t, tables) for the members t of the set s; DomainViolation for
-    any other t.  The builders' maps guard so: a lookup in s's index, where
-    the free maps walk the product."""
-
-    def call(t):
-        if t in (s._index or s._indexed()):  # s.contains(t), without the call
-            return apply(t, tables)
-        raise DomainViolation(f"{t} is not a member of the map's input set")
-
-    return call
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +209,9 @@ class SpecSet:
     Membership is a lookup in an index of the enumerated members, built
     once, and each member is checked against spec.matches as it goes in:
     a member the enumeration got wrong is left out, so the harness reports
-    it, and a tuple the enumeration missed is refused.  That check is the
-    one walk of a member's product: the maps built on a SpecSet guard by
-    its index.
+    it, on either side of a map, and a tuple the enumeration missed is
+    refused.  That check is the one walk of a member's product; the
+    harness's membership checks are lookups in this index.
 
     shipped_maps may set ``_source`` to the set of all solutions of the
     same size and target.  Such a set walks nothing: its members are the
@@ -439,15 +360,18 @@ class ReciprocityReport(NamedTuple):
 
 
 def verify_reciprocal(tmap: TupleMap, budget: int | None = None) -> ReciprocityReport:
-    """Check that forward maps the domain into the codomain, that the two
-    directions invert each other pointwise, and that the set sizes agree.
+    """Check that the domain lists only its members, that forward maps them
+    into the codomain, that the two directions invert each other pointwise,
+    and that the set sizes agree.
 
-    The first pass maps every domain member t forward and back.  The second
-    walks the codomain: a member s that the first pass produced as
-    forward(t) already has backward(s) = t and forward(t) = s, so only
-    domain.contains(t) is left to check; any other member is mapped back
-    and forward again.  Any failure is reported with a concrete
-    counterexample tuple.
+    Membership is decided here, never by the maps.  The first pass checks
+    that each listed domain member t is in the domain, then maps it
+    forward, checks that the image is in the codomain, and maps it back.
+    The second walks the codomain: a member s that the first pass produced
+    as forward(t) needs nothing more, since t was checked and
+    backward(s) = t; any other member is mapped back, its preimage checked
+    for domain membership, and mapped forward again.  Any failure is
+    reported with a concrete counterexample tuple.
     """
     domain = tmap.domain.members(budget)
     codomain = tmap.codomain.members(budget)
@@ -456,8 +380,12 @@ def verify_reciprocal(tmap: TupleMap, budget: int | None = None) -> ReciprocityR
         return ReciprocityReport(tmap.name, False, len(domain), len(codomain),
                                  reason, witness)
 
-    preimages = {}  # forward(t) -> t, for every domain member t
+    # forward(t) -> t: a dict, not a set, since a set grows to four times
+    # its members, which raised the N = 16 battery's peak RSS
+    preimages = {}
     for t in domain:
+        if not tmap.domain.contains(t):
+            return fail("listed domain member is not in the domain", t)
         try:
             image = tmap.forward(t)
         except (DomainViolation, NotAUnit) as err:
@@ -472,17 +400,14 @@ def verify_reciprocal(tmap: TupleMap, budget: int | None = None) -> ReciprocityR
             return fail("backward(forward(t)) != t", (t, image, back))
         preimages[image] = t
     for s in codomain:
-        pre = preimages.get(s)
-        is_image = pre is not None
-        if not is_image:
-            try:
-                pre = tmap.backward(s)
-            except (DomainViolation, NotAUnit) as err:
-                return fail(f"backward raised {err}", s)
+        if s in preimages:
+            continue
+        try:
+            pre = tmap.backward(s)
+        except (DomainViolation, NotAUnit) as err:
+            return fail(f"backward raised {err}", s)
         if not tmap.domain.contains(pre):
             return fail("backward image left the domain", (s, pre))
-        if is_image:
-            continue
         try:
             again = tmap.forward(pre)
         except (DomainViolation, NotAUnit) as err:
@@ -500,33 +425,21 @@ def verify_reciprocal(tmap: TupleMap, budget: int | None = None) -> ReciprocityR
 
 def negation_bijection(size: int, modulus: Modulus) -> TupleMap:
     """Entrywise negation between the +Id and -Id solution sets (odd size)."""
-    return _negation_map(size, modulus, SpecSet)
-
-
-def _negation_map(size: int, modulus: Modulus, sets: Callable) -> TupleMap:
-    """negation_bijection between the sets ``sets`` gives for its specs."""
-    dom = sets(SetSpec(size, identity(modulus)))
-    negations = _tables(Residue(-1, modulus))[:1]
-    return TupleMap(f"negation(n={size}, N={modulus.n})", dom,
-                    sets(SetSpec(size, neg_identity(modulus))),
-                    _guarded(dom, _alternate, negations),
-                    lambda t: _alternate(t, negations))
+    negate = functools.partial(_alternate, _tables(Residue(-1, modulus))[:1])
+    return TupleMap(f"negation(n={size}, N={modulus.n})",
+                    SpecSet(SetSpec(size, identity(modulus))),
+                    SpecSet(SetSpec(size, neg_identity(modulus))), negate, negate)
 
 
 def scaling_bijection(size: int, modulus: Modulus, sign: int, lam: Residue) -> TupleMap:
     """Alternate scaling by a unit, a self-bijection of an even-size
-    solution set."""
-    return _scaling_map(size, modulus, sign, lam, SpecSet)
-
-
-def _scaling_map(size: int, modulus: Modulus, sign: int, lam: Residue,
-                 sets: Callable) -> TupleMap:
-    """scaling_bijection on the set ``sets`` gives for its spec."""
-    dom = sets(SetSpec(size, identity(modulus) if sign == 1 else neg_identity(modulus)))
+    solution set: odd positions are scaled by lam, even ones by lam^-1."""
+    dom = SpecSet(SetSpec(size, identity(modulus) if sign == 1 else neg_identity(modulus)))
     tables = _tables(lam)
     return TupleMap(
         f"scaling(n={size}, N={modulus.n}, sign={'+' if sign == 1 else '-'}, lam={lam.value})",
-        dom, dom, _guarded(dom, _alternate, tables), _guarded(dom, _alternate, tables[::-1]))
+        dom, dom, functools.partial(_alternate, tables),
+        functools.partial(_alternate, tables[::-1]))
 
 
 def drop_minus_one_bijection(size: int, modulus: Modulus, target: Mat2) -> TupleMap:
@@ -596,30 +509,21 @@ def _unit_triple_map(size: int, modulus: Modulus, target: Mat2,
 def unit_insertion_bijection(size: int, modulus: Modulus, sign: int, u: Residue) -> TupleMap:
     """Odd-size solutions onto the even-size solutions whose second entry
     is the unit u (same sign)."""
-    return _unit_insertion_map(size, modulus, sign, u, SpecSet)
-
-
-def _unit_insertion_map(size: int, modulus: Modulus, sign: int, u: Residue,
-                        sets: Callable) -> TupleMap:
-    """unit_insertion_bijection between the sets ``sets`` gives for its specs."""
     target = identity(modulus) if sign == 1 else neg_identity(modulus)
-    dom = sets(SetSpec(size - 1, target))
     return TupleMap(
         f"unit-insertion(n={size}, N={modulus.n}, sign={'+' if sign == 1 else '-'}, u={u.value})",
-        dom, sets(SetSpec(size, target, {2: fixed(int(u))})),
-        _guarded(dom, _insert_unit, _tables(u)), unit_drop_map)
+        SpecSet(SetSpec(size - 1, target)), SpecSet(SetSpec(size, target, {2: fixed(int(u))})),
+        functools.partial(_insert_unit, _tables(u)), unit_drop_map)
 
 
 def fiber_shift_bijection(modulus: Modulus, x: Residue) -> TupleMap:
-    """The psi fiber over 1 onto the fiber over x."""
-    return _fiber_map(modulus, x, FiberSet(modulus, Residue(1, modulus)), FiberSet(modulus, x))
-
-
-def _fiber_map(modulus: Modulus, x: Residue, one: FiberSet, fiber: FiberSet) -> TupleMap:
-    """fiber_shift_bijection from ``one``, the fiber over 1, onto ``fiber``."""
+    """The psi fiber over 1 onto the fiber over x, via (u, v, w) ->
+    (xu, v x^-1, wx)."""
     tables = _tables(x)
-    return TupleMap(f"fiber-shift(N={modulus.n}, x={x.value})", one, fiber,
-                    _guarded(one, _alternate, tables), _guarded(fiber, _alternate, tables[::-1]))
+    return TupleMap(f"fiber-shift(N={modulus.n}, x={x.value})",
+                    FiberSet(modulus, Residue(1, modulus)), FiberSet(modulus, x),
+                    functools.partial(_alternate, tables),
+                    functools.partial(_alternate, tables[::-1]))
 
 
 def _require_two_power(modulus: Modulus):
@@ -664,15 +568,14 @@ def battery_cost(modulus: Modulus, max_size: int) -> int:
 def shipped_maps(modulus: Modulus, max_size: int) -> list[TupleMap]:
     """The full battery of bijections to verify for one 2-power modulus.
 
-    Each map is built on the battery's one SpecSet of each spec, and a
-    constrained set reads its members from the unconstrained set of its
-    size and target.  So verifying the whole list walks each member's
-    product once, as its (size, target) set is indexed: the negation,
-    scaling and unit-insertion maps guard by those indexes, and the fiber
-    shifts by the fibers', all from the one psi pass over the modulus and
-    all starting from one fiber over 1.  The unit-triple merges,
-    2 phi(N)^2 N per size, are built onto shared codomains directly: no
-    other set of the battery equals one of their domains.
+    Each map comes from its public builder, rebuilt onto the battery's one
+    SpecSet of each spec, and a constrained set reads its members from the
+    unconstrained set of its size and target.  So verifying the whole list
+    walks each member's product once, as its (size, target) set is
+    indexed.  The fiber shifts all start from one fiber over 1, and every
+    fiber reads the one psi pass over the modulus.  The unit-triple
+    merges, 2 phi(N)^2 N per size, are built onto shared codomains
+    directly: no other set of the battery equals one of their domains.
     """
     _require_two_power(modulus)
     units = units_of(modulus)
@@ -702,11 +605,11 @@ def shipped_maps(modulus: Modulus, max_size: int) -> list[TupleMap]:
         out.append(TupleMap(name, shared(dom.spec), shared(cod.spec), forward, backward))
 
     for n in range(3, max_size + 1, 2):
-        out.append(_negation_map(n, modulus, shared))
+        add(negation_bijection(n, modulus))
     for n in range(4, max_size + 1, 2):
         for sign in (1, -1):
             for lam in units:
-                out.append(_scaling_map(n, modulus, sign, lam, shared))
+                add(scaling_bijection(n, modulus, sign, lam))
     for n in range(4, max_size + 1):
         for target in targets:
             add(drop_minus_one_bijection(n, modulus, target))
@@ -738,8 +641,9 @@ def shipped_maps(modulus: Modulus, max_size: int) -> list[TupleMap]:
     for n in range(4, max_size + 1, 2):
         for sign in (1, -1):
             for u in units:
-                out.append(_unit_insertion_map(n, modulus, sign, u, shared))
+                add(unit_insertion_bijection(n, modulus, sign, u))
     fibers = {x: FiberSet(modulus, x) for x in units}
     for x in units:
-        out.append(_fiber_map(modulus, x, fibers[Residue(1, modulus)], fibers[x]))
+        name, _, _, forward, backward = fiber_shift_bijection(modulus, x)
+        out.append(TupleMap(name, fibers[Residue(1, modulus)], fibers[x], forward, backward))
     return out

@@ -44,7 +44,13 @@ class BudgetExceeded(RuntimeError, ValueError):
     too, so that the CLI reports it as a bad request."""
 
     def __init__(self, required: int, budget: int):
-        super().__init__(f"enumeration needs {required} candidates, budget is {budget}")
+        try:
+            needs = f"{required} candidates"
+        except ValueError:  # past the interpreter's int-to-str limit, refused by size
+            # the digits of 2^(bits-1) <= required: a bound that needs no str()
+            digits = int((required.bit_length() - 1) * math.log10(2)) + 1
+            needs = f"a count of candidates at least {digits} digits long"
+        super().__init__(f"enumeration needs {needs}, budget is {budget}")
         self.required = required
         self.budget = budget
 

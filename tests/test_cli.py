@@ -224,19 +224,36 @@ def test_a_battery_past_the_budget_exits_before_building():
     # admitted at every depth: at --max-size 12 it ran for over a minute
     # and past 250 MB, and its two size-14 walks list about 5.6M tuples
     # each.  Its walks are charged too, so the request is refused at once.
-    # A child runs it, so that a battery that is built times out here; it
-    # prints the seconds its request took.
+    out = run_battery_in_a_child("4", "14")
+    assert out.returncode == 2
+    assert out.stderr == "error: enumeration needs 656177472 candidates, budget is 134217728\n"
+    assert float(out.stdout) < 1
+
+
+def test_a_battery_charge_too_long_to_print_is_named_by_its_digits():
+    # The charge of N = 4 at --max-size 100000 has over 60,000 digits, past
+    # the interpreter's int-to-str limit: formatting it raised that limit's
+    # error in place of the budget message.
+    out = run_battery_in_a_child("4", "100000")
+    assert out.returncode == 2
+    assert out.stderr == ("error: enumeration needs a count of candidates at least 60211 "
+                          "digits long, budget is 134217728\n")
+    assert float(out.stdout) < 1
+
+
+def run_battery_in_a_child(modulus: str, max_size: str) -> subprocess.CompletedProcess:
+    """verify --suite bijections in a child at the default budget, so that a
+    battery that is built times out here; it prints the seconds its request
+    took."""
     src = str(Path(quiddity.__file__).resolve().parents[1])
     env = {key: value for key, value in os.environ.items() if key != "QUIDDITY_BUDGET"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     request = ("import sys, time; from quiddity import cli; started = time.perf_counter(); "
-               "code = cli.main(['verify', '--suite', 'bijections', '--modulus', '4', "
-               "'--max-size', '14']); print(time.perf_counter() - started); sys.exit(code)")
-    out = subprocess.run([sys.executable, "-c", request], capture_output=True, text=True,
-                         env=env, timeout=30)
-    assert out.returncode == 2
-    assert out.stderr == "error: enumeration needs 656177472 candidates, budget is 134217728\n"
-    assert float(out.stdout) < 1
+               f"code = cli.main(['verify', '--suite', 'bijections', '--modulus', '{modulus}', "
+               f"'--max-size', '{max_size}']); print(time.perf_counter() - started); "
+               "sys.exit(code)")
+    return subprocess.run([sys.executable, "-c", request], capture_output=True, text=True,
+                          env=env, timeout=30)
 
 
 def test_formula_subcommand(capsys):

@@ -6,6 +6,7 @@ them, so that the three count sources stay independent.
 """
 
 import ast
+import builtins
 import sys
 from pathlib import Path
 
@@ -96,3 +97,48 @@ def test_every_imported_name_is_used(path):
             imported.update(alias.asname or alias.name for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert imported <= used, f"{path.name} never uses {sorted(imported - used)}"
+
+
+def module_bindings(tree: ast.Module) -> set[str]:
+    """Names a module binds at its top level, including those it imports
+    under ``if TYPE_CHECKING:`` for type checkers alone."""
+    names = set()
+    for node in tree.body:
+        for stmt in node.body if isinstance(node, ast.If) else [node]:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                names.update((alias.asname or alias.name).split(".")[0] for alias in stmt.names)
+            elif isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names.add(stmt.name)
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def annotation_names(tree: ast.Module) -> set[str]:
+    """The names every annotation in a module reads, quoted ones too."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            annotations.append(node.returns)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+    names = set()
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.update(n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
+                             if isinstance(n, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_annotation_names_something_the_module_binds(path):
+    # Under ``from __future__ import annotations`` a missing name goes
+    # unnoticed at run time; a type checker, or typing.get_type_hints with
+    # the TYPE_CHECKING imports in scope, would not resolve it.
+    tree = ast.parse(path.read_text(), str(path))
+    unbound = annotation_names(tree) - module_bindings(tree) - set(dir(builtins))
+    assert not unbound, f"{path.name} annotates with unbound {sorted(unbound)}"

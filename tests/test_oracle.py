@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -151,6 +152,25 @@ def test_the_join_is_charged_for_the_suffix_it_walks():
             count(pinned, "mitm", split=3, budget=required - 1)
         assert err.value.required == required
         assert count(pinned, "mitm", split=3, budget=required) == count(pinned, "naive")
+
+
+def test_a_charge_too_long_to_print_is_named_by_its_digits():
+    # Past the int-to-str limit a charge is named by the digits of the
+    # power of 2 at its bit length, a lower bound found without str();
+    # up to the limit it prints in full, as it always did.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert str(BudgetExceeded(10 ** 640 - 1, 5)) == (
+            f"enumeration needs {'9' * 640} candidates, budget is 5")
+        # 641 digits each: 10^640 >= 2^2126, of 640, and 10^641 - 1 >= 2^2129, of 641
+        for required, bound in ((10 ** 640, 640), (10 ** 641 - 1, 641)):
+            assert str(BudgetExceeded(required, 5)) == ("enumeration needs a count of "
+                                                       f"candidates at least {bound} digits "
+                                                       "long, budget is 5")
+        assert BudgetExceeded(10 ** 640, 5).required == 10 ** 640
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_budget_env_override(monkeypatch):
