@@ -121,7 +121,7 @@ def route_count(spec: SetSpec, method: str, budget: int | None = None) -> tuple[
     dp runs the DP or raises CapExceeded; brute, and auto on that
     refusal, ask the oracle.
     """
-    if method in ("auto", "formula") and len(split(spec.modulus.n).prime_powers()) > 1:
+    if method in ("auto", "formula") and len(factorize(spec.modulus.n)) > 1:
         nonunit = next((p for p, con in spec.constraints if con == NONUNIT), None)
         if nonunit is None:
             routed = [(cnt, src) for _, cnt, src in piece_counts(spec, method, budget)]
@@ -163,8 +163,8 @@ def pieces(spec: SetSpec) -> list[SetSpec]:
     only, has no such reading and is refused."""
     if any(con == NONUNIT for _, con in spec.constraints):
         raise ValueError("a non-unit letter does not split into coprime pieces")
-    return [SetSpec(spec.size, Mat2(*spec.target.entries(), Modulus(q)), spec.constraints)
-            for q in split(spec.modulus.n).piece_moduli()]
+    return [SetSpec(spec.size, Mat2(*spec.target.entries(), Modulus(p ** k)), spec.constraints)
+            for p, k in factorize(spec.modulus.n)]
 
 
 def piece_counts(spec: SetSpec, method: str = "auto",

@@ -95,14 +95,7 @@ class Residue:
     def inverse(self) -> "Residue":
         if not self.is_unit:
             raise NotAUnit(f"{self.value} is not invertible mod {self.modulus.n}")
-        mod = self.modulus
-        value = pow(self.value, -1, mod.n)
-        return mod._pool.get(value) or Residue(value, mod)
-
-    # Arithmetic looks its result up in the pool, and Residue() runs only
-    # for a value not made yet.  The lookup is written out in each operator
-    # because a shared helper would add a Python call to every operation,
-    # and the bijection harness makes hundreds of thousands of them.
+        return Residue(pow(self.value, -1, self.modulus.n), self.modulus)
 
     def _other_value(self, other) -> int:
         if isinstance(other, Residue):
@@ -112,33 +105,23 @@ class Residue:
         return int(other)
 
     def __add__(self, other):
-        mod = self.modulus
-        value = (self.value + self._other_value(other)) % mod.n
-        return mod._pool.get(value) or Residue(value, mod)
+        return Residue(self.value + self._other_value(other), self.modulus)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        mod = self.modulus
-        value = (self.value - self._other_value(other)) % mod.n
-        return mod._pool.get(value) or Residue(value, mod)
+        return Residue(self.value - self._other_value(other), self.modulus)
 
     def __rsub__(self, other):
-        mod = self.modulus
-        value = (self._other_value(other) - self.value) % mod.n
-        return mod._pool.get(value) or Residue(value, mod)
+        return Residue(self._other_value(other) - self.value, self.modulus)
 
     def __mul__(self, other):
-        mod = self.modulus
-        value = self.value * self._other_value(other) % mod.n
-        return mod._pool.get(value) or Residue(value, mod)
+        return Residue(self.value * self._other_value(other), self.modulus)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        mod = self.modulus
-        value = -self.value % mod.n
-        return mod._pool.get(value) or Residue(value, mod)
+        return Residue(-self.value, self.modulus)
 
     def __reduce__(self):
         return Residue, (self.value, self.modulus)

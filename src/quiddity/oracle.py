@@ -16,9 +16,8 @@ three uses:
   are allowed at their positions;
 * bucket (_half_products, product_histogram): count every candidate's
   product, or its top row alone, the meet-in-the-middle prefix.  The last
-  letter, and each letter before it that the walk reaches at least N^2
-  times, expand in C through per-row tables (_leaf_keys); Python steps
-  only through the letters ahead of those.  A histogram may fold its last
+  letter expands in C through per-row tables (_leaf_keys); Python steps
+  only through the letters ahead of it.  A histogram may fold its last
   letter onto the distinct products of the others instead (see there);
 * probe (the meet-in-the-middle suffix): walk backward from the target,
   E(a_{k+1})^-1 ... E(a_n)^-1 @ target, and look each result up among the
@@ -39,7 +38,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import partial
 from itertools import chain, repeat
 from operator import add, attrgetter
 from typing import NamedTuple
@@ -174,54 +172,19 @@ class _LetterRows(dict):
         return row
 
 
-class _Rows(dict):
-    """One coordinate's entries one letter before the ``inner`` table's.
-
-    Key x*N + y maps to [inner[(a*x - y) % N * N + x] for each letter a]:
-    references to the inner table's rows, so no new ints are made.  Rows
-    are built on first use, and there are at most N^2 of them.
-    """
-
-    __slots__ = ("letters", "N", "inner")
-
-    def __init__(self, letters, N, inner):
-        super().__init__()
-        self.letters, self.N, self.inner = letters, N, inner
-
-    def __missing__(self, key):
-        N, inner = self.N, self.inner
-        x, y = divmod(key, N)
-        row = self[key] = [inner[(a * x - y) % N * N + x] for a in self.letters]
-        return row
-
-
 def _leaf_keys(values, N, start, scales, lifts):
     """Stream the packed key of every leaf of the walk from ``start``.
 
-    The last letter is expanded through _LetterRows, and each letter before
-    it through a _Rows table over the next one, as long as the walk reaches
-    that letter at least N^2 times, the most rows a table can have; Python
-    walks the letters before those.  Each walked state's leaves come from
-    pairing its two coordinates' rows level by level (map over nested
-    ``partial(map, ...)``, down to ``add`` on the packed parts) and
-    flattening once per level.  The states' streams are chained, so the
-    caller consumes every leaf in one C-level call (Counter, or sum over
-    map) and no list of leaves is built.
+    _walk steps through every letter but the last, which is expanded
+    through _LetterRows: a walked state's leaves are its two coordinates'
+    rows added pairwise by ``map(add, ...)``.  The states' streams are
+    chained, so the caller consumes every leaf in one C-level call
+    (Counter, or sum over map) and no list of leaves is built.
     """
     firsts = _LetterRows(values[-1], N, scales[0], lifts[0])
     seconds = _LetterRows(values[-1], N, scales[1], lifts[1])
-    pair, depth = add, 1
-    counts = [len(letters) for letters in values]
-    while math.prod(counts[:-depth - 1]) >= N * N:
-        letters = values[-depth - 1]
-        firsts, seconds = _Rows(letters, N, firsts), _Rows(letters, N, seconds)
-        pair, depth = partial(map, pair), depth + 1
-    # _walk stops before its last position, here the first expanded letter
-    leaves = (map(pair, firsts[p * N + r], seconds[q * N + s])
-              for p, q, r, s in _walk(values[:len(values) - depth + 1], N, *start))
-    for _ in range(depth):
-        leaves = chain.from_iterable(leaves)
-    return leaves
+    return chain.from_iterable(map(add, firsts[p * N + r], seconds[q * N + s])
+                               for p, q, r, s in _walk(values, N, *start))
 
 
 def _half_products(values, N, top_row: bool = False):
@@ -392,12 +355,13 @@ def count_zero_pairs(m: int) -> int:
 
 
 def psi(u: Residue, v: Residue, w: Residue) -> Residue:
-    """((vw - 1)(uv - 1) - 1) * v^-1; a unit whenever uv - 1 is a non-unit."""
+    """((vw - 1)(uv - 1) - 1) * v^-1 for a unit v; a unit whenever uv - 1
+    is a non-unit.  It equals uvw - u - w, the top-left entry of the
+    product of the letters u, v, w, so no inverse is taken."""
     b, mod = v.value, v.modulus
     if math.gcd(b, mod.n) != 1:
         raise NotAUnit(f"{b} is not invertible mod {mod.n}")
-    value = ((b * w.value - 1) * (u.value * b - 1) - 1) * pow(b, -1, mod.n) % mod.n
-    return mod._pool.get(value) or Residue(value, mod)
+    return Residue(u.value * b * w.value - u.value - w.value, mod)
 
 
 def psi_domain(modulus: Modulus):

@@ -10,6 +10,7 @@ from quiddity import modring
 from quiddity.modring import (
     Modulus, NotAUnit, Residue, factorize, nonunits_of, totient, units_of,
 )
+from quiddity.oracle import psi
 
 
 @pytest.mark.parametrize("n,expected", [
@@ -115,8 +116,10 @@ def test_arithmetic_returns_pooled_residues():
     assert 1 - a is Residue(6, mod)
     assert a * b is Residue(2, mod)
     assert 2 * a is Residue(6, mod)
+    assert 1 + a is Residue(4, mod)
     assert -a is Residue(5, mod)
     assert a.inverse() is a
+    assert psi(a, a, b) is Residue(3 * 3 * 6 - 3 - 6, mod)
 
 
 def test_moduli_and_residues_are_interned():
