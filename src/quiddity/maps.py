@@ -1,23 +1,26 @@
 """Executable bijections between constrained tuple sets, with a harness
 that proves each forward/backward pair reciprocal on enumerated domains.
 
-Maps operate on explicit tuples of residues, never on counts, so a broken
-transcription surfaces as a concrete counterexample tuple instead of a
-silently wrong total; inside, each computes on the letters' int values or
-reads each letter's image from a table of its unit's multiples.
-Positions are 1-based in every docstring to match tuple subscripts
-a_1..a_n; code indexes are 0-based.
+Every map is made of three moves, each keeping a tuple's product up to
+sign: drop or insert a letter +-1 (reduce_one, insert_one and their -1
+forms); contract a block of letters into one letter, or expand it back
+(_contract, _expand), the pair and unit-triple merges being blocks of two
+and three letters; and scale alternately by a unit and its inverse
+(_alternate).  Unit insertion is Conway and Coxeter's insertion of a 1,
+then such a scaling.  Maps act on explicit tuples of residues, never on
+counts, so a broken transcription surfaces as a concrete counterexample
+tuple instead of a silently wrong total.  Positions are 1-based in every
+docstring to match tuple subscripts a_1..a_n; code indexes are 0-based.
 
 The harness, not the maps, decides membership: it looks each listed domain
 member up in the domain's index before mapping it forward, and each image
-up in the codomain's, so a map is plain arithmetic on the tuple it is
-given.  In its pass over the codomain, a member that was already an image
-needs nothing more, so a bijection costs one forward, one backward and two
-lookups per member.  Each builder makes its own sets; shipped_maps alone
-shares them, and a battery walks each size and target once: its
-constrained sets read their members from that walk, and a member's product
-is walked once, as the index of the set that lists it is built.  All psi
-fibers over one modulus come from one psi pass.
+up in the codomain's.  In its pass over the codomain, a member that was
+already an image needs nothing more, so a bijection costs one forward, one
+backward and two lookups per member.  Each builder makes its own sets;
+shipped_maps alone shares them, and a battery walks each size and target
+once: its constrained sets read their members from that walk, and a
+member's product is walked once, as the index of the set that lists it is
+built.  The unit-triple merges and the fibers share one psi pass.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ import math
 from typing import Callable, NamedTuple
 
 from .modring import Modulus, NotAUnit, Residue, nonunits_of, totient, units_of
-from .oracle import psi, psi_domain, solutions
-from .sl2 import Mat2, identity, neg_identity, target_name
+from .oracle import psi, solutions
+from .sl2 import Mat2, continuant_entries, identity, neg_identity, target_name
 from .spec import NONUNIT, SetSpec, UNIT, _admit, _allowed_set, fixed
 
 
@@ -38,8 +41,7 @@ class DomainViolation(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# elementwise operations: each maps its letters through tables of the
-# pooled residues of their multiples (_tables), one table per unit
+# the moves, and the tables of pooled multiples that alternate scaling reads
 
 
 class _Scaled(dict):
@@ -70,15 +72,6 @@ def _alternate(tables, t: tuple) -> tuple:
     # a display, so the tuple is made at its size and reuses the short
     # tuples freed before, as in Modulus.residues
     return (*map(dict.__getitem__, itertools.cycle(tables), t),)
-
-
-def _insert_unit(tables, t: tuple) -> tuple:
-    """t with a 1 inserted at position 2, then scaled alternately by u^-1
-    (odd positions) and u (even), for tables = _tables(u): the first and
-    third letters become (a_1+1)u^-1 and (a_2+1)u^-1, the second u."""
-    times, over = tables
-    return (over[t[0] + 1], times.unit, over[t[1] + 1],
-            *map(dict.__getitem__, itertools.cycle(tables), t[2:]))
 
 
 def _drop(t: tuple, i: int, e: int) -> tuple:
@@ -124,75 +117,69 @@ def insert_minus_one(t: tuple, i: int = 2) -> tuple:
     return _insert(t, i, -1)
 
 
-def reduce_pair(t: tuple) -> tuple:
-    """Merge positions 2 and 3 into the single letter a2*a3 - 1.
-
-    Needs a2*a3 - 1 invertible; positions 1 and 4 pick up correction
-    terms and the product is unchanged.  Size drops by one.
-    """
-    if len(t) < 4:
-        raise DomainViolation(f"size {len(t)} < 4")
+def _contract(t: tuple, j: int) -> tuple:
+    """Merge positions 2..j+1, of product P = [[alpha, beta], [gamma, delta]],
+    into the letter alpha; the tuple's product is unchanged, since
+    M(k) P M(h) = M(k') M(alpha) M(h') exactly when h' = h + (1 + beta)/alpha
+    and k' = k + (1 - gamma)/alpha.  Refuses exactly when alpha is no unit."""
+    if len(t) < j + 2:
+        raise DomainViolation(f"size {len(t)} < {j + 2}")
     mod = t[0].modulus
-    h, x, y, k = (a.value for a in t[:4])
-    merged = (x * y - 1) % mod.n
-    if math.gcd(merged, mod.n) != 1:
-        raise NotAUnit(f"{x}*{y} - 1 is not invertible mod {mod.n}")
-    e = pow(merged, -1, mod.n)
-    return mod.residues([h + (1 - y) * e, merged, k + (1 - x) * e]) + t[4:]
+    alpha, beta, gamma, _ = continuant_entries([a.value for a in t[1:j + 1]], mod.n)
+    if math.gcd(alpha, mod.n) != 1:
+        raise NotAUnit(f"merged letter {alpha} is not invertible mod {mod.n}")
+    e = pow(alpha, -1, mod.n)
+    return mod.residues([t[0].value + (1 + beta) * e, alpha,
+                         t[j + 1].value + (1 - gamma) * e]) + t[j + 2:]
+
+
+def _expand(t: tuple, letters: list) -> tuple:
+    """Inverse of _contract for the split int ``letters``; the second entry
+    of t must be the merged letter they make."""
+    if len(t) < 3:
+        raise DomainViolation(f"size {len(t)} < 3")
+    mod = t[0].modulus
+    alpha, beta, gamma, _ = continuant_entries(letters, mod.n)
+    if t[1].value != alpha:
+        raise DomainViolation(f"second entry {t[1].value} != {alpha}")
+    if math.gcd(alpha, mod.n) != 1:
+        raise NotAUnit(f"merged letter {alpha} is not invertible mod {mod.n}")
+    e = pow(alpha, -1, mod.n)
+    return mod.residues([t[0].value - (1 + beta) * e, *letters,
+                         t[2].value - (1 - gamma) * e]) + t[3:]
+
+
+def reduce_pair(t: tuple) -> tuple:
+    """Merge positions 2 and 3 into the single letter a2*a3 - 1, which
+    must be a unit; the product is unchanged."""
+    return _contract(t, 2)
 
 
 def expand_pair(t: tuple, x: Residue, y: Residue) -> tuple:
-    """Inverse of reduce_pair for the split letters (x, y); the second
-    entry of t must equal x*y - 1."""
-    if len(t) < 3:
-        raise DomainViolation(f"size {len(t)} < 3")
-    merged = x * y - 1
-    if t[1] is not merged:
-        raise DomainViolation(f"second entry {t[1].value} != {merged.value}")
-    a, b, e = x.value, y.value, merged.inverse().value
-    return x.modulus.residues([t[0].value - (1 - b) * e, a, b, t[2].value - (1 - a) * e]) + t[3:]
+    """Inverse of reduce_pair for the split letters (x, y)."""
+    return _expand(t, [x.value, y.value])
 
 
 def reduce_quintuple(t: tuple) -> tuple:
-    """Collapse positions 2..4 = (u, v, w) into the single unit letter
-    psi(u, v, w); size drops by two and the product is unchanged.
-
-    Needs v and psi(u, v, w) invertible, which always holds when u and v
-    are both units.
-    """
-    if len(t) < 5:
-        raise DomainViolation(f"size {len(t)} < 5")
-    x = psi(t[1], t[2], t[3])
-    if not x.is_unit:
-        raise NotAUnit(f"psi value {x.value} is not invertible mod {x.modulus.n}")
-    h, u, v, w, k = (a.value for a in t[:5])
-    xi = pow(x.value, -1, x.modulus.n)
-    return x.modulus.residues([h - (v * w - 2) * xi, x.value, k - (u * v - 2) * xi]) + t[5:]
+    """Merge positions 2..4 = (u, v, w) into the one letter uvw - u - w, which
+    is psi(u, v, w) for a unit v and must be a unit; the product is kept."""
+    return _contract(t, 3)
 
 
 def expand_quintuple(t: tuple, u: Residue, v: Residue, w: Residue) -> tuple:
     """Inverse of reduce_quintuple for the split letters (u, v, w)."""
-    if len(t) < 3:
-        raise DomainViolation(f"size {len(t)} < 3")
-    x = psi(u, v, w)
-    if t[1] is not x:
-        raise DomainViolation(f"second entry {t[1].value} != psi = {x.value}")
-    a, b, c, xi = u.value, v.value, w.value, x.inverse().value
-    return x.modulus.residues([t[0].value + (b * c - 2) * xi, a, b, c,
-                               t[2].value + (a * b - 2) * xi]) + t[3:]
+    return _expand(t, [u.value, v.value, w.value])
 
 
 def unit_drop_map(t: tuple) -> tuple:
-    """Inverse of unit insertion (_insert_unit); the unit is read from
-    position 2."""
+    """Inverse of unit insertion, for the unit u at position 2: scaling
+    alternately by u and u^-1 makes that letter 1, which reduce_one drops."""
     if len(t) % 2 != 0:
         raise DomainViolation(f"size {len(t)} is odd")
     u = t[1]
     if not u.is_unit:
         raise NotAUnit(f"second entry {u.value} is not invertible mod {u.modulus.n}")
-    times, over = _tables(u)
-    return (times[t[0]] - 1, times[t[2]] - 1,
-            *map(dict.__getitem__, itertools.cycle((over, times)), t[3:]))
+    return reduce_one(_alternate(_tables(u), t))
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +260,25 @@ class SpecSet:
         return t in (self._index or self._indexed())
 
 
+def _psi_triples(modulus: Modulus):
+    """psi_domain's triples, in order, one at a time: as a list they raise
+    the bijection suite's traced peak, which comes as the battery is built."""
+    units = units_of(modulus)
+    return itertools.product(units, units, modulus.residues(range(modulus.n)))
+
+
+@functools.lru_cache(maxsize=4)
+def _psi_values(modulus: Modulus) -> tuple:
+    """psi of each of _psi_triples as an int: the one psi pass per modulus."""
+    return tuple([psi(*t).value for t in _psi_triples(modulus)])
+
+
 @functools.lru_cache(maxsize=4)
 def _psi_buckets(modulus: Modulus) -> dict[int, tuple]:
-    """psi value -> the triples of psi_domain with that value, in order: one
-    psi pass per modulus, read by every fiber over it."""
+    """psi value -> the triples of psi_domain with that value, in order."""
     by_value: dict[int, list] = {}
-    for t in psi_domain(modulus):
-        by_value.setdefault(psi(*t).value, []).append(t)
+    for t, x in zip(_psi_triples(modulus), _psi_values(modulus)):
+        by_value.setdefault(x, []).append(t)
     return {x: tuple(triples) for x, triples in by_value.items()}
 
 
@@ -462,14 +461,10 @@ def merge_after_unit_bijection(size: int, modulus: Modulus, target: Mat2,
     """
     dom = SpecSet(SetSpec(size, target, {2: fixed(int(u)), 3: NONUNIT}))
     cod = SpecSet(SetSpec(size - 1, target, {2: UNIT}))
-    ui = u.inverse().value
-
-    def backward(t):
-        return expand_pair(t, u, Residue(ui * (t[1].value + 1), modulus))
-
+    a, ui = u.value, u.inverse().value
     return TupleMap(
         f"merge-after-unit(n={size}, N={modulus.n}, target={_target_label(target)}, u={u.value})",
-        dom, cod, reduce_pair, backward)
+        dom, cod, reduce_pair, lambda t: _expand(t, [a, ui * (t[1].value + 1)]))
 
 
 def merge_fixed_pair_bijection(size: int, modulus: Modulus, target: Mat2,
@@ -508,12 +503,14 @@ def _unit_triple_map(size: int, modulus: Modulus, target: Mat2,
 
 def unit_insertion_bijection(size: int, modulus: Modulus, sign: int, u: Residue) -> TupleMap:
     """Odd-size solutions onto the even-size solutions whose second entry
-    is the unit u (same sign)."""
+    is the unit u (same sign): insert_one puts a 1 at position 2, which
+    scaling alternately by u^-1 (odd positions) and u (even) turns into u."""
     target = identity(modulus) if sign == 1 else neg_identity(modulus)
+    swapped = _tables(u)[::-1]
     return TupleMap(
         f"unit-insertion(n={size}, N={modulus.n}, sign={'+' if sign == 1 else '-'}, u={u.value})",
         SpecSet(SetSpec(size - 1, target)), SpecSet(SetSpec(size, target, {2: fixed(int(u))})),
-        functools.partial(_insert_unit, _tables(u)), unit_drop_map)
+        lambda t: _alternate(swapped, insert_one(t)), unit_drop_map)
 
 
 def fiber_shift_bijection(modulus: Modulus, x: Residue) -> TupleMap:
@@ -572,10 +569,10 @@ def shipped_maps(modulus: Modulus, max_size: int) -> list[TupleMap]:
     SpecSet of each spec, and a constrained set reads its members from the
     unconstrained set of its size and target.  So verifying the whole list
     walks each member's product once, as its (size, target) set is
-    indexed.  The fiber shifts all start from one fiber over 1, and every
-    fiber reads the one psi pass over the modulus.  The unit-triple
-    merges, 2 phi(N)^2 N per size, are built onto shared codomains
-    directly: no other set of the battery equals one of their domains.
+    indexed.  The fiber shifts all start from one fiber over 1; the fibers
+    and the unit-triple merges, 2 phi(N)^2 N per size, read one psi pass.
+    Those merges are built onto shared codomains directly: no other set of
+    the battery equals one of their domains.
     """
     _require_two_power(modulus)
     units = units_of(modulus)
@@ -620,21 +617,14 @@ def shipped_maps(modulus: Modulus, max_size: int) -> list[TupleMap]:
             for x in nonunits[:2]:
                 for y in (nonunits[1], units[1]):
                     add(merge_fixed_pair_bijection(n, modulus, target, x, y))
-    letters = [Residue(w, modulus) for w in range(modulus.n)]
-    # each unit triple's psi, computed once for its four merges; ints, not
-    # triples, since the suite's traced peak comes while the battery is built
-    psis = ([psi(*t).value for t in itertools.product(units, units, letters)]
-            if max_size >= 5 else [])
-    for n in (5, 6):
-        if n > max_size:
-            continue
+    for n in range(5, min(6, max_size) + 1):
         for target in targets:
             # The unit-triple merges, most of the battery, skip shared():
             # their domains are all distinct and read the walk directly, and
             # their codomains are the phi(N) sets pinning a_2 to a unit.
             source = walks[n, target.key()]
             cods = {x.value: shared(SetSpec(n - 2, target, {2: fixed(x.value)})) for x in units}
-            for (u, v, w), x in zip(itertools.product(units, units, letters), psis):
+            for (u, v, w), x in zip(_psi_triples(modulus), _psi_values(modulus)):
                 tmap = _unit_triple_map(n, modulus, target, u, v, w, cods[x])
                 tmap.domain._source = source
                 out.append(tmap)

@@ -1,10 +1,11 @@
+import math
 import random
 import time
 
 import pytest
 
 from helpers import ivals, rt
-from quiddity import maps, spec
+from quiddity import maps, reference, spec
 from quiddity.counter import dp_count
 from quiddity.maps import (
     DomainViolation,
@@ -108,16 +109,27 @@ def test_reduce_quintuple_example():
     assert continuant_product(reduced) == continuant_product(t)
     assert expand_quintuple(reduced, t[1], t[2], t[3]) == t
     with pytest.raises(NotAUnit):
-        reduce_quintuple(rt(MOD8, 1, 1, 2, 1, 1))  # third letter not a unit
+        reduce_quintuple(rt(MOD8, 1, 1, 2, 1, 1))  # psi(1, 2, 1) = 0 is not a unit
+    # v = 2 is no unit, but the merged letter 1*2*0 - 1 - 0 = 7 is: the merge
+    # keeps the product and expands back, while psi itself refuses v = 2
+    t = rt(MOD8, 2, 1, 2, 0, 5)
+    reduced = reduce_quintuple(t)
+    assert ivals(reduced) == (0, 7, 5)
+    assert continuant_product(reduced) == continuant_product(t)
+    assert expand_quintuple(reduced, t[1], t[2], t[3]) == t
+    with pytest.raises(NotAUnit):
+        psi(t[1], t[2], t[3])
 
 
-@pytest.mark.parametrize("n_mod", [4, 8])
+@pytest.mark.parametrize("n_mod", [4, 8, 9, 12, 25])
 def test_rewrites_conjugate_the_product_on_random_tuples(n_mod):
-    # 10^4 random tuples per modulus: removing 1 keeps the product,
-    # removing -1 negates it, and both merges keep it.
+    # 2500 random tuples per modulus: removing 1 keeps the product,
+    # removing -1 negates it, and contracting a block of j = 2 or 3 letters
+    # keeps it and expands back; the contraction refuses exactly when the
+    # merged letter, the top-left entry of the block's product, is no unit.
     rng = random.Random(7000 + n_mod)
     mod = Modulus(n_mod)
-    units = [u.value for u in units_of(mod)]
+    refused = {2: 0, 3: 0}
     for _ in range(2500):
         size = rng.randint(5, 8)
         values = [rng.randrange(n_mod) for _ in range(size)]
@@ -129,17 +141,21 @@ def test_rewrites_conjugate_the_product_on_random_tuples(n_mod):
         t = rt(mod, *(values[:i - 1] + [-1] + values[i:]))
         assert continuant_product(reduce_minus_one(t, i)) == -continuant_product(t)
 
-        pair_vals = list(values)
-        pair_vals[1] = rng.choice(units)
-        pair_vals[2] = rng.randrange(0, n_mod, 2)  # non-unit third letter
-        t = rt(mod, *pair_vals)
-        assert continuant_product(reduce_pair(t)) == continuant_product(t)
-
-        quint_vals = list(values)
-        quint_vals[1] = rng.choice(units)
-        quint_vals[2] = rng.choice(units)
-        t = rt(mod, *quint_vals)
-        assert continuant_product(reduce_quintuple(t)) == continuant_product(t)
+        t = rt(mod, *values)
+        x, y, z = values[1:4]
+        for j, alpha in ((2, x * y - 1), (3, x * y * z - x - z)):
+            block = values[1:j + 1]
+            if math.gcd(alpha, n_mod) != 1:
+                with pytest.raises(NotAUnit):
+                    maps._contract(t, j)
+                refused[j] += 1
+                continue
+            merged = maps._contract(t, j)
+            assert len(merged) == size - j + 1 and merged[1].value == alpha % n_mod
+            assert continuant_product(merged) == continuant_product(t)
+            assert maps._expand(merged, block) == t
+    # both outcomes are exercised at every modulus
+    assert all(0 < count < 2500 for count in refused.values()), refused
 
 
 def test_unit_insert_map_with_unit_one():
@@ -314,7 +330,7 @@ def test_domain_violation_messages():
         (lambda: expand_pair(rt(MOD8, 1, 1, 1), three, three), "second entry 1 != 0"),
         (lambda: expand_pair(rt(MOD8, 1, 1), three, three), "size 2 < 3"),
         (lambda: reduce_quintuple(rt(MOD8, 1, 1, 1, 1)), "size 4 < 5"),
-        (lambda: expand_quintuple(rt(MOD8, 1, 1, 1), one, one, one), "second entry 1 != psi = 7"),
+        (lambda: expand_quintuple(rt(MOD8, 1, 1, 1), one, one, one), "second entry 1 != 7"),
         (lambda: unit_drop_map(rt(MOD8, 1, 1, 1)), "size 3 is odd"),
     ]
     for call, message in cases:
@@ -482,6 +498,24 @@ def test_one_psi_pass_per_modulus():
         for tmap in shipped_maps(mod, 3):
             tmap.domain.members()
         assert maps._psi_buckets.cache_info().misses == before + 1
+
+
+def test_a_battery_makes_one_psi_pass(monkeypatch):
+    # N = 16 has phi(N)^2 N = 1024 psi triples: the unit-triple merges and
+    # the fibers read one pass over them, and the fibers' index checks make
+    # the other 1024 calls.  The merges themselves call psi for nothing.
+    calls = []
+
+    def counted(u, v, w):
+        calls.append((u, v, w))
+        return psi(u, v, w)
+
+    monkeypatch.setattr(maps, "psi", counted)
+    maps._psi_values.cache_clear()
+    maps._psi_buckets.cache_clear()
+    checks = reference._suite_bijections([16], 5, None)
+    assert checks and all(check.ok for check in checks)
+    assert len(calls) == 2048
 
 
 def spec_sets(battery):

@@ -84,3 +84,18 @@ def test_every_battery_set_is_of_a_member_class():
     for tmap in maps.shipped_maps(Modulus(16), 5):
         for s in (tmap.domain, tmap.codomain):
             assert type(s) in wrapped, (tmap.name, type(s))
+
+
+def test_every_public_maps_function_runs_once_per_call():
+    # The worker wraps each public maps function outside PER_ELEMENT in a
+    # span.  A public helper that runs once per tuple would then add a span
+    # per battery member, and nothing would fail: every public function is
+    # either listed there or one of the once-per-call builders and checks.
+    per_element = ast.literal_eval(_assigned("PER_ELEMENT"))["maps"]
+    per_call = {"verify_reciprocal", "shipped_maps", "battery_cost"}
+    public = [name for name, value in vars(maps).items()
+              if not name.startswith("_") and callable(value) and not isinstance(value, type)
+              and getattr(value, "__module__", None) == maps.__name__]
+    assert {"reduce_pair", "shipped_maps"} <= set(public)
+    for name in public:
+        assert name in per_element or name in per_call or name.endswith("_bijection"), name
