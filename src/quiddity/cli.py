@@ -8,19 +8,22 @@ deterministic for a fixed command line except for the elapsed_ms field.
 Every call runs in a fresh interpreter and pays for the modules it
 imports, and, without bytecode caching (PYTHONDONTWRITEBYTECODE), for
 compiling them too.  So this module imports only ``modring`` and ``sl2``
-itself.  Each command imports what it runs: ``count`` the set spec
-(``spec``) and the router ``crt``, which loads a count source only when
-its route takes it; ``formula`` and ``crt`` the closed forms
-(``formulas``); ``table`` and ``verify`` their bodies in ``reference``,
-whose suites load the bijection harness (``maps``) where they run it.
+itself: argv is read by one option table (``COMMANDS``), not ``argparse``
+with its ``gettext`` and ``locale``, and a report is printed by
+``_encode``, not ``json``.  Each command imports what it runs: ``count``
+the set spec (``spec``) and the router ``crt``, which loads a count
+source only when its route takes it; ``formula`` and ``crt`` the closed
+forms (``formulas``); ``table`` and ``verify`` their bodies in
+``reference``, whose suites load the bijection harness (``maps``) where
+they run it.
 """
 
 from __future__ import annotations
 
-import argparse
 import re
 import sys
 import time
+from types import SimpleNamespace
 
 from .modring import Modulus, NotAUnit
 from .sl2 import Mat2, TARGET_NAMES, target_by_name
@@ -72,11 +75,22 @@ def _parse_constraint(text: str | None) -> tuple[dict, str]:
     raise ValueError(f"cannot parse constraint {text!r} (want aK-unit, aK-nonunit or aK=V)")
 
 
-def _emit(report: dict):
-    # table and verify print no JSON, so only the commands that do load it
-    import json
+def _encode(value) -> str:
+    """``json.dumps(value)`` for what a report holds: dicts, lists, strs,
+    ints and None (the two_exponent of an odd modulus)."""
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{_encode(k)}: {_encode(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_encode, value)) + "]"
+    if isinstance(value, str):
+        from _json import encode_basestring_ascii  # json's C escaper; table and verify skip it
 
-    sys.stdout.write(json.dumps(report) + "\n")
+        return encode_basestring_ascii(value)
+    return "null" if value is None else int.__repr__(value)  # TypeError on other types
+
+
+def _emit(report: dict):
+    sys.stdout.write(_encode(report) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +184,8 @@ def cmd_verify(args) -> int:
 
     moduli, sizes, ms = (_parse_ints(text) if text is not None else None
                          for text in (args.modulus, args.sizes, args.m))
+    if ms is not None and min(ms) < 1:
+        raise ValueError(f"--m must be >= 1, got {min(ms)}")
     return run_suites(args, moduli, sizes, ms)
 
 
@@ -207,73 +223,124 @@ def cmd_crt(args) -> int:
 # argument wiring
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="quiddity",
-        description="Exact counting and verification for lambda-quiddities over Z/NZ.")
-    sub = parser.add_subparsers(dest="command", required=True)
+METHODS = ("auto", "formula", "dp", "brute")
+SIGNS = ("+", "-")
+HELP = {"-h", "--help"}
+# The formula parameters that take a name; every other one takes an integer.
+NAMED_PARAMS = {"sign": SIGNS, "target": TARGET_NAMES}
 
-    p = sub.add_parser("count", help="count solution tuples for one configuration")
-    p.add_argument("--modulus", type=int, required=True)
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--target", default="id",
-                   help="id, neg-id, s, neg-s, t, neg-t, or four comma-separated entries")
-    p.add_argument("--constraint", default=None, help="aK-unit, aK-nonunit or aK=V")
-    p.add_argument("--method", default="auto", choices=["auto", "formula", "dp", "brute"])
-    p.add_argument("--budget", default=None)
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("formula", help="evaluate one closed-form expression")
-    p.add_argument("--name", required=True, choices=list(FORMULAS))
-    p.add_argument("--m", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--n-half", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--sign", choices=["+", "-"])
-    p.add_argument("--target", choices=list(TARGET_NAMES))
-    p.add_argument("--prev", type=int)
-    p.add_argument("--prev2", type=int)
-    p.set_defaults(func=cmd_formula)
-
-    p = sub.add_parser("table", help="print one reference table as CSV")
-    p.add_argument("--which", required=True,
-                   choices=["odd-w-plus", "w8", "delta-id", "delta-s"])
-    p.add_argument("--rows", default=None, help="row sizes, e.g. 3..10 or 3,5,7")
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", required=True, choices=[*SUITE_NAMES, "all"])
-    p.add_argument("--modulus", default=None, help="moduli, e.g. 4,8")
-    p.add_argument("--m", default=None, help="2-power exponents, e.g. 2,3")
-    p.add_argument("--sizes", default=None, help="sizes, e.g. 5..10")
-    p.add_argument("--max-size", type=int, default=None)
-    p.add_argument("--budget", default=None)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("crt", help="assemble a count from coprime pieces")
-    p.add_argument("--modulus", type=int, required=True)
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--sign", default="+", choices=["+", "-"])
-    p.add_argument("--method", default="auto", choices=["auto", "formula", "dp", "brute"])
-    p.set_defaults(func=cmd_crt)
-
-    return parser
+# command -> (handler, help line, options).  The handler is looked up by
+# name at call time, as FORMULAS' functions are.  An option may set its
+# "kind" (int or str, called on its text), "default" (else None),
+# "required", "choices" and "help"; --max-size arrives as args.max_size.
+COMMANDS = {
+    "count": ("cmd_count", "count solution tuples for one configuration", {
+        "modulus": {"kind": int, "required": True},
+        "size": {"kind": int, "required": True},
+        "target": {"default": "id",
+                   "help": "id, neg-id, s, neg-s, t, neg-t, or four comma-separated entries"},
+        "constraint": {"help": "aK-unit, aK-nonunit or aK=V"},
+        "method": {"default": "auto", "choices": METHODS},
+        "budget": {},
+    }),
+    "formula": ("cmd_formula", "evaluate one closed-form expression", {
+        "name": {"required": True, "choices": tuple(FORMULAS)},
+        **{name.replace("_", "-"): {"choices": NAMED_PARAMS[name]} if name in NAMED_PARAMS
+           else {"kind": int} for _, names in FORMULAS.values() for name in names},
+    }),
+    "table": ("cmd_table", "print one reference table as CSV", {
+        "which": {"required": True, "choices": ("odd-w-plus", "w8", "delta-id", "delta-s")},
+        "rows": {"help": "row sizes, e.g. 3..10 or 3,5,7"},
+    }),
+    "verify": ("cmd_verify", "run a verification suite", {
+        "suite": {"required": True, "choices": (*SUITE_NAMES, "all")},
+        "modulus": {"help": "moduli, e.g. 4,8"},
+        "m": {"help": "2-power exponents, e.g. 2,3"},
+        "sizes": {"help": "sizes, e.g. 5..10"},
+        "max-size": {"kind": int},
+        "budget": {},
+    }),
+    "crt": ("cmd_crt", "assemble a count from coprime pieces", {
+        "modulus": {"kind": int, "required": True},
+        "size": {"kind": int, "required": True},
+        "sign": {"default": "+", "choices": SIGNS},
+        "method": {"default": "auto", "choices": METHODS},
+    }),
+}
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _parse(argv: list[str]) -> tuple[str | None, SimpleNamespace | None]:
+    """The command and its options, or (command, None) when -h or --help
+    asks for its help (command None: the top level's).  Takes --opt value,
+    --opt=value and a unique prefix of an option; the last of a repeated
+    option wins."""
+    if HELP & set(argv):
+        return (argv[0] if argv[0] in COMMANDS else None), None
+    if not argv or argv[0] not in COMMANDS:
+        got = f"unknown command {argv[0]!r}" if argv else "no command given"
+        raise ValueError(f"{got}; choose one of {', '.join(COMMANDS)}")
+    command, tokens, given = argv[0], iter(argv[1:]), {}
+    options = COMMANDS[command][2]
+    for token in tokens:
+        name, has_text, text = token.partition("=")
+        keys = ([key for key in options if f"--{key}" == name]
+                or [key for key in options if f"--{key}".startswith(name)])
+        if len(keys) != 1:
+            raise ValueError(f"{name!r} is not one of {command}'s options "
+                             f"--{', --'.join(options)}")
+        if not has_text:
+            text = next(tokens, None)
+            if text is None or text.startswith("--"):
+                raise ValueError(f"{command} --{keys[0]} needs a value")
+        given[keys[0]] = text
+    args = SimpleNamespace()
+    for key, option in options.items():
+        text, choices = given.get(key), option.get("choices")
+        if text is None and option.get("required"):
+            raise ValueError(f"{command} needs --{key}")
+        try:
+            value = option.get("default") if text is None else option.get("kind", str)(text)
+        except ValueError:
+            raise ValueError(f"{command} --{key} wants an integer, got {text!r}") from None
+        if text is not None and choices and value not in choices:
+            raise ValueError(f"{command} --{key} wants one of {', '.join(choices)}, got {text!r}")
+        setattr(args, key.replace("-", "_"), value)
+    return command, args
+
+
+def _help(command: str | None) -> str:
+    """Help from COMMANDS: the commands, or one command's options."""
+    if command is None:
+        head = "Exact counting and verification for lambda-quiddities over Z/NZ."
+        rows = {name: line for name, (_, line, _) in COMMANDS.items()}
+    else:
+        _, head, options = COMMANDS[command]
+        rows = {}
+        for key, option in options.items():
+            value = "{" + ",".join(option["choices"]) + "}" if "choices" in option else key.upper()
+            required = option.get("required")
+            rows[f"--{key} {value}"] = "required" if required else option.get("help", "")
+    lines = [f"usage: quiddity {command or 'COMMAND'} [--OPTION VALUE ...]", "", head, "",
+             *(f"  {name:<24} {text}".rstrip() for name, text in rows.items())]
+    return "\n".join(lines) + "\n"
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one request, sys.argv[1:] when argv is None; return its exit code."""
     try:
+        command, args = _parse(sys.argv[1:] if argv is None else list(argv))
+        if args is None:  # -h or --help
+            sys.stdout.write(_help(command))
+            return 0
         if getattr(args, "budget", None) is not None:  # count and verify
             from .spec import parse_budget
 
             args.budget = parse_budget(args.budget, "--budget")
-        return args.func(args)
+        return globals()[COMMANDS[command][0]](args)
     except (ValueError, NotAUnit) as err:
-        # A bad request exits 2 with its message.  ValueError covers
-        # CapExceeded, UnsupportedCase, BudgetExceeded and a modulus too
-        # large to factor.
+        # A bad request exits 2 with its message.  ValueError covers parse
+        # errors, CapExceeded, UnsupportedCase, BudgetExceeded and a
+        # modulus too large to factor.
         sys.stderr.write(f"error: {err}\n")
         return 2
 

@@ -312,6 +312,30 @@ def test_formula_json_lines(capsys, argv, line):
     assert (code, out, err) == (0, line + "\n", "")
 
 
+@pytest.mark.parametrize("argv", [
+    "count --modulus 8 --size 6 --target s",
+    "count --modulus 12 --size 6 --target 2,1,1,1 --constraint a2-unit",
+    "count --modulus 8 --size 6 --target s --constraint a\u0663-unit",  # an Arabic-Indic 3
+    "formula --name w-odd-2m --n-half 3 --m 3 --sign +",
+    "formula --name w-even-bounds --n-half 3 --m 3 --sign +",
+    "crt --modulus 15 --size 5",
+    "crt --modulus 24 --size 5 --sign -",
+], ids=["count-named", "count-explicit", "count-non-ascii", "formula-value", "formula-bounds",
+        "crt-odd", "crt-composite"])
+def test_a_report_line_is_what_json_dumps_prints(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    line = out.removesuffix("\n")
+    assert line == json.dumps(json.loads(line))
+
+
+def test_the_report_encoder_escapes_strings_as_json_does():
+    report = {"quote\"": 'a"b', "back\\slash": "c\\d", "control": "\x00\x1f\t\n\x7f",
+              "non-ascii": ["\u00e9", "\u4e2d", "\U0001f600"], "none": None,
+              "int": [0, -3, 10**30]}
+    assert cli._encode(report) == json.dumps(report)
+
+
 @pytest.mark.parametrize("argv,missing", [
     ("gauss-bracket --m 5", "k"),
     ("u-count --n 7 --sign +", "q"),
@@ -386,6 +410,14 @@ def test_the_recursion_refuses_m_below_one_and_keeps_m_one(capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "recursion", "--m", "1")
     assert (code, err) == (0, "")
     assert out.endswith("25/25 checks passed\n")
+
+
+@pytest.mark.parametrize("suite", ["bounds", "recursion"])
+@pytest.mark.parametrize("m", ["-1", "0", "3,0"])
+def test_verify_refuses_an_exponent_below_one(capsys, suite, m):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--m", m)
+    assert (code, out) == (2, "")
+    assert err == f"error: --m must be >= 1, got {min(map(int, m.split(',')))}\n"
 
 
 # Run in the child: table and verify requests, then a count, reporting

@@ -6,6 +6,7 @@ still costs its import on every call.  Each check runs in its own
 subprocess and compares sys.modules before and after.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -135,3 +136,35 @@ def test_usage_errors_exit_two_with_or_without_the_oracle_loaded():
     assert (report["code"], report["err"]) == (
         2, "error: enumeration needs 576 candidates, budget is 10\n")
     assert "quiddity.oracle" in report["loaded"]
+
+
+# PROBE loads json itself before its snapshot, so this probe runs one
+# request with nothing loaded but ast, and reports with repr.
+BARE_PROBE = """
+import ast, contextlib, io, sys
+before = set(sys.modules)
+from quiddity import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(ast.literal_eval(sys.argv[1]))
+print(repr((code, sorted(set(sys.modules) - before))))
+"""
+# argparse loads gettext, and its first message lookup locale
+STDLIB_CLI = {"argparse", "gettext", "locale", "json"}
+
+
+@pytest.mark.parametrize("argv", [
+    DP_COUNT, BRUTE_COUNT, FORMULA_COUNT,
+    ("formula", "--name", "w8-even", "--n-half", "2"),
+    ("crt", "--modulus", "12", "--size", "5"),
+    ("table", "--which", "delta-s", "--rows", "3"),
+    ("verify", "--suite", "totality", "--modulus", "3", "--sizes", "2"),
+], ids=["count-dp", "count-brute", "count-formula", "formula", "crt", "table", "verify"])
+def test_no_request_loads_argparse_or_json(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", BARE_PROBE, repr(list(argv))],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    code, loaded = ast.literal_eval(out.stdout)
+    assert code == 0
+    assert not STDLIB_CLI & set(loaded)
