@@ -20,7 +20,6 @@ they run it.
 
 from __future__ import annotations
 
-import re
 import sys
 import time
 from types import SimpleNamespace
@@ -36,10 +35,9 @@ from .sl2 import Mat2, TARGET_NAMES, target_by_name
 def _parse_ints(text: str) -> list[int]:
     """Accept '4,8' or '5..10' (inclusive range) or a single integer."""
     text = text.strip()
-    m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text)
-    if m:
-        lo, hi = int(m.group(1)), int(m.group(2))
-        values = list(range(lo, hi + 1))
+    lo, is_range, hi = text.partition("..")
+    if is_range:
+        values = list(range(int(lo), int(hi) + 1))
     else:
         values = [int(part) for part in text.split(",") if part]
     if not values:
@@ -56,23 +54,6 @@ def _parse_target(text: str, modulus: Modulus) -> tuple[Mat2, str]:
     if mat.det() != 1:
         raise ValueError(f"target {text} has determinant {mat.det()}, not 1")
     return mat, ",".join(str(v) for v in mat.entries())
-
-
-def _parse_constraint(text: str | None) -> tuple[dict, str]:
-    from .spec import NONUNIT, UNIT, fixed
-
-    if not text or text == "none":
-        return {}, "none"
-    m = re.fullmatch(r"a(\d+)-unit", text)
-    if m:
-        return {int(m.group(1)): UNIT}, text
-    m = re.fullmatch(r"a(\d+)-nonunit", text)
-    if m:
-        return {int(m.group(1)): NONUNIT}, text
-    m = re.fullmatch(r"a(\d+)=(-?\d+)", text)
-    if m:
-        return {int(m.group(1)): fixed(int(m.group(2)))}, text
-    raise ValueError(f"cannot parse constraint {text!r} (want aK-unit, aK-nonunit or aK=V)")
 
 
 def _encode(value) -> str:
@@ -99,11 +80,11 @@ def _emit(report: dict):
 
 def cmd_count(args) -> int:
     from . import crt
-    from .spec import SetSpec
+    from .spec import SetSpec, constraint_text, parse_constraint
 
     modulus = Modulus(args.modulus)
     target, target_name = _parse_target(args.target, modulus)
-    constraints, constraint_text = _parse_constraint(args.constraint)
+    constraints = parse_constraint(args.constraint or "none")
     spec = SetSpec(args.size, target, constraints)
     started = time.perf_counter()
     count, method = crt.route_count(spec, args.method, args.budget)
@@ -111,7 +92,7 @@ def cmd_count(args) -> int:
         "modulus": args.modulus,
         "size": args.size,
         "target": target_name,
-        "constraint": constraint_text,
+        "constraint": next((constraint_text(*c) for c in constraints.items()), "none"),
         "method": method,
         "count": str(count),
         "elapsed_ms": int((time.perf_counter() - started) * 1000),

@@ -15,8 +15,9 @@ the count at column (x, y) is the sum of t(k) g(y, k - x), t(k) the number
 of allowed a with a*y = k: all its sources lie in row y.  With d the least
 period of t and c its commonest value, the step folds row y mod d, adds c
 times its total and the fold's rotations weighted by t(k) - c for k < d,
-and tiles the d sums over x.  Every letter after the first free one, free
-or constrained, takes this step, which builds nothing that outlives it.
+and tiles the d sums over x; a fixed letter only moves row y's counts.
+Every letter after the first free one, free or constrained, takes this
+step, which builds nothing that outlives it.
 
 Heads.  A leading run of constrained letters 1..j takes exact sparse steps
 on group elements Z, keyed by entries: [[p, q], [r, s]] ->
@@ -85,6 +86,10 @@ def _step(cols: list[int], letters: tuple[int, ...], n: int) -> list[int]:
         row = cols[y * n:(y + 1) * n]
         if not any(row):
             continue
+        if len(letters) == 1:  # a fixed letter moves the row's counts, adding none
+            k = letters[0] * y % n
+            fresh[y::n] = row[k::-1] + row[:k:-1]
+            continue
         t = [0] * n
         for a in letters:
             t[a * y % n] += 1
@@ -118,17 +123,21 @@ def _heads(pairs: dict) -> list[tuple[int, int, int]]:
 
 
 def walk_cost(size: int, modulus: Modulus, constraints=None) -> int:
-    """Upper bound on one call's additions: |G| * (1 + sum of w over positions),
-    w = 1 for a free or fixed letter and N for a unit or non-unit one.
+    """Upper bound on one call's additions: F * (1 + sum of w over positions),
+    F = max(|G|, 2 N^2 + N), w = 1 for a free or fixed letter and N for a
+    unit or non-unit one.  Constraints come normalized.
 
-    A leading pair step costs at most |G| per allowed letter.  A column step
-    folds each row in under N additions, then adds a rotation of d sums for
-    each k < d with t(k) != c: at most |A| d / N of them for |A| letters, one
-    for a free letter.  Its N^2 (1 + |A|) additions, 2 N^2 if free, fit in
-    w * |G| as |G| = N^3 prod(1 - 1/p^2) >= 2 N^2 for N >= 3; the first
-    free letter's w covers the fold into heads; constraints come normalized."""
-    return group_order(modulus.n) * (1 + size + sum(
-        modulus.n - 1 for con in (constraints or {}).values() if con.kind != "fixed"))
+    A leading pair step adds at most |G| times per allowed letter, and the
+    first free letter's fold into heads |G| times.  A column step adds N
+    times to fold a row, d times to sum the folds, and d times for each
+    k < d with t(k) != c.  A fixed letter's adds nothing.  A free letter's
+    has d = gcd(y, N), at most N/2 unless y = 0, and one such k, so at most
+    N^2 + 2 (N + N (N - 1) / 2) = 2 N^2 + N additions in all; a unit or
+    non-unit letter's at most N (2 N + N^2) <= N F.  As |G| =
+    N^3 prod(1 - 1/p^2) >= 2 N^2 + N for N >= 3, F is |G| but at N = 2."""
+    n = modulus.n
+    return max(group_order(n), 2 * n * n + n) * (1 + size + sum(
+        n - 1 for con in (constraints or {}).values() if con.kind != "fixed"))
 
 
 def dp_vector_sequence(size: int, modulus: Modulus, constraints=None,

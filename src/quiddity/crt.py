@@ -19,15 +19,11 @@ priced here: each source charges the walk it runs.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from collections import namedtuple
 
 from .modring import Modulus, factorize
-from .sl2 import Mat2, identity, neg_identity, target_name
-from .spec import NONUNIT, SetSpec, UNIT
-
-if TYPE_CHECKING:
-    from .formulas import FormulaValue
-    from .maps import TupleMap
+from .sl2 import Mat2, identity, neg_identity, target_label, target_name
+from .spec import NONUNIT, SetSpec, UNIT, constraint_text
 
 
 class NonSquarefreeOddPart(ValueError):
@@ -35,13 +31,12 @@ class NonSquarefreeOddPart(ValueError):
     every modulus >= 2 and no longer raises it."""
 
 
-class Factorization(NamedTuple):
+class Factorization(namedtuple("Factorization", "two_exponent odd_primes odd_exponents",
+                               defaults=((),))):
     """N = 2^two_exponent * product of p^k over the distinct odd primes p
     (ascending), with k read from odd_exponents; () means every k is 1."""
 
-    two_exponent: int | None
-    odd_primes: tuple[int, ...]
-    odd_exponents: tuple[int, ...] = ()
+    __slots__ = ()
 
     def prime_powers(self) -> list[tuple[int, int]]:
         """(p, k) for every coprime piece p^k, the 2-power first."""
@@ -90,8 +85,9 @@ def _form(spec: SetSpec) -> tuple[str, tuple] | None:
     return None
 
 
-def closed_form(spec: SetSpec) -> FormulaValue | None:
-    """The closed form that counts ``spec`` over a prime power, or None.
+def closed_form(spec: SetSpec):
+    """The closed form (a formulas.FormulaValue) that counts ``spec`` over
+    a prime power, or None.
 
     A unit second entry at a named target over Z/2^mZ (m >= 2) takes
     delta_value, an unconstrained +-Id spec its piece formula; the target
@@ -174,8 +170,9 @@ def piece_counts(spec: SetSpec, method: str = "auto",
 
 
 def assemble_count(size: int, fact: Factorization, sign, method: str = "auto",
-                   budget: int | None = None) -> FormulaValue:
-    """Product of the per-piece +-Id counts; equals the direct count over Z/NZ."""
+                   budget: int | None = None):
+    """Product of the per-piece +-Id counts, a formulas.FormulaValue; equals
+    the direct count over Z/NZ."""
     from . import formulas
 
     sign, modulus = formulas.normalize_sign(sign), Modulus(fact.modulus_value())
@@ -184,10 +181,10 @@ def assemble_count(size: int, fact: Factorization, sign, method: str = "auto",
     return formulas.crt_count(size, [(mp, cnt) for mp, cnt, _ in counts], sign)
 
 
-def crt_split_bijection(spec: SetSpec) -> TupleMap:
-    """Componentwise residue splitting from the tuples of ``spec`` to
-    tuples of per-piece tuples of pieces(spec), with CRT reconstruction as
-    the inverse: the reduction route_count multiplies over."""
+def crt_split_bijection(spec: SetSpec):
+    """The maps.TupleMap of componentwise residue splitting from the tuples
+    of ``spec`` to tuples of per-piece tuples of pieces(spec), with CRT
+    reconstruction as the inverse: the reduction route_count multiplies over."""
     # Imported here so that counting never loads the bijection harness.
     from .maps import ProductSet, SpecSet, TupleMap
 
@@ -206,9 +203,7 @@ def crt_split_bijection(spec: SetSpec) -> TupleMap:
         return big.residues([sum(r.value * e for r, e in zip(position, basis))
                              for position in zip(*per_piece)])
 
-    target = target_name(spec.target) or ",".join(map(str, spec.target.entries()))
-    letters = "".join(f", a{p}={con.value if con.value is not None else con.kind}"
-                      for p, con in spec.constraints)
-    return TupleMap(f"crt-split(n={spec.size}, N={n}, target={target}{letters})",
-                    SpecSet(spec), ProductSet(SpecSet(part) for part in parts),
-                    forward, backward)
+    label = ", ".join([f"n={spec.size}", f"N={n}", f"target={target_label(spec.target)}",
+                       *(constraint_text(p, con) for p, con in spec.constraints)])
+    return TupleMap(f"crt-split({label})", SpecSet(spec),
+                    ProductSet(SpecSet(part) for part in parts), forward, backward)

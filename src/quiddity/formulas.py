@@ -6,7 +6,7 @@ intermediate.  Each closed form is one exact division of an integer
 numerator by an integer denominator.  A 2-exponent can go negative in a
 valid parameter range (the smallest odd-size case over Z/4Z has 2^-1), so
 such a power moves to the denominator instead (_ratio_pow2).  A division
-with a remainder is a hard InexactResult, never a rounding.
+with a remainder is a hard InexactDivision, never a rounding.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def _exact(num: int, den: int, formula_id: str, params) -> int:
     quotient, remainder = divmod(num, den)
     if remainder:
         g = math.gcd(num, den)
-        raise InexactResult(
+        raise InexactDivision(
             f"{formula_id}{tuple(params)} is not an integer: {num // g}/{den // g}")
     return quotient
 
@@ -108,21 +108,15 @@ def gauss_bracket(m: int, k: int) -> int:
     """(k^m - 1) / (k - 1): 1 + k + ... + k^(m-1)."""
     if m < 1 or k < 2:
         raise ValueError("need m >= 1 and k >= 2")
-    num = k ** m - 1
-    if num % (k - 1):
-        raise InexactDivision(f"gauss_bracket({m}, {k})")
-    return num // (k - 1)
+    return _exact(k ** m - 1, k - 1, "gauss_bracket", (m, k))
 
 
 def gauss_binom2(m: int, k: int) -> int:
     """(k^m - 1)(k^(m-1) - 1) / ((k - 1)(k^2 - 1))."""
     if m < 1 or k < 2:
         raise ValueError("need m >= 1 and k >= 2")
-    num = (k ** m - 1) * (k ** (m - 1) - 1)
-    den = (k - 1) * (k * k - 1)
-    if num % den:
-        raise InexactDivision(f"gauss_binom2({m}, {k})")
-    return num // den
+    return _exact((k ** m - 1) * (k ** (m - 1) - 1), (k - 1) * (k * k - 1),
+                  "gauss_binom2", (m, k))
 
 
 def _prime_of(q: int) -> int:

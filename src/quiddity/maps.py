@@ -28,11 +28,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 from .modring import Modulus, NotAUnit, Residue, nonunits_of, totient, units_of
 from .oracle import psi, solutions
-from .sl2 import Mat2, continuant_entries, identity, neg_identity, target_name
+from .sl2 import Mat2, continuant_entries, identity, neg_identity, target_label
 from .spec import NONUNIT, SetSpec, UNIT, _admit, _allowed_set, fixed
 
 
@@ -186,10 +186,6 @@ def unit_drop_map(t: tuple) -> tuple:
 # enumerable sets and the reciprocity harness
 
 
-def _target_label(target: Mat2) -> str:
-    return target_name(target) or f"key{target.key()}"
-
-
 class SpecSet:
     """An enumerable tuple set described by a SetSpec.
 
@@ -335,21 +331,12 @@ class ProductSet:
                 and all(c.contains(part) for c, part in zip(self.components, t)))
 
 
-class TupleMap(NamedTuple):
-    name: str
-    domain: object
-    codomain: object
-    forward: Callable
-    backward: Callable
+TupleMap = namedtuple("TupleMap", "name domain codomain forward backward")
 
 
-class ReciprocityReport(NamedTuple):
-    map_name: str
-    ok: bool
-    domain_size: int
-    codomain_size: int
-    failure: str | None = None
-    counterexample: tuple | None = None
+class ReciprocityReport(namedtuple("ReciprocityReport", "map_name ok domain_size codomain_size "
+                                   "failure counterexample", defaults=(None, None))):
+    __slots__ = ()
 
     def describe(self) -> str:
         status = "pass" if self.ok else "FAIL"
@@ -447,7 +434,7 @@ def drop_minus_one_bijection(size: int, modulus: Modulus, target: Mat2) -> Tuple
     dom = SpecSet(SetSpec(size, target, {2: fixed(-1)}))
     cod = SpecSet(SetSpec(size - 1, -target))
     return TupleMap(
-        f"drop-minus-one(n={size}, N={modulus.n}, target={_target_label(target)})",
+        f"drop-minus-one(n={size}, N={modulus.n}, target={target_label(target)})",
         dom, cod, reduce_minus_one, insert_minus_one)
 
 
@@ -463,7 +450,7 @@ def merge_after_unit_bijection(size: int, modulus: Modulus, target: Mat2,
     cod = SpecSet(SetSpec(size - 1, target, {2: UNIT}))
     a, ui = u.value, u.inverse().value
     return TupleMap(
-        f"merge-after-unit(n={size}, N={modulus.n}, target={_target_label(target)}, u={u.value})",
+        f"merge-after-unit(n={size}, N={modulus.n}, target={target_label(target)}, u={u.value})",
         dom, cod, reduce_pair, lambda t: _expand(t, [a, ui * (t[1].value + 1)]))
 
 
@@ -477,7 +464,7 @@ def merge_fixed_pair_bijection(size: int, modulus: Modulus, target: Mat2,
     dom = SpecSet(SetSpec(size, target, {2: fixed(int(x)), 3: fixed(int(y))}))
     cod = SpecSet(SetSpec(size - 1, target, {2: fixed(int(merged))}))
     return TupleMap(
-        f"merge-fixed-pair(n={size}, N={modulus.n}, target={_target_label(target)}, "
+        f"merge-fixed-pair(n={size}, N={modulus.n}, target={target_label(target)}, "
         f"x={x.value}, y={y.value})",
         dom, cod, reduce_pair, lambda t: expand_pair(t, x, y))
 
@@ -496,7 +483,7 @@ def _unit_triple_map(size: int, modulus: Modulus, target: Mat2,
     dom = SpecSet(SetSpec(size, target, {2: fixed(u.value), 3: fixed(v.value),
                                          4: fixed(w.value)}))
     return TupleMap(
-        f"merge-unit-triple(n={size}, N={modulus.n}, target={_target_label(target)}, "
+        f"merge-unit-triple(n={size}, N={modulus.n}, target={target_label(target)}, "
         f"u={u.value}, v={v.value}, w={w.value})",
         dom, cod, reduce_quintuple, lambda t: expand_quintuple(t, u, v, w))
 

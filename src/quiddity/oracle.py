@@ -37,10 +37,9 @@ deliberately shares no machinery with the dynamic program: it imports only
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from itertools import chain, repeat
 from operator import add, attrgetter
-from typing import NamedTuple
 
 from . import spec as _spec
 from .modring import Modulus, Residue, NotAUnit, units_of
@@ -213,13 +212,8 @@ def _prefix_tops(values, N, fold: bool) -> Counter:
     return tops
 
 
-class _Join(NamedTuple):
-    """A split's charge (the candidates walked), free junction and fold."""
-
-    split: int
-    walked: int
-    free: bool
-    fold: bool
+_Join = namedtuple("_Join", "split walked free fold")
+_Join.__doc__ = "A split's charge (the candidates walked), free junction and fold."
 
 
 def _join(spec: SetSpec, split: int, sizes: list[int]) -> _Join:

@@ -9,7 +9,7 @@ it.  Each suite imports the count sources it runs (``counter``, ``crt``,
 from __future__ import annotations
 
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
 from .modring import Modulus
 from .sl2 import TARGET_NAMES, target_by_name
@@ -79,10 +79,7 @@ def table_text(which: str, rows: list[int] | None = None) -> str:
 # verification suites
 
 
-class Check(NamedTuple):
-    name: str
-    ok: bool
-    detail: str = ""
+Check = namedtuple("Check", "name ok detail", defaults=("",))
 
 
 def _suite_bijections(moduli: list[int], max_size: int | None,

@@ -125,6 +125,12 @@ def target_name(mat: Mat2) -> str | None:
     return _named_keys(mat.modulus.n).get(mat.key())
 
 
+def target_label(mat: Mat2) -> str:
+    """How a spec's target is written: its target_name, else its entries
+    'a,b,c,d'."""
+    return target_name(mat) or ",".join(map(str, mat.entries()))
+
+
 def elementary(a, modulus: Modulus | None = None) -> Mat2:
     """The letter matrix [[a, -1], [1, 0]]."""
     if modulus is None:

@@ -2,8 +2,9 @@
 
 A SetSpec describes tuples (a_1, ..., a_n) over Z/NZ whose continuant
 product equals a fixed target matrix, with optional per-position
-constraints (fixed value, unit, non-unit).  The budget bounds the work one
-count may do: QUIDDITY_BUDGET, else DEFAULT_BUDGET.
+constraints (fixed value, unit, non-unit), each with one spelling that
+parse_constraint reads and constraint_text writes.  The budget bounds the
+work one count may do: QUIDDITY_BUDGET, else DEFAULT_BUDGET.
 
 The DP, the CRT router and the CLI read these without loading the brute
 oracle's walkers; ``oracle`` re-binds them, as the same objects, for its
@@ -14,8 +15,8 @@ from __future__ import annotations
 
 import math
 import os
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .modring import Modulus, totient
 from .sl2 import Mat2, continuant_entries
@@ -63,9 +64,8 @@ def _admit(required: int, budget: int | None):
         raise BudgetExceeded(required, budget)
 
 
-class Constraint(NamedTuple):
-    kind: str  # "any" | "unit" | "nonunit" | "fixed"
-    value: int | None = None
+# kind is "any", "unit", "nonunit" or "fixed"; only a fixed letter has a value
+Constraint = namedtuple("Constraint", "kind value", defaults=(None,))
 
 
 ANY = Constraint("any")
@@ -77,6 +77,34 @@ NONUNIT = Constraint("nonunit")
 def fixed(value) -> Constraint:
     """The constraint pinning a letter to ``value``, one object per value."""
     return Constraint("fixed", int(value))
+
+
+_KINDS = {"unit": UNIT, "nonunit": NONUNIT}
+
+
+def parse_constraint(text: str) -> dict[int, Constraint]:
+    """The letter constraint ``text`` names: {} for none, else {K: c} for
+    aK-unit, aK-nonunit or aK=V, with K and V read by int() as every
+    integer option is.  constraint_text writes it back."""
+    if text == "none":
+        return {}
+    pos, is_fixed, value = text[1:].partition("=")
+    if not is_fixed:
+        pos, _, kind = pos.rpartition("-")
+    try:
+        if text[:1] == "a" and (is_fixed or kind in _KINDS):
+            return {int(pos): fixed(int(value)) if is_fixed else _KINDS[kind]}
+    except ValueError:
+        pass
+    raise ValueError(f"cannot parse constraint {text!r} (want aK-unit, aK-nonunit or aK=V)")
+
+
+def constraint_text(pos: int, con: Constraint) -> str:
+    """The one spelling of ``con`` at position ``pos``, which
+    parse_constraint reads back; none for ANY, which a spec drops."""
+    if con.kind == "any":
+        return "none"
+    return f"a{pos}={con.value}" if con.kind == "fixed" else f"a{pos}-{con.kind}"
 
 
 def allowed_values(modulus: Modulus, constraint: Constraint) -> tuple[int, ...]:

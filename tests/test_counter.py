@@ -3,7 +3,7 @@ import tracemalloc
 import pytest
 
 from helpers import DenseReference, sl2_elements
-from quiddity import oracle
+from quiddity import counter, oracle
 from quiddity.counter import (
     CapExceeded,
     dp_count,
@@ -19,6 +19,7 @@ from quiddity.sl2 import (
     Mat2,
     TARGET_NAMES,
     elementary,
+    group_order,
     identity,
     neg_identity,
     target_by_name,
@@ -256,6 +257,66 @@ def test_budget_bounds_the_predicted_cost():
     with pytest.raises(CapExceeded, match="the DP needs 4608 additions, budget is 4607"):
         dp_vector(3, mod12, budget=4607)
     assert dp_vector(3, mod12, budget=4608).total() == 12 ** 3
+
+
+class Counted(int):
+    """A count that tallies every addition it takes part in."""
+
+    additions = 0
+
+    def __add__(self, other):
+        Counted.additions += 1
+        return Counted(int(self) + int(other))
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        return Counted(int(self) * int(other))
+
+    __rmul__ = __mul__
+
+
+def walk_additions(monkeypatch, size, modulus, constraints):
+    """The additions one DP walk makes: every move starts from Counted counts."""
+    step, pair_step, heads = counter._step, counter._pair_step, counter._heads
+    monkeypatch.setattr(counter, "_step", lambda cols, letters, n: step(
+        list(map(Counted, cols)), letters, n))
+    monkeypatch.setattr(counter, "_pair_step", lambda pairs, letters, n: pair_step(
+        {key: Counted(c) for key, c in pairs.items()}, letters, n))
+    monkeypatch.setattr(counter, "_heads", lambda pairs: heads(
+        {key: Counted(c) for key, c in pairs.items()}))
+    Counted.additions = 0
+    try:
+        dp_vector(size, modulus, constraints, budget=walk_cost(size, modulus, constraints))
+    finally:
+        monkeypatch.undo()
+    return Counted.additions
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_walk_cost_bounds_the_additions_the_dp_makes(monkeypatch, n):
+    # Free, unit, non-unit and fixed letters: one alone at the first,
+    # second or last position, a leading constrained run, and every letter
+    # after a free run (the column steps a fixed letter takes most often).
+    modulus = Modulus(n)
+    kinds = (UNIT, NONUNIT, fixed(0), fixed(1))
+    for size in (1, 2, 3, 5, 9, 17, 40) if n <= 4 else (1, 2, 3, 6):
+        grid = [{}]
+        for kind in kinds:
+            grid += [{pos: kind} for pos in {1, 2, size} if pos <= size]
+            grid.append(dict.fromkeys(range(1, min(size, 3) + 1), kind))
+            grid += [dict.fromkeys(range(free + 1, size + 1), kind) for free in (1, 3)]
+        for constraints in grid:
+            additions = walk_additions(monkeypatch, size, modulus, constraints)
+            assert additions <= walk_cost(size, modulus, constraints), (size, constraints)
+
+
+def test_the_charge_per_letter_is_the_group_order_from_three_on():
+    # At N = 2 a free column step makes 9 additions, past |G| = 6: the
+    # charge there is 2 N^2 + N = 10 a letter.
+    assert walk_cost(9, Modulus(2)) == 10 * 10
+    for n in range(3, 40):
+        assert walk_cost(5, Modulus(n), {2: UNIT}) == group_order(n) * (1 + 5 + n - 1)
 
 
 def test_budget_admits_the_walk_past_five_million_group_elements():

@@ -395,6 +395,19 @@ def test_an_exact_division_and_a_negative_exponent():
         _ratio_pow2(5, -2, 1, "g", (2, 3))
 
 
+def test_every_exact_division_raises_inexact_division(monkeypatch):
+    from quiddity import formulas
+
+    with pytest.raises(formulas.InexactDivision, match=r"^f\(1,\) is not an integer: 7/3$"):
+        formulas._exact(7, 3, "f", (1,))
+    # the Gaussian brackets divide through _exact too
+    calls = []
+    exact = formulas._exact
+    monkeypatch.setattr(formulas, "_exact", lambda *args: calls.append(args) or exact(*args))
+    assert (formulas.gauss_bracket(3, 2), formulas.gauss_binom2(3, 2)) == (7, 7)
+    assert calls == [(7, 1, "gauss_bracket", (3, 2)), (21, 3, "gauss_binom2", (3, 2))]
+
+
 def test_delta_recursion_refuses_m_below_one():
     assert delta_recursion(1, 2, 1) == 1 + 2 * 2
     assert type(delta_recursion(1, 2, 1).value) is int

@@ -47,7 +47,7 @@ def test_runtime_imports_are_standard_library(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_module_imports_dataclasses(path):
     # dataclasses pulls in inspect, ast, dis and tokenize, which every CLI
-    # call would pay for at start-up; records are NamedTuples instead.
+    # call would pay for at start-up; records are collections.namedtuples instead.
     assert "dataclasses" not in imported_modules(path)
 
 

@@ -168,3 +168,43 @@ def test_no_request_loads_argparse_or_json(argv):
     code, loaded = ast.literal_eval(out.stdout)
     assert code == 0
     assert not STDLIB_CLI & set(loaded)
+
+
+# A site-packages .pth hook may import re and typing at interpreter start,
+# before the probes above take their snapshot.  ``python -S`` runs no site
+# hook, so this probe sees whatever the request itself loads; it checks
+# first that nothing it imported loaded either module.
+PLAIN_PROBE = """
+import contextlib, io, sys
+unloaded = not {"re", "typing"} & set(sys.modules)
+from quiddity import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(unloaded, code, *sorted({"re", "typing"} & set(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    DP_COUNT, BRUTE_COUNT, FORMULA_COUNT,
+    ("count", "--modulus", "8", "--size", "6", "--target", "s", "--constraint", "a03-unit"),
+    ("crt", "--modulus", "12", "--size", "5"),
+    ("formula", "--name", "w8-even", "--n-half", "2"),
+    ("table", "--which", "odd-w-plus", "--rows", "5"),
+    ("table", "--which", "w8", "--rows", "4"),
+    ("table", "--which", "delta-id", "--rows", "5"),
+    ("table", "--which", "delta-s", "--rows", "3"),
+    ("verify", "--suite", "bijections", "--modulus", "4", "--max-size", "4"),
+    ("verify", "--suite", "recursion", "--m", "2", "--sizes", "5"),
+    ("verify", "--suite", "bounds", "--m", "2", "--sizes", "6"),
+    ("verify", "--suite", "crt", "--sizes", "4"),
+    ("verify", "--suite", "totality", "--modulus", "3", "--sizes", "2"),
+], ids=["count-dp", "count-brute", "count-formula", "count-constraint", "crt", "formula",
+        "table-odd-w-plus", "table-w8", "table-delta-id", "table-delta-s", "verify-bijections",
+        "verify-recursion", "verify-bounds", "verify-crt", "verify-totality"])
+def test_no_request_loads_re_or_typing_without_site(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-S", "-c", PLAIN_PROBE, *argv],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["True", "0"]
