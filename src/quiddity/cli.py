@@ -16,6 +16,9 @@ source only when its route takes it; ``formula`` and ``crt`` the closed
 forms (``formulas``); ``table`` and ``verify`` their bodies in
 ``reference``, whose suites load the bijection harness (``maps``) where
 they run it.
+
+The process entry is ``quiddity.__main__.main``; ``main(argv)`` here runs
+one request in process and leaves the garbage collector as it finds it.
 """
 
 from __future__ import annotations
@@ -47,9 +50,13 @@ def _parse_ints(text: str) -> list[int]:
 def _parse_target(text: str, modulus: Modulus) -> tuple[Mat2, str]:
     if text in TARGET_NAMES:
         return target_by_name(text, modulus), text
-    parts = [int(v) for v in text.split(",")]
+    try:
+        parts = [int(v) for v in text.split(",")]
+    except ValueError:
+        parts = []
     if len(parts) != 4:
-        raise ValueError(f"target must be one of {TARGET_NAMES} or four comma-separated entries")
+        raise ValueError(f"target must be one of {TARGET_NAMES} or four comma-separated "
+                         f"entries, got {text!r}")
     mat = Mat2(*parts, modulus)
     if mat.det() != 1:
         raise ValueError(f"target {text} has determinant {mat.det()}, not 1")
@@ -324,7 +331,3 @@ def main(argv: list[str] | None = None) -> int:
         # modulus too large to factor.
         sys.stderr.write(f"error: {err}\n")
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

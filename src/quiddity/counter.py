@@ -96,7 +96,7 @@ def _step(cols: list[int], letters: tuple[int, ...], n: int) -> list[int]:
         d = next(d for d in divisors if t[d:] + t[:d] == t)
         folded = [sum(row[r::d]) for r in range(d)]
         c = max(set(t), key=t.count)
-        out = [c * sum(folded)] * d
+        out = [c * sum(folded) if c else 0] * d
         for k in range(d):
             if w := t[k] - c:
                 out = [u + w * v for u, v in zip(out, folded[k::-1] + folded[:k:-1])]

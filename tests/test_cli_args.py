@@ -61,6 +61,15 @@ def test_option_spellings(argv, size):
     assert (report["modulus"], report["size"], report["count"]) == (8, size, "160")
 
 
+@pytest.mark.parametrize("target", ["foo", "1,0,0,1,", "1,0,0", "1,0,x,1"],
+                         ids=["word", "trailing-comma", "three-entries", "non-integer-entry"])
+def test_a_bad_target_exits_two_naming_it(target):
+    out = run_module("count", "--modulus", "8", "--size", "5", "--target", target)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr.startswith("error: target must be one of ")
+    assert repr(target) in out.stderr
+
+
 def test_help_lists_the_commands():
     out = run_module("--help")
     assert (out.returncode, out.stderr) == (0, "")

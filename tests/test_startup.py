@@ -7,6 +7,7 @@ subprocess and compares sys.modules before and after.
 """
 
 import ast
+import gc
 import json
 import os
 import subprocess
@@ -208,3 +209,88 @@ def test_no_request_loads_re_or_typing_without_site(argv):
                          capture_output=True, text=True, env=env, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["True", "0"]
+
+
+# The process entry freezes the start-up heap, so no collection in the
+# request or at exit walks it.  The child starts the entry as ``python -m
+# quiddity`` does (runpy) or as the console script does (``sys.exit`` of
+# the target's ``main()``) and reports the freeze count and the output.
+ENTRY_PROBE = """
+import contextlib, gc, io, runpy, sys
+start, argv = sys.argv[1], sys.argv[2:]
+sys.argv = ["quiddity", *argv]
+frozen_before, out, code = gc.get_freeze_count(), io.StringIO(), None
+with contextlib.redirect_stdout(out):
+    try:
+        if start == "module":
+            runpy.run_module("quiddity", run_name="__main__")
+        else:
+            from quiddity.__main__ import main
+            sys.exit(main())
+    except SystemExit as stop:
+        code = stop.code
+print(repr((frozen_before, gc.get_freeze_count(), code, out.getvalue())))
+"""
+ENTRY_REQUESTS = [
+    DP_COUNT,
+    ("table", "--which", "delta-s", "--rows", "3"),
+    ("count", "--modulus", "8", "--size", "5", "--target", "foo"),
+]
+
+
+def without_elapsed(out: str) -> str:
+    return "\n".join(line.partition(', "elapsed_ms"')[0] for line in out.split("\n"))
+
+
+@pytest.mark.parametrize("start", ["module", "script"])
+@pytest.mark.parametrize("argv", ENTRY_REQUESTS, ids=["count", "table", "bad-target"])
+def test_the_entry_freezes_and_answers_as_main_does(capsys, start, argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", ENTRY_PROBE, start, *argv],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    frozen_before, frozen_after, code, stdout = ast.literal_eval(out.stdout)
+    assert frozen_before == 0 < frozen_after
+    from quiddity import cli
+
+    assert code == cli.main(list(argv))
+    assert without_elapsed(stdout) == without_elapsed(capsys.readouterr().out)
+
+
+def test_main_in_process_leaves_the_collector_alone(capsys):
+    from quiddity import cli
+
+    frozen = gc.get_freeze_count()
+    for argv in ENTRY_REQUESTS:
+        cli.main(list(argv))
+    assert gc.get_freeze_count() == frozen
+
+
+# Exit stays the interpreter's own: an atexit callback registered before
+# the entry runs after it, which an ``os._exit`` shortcut would skip.
+ATEXIT_PROBE = """
+import atexit, runpy, sys
+atexit.register(lambda: print("atexit ran"))
+sys.argv = ["quiddity", *sys.argv[1:]]
+runpy.run_module("quiddity", run_name="__main__")
+"""
+
+
+def test_an_atexit_callback_runs_after_the_entry():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", ATEXIT_PROBE, *ENTRY_REQUESTS[2]],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert (out.returncode, out.stdout) == (2, "atexit ran\n")
+    out = subprocess.run([sys.executable, "-c", ATEXIT_PROBE, *DP_COUNT],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0
+    assert out.stdout.endswith("}\natexit ran\n")
+
+
+def test_the_console_script_is_the_entry():
+    # read as text: tomllib is not in every supported Python
+    pyproject = Path(SRC).parent / "pyproject.toml"
+    scripts = pyproject.read_text().partition("[project.scripts]\n")[2].partition("\n\n")[0]
+    assert scripts.splitlines() == ['quiddity = "quiddity.__main__:main"']
