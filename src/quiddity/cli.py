@@ -11,11 +11,11 @@ compiling them too.  So this module imports only ``modring`` and ``sl2``
 itself: argv is read by one option table (``COMMANDS``), not ``argparse``
 with its ``gettext`` and ``locale``, and a report is printed by
 ``_encode``, not ``json``.  Each command imports what it runs: ``count``
-the set spec (``spec``) and the router ``crt``, which loads a count
-source only when its route takes it; ``formula`` and ``crt`` the closed
-forms (``formulas``); ``table`` and ``verify`` their bodies in
-``reference``, whose suites load the bijection harness (``maps``) where
-they run it.
+the set spec (``spec``) and the router (``route``), which loads a count
+source, and ``crt`` for a composite modulus or a closed form, only when
+its route takes it; ``formula`` and ``crt`` the closed forms
+(``formulas``); ``table`` and ``verify`` their bodies in ``reference``,
+whose suites load the bijection harness (``maps``) where they run it.
 
 The process entry is ``quiddity.__main__.main``; ``main(argv)`` here runs
 one request in process and leaves the garbage collector as it finds it.
@@ -86,7 +86,7 @@ def _emit(report: dict):
 
 
 def cmd_count(args) -> int:
-    from . import crt
+    from .route import route_count
     from .spec import SetSpec, constraint_text, parse_constraint
 
     modulus = Modulus(args.modulus)
@@ -94,7 +94,7 @@ def cmd_count(args) -> int:
     constraints = parse_constraint(args.constraint or "none")
     spec = SetSpec(args.size, target, constraints)
     started = time.perf_counter()
-    count, method = crt.route_count(spec, args.method, args.budget)
+    count, method = route_count(spec, args.method, args.budget)
     _emit({
         "modulus": args.modulus,
         "size": args.size,

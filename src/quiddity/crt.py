@@ -1,19 +1,20 @@
-"""Chinese-remainder counting across the coprime pieces of a modulus.
+"""Chinese-remainder counting across the coprime pieces of a modulus,
+and the closed form that counts a prime-power spec.
 
 A tuple over Z/NZ, N = 2^m * p_1^k_1 * ... * p_r^k_r (distinct odd
 primes), is exactly its tuple of residues modulo each prime power, and its
-product reduces the same way.  So route_count, under auto and formula,
-counts a spec over two or more pieces as the product of its pieces'
-counts, each piece by a closed formula where one applies, else the DP or
-the brute oracle.  dp and brute count over Z/NZ directly, which keeps the
-three sources independent.  The componentwise tuple bijection ships as a
-TupleMap so it can be harness-verified, not just assumed at count level.
+product reduces the same way.  So the router (``route.route_count``, read
+here as ``crt.route_count`` too), under auto and formula, counts a spec
+over two or more pieces as the product of its pieces' counts
+(piece_counts), each piece by a closed formula where one applies
+(closed_form), else the DP or the brute oracle.  dp and brute count over
+Z/NZ directly and never load this module, which keeps the three sources
+independent.  The componentwise tuple bijection ships as a TupleMap so it
+can be harness-verified, not just assumed at count level.
 
-Each count source is imported where the route takes it: ``formulas`` once
-a closed form is chosen, ``counter`` once the DP is asked, ``oracle`` on
-the brute branch, and the harness ``maps`` by the bijection alone.  A
-fresh process then compiles only the sources its count runs.  No walk is
-priced here: each source charges the walk it runs.
+``formulas`` is imported once a closed form is chosen and the harness
+``maps`` by the bijection alone.  No walk is priced here: each source
+charges the walk it runs.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import math
 from collections import namedtuple
 
 from .modring import Modulus, factorize
+from .route import route_count
 from .sl2 import Mat2, identity, neg_identity, target_label, target_name
 from .spec import NONUNIT, SetSpec, UNIT, constraint_text
 
@@ -104,52 +106,6 @@ def closed_form(spec: SetSpec):
 
     function, args = form
     return getattr(formulas, function)(*args)
-
-
-def route_count(spec: SetSpec, method: str, budget: int | None = None) -> tuple[int, str]:
-    """(count, source) from the source ``method`` allows.
-
-    auto and formula count a spec over two or more coprime pieces as the
-    product of its pieces' counts, a non-unit letter as a free one minus a
-    unit one; the source is formula if every piece took a closed form,
-    else brute if any piece asked the oracle, else dp.  Over a prime power
-    they take closed_form(spec) unless it is None (formula then refuses).
-    dp runs the DP or raises CapExceeded; brute, and auto on that
-    refusal, ask the oracle.
-    """
-    if method in ("auto", "formula") and len(factorize(spec.modulus.n)) > 1:
-        nonunit = next((p for p, con in spec.constraints if con == NONUNIT), None)
-        if nonunit is None:
-            routed = [(cnt, src) for _, cnt, src in piece_counts(spec, method, budget)]
-            value = math.prod(cnt for cnt, _ in routed)
-        else:
-            rest = [(p, con) for p, con in spec.constraints if p != nonunit]
-            routed = [route_count(SetSpec(spec.size, spec.target, rest + unit), method, budget)
-                      for unit in ([], [(nonunit, UNIT)])]
-            value = routed[0][0] - routed[1][0]
-        # formula only if every piece took one, else brute if any piece did
-        return value, min((src for _, src in routed), key=("brute", "dp", "formula").index)
-    if method in ("auto", "formula"):
-        value = closed_form(spec)
-        if value is not None:
-            return int(value), "formula"
-        if method == "formula":
-            from .formulas import UnsupportedCase
-
-            raise UnsupportedCase(f"no formula for size {spec.size} over Z/{spec.modulus.n}Z")
-    if method in ("auto", "dp"):
-        from . import counter
-
-        try:
-            return counter.dp_count(spec, budget), "dp"
-        except counter.CapExceeded:
-            if method == "dp":
-                raise
-    elif method != "brute":
-        raise ValueError(f"unknown method {method!r}")
-    from . import oracle
-
-    return oracle.count(spec, "auto", budget), "brute"
 
 
 def pieces(spec: SetSpec) -> list[SetSpec]:

@@ -26,8 +26,14 @@ three uses:
   prefix products' top rows, each the sum of N full-key probes.  Those
   top rows need not walk letter 1: the top row of Q @ E(a_1) follows from
   Q's top row and a_1, so a long prefix walks letters 2..k and folds
-  letter 1 onto their at most N^2 top rows.  Each split is priced once,
-  by _join, and _count_mitm runs the very _Join that count admitted.
+  letter 1 onto their at most N^2 top rows.  The suffix mirrors that: the
+  bottom row it looks up follows from the bottom row of
+  L = E(a_{k+2})^-1 ... E(a_{n-1})^-1 and a_n, so a long suffix walks
+  letters k+2..n-1 into their at most N^2 bottom rows and probes each
+  row's keys, one per allowed a_n, in one C-level sum (_probe_folded).
+  Each split is priced once, by _join, with either fold charged only
+  where it walks fewer candidates, and _count_mitm runs the very _Join
+  that count admitted.
 
 This module is the independent oracle for every other count source, so it
 deliberately shares no machinery with the dynamic program: it imports only
@@ -212,26 +218,33 @@ def _prefix_tops(values, N, fold: bool) -> Counter:
     return tops
 
 
-_Join = namedtuple("_Join", "split walked free fold")
-_Join.__doc__ = "A split's charge (the candidates walked), free junction and fold."
+_Join = namedtuple("_Join", "split walked free fold fold_last")
+_Join.__doc__ = ("A split's charge (the candidates walked), free junction, and whether "
+                 "the prefix folds its first letter and the suffix its last.")
 
 
 def _join(spec: SetSpec, split: int, sizes: list[int]) -> _Join:
     """The join at ``split``, priced from the allowed-letter counts: the
     suffix walks every leaf but a free junction letter's; the prefix walks
     all of its leaves or, before a free junction and only if that is fewer,
-    letters 2..k and one fold update per top row (at most N^2) and letter 1."""
+    letters 2..k and one fold update per top row (at most N^2) and letter 1.
+    Past a free junction the suffix likewise folds letter n, if that is
+    fewer: it walks letters k+2..n-1 and probes each of their at most N^2
+    bottom rows once per letter n."""
     free = spec.constraint_at(split + 1).kind == "any"
-    prefix = math.prod(sizes[:split])
-    inner = math.prod(sizes[1:split])
-    folded = inner + min(spec.modulus.n ** 2, inner) * sizes[0]
-    fold = free and folded < prefix
-    return _Join(split, (folded if fold else prefix) + math.prod(sizes[split + free:]),
-                 free, fold)
+    square = spec.modulus.n ** 2
+    prefix, suffix = math.prod(sizes[:split]), math.prod(sizes[split + free:])
+    # the leaves of letters 2..k and k+2..n-1, and a fold onto their rows
+    inner_prefix, inner_suffix = math.prod(sizes[1:split]), math.prod(sizes[split + 1:-1])
+    folded = inner_prefix + min(square, inner_prefix) * sizes[0]
+    folded_last = inner_suffix + min(square, inner_suffix) * sizes[-1]
+    fold, fold_last = free and folded < prefix, free and folded_last < suffix
+    return _Join(split, (folded if fold else prefix) + (folded_last if fold_last else suffix),
+                 free, fold, fold_last)
 
 
 def _choose_join(spec: SetSpec) -> _Join:
-    """The join that walks the fewest candidates, prefix folded or not;
+    """The join that walks the fewest candidates, either side folded or not;
     the shorter prefix on a tie, since bucketing a leaf costs more than
     probing one."""
     sizes = spec.position_counts()
@@ -264,6 +277,8 @@ def _count_mitm(spec: SetSpec, join: _Join) -> int:
         suffix = values[split + 1:][::-1]
         if not suffix:
             return tops[tc * N + td]
+        if join.fold_last:
+            return _probe_folded(tops, suffix, N, (ta, tb, tc, td))
         get, lifts = tops.get, (0, 0)
     else:
         get, lifts = _half_products(values[:split], N).get, (N ** 3, N * N)
@@ -273,6 +288,29 @@ def _count_mitm(spec: SetSpec, join: _Join) -> int:
     # the key is the new bottom row alone, the top row after a free letter.
     keys = _leaf_keys(suffix, N, (tc, td, ta, tb), (N, 1), lifts)
     return sum(map(get, keys, repeat(0)))
+
+
+def _probe_folded(tops, suffix, N, target) -> int:
+    """The free-junction probe with the suffix's last letter a_n folded:
+    ``suffix`` lists letters n..k+2, ``tops`` counts the prefix top rows."""
+    # R = L @ E(a_n)^-1 @ T with L = E(a_{k+2})^-1 ... E(a_{n-1})^-1, so
+    # R's bottom row needs only L's bottom row l and the letter:
+    # l @ E(a)^-1 @ T = (-l2, l1 + a*l2) @ T.  Walk L from the identity,
+    # rows swapped, and keep its at most N^2 bottom rows, as the prefix
+    # keeps its top rows before folding letter 1.
+    ta, tb, tc, td = target
+    bottoms = Counter(_leaf_keys(suffix[1:], N, (0, 1, 1, 0), (N, 1), (0, 0)))
+    # Coordinate j of that row is a*(l2*t2j) - (l2*t1j - l1*t2j): a letter
+    # row keyed by those two values, each at its digit of the top-row key.
+    firsts = _LetterRows(suffix[0], N, N, 0)
+    seconds = _LetterRows(suffix[0], N, 1, 0)
+    get, total = tops.get, 0
+    for row, times in bottoms.items():
+        l1, l2 = divmod(row, N)
+        keys = map(add, firsts[l2 * tc % N * N + (l2 * ta - l1 * tc) % N],
+                   seconds[l2 * td % N * N + (l2 * tb - l1 * td) % N])
+        total += times * sum(map(get, keys, repeat(0)))
+    return total
 
 
 def count(spec: SetSpec, method: str = "auto", budget: int | None = None,
@@ -288,7 +326,10 @@ def count(spec: SetSpec, method: str = "auto", budget: int | None = None,
     it walks, which leaves out a free junction letter; before a free
     junction the prefix may instead walk letters 2..k and fold letter 1
     onto their top rows, counted as one candidate per top row and
-    letter, whichever is fewer).  Unless ``split`` is given, the join
+    letter, whichever is fewer, and past it the suffix may walk letters
+    k+2..n-1 and fold letter n onto their bottom rows, counted as one
+    probe per bottom row and letter, whichever is fewer; either side
+    counts at most N^2 rows).  Unless ``split`` is given, the join
     splits where it walks the fewest candidates, a tie going to the
     shorter prefix; the plan the budget admits is the plan that runs.
     """

@@ -103,6 +103,16 @@ def test_count_formula_unavailable_is_a_config_error(capsys):
     assert "size 6 over Z/8Z" in err
 
 
+@pytest.mark.parametrize("constraint", ["none", "a2-nonunit"])
+def test_a_composite_formula_refusal_names_the_piece_and_the_modulus(capsys, constraint):
+    # Z/6Z splits into Z/2Z and Z/3Z; no formula counts size 5 over Z/2Z,
+    # and the refusal says which modulus that piece belongs to, once.
+    code, out, err = run_cli(capsys, "count", "--modulus", "6", "--size", "5", "--target", "id",
+                             "--constraint", constraint, "--method", "formula")
+    assert (code, out) == (2, "")
+    assert err == "error: no formula for size 5 over Z/2Z, a piece of Z/6Z\n"
+
+
 @pytest.mark.parametrize("spelled,name", [("1,0,0,1", "id"), ("7,0,0,7", "neg-id")])
 def test_count_routes_on_the_target_matrix_not_its_spelling(capsys, spelled, name):
     by_name = run_json(capsys, "count", "--modulus", "8", "--size", "7", "--target", name)

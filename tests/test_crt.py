@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from quiddity import formulas, oracle
+from quiddity import formulas, oracle, route
 from quiddity.counter import (
     CapExceeded, dp_count, dp_vector, dp_vector_sequence, walk_cost)
 from quiddity.crt import (
@@ -22,6 +22,13 @@ from quiddity.modring import Modulus, factorize
 from quiddity.oracle import NONUNIT, UNIT, BudgetExceeded, SetSpec, fixed
 from quiddity.sl2 import (
     TARGET_NAMES, Mat2, continuant_product, identity, neg_identity, target_by_name)
+
+
+def test_the_router_lives_in_route_and_crt_reads_it_back():
+    # cli imports route_count from route, so --method dp and brute never
+    # compile crt; crt's piece_counts calls the very same function.
+    assert route_count is route.route_count
+    assert route.route_count.__module__ == "quiddity.route"
 
 
 def pm_id(size, n, sign=1):

@@ -59,8 +59,8 @@ def test_no_module_imports_rational_arithmetic(path):
 
 
 # The DP, the closed forms and the modules built on them.
-BUILT_ABOVE = {"quiddity.counter", "quiddity.formulas", "quiddity.crt", "quiddity.maps",
-               "quiddity.cli"}
+BUILT_ABOVE = {"quiddity.counter", "quiddity.formulas", "quiddity.crt", "quiddity.route",
+               "quiddity.maps", "quiddity.cli"}
 
 
 def test_oracle_shares_nothing_with_the_dp_or_the_formulas():

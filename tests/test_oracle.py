@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -447,15 +448,20 @@ def _walked_from_values(spec, split):
     """The candidates the join at ``split`` walks, from listed values: the
     prefix, or, when that is fewer before a junction letter that takes all
     N, letters 2..k and a fold of letter 1 onto at most N^2 top rows; and
-    the suffix without such a junction letter."""
+    the suffix without such a junction letter, or, when that is fewer,
+    letters k+2..n-1 and a probe per letter n of each of their at most
+    N^2 bottom rows."""
     sizes = [len(values) for values in spec.position_values()]
     n = spec.modulus.n
     free = sizes[split] == n
     prefix = math.prod(sizes[:split])
+    suffix = math.prod(sizes[split + free:])
     if free:
         inner = math.prod(sizes[1:split])
         prefix = min(prefix, inner + min(n * n, inner) * sizes[0])
-    return prefix + math.prod(sizes[split + free:])
+        inner = math.prod(sizes[split + 1:-1])
+        suffix = min(suffix, inner + min(n * n, inner) * sizes[-1])
+    return prefix + suffix
 
 
 def _walked_unfolded(spec, split):
@@ -546,8 +552,9 @@ def test_a_unit_second_letter_moves_the_split_before_the_free_junction():
     spec = SetSpec(7, identity(mod), {2: UNIT})
     assert _balanced_split(spec) == 4 and oracle._choose_join(spec).split == 3
     sizes = spec.position_counts()
-    assert oracle._join(spec, 4, sizes) == (4, 50_176, True, True)
-    assert oracle._join(spec, 3, sizes) == (3, 49_152, True, False)
+    # neither suffix folds letter 7: 32 + 32*32 probes is more than 32*32
+    assert oracle._join(spec, 4, sizes) == (4, 50_176, True, True, False)
+    assert oracle._join(spec, 3, sizes) == (3, 49_152, True, False, False)
     with pytest.raises(BudgetExceeded) as err:
         count(spec, "mitm", split=4, budget=49_152)
     assert err.value.required == 50_176
@@ -565,36 +572,108 @@ def test_a_unit_second_letter_moves_the_split_before_the_free_junction():
 
 
 def test_the_streamed_sides_hold_no_list_of_leaves():
-    # Z/8Z, size 12: the join walks 8**5 prefix leaves, folds letter 1 onto
-    # their top rows and probes 8**5 suffix leaves, but keeps at most
-    # 8**2 top rows.  A list of either side's leaves would hold 256 KB of
-    # references; the join peaks at about 20 KB.
+    # Z/8Z, size 12: the join walks 8**4 prefix leaves and folds letter 1
+    # onto their top rows, and past the free letter 6 walks 8**5 suffix
+    # leaves and folds letter 12 onto their bottom rows, but keeps at most
+    # 8**2 rows either side.  A list of the suffix's leaves would hold
+    # 256 KB of references; the join peaks at about 20 KB.
     spec = SetSpec(12, identity(MOD8))
-    assert oracle._choose_join(spec).split == 6
+    assert oracle._choose_join(spec) == (5, 4096 + 64 * 8 + 8 ** 5 + 64 * 8, True, True, True)
     got, peak = _traced_peak(lambda: count(spec, "mitm"))
     assert peak < 64 * 1024, peak
-    assert got == count(spec, "mitm", split=5)
+    assert got == count(spec, "mitm", split=6)
 
 
 def test_the_fold_pins_its_charge_and_keeps_less():
-    # Z/16Z, size 10, splits after position 5: letters 2..5 walk 16**4
-    # leaves, letter 1 folds onto at most 16**2 top rows, 16**3 updates,
-    # and the suffix past the free letter 6 walks 16**4: 135,168.  Walking
-    # every prefix leaf would charge 16**4 + 16**5 = 1,114,112 at best.
+    # Z/16Z, size 10, splits after position 4: letters 2..4 walk 16**3
+    # leaves, letter 1 folds onto at most 16**2 top rows, 16**3 updates;
+    # past the free letter 5, letters 6..9 walk 16**4 leaves and letter 10
+    # probes each of their at most 16**2 bottom rows 16 times, 16**3
+    # probes: 77,824.  Walking every prefix leaf and every suffix leaf
+    # would charge 16**4 + 16**5 = 1,114,112 at best.
     mod = Modulus(16)
     spec = SetSpec(10, identity(mod))
-    assert oracle._choose_join(spec).split == 5
+    assert oracle._choose_join(spec) == (4, 77_824, True, True, True)
     assert min(_walked_unfolded(spec, k) for k in range(1, 10)) == 1_114_112
     with pytest.raises(BudgetExceeded,
-                       match="^enumeration needs 135168 candidates, budget is 135167$"):
-        count(spec, "mitm", budget=135_167)
-    got, peak = _traced_peak(lambda: count(spec, "mitm", budget=135_168))
+                       match="^enumeration needs 77824 candidates, budget is 77823$"):
+        count(spec, "mitm", budget=77_823)
+    got, peak = _traced_peak(lambda: count(spec, "mitm", budget=77_824))
     assert got == dp_count(spec)
     # The whole join keeps less than bucketing the unfolded join's best
     # prefix, letters 1..4, by full product key.
     values = spec.position_values()
     _, bucketed = _traced_peak(lambda: oracle._half_products(values[:4], 16))
     assert peak < bucketed, (peak, bucketed)
+
+
+@pytest.mark.parametrize("last", [None, UNIT, NONUNIT, fixed(1)],
+                         ids=["free", "unit", "nonunit", "fixed"])
+def test_the_suffix_fold_matches_the_naive_walk_at_every_split(last):
+    # The suffix fold is forced at every split where it can run, a free
+    # junction and two or more suffix letters, cheaper or not: split
+    # size - 3 leaves a two-letter suffix, whose walk is one letter into
+    # bottom rows.  The last letter is free or constrained, alone or beside
+    # a unit letter n - 1 or a non-unit letter 1.
+    ran = 0
+    for n in range(2, 9):
+        mod = Modulus(n)
+        targets = (identity(mod), neg_identity(mod), s_mat(mod), t_mat(mod),
+                   Mat2(2, 1, 1, 1, mod))
+        for size in range(3, 9):
+            if n ** (size - 2) > 2500:
+                break
+            ends = {} if last is None else {size: last}
+            for constraints in (ends, {**ends, size - 1: UNIT}, {**ends, 1: NONUNIT}):
+                for target in targets:
+                    spec = SetSpec(size, target, constraints)
+                    sizes = spec.position_counts()
+                    reference = oracle._count_naive(spec)
+                    for split in range(1, size - 2):
+                        join = oracle._join(spec, split, sizes)
+                        if join.free:
+                            got = oracle._count_mitm(spec, join._replace(fold_last=True))
+                            assert got == reference, (spec, split)
+                            ran += 1
+                        assert count(spec, "mitm", split=split) == reference, (spec, split)
+    assert ran > 500, ran
+
+
+@pytest.mark.parametrize("last", [UNIT, NONUNIT], ids=["unit", "nonunit"])
+def test_the_join_folds_a_constrained_last_letter_where_that_is_cheaper(last):
+    # Z/8Z, size 10, a unit or non-unit last letter: its 4 letters probe
+    # each of at most 8**2 bottom rows, fewer than the leaves of walking it.
+    spec = SetSpec(10, s_mat(MOD8), {10: last})
+    join = oracle._choose_join(spec)
+    assert join.fold_last
+    assert count(spec, "mitm") == dp_count(spec)
+    assert oracle._count_mitm(spec, join._replace(fold_last=False)) == dp_count(spec)
+
+
+def test_the_suffix_fold_cuts_the_charge_at_target_s():
+    # Z/16Z, size 10: split 4 walks 16**3 + 16**3 prefix and 16**4 + 16**3
+    # suffix candidates, 77,824 (135,168 folding the prefix alone).
+    # Z/18Z, size 9: split 4 walks 18**3 + 18**3 each side, 23,328
+    # (116,640 folding the prefix alone).
+    for n, size, walked in ((16, 10, 77_824), (18, 9, 23_328)):
+        spec = SetSpec(size, s_mat(Modulus(n)))
+        assert oracle._choose_join(spec) == (4, walked, True, True, True), (n, size)
+        assert _walked_from_values(spec, 4) == walked
+
+
+def test_the_suffix_fold_admits_size_15_over_z16_at_the_default_budget():
+    # Folding the prefix alone charges 16**6 + 16**3 + 16**7 at best;
+    # folding both sides, letters 2..7 and 9..14 walk 16**6 each and each
+    # fold adds 16**3, at split 7.  Only
+    # the plan is priced: count refuses a budget one short of it, which
+    # shows the admitted plan is the one priced, before any walk runs.
+    spec = SetSpec(15, s_mat(Modulus(16)))
+    join = oracle._choose_join(spec)
+    assert join == (7, 2 * (16 ** 6 + 16 ** 3), True, True, True)
+    assert join.walked <= oracle.DEFAULT_BUDGET < 16 ** 6 + 16 ** 3 + 16 ** 7
+    with pytest.raises(BudgetExceeded) as err:
+        count(spec, "mitm", budget=join.walked - 1)
+    assert err.value.required == join.walked
 
 
 def _random_join_specs(rng, n):
@@ -608,14 +687,25 @@ def _random_join_specs(rng, n):
         yield SetSpec(size, target, constraints)
 
 
+class _CountedTops(Counter):
+    """Prefix top rows that count the probes read through ``get``."""
+
+    probes = 0
+
+    def get(self, key, default=None):
+        _CountedTops.probes += 1
+        return super().get(key, default)
+
+
 def test_the_join_walks_what_it_is_charged(monkeypatch):
-    # Every leaf either side of the join streams and every update of the
-    # fold is counted; an empty suffix, past a free last letter, is its
-    # one leaf, the lookup of the target's bottom row.  Without the fold
-    # that is exactly the charge; the fold's N^2 bound on the top rows of
-    # letters 2..k may overcharge it.
+    # Every leaf either side of the join streams, every update of the
+    # prefix fold and every probe of the suffix fold is counted; an empty
+    # suffix, past a free last letter, is its one leaf, the lookup of the
+    # target's bottom row.  Without a fold that is exactly the charge; a
+    # fold's N^2 bound on the rows it folds onto may overcharge it.
     leaves, rows = [0], []
     leaf_keys, half_products = oracle._leaf_keys, oracle._half_products
+    prefix_tops = oracle._prefix_tops
 
     def counted_leaf_keys(*args):
         for key in leaf_keys(*args):
@@ -629,26 +719,31 @@ def test_the_join_walks_what_it_is_charged(monkeypatch):
 
     monkeypatch.setattr(oracle, "_leaf_keys", counted_leaf_keys)
     monkeypatch.setattr(oracle, "_half_products", counted_half_products)
-    folded = exact = 0
+    monkeypatch.setattr(oracle, "_prefix_tops", lambda *args: _CountedTops(prefix_tops(*args)))
+    folded = folded_last = exact = 0
     for spec in _random_join_specs(random.Random(20), 150):
         sizes = spec.position_counts()
         for split in range(1, spec.size):
             join = oracle._join(spec, split, sizes)
             if join.walked > 20_000:
                 continue
-            leaves[0], rows[:] = 0, []
+            leaves[0], rows[:], _CountedTops.probes = 0, [], 0
             count(spec, "mitm", split=split, budget=join.walked)
-            # the fold adds each of letter 1's values to each top row of
-            # letters 2..k, the one bucketing the prefix runs
+            # the prefix fold adds each of letter 1's values to each top
+            # row of letters 2..k, the one bucketing the prefix runs; the
+            # suffix fold probes the prefix top rows once per letter n and
+            # bottom row of letters k+2..n-1, whose walk streams its leaves
             walked = leaves[0] + (rows[0] * sizes[0] if join.fold else 0)
+            walked += _CountedTops.probes if join.fold_last else 0
             walked += join.free and split == spec.size - 1
-            if join.fold:
-                folded += 1
+            folded += join.fold
+            folded_last += join.fold_last
+            if join.fold or join.fold_last:
                 assert walked <= join.walked, (spec, join)
             else:
                 exact += 1
                 assert walked == join.walked, (spec, join)
-    assert folded > 50 and exact > 250, (folded, exact)
+    assert folded > 50 and folded_last > 50 and exact > 250, (folded, folded_last, exact)
 
 
 # ---------------------------------------------------------------------------

@@ -82,13 +82,21 @@ def test_a_count_loads_neither_the_harness_nor_dataclasses(argv, method):
     assert not HEAVY & set(report["loaded"])
 
 
+# ``crt`` splits a composite modulus and holds the closed forms, so only an
+# auto count (the default method) loads it; --method dp and brute never do.
+METHOD_DP_COUNT = DP_COUNT + ("--method", "dp")
+COMPOSITE_COUNT = ("count", "--modulus", "12", "--size", "6", "--target", "s")
+
+
 @pytest.mark.parametrize("argv, method", [
-    (DP_COUNT, "dp"), (BRUTE_COUNT, "brute"), (FORMULA_COUNT, "formula")])
+    (DP_COUNT, "dp"), (BRUTE_COUNT, "brute"), (FORMULA_COUNT, "formula"),
+    (METHOD_DP_COUNT, "dp"), (COMPOSITE_COUNT, "dp")])
 def test_a_count_loads_only_the_source_its_route_takes(argv, method):
     report = probe(*argv)
     assert json.loads(report["out"])["method"] == method
     loaded = set(report["loaded"])
-    assert {"quiddity.spec", "quiddity.crt"} <= loaded
+    assert {"quiddity.spec", "quiddity.route"} <= loaded
+    assert ("quiddity.crt" in loaded) == ("--method" not in argv)
     assert loaded & set(SOURCE.values()) == {SOURCE[method]}
     assert not {"fractions", "decimal", "numbers"} & loaded
 
@@ -115,7 +123,7 @@ def test_the_crt_suite_loads_the_harness_on_demand():
     assert "quiddity.maps" in report["loaded"]
 
 
-COUNTING = {"quiddity.counter", "quiddity.crt", "quiddity.oracle"}
+COUNTING = {"quiddity.counter", "quiddity.crt", "quiddity.oracle", "quiddity.route"}
 
 
 def test_a_formula_loads_no_counting_module():
