@@ -17,8 +17,10 @@ three uses:
 * bucket (_half_products, product_histogram): count every candidate's
   product, or its top row alone, the meet-in-the-middle prefix.  The last
   letter expands in C through per-row tables (_leaf_keys); Python steps
-  only through the letters ahead of it.  A histogram may fold its last
-  letter onto the distinct products of the others instead (see there);
+  only through the letters ahead of it, and a table row is itself picked
+  in C unless it is short next to the ring (_LetterRows).  A histogram may
+  fold its last letter onto the distinct products of the others instead
+  (see there);
 * probe (the meet-in-the-middle suffix): walk backward from the target,
   E(a_{k+1})^-1 ... E(a_n)^-1 @ target, and look each result up among the
   prefix products.  A free junction letter a_{k+1} is not walked: the
@@ -45,7 +47,7 @@ from __future__ import annotations
 import math
 from collections import Counter, namedtuple
 from itertools import chain, repeat
-from operator import add, attrgetter
+from operator import add, attrgetter, itemgetter
 
 from . import spec as _spec
 from .modring import Modulus, Residue, NotAUnit, units_of
@@ -158,22 +160,44 @@ class _LetterRows(dict):
 
     The last letter turns a coordinate x of cur and the same coordinate y of
     prev into a*x - y on the new cur row, and moves x to the prev row.  Key
-    x*N + y maps to [(a*x - y) % N * scale + x * lift for each letter a]:
-    both values placed at their digit of the packed matrix key.  Adding the
-    lists of the two coordinates gives the keys of all of a state's leaves
-    without a Python step per letter.  Lists are built on first use.
+    x*N + y maps to the row [(a*x - y) % N * scale + x * lift for each
+    letter a]: both values placed at their digit of the packed matrix key.
+    Adding the rows of the two coordinates gives the keys of all of a
+    state's leaves without a Python step per letter.  Rows are made on
+    first use.
+
+    A row is picked in C: an itemgetter of the indices a*x % N, made once
+    per x, reads the turn [(v - y) % N * scale for v in 0..N-1], made once
+    per y, and one ``map(add, ...)`` lifts it by x * lift where that is not
+    0.  So a table costs O(N) Python steps per distinct y, O(|letters|) per
+    distinct x and O(1) per row.  A turn lists all N values, so rows of one
+    letter, or of fewer than N/4, are built entry by entry instead.
     """
 
-    __slots__ = ("letters", "N", "scale", "lift")
+    __slots__ = ("letters", "N", "scale", "lift", "picks", "turns")
 
     def __init__(self, letters, N, scale, lift):
         super().__init__()
         self.letters, self.N, self.scale, self.lift = letters, N, scale, lift
+        self.picks = {} if len(letters) > 1 and 4 * len(letters) >= N else None
+        self.turns = {}
 
     def __missing__(self, key):
-        x, y = divmod(key, self.N)
-        row = self[key] = [(a * x - y) % self.N * self.scale + x * self.lift
-                           for a in self.letters]
+        N, lift, picks = self.N, self.lift, self.picks
+        x, y = divmod(key, N)
+        if picks is None:
+            row = [(a * x - y) % N * self.scale + x * lift for a in self.letters]
+        else:
+            pick = picks.get(x)
+            if pick is None:
+                pick = picks[x] = itemgetter(*[a * x % N for a in self.letters])
+            turn = self.turns.get(y)
+            if turn is None:
+                turn = self.turns[y] = [(v - y) % N * self.scale for v in range(N)]
+            row = pick(turn)
+            if lift:
+                row = tuple(map(add, row, repeat(x * lift)))
+        self[key] = row
         return row
 
 
@@ -182,9 +206,11 @@ def _leaf_keys(values, N, start, scales, lifts):
 
     _walk steps through every letter but the last, which is expanded
     through _LetterRows: a walked state's leaves are its two coordinates'
-    rows added pairwise by ``map(add, ...)``.  The states' streams are
-    chained, so the caller consumes every leaf in one C-level call
-    (Counter, or sum over map) and no list of leaves is built.
+    rows added pairwise by ``map(add, ...)``, each row picked in C on
+    first use (built entry by entry if it is short next to the ring), so
+    picked tables take O(N^2) Python steps in all and a leaf none.  The
+    states' streams are chained, so the caller consumes every leaf in one
+    C-level call (Counter, or sum over map) and no list of leaves is built.
     """
     firsts = _LetterRows(values[-1], N, scales[0], lifts[0])
     seconds = _LetterRows(values[-1], N, scales[1], lifts[1])

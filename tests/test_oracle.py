@@ -794,6 +794,72 @@ def test_the_join_agrees_with_the_naive_walk_on_long_tuples_over_small_rings():
         assert count(spec, "mitm") == count(spec, "naive"), spec
 
 
+def _random_wide_ring_cases(rng, n):
+    """Seeded (modulus, size, constraints) over N = 9..40, where unit and
+    non-unit letter lists can be short next to the ring."""
+    kinds = (UNIT, NONUNIT, fixed(0), fixed(1), fixed(3))
+    for _ in range(n):
+        mod = Modulus(rng.randint(9, 40))
+        size = rng.randint(1, 6)
+        yield mod, size, {p: rng.choice(kinds) for p in range(1, size + 1) if rng.random() < 0.6}
+
+
+def test_the_bucket_walk_buckets_what_a_direct_walk_buckets_over_wider_rings():
+    checked = 0
+    for mod, size, constraints in _random_wide_ring_cases(random.Random(24), 150):
+        values = SetSpec(size, identity(mod), constraints).position_values()
+        N = mod.n
+        if math.prod(map(len, values)) > 20_000:
+            continue
+        checked += 1
+        for top_row in (False, True):
+            got = oracle._half_products(values, N, top_row)
+            assert got == _direct_histogram(values, N, top_row), (N, size, constraints)
+        hist = product_histogram(size, mod, constraints)
+        assert {mat.key(): times for mat, times in hist.items()} == \
+            _direct_histogram(values, N, False)
+    assert checked > 50, checked
+
+
+def test_the_join_agrees_with_the_naive_walk_over_wider_rings():
+    rng = random.Random(25)
+    checked = 0
+    for mod, size, constraints in _random_wide_ring_cases(rng, 150):
+        size += 1
+        target = rng.choice((identity(mod), neg_identity(mod), s_mat(mod), t_mat(mod)))
+        spec = SetSpec(size, target, constraints)
+        if oracle._solve_cost(spec) > 20_000:
+            continue
+        checked += 1
+        assert count(spec, "mitm") == count(spec, "naive"), spec
+    assert checked > 50, checked
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 9, 12, 16, 25, 27, 32, 64, 97])
+def test_every_letter_row_is_its_definition(n):
+    # Rows are picked in C from a rotation, or built entry by entry when
+    # they are short next to the ring; either way each must be the row
+    # the definition gives.  Every (scale, lift) a caller passes, on
+    # keys that revisit their x and their y.
+    mod = Modulus(n)
+    menus = [list(range(n)), ivals(units_of(mod)),
+             [v for v in range(n) if math.gcd(v, n) != 1], [n - 1], [1, n // 2]]
+    pairs = [(n, 0), (1, 0), (n ** 3, n), (n * n, 1), (n, n ** 3), (1, n * n)]
+    rng = random.Random(n)
+    keys = rng.sample(range(n * n), min(n * n, 300))
+    picked = 0
+    for letters in menus:
+        for scale, lift in pairs:
+            table = oracle._LetterRows(letters, n, scale, lift)
+            for key in keys + keys[:20]:
+                x, y = divmod(key, n)
+                assert list(table[key]) == [(a * x - y) % n * scale + x * lift
+                                            for a in letters], (letters, scale, lift, key)
+            picked += bool(table.picks)
+    # free letters are always picked from a rotation, one letter never is
+    assert 0 < picked < len(menus) * len(pairs), picked
+
+
 # ---------------------------------------------------------------------------
 # the join's free junction letter
 
@@ -877,4 +943,15 @@ def test_the_join_lists_no_free_junction_letter():
     spec = SetSpec(2, s_mat(Modulus(1000000007)), {1: fixed(0)})
     got, peak = _traced_peak(lambda: count(spec, "mitm", budget=2))
     assert got == 0
+    assert peak < 1 << 20, peak
+
+
+def test_fixed_letters_over_a_huge_modulus_list_no_ring():
+    # Every letter fixed over Z/(10^9 + 7): each last-letter row has one
+    # letter, so it is built entry by entry and no row of N values is
+    # made, as a pick from a rotation would make.
+    spec = SetSpec(4, s_mat(Modulus(1000000007)),
+                   {1: fixed(0), 2: fixed(1), 3: fixed(2), 4: fixed(3)})
+    got, peak = _traced_peak(lambda: count(spec, "mitm", budget=16))
+    assert got == count(spec, "naive")
     assert peak < 1 << 20, peak
