@@ -31,7 +31,7 @@ import math
 from collections import namedtuple
 
 from .modring import Modulus, NotAUnit, Residue, nonunits_of, totient, units_of
-from .oracle import psi, solutions
+from .oracle import psi, psi_triples, solutions
 from .sl2 import Mat2, continuant_entries, identity, neg_identity, target_label
 from .spec import NONUNIT, SetSpec, UNIT, _admit, _allowed_set, fixed
 
@@ -256,24 +256,17 @@ class SpecSet:
         return t in (self._index or self._indexed())
 
 
-def _psi_triples(modulus: Modulus):
-    """psi_domain's triples, in order, one at a time: as a list they raise
-    the bijection suite's traced peak, which comes as the battery is built."""
-    units = units_of(modulus)
-    return itertools.product(units, units, modulus.residues(range(modulus.n)))
-
-
 @functools.lru_cache(maxsize=4)
 def _psi_values(modulus: Modulus) -> tuple:
-    """psi of each of _psi_triples as an int: the one psi pass per modulus."""
-    return tuple([psi(*t).value for t in _psi_triples(modulus)])
+    """psi of each of psi_triples as an int: the one psi pass per modulus."""
+    return tuple([psi(*t).value for t in psi_triples(modulus)])
 
 
 @functools.lru_cache(maxsize=4)
 def _psi_buckets(modulus: Modulus) -> dict[int, tuple]:
     """psi value -> the triples of psi_domain with that value, in order."""
     by_value: dict[int, list] = {}
-    for t, x in zip(_psi_triples(modulus), _psi_values(modulus)):
+    for t, x in zip(psi_triples(modulus), _psi_values(modulus)):
         by_value.setdefault(x, []).append(t)
     return {x: tuple(triples) for x, triples in by_value.items()}
 
@@ -611,7 +604,7 @@ def shipped_maps(modulus: Modulus, max_size: int) -> list[TupleMap]:
             # their codomains are the phi(N) sets pinning a_2 to a unit.
             source = walks[n, target.key()]
             cods = {x.value: shared(SetSpec(n - 2, target, {2: fixed(x.value)})) for x in units}
-            for (u, v, w), x in zip(_psi_triples(modulus), _psi_values(modulus)):
+            for (u, v, w), x in zip(psi_triples(modulus), _psi_values(modulus)):
                 tmap = _unit_triple_map(n, modulus, target, u, v, w, cods[x])
                 tmap.domain._source = source
                 out.append(tmap)

@@ -3,9 +3,10 @@
 A SetSpec (defined in ``spec``, with the budget) describes tuples
 (a_1, ..., a_n) over Z/NZ whose continuant product equals a fixed target
 matrix, with optional per-position constraints (fixed value, unit,
-non-unit).  Enumeration is exhaustive and deterministic; counting can also
-run as a meet-in-the-middle hash join on the midpoint group element, which
-must agree with the naive count.
+non-unit).  Enumeration is exhaustive and deterministic.  count runs the
+plan its budget charges least: the naive walk (solve below), or a
+meet-in-the-middle hash join on the midpoint group element at its
+cheapest split (bucket and probe), a tie going to the naive walk.
 
 Everything runs on one walk over letter choices, _walk, which carries two
 rows through the recurrence (cur, prev) -> (a*cur - prev, cur).  It has
@@ -19,23 +20,18 @@ three uses:
   letter expands in C through per-row tables (_leaf_keys); Python steps
   only through the letters ahead of it, and a table row is itself picked
   in C unless it is short next to the ring (_LetterRows).  A histogram may
-  fold its last letter onto the distinct products of the others instead
-  (see there);
+  fold its last letter onto the distinct products of the others instead;
 * probe (the meet-in-the-middle suffix): walk backward from the target,
   E(a_{k+1})^-1 ... E(a_n)^-1 @ target, and look each result up among the
   prefix products.  A free junction letter a_{k+1} is not walked: the
   suffix stops one letter short and looks its bottom row up among the
-  prefix products' top rows, each the sum of N full-key probes.  Those
-  top rows need not walk letter 1: the top row of Q @ E(a_1) follows from
-  Q's top row and a_1, so a long prefix walks letters 2..k and folds
-  letter 1 onto their at most N^2 top rows.  The suffix mirrors that: the
-  bottom row it looks up follows from the bottom row of
-  L = E(a_{k+2})^-1 ... E(a_{n-1})^-1 and a_n, so a long suffix walks
-  letters k+2..n-1 into their at most N^2 bottom rows and probes each
-  row's keys, one per allowed a_n, in one C-level sum (_probe_folded).
-  Each split is priced once, by _join, with either fold charged only
-  where it walks fewer candidates, and _count_mitm runs the very _Join
-  that count admitted.
+  prefix products' top rows, each the sum of N full-key probes.  Then
+  either side may fold its outer letter onto the at most N^2 rows of its
+  other letters: the prefix's top rows give those of Q @ E(a_1)
+  (_prefix_tops), and the suffix's bottom rows, one probe per a_n, the
+  rows it looks up (_probe_folded).  _joins prices every split, either
+  fold charged only where it walks fewer candidates, and _count_mitm runs
+  the very _Join that count admitted.
 
 This module is the independent oracle for every other count source, so it
 deliberately shares no machinery with the dynamic program: it imports only
@@ -46,7 +42,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
-from itertools import chain, repeat
+from itertools import chain, islice, product, repeat
 from operator import add, attrgetter, itemgetter
 
 from . import spec as _spec
@@ -245,37 +241,51 @@ def _prefix_tops(values, N, fold: bool) -> Counter:
 
 
 _Join = namedtuple("_Join", "split walked free fold fold_last")
-_Join.__doc__ = ("A split's charge (the candidates walked), free junction, and whether "
-                 "the prefix folds its first letter and the suffix its last.")
+_Join.__doc__ = "A split's charge (the candidates walked), free junction, and each side's fold."
+
+
+def _joins(spec: SetSpec, sizes: list[int]):
+    """Every split's join, in order, priced from the allowed-letter counts
+    c_i by running products, so all n - 1 take O(n) multiplications.  Each
+    side walks all its leaves but a free junction letter's or, beside a
+    free junction and only if that is fewer, folds its outer letter (1 or
+    n) onto the at most N^2 rows of its others: one step per row and letter."""
+    N, first, last = spec.modulus.n, sizes[0], sizes[-1]
+    inner, rest = 1, math.prod(sizes[1:])  # c_2..c_k and c_{k+1}..c_n at k = 1
+    for split in range(1, len(sizes)):
+        free = sizes[split] == N  # only a free letter allows all N values
+        beyond = rest // sizes[split]  # c_{k+2}..c_n
+        prefix, suffix = first * inner, beyond if free else rest
+        # the leaves of letters k+2..n-1, none past the last split
+        inner_suffix = beyond // last or 1
+        folded = inner + min(N * N, inner) * first
+        folded_last = inner_suffix + min(N * N, inner_suffix) * last
+        fold, fold_last = free and folded < prefix, free and folded_last < suffix
+        yield _Join(split, (folded if fold else prefix) + (folded_last if fold_last else suffix),
+                    free, fold, fold_last)
+        inner, rest = inner * sizes[split], beyond
 
 
 def _join(spec: SetSpec, split: int, sizes: list[int]) -> _Join:
-    """The join at ``split``, priced from the allowed-letter counts: the
-    suffix walks every leaf but a free junction letter's; the prefix walks
-    all of its leaves or, before a free junction and only if that is fewer,
-    letters 2..k and one fold update per top row (at most N^2) and letter 1.
-    Past a free junction the suffix likewise folds letter n, if that is
-    fewer: it walks letters k+2..n-1 and probes each of their at most N^2
-    bottom rows once per letter n."""
-    free = spec.constraint_at(split + 1).kind == "any"
-    square = spec.modulus.n ** 2
-    prefix, suffix = math.prod(sizes[:split]), math.prod(sizes[split + free:])
-    # the leaves of letters 2..k and k+2..n-1, and a fold onto their rows
-    inner_prefix, inner_suffix = math.prod(sizes[1:split]), math.prod(sizes[split + 1:-1])
-    folded = inner_prefix + min(square, inner_prefix) * sizes[0]
-    folded_last = inner_suffix + min(square, inner_suffix) * sizes[-1]
-    fold, fold_last = free and folded < prefix, free and folded_last < suffix
-    return _Join(split, (folded if fold else prefix) + (folded_last if fold_last else suffix),
-                 free, fold, fold_last)
+    """The join at ``split``, as _joins prices it."""
+    return next(islice(_joins(spec, sizes), split - 1, None))
 
 
-def _choose_join(spec: SetSpec) -> _Join:
-    """The join that walks the fewest candidates, either side folded or not;
-    the shorter prefix on a tie, since bucketing a leaf costs more than
-    probing one."""
+def _choose_join(spec: SetSpec, naive=math.inf, budget=math.inf) -> _Join | None:
+    """The join that walks the fewest candidates, the shorter prefix on a
+    tie (bucketing a leaf costs more than probing one); None if the naive
+    walk, charged ``naive``, costs no more.  A join at split k walks at
+    least c_2..c_k + c_{k+2}..c_{n-1}, whose product is at least P =
+    prod(c_2..c_{n-1}) / max(c), so at least 2 sqrt(P), which is less than
+    the naive walk's charge.  Where that bound exceeds the budget and is past
+    the 4,300 digits (14,285 bits) Python prints by default, no split is
+    priced: a hopeless long tuple fails fast, a shorter refusal is exact."""
     sizes = spec.position_counts()
-    return min((_join(spec, k, sizes) for k in range(1, spec.size)),
-               key=attrgetter("walked"))
+    bound = 2 * math.isqrt(math.prod(sizes[1:-1]) // max(sizes))
+    if bound > budget and bound.bit_length() > 14_285:
+        raise BudgetExceeded(bound, budget, at_least=True)
+    join = min(_joins(spec, sizes), key=attrgetter("walked"))
+    return None if naive <= join.walked else join
 
 
 def _count_mitm(spec: SetSpec, join: _Join) -> int:
@@ -341,38 +351,34 @@ def _probe_folded(tops, suffix, N, target) -> int:
 
 def count(spec: SetSpec, method: str = "auto", budget: int | None = None,
           split: int | None = None) -> int:
-    """Exact size of the set.
+    """Exact size of the set; every method agrees.
 
-    method "naive" walks every choice of the first n - 2 letters, the
-    last two being forced; "mitm" joins two half enumerations on the
-    midpoint product; "auto" picks mitm once six or more positions are
-    free.  All methods agree; the budget is an upper bound on the
-    candidates the chosen method examines (the naive walk counts its
-    choices of n - 2 letters; the join counts the prefix and the suffix
-    it walks, which leaves out a free junction letter; before a free
-    junction the prefix may instead walk letters 2..k and fold letter 1
-    onto their top rows, counted as one candidate per top row and
-    letter, whichever is fewer, and past it the suffix may walk letters
-    k+2..n-1 and fold letter n onto their bottom rows, counted as one
-    probe per bottom row and letter, whichever is fewer; either side
-    counts at most N^2 rows).  Unless ``split`` is given, the join
-    splits where it walks the fewest candidates, a tie going to the
-    shorter prefix; the plan the budget admits is the plan that runs.
-    """
-    if method == "auto":
-        method = "mitm" if (spec.size >= 2 and spec.free_positions() >= 6) else "naive"
-    if method == "naive":
+    "naive" walks every choice of the first n - 2 letters, the last two
+    being forced (charged _solve_cost); "mitm" joins two half enumerations
+    on the midpoint product (charged _Join.walked, see _joins) at ``split``
+    or else at _choose_join's.  "auto" runs the join at a given split, else
+    the plan charged less, a tie going to the naive walk.  So the plan the
+    budget admits is the plan that runs."""
+    if method not in ("auto", "naive", "mitm"):
+        raise ValueError(f"unknown method {method!r}")
+    if split is not None and method == "naive":
+        raise ValueError("the naive walk takes no split")
+    if split is not None and not 1 <= split < spec.size:
+        raise ValueError(f"split {split} outside 1..{spec.size - 1}")
+    if method == "mitm" and spec.size < 2:
+        raise ValueError("meet-in-the-middle needs size >= 2")
+    budget = default_budget() if budget is None else budget
+    if split is not None:
+        join = _join(spec, split, spec.position_counts())
+    elif method == "naive" or spec.size < 2:
+        join = None
+    else:
+        join = _choose_join(spec, math.inf if method == "mitm" else _solve_cost(spec), budget)
+    if join is None:
         _admit(_solve_cost(spec), budget)
         return _count_naive(spec)
-    if method == "mitm":
-        if spec.size < 2:
-            raise ValueError("meet-in-the-middle needs size >= 2")
-        if split is not None and not 1 <= split < spec.size:
-            raise ValueError(f"split {split} outside 1..{spec.size - 1}")
-        join = _choose_join(spec) if split is None else _join(spec, split, spec.position_counts())
-        _admit(join.walked, budget)
-        return _count_mitm(spec, join)
-    raise ValueError(f"unknown method {method!r}")
+    _admit(join.walked, budget)
+    return _count_mitm(spec, join)
 
 
 def product_histogram(size: int, modulus: Modulus, constraints=None,
@@ -425,11 +431,16 @@ def psi(u: Residue, v: Residue, w: Residue) -> Residue:
     return Residue(u.value * b * w.value - u.value - w.value, mod)
 
 
-def psi_domain(modulus: Modulus):
-    """All (u, v, w) with u, v units and w arbitrary, in ascending order."""
+def psi_triples(modulus: Modulus):
+    """All (u, v, w) with u, v units and w arbitrary, in ascending order,
+    one at a time, so that a caller streaming them lists none."""
     units = units_of(modulus)
-    everything = [Residue(v, modulus) for v in range(modulus.n)]
-    return [(u, v, w) for u in units for v in units for w in everything]
+    return product(units, units, modulus.residues(range(modulus.n)))
+
+
+def psi_domain(modulus: Modulus):
+    """psi_triples(modulus) as a list."""
+    return list(psi_triples(modulus))
 
 
 def psi_fiber(modulus: Modulus, x: Residue) -> list[tuple[Residue, Residue, Residue]]:

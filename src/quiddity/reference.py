@@ -27,8 +27,7 @@ def _odd_w_plus_cell(size: int, n: int) -> int:
     from .spec import SetSpec
 
     if size == 3:
-        spec = SetSpec(3, target_by_name("id", Modulus(n)))
-        return oracle.count(spec, "mitm")
+        return oracle.count(SetSpec(3, target_by_name("id", Modulus(n))))
     return int(crt.assemble_count(size, crt.split(n), 1, method="formula"))
 
 

@@ -44,9 +44,9 @@ class BudgetExceeded(RuntimeError, ValueError):
     """A walk needs more candidates than the budget allows; a ValueError
     too, so that the CLI reports it as a bad request."""
 
-    def __init__(self, required: int, budget: int):
+    def __init__(self, required: int, budget: int, at_least: bool = False):
         try:
-            needs = f"{required} candidates"
+            needs = f"{'at least ' if at_least else ''}{required} candidates"
         except ValueError:  # past the interpreter's int-to-str limit, refused by size
             # the digits of 2^(bits-1) <= required: a bound that needs no str()
             digits = int((required.bit_length() - 1) * math.log10(2)) + 1
@@ -200,9 +200,6 @@ class SetSpec:
         """The number of allowed letters at each position; refusals are
         decided from these, so a refused spec lists no values."""
         return [_allowed_count(self.modulus, self.constraint_at(p)) for p in range(1, self.size + 1)]
-
-    def free_positions(self) -> int:
-        return sum(1 for p in range(1, self.size + 1) if self.constraint_at(p).kind != "fixed")
 
     def naive_candidates(self) -> int:
         return math.prod(self.position_counts())

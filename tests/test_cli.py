@@ -155,17 +155,18 @@ def test_count_and_verify_reject_a_bad_budget_option(capsys, argv, value):
 
 def test_auto_route_takes_brute_force_when_only_its_cost_fits(capsys, monkeypatch):
     # N = 16, size 3: the walk predicts |G| * 4 = 3,072 * 4 = 12,288
-    # additions, the naive oracle 64 candidates (letter 1, the last two
-    # letters being forced, and the 3 * 16 values it lists).
+    # additions, the oracle 32 candidates (the join at split 1 walks letter
+    # 1 and letter 3, the free letter 2 between them unwalked; the naive
+    # walk would be charged 64).
     argv = ("count", "--modulus", "16", "--size", "3", "--target", "neg-s")
     by_dp = run_json(capsys, *argv)
     assert (by_dp["method"], by_dp["count"]) == ("dp", "16")
     monkeypatch.setenv("QUIDDITY_BUDGET", "5000")
     by_brute = run_json(capsys, *argv)
     assert (by_brute["method"], by_brute["count"]) == ("brute", "16")
-    code, out, err = run_cli(capsys, *argv, "--budget", "63")
+    code, out, err = run_cli(capsys, *argv, "--budget", "31")
     assert (code, out) == (2, "")
-    assert err == "error: enumeration needs 64 candidates, budget is 63\n"
+    assert err == "error: enumeration needs 32 candidates, budget is 31\n"
 
 
 @pytest.mark.parametrize("argv, count", [
@@ -251,16 +252,33 @@ def test_a_battery_charge_too_long_to_print_is_named_by_its_digits():
     assert float(out.stdout) < 1
 
 
+def test_a_hopeless_brute_count_over_a_long_tuple_fails_fast():
+    # Pricing each split by its own slices of letter counts was quadratic
+    # in the size: Z/2Z at size 8000 took about 18 s to refuse.  Running products
+    # price all 19,999 splits here, and the refusal names the cheapest.
+    out = run_in_a_child("count", "--modulus", "2", "--size", "20000", "--method", "brute")
+    assert out.returncode == 2
+    spec = oracle.SetSpec(20000, quiddity.identity(modring.Modulus(2)))
+    assert out.stderr == (f"error: enumeration needs {oracle._choose_join(spec).walked} "
+                          "candidates, budget is 134217728\n")
+    assert float(out.stdout) < 1
+
+
 def run_battery_in_a_child(modulus: str, max_size: str) -> subprocess.CompletedProcess:
     """verify --suite bijections in a child at the default budget, so that a
-    battery that is built times out here; it prints the seconds its request
-    took."""
+    battery that is built times out here."""
+    return run_in_a_child("verify", "--suite", "bijections", "--modulus", modulus,
+                          "--max-size", max_size)
+
+
+def run_in_a_child(*argv: str) -> subprocess.CompletedProcess:
+    """The CLI request ``argv`` in a child at the default budget; it prints
+    the seconds the request took."""
     src = str(Path(quiddity.__file__).resolve().parents[1])
     env = {key: value for key, value in os.environ.items() if key != "QUIDDITY_BUDGET"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     request = ("import sys, time; from quiddity import cli; started = time.perf_counter(); "
-               f"code = cli.main(['verify', '--suite', 'bijections', '--modulus', '{modulus}', "
-               f"'--max-size', '{max_size}']); print(time.perf_counter() - started); "
+               f"code = cli.main({list(argv)!r}); print(time.perf_counter() - started); "
                "sys.exit(code)")
     return subprocess.run([sys.executable, "-c", request], capture_output=True, text=True,
                           env=env, timeout=30)
@@ -668,9 +686,9 @@ def test_the_closed_form_and_histogram_suites_are_golden(capsys, suite):
 
 
 def test_an_oversized_refusal_lists_no_values(capsys, monkeypatch):
-    # 1000003**2 candidates, letters 1 and 2 (the last two are forced), and
-    # the 4 * 1000003 values listed: listing them alone would take about
-    # 130 MB.
+    # 1000003**2 + 1000003 candidates for the join at split 1 (letter 1,
+    # then letters 3 and 4, the free letter 2 unwalked); listing the
+    # 4 * 1000003 values alone would take about 130 MB.
     monkeypatch.delenv("QUIDDITY_BUDGET", raising=False)
     tracemalloc.start()
     try:
@@ -680,19 +698,21 @@ def test_an_oversized_refusal_lists_no_values(capsys, monkeypatch):
     finally:
         tracemalloc.stop()
     assert (code, out) == (2, "")
-    assert err == ("error: enumeration needs 1000010000021 candidates, "
+    assert err == ("error: enumeration needs 1000007000012 candidates, "
                    "budget is 134217728\n")
     assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("method", ["auto", "brute"])
-@pytest.mark.parametrize("size,required", [(1, 1000000008), (2, 2000000015),
-                                           (3, 4000000028)])
+@pytest.mark.parametrize("size,required", [(1, 1000000008), (2, 1000000008),
+                                           (3, 2000000014)])
 def test_a_short_tuple_over_a_huge_modulus_lists_no_values(capsys, monkeypatch, method,
                                                            size, required):
-    # At size 1 or 2 no letter is walked, but listing each position's
-    # values over Z/1000000007Z would take gigabytes; the walk is charged
-    # those values too, so the request is refused before any is listed.
+    # At size 1 the naive walk walks no letter, but listing each
+    # position's values over Z/1000000007Z would take gigabytes; it is
+    # charged those values too (N + 1).  At sizes 2 and 3 the join at split
+    # 1 is charged less, N + 1 and 2N.  Each is refused before any value
+    # is listed.
     monkeypatch.delenv("QUIDDITY_BUDGET", raising=False)
     tracemalloc.start()
     try:

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from helpers import ivals, rt
-from quiddity import maps, reference, spec
+from quiddity import maps, oracle, reference, spec
 from quiddity.counter import dp_count
 from quiddity.maps import (
     DomainViolation,
@@ -498,6 +498,16 @@ def test_one_psi_pass_per_modulus():
         for tmap in shipped_maps(mod, 3):
             tmap.domain.members()
         assert maps._psi_buckets.cache_info().misses == before + 1
+
+
+def test_the_psi_pass_reads_the_oracles_one_enumeration():
+    # psi's domain is enumerated once, by oracle.psi_triples; psi_domain
+    # lists it and the harness streams it, in the same order.
+    assert maps.psi_triples is oracle.psi_triples
+    for n in (4, 9, 12):
+        mod = Modulus(n)
+        assert psi_domain(mod) == list(maps.psi_triples(mod))
+        assert maps._psi_values(mod) == tuple(psi(*t).value for t in psi_domain(mod))
 
 
 def test_a_battery_makes_one_psi_pass(monkeypatch):

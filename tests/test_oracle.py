@@ -28,6 +28,7 @@ from quiddity.oracle import (
 )
 from quiddity.sl2 import (
     Mat2,
+    TARGET_NAMES,
     continuant_entries,
     continuant_product,
     elementary,
@@ -399,16 +400,124 @@ def test_the_histogram_folds_only_where_that_walks_fewer_candidates():
     assert sum(product_histogram(7, MOD8, {2: UNIT}, budget=walked).values()) == 8 ** 6 * 4
 
 
-def test_auto_rule_switches_at_six_free_positions():
+def test_auto_runs_the_plan_charged_least():
     # Six free letters: 8**4 + 48 naive candidates but 576 for the join, so
-    # a budget of 1024 admits only the join and the answer shows which method
-    # auto chose.  Five: the naive walk needs 8**3 + 41, the join only 128.
+    # a budget of 1024 admits only the join.  With letter 1 fixed the naive
+    # walk needs 8**3 + 41, the join only 128, so auto asks for 128.  Size 3
+    # with letter 2 a unit over Z/7Z: the naive walk needs 7 + 20, the join
+    # 43, so auto asks for 27.
     wide = SetSpec(6, identity(MOD8))
     assert count(wide, budget=1024) == count(wide, "naive")
-    narrow = SetSpec(6, identity(MOD8), {1: fixed(1)})
     with pytest.raises(BudgetExceeded) as err:
-        count(narrow, budget=511)
-    assert err.value.required == 8 ** 3 + 5 * 8 + 1
+        count(wide, budget=575)
+    assert err.value.required == 576
+    narrow = SetSpec(6, identity(MOD8), {1: fixed(1)})
+    assert count(narrow, budget=128) == count(narrow, "naive")
+    with pytest.raises(BudgetExceeded) as err:
+        count(narrow, budget=127)
+    assert err.value.required == 128
+    short = SetSpec(3, identity(Modulus(7)), {2: UNIT})
+    assert oracle._choose_join(short).walked == 43
+    assert count(short, budget=27) == count(short, "naive")
+    with pytest.raises(BudgetExceeded) as err:
+        count(short, budget=26)
+    assert err.value.required == 27
+
+
+def test_a_tie_goes_to_the_naive_walk(monkeypatch):
+    # Z/5Z, size 3, letters 1 and 2 units: the naive walk is charged 4 + 13,
+    # the join at split 2 its 16 prefix leaves and one lookup of the target.
+    spec = SetSpec(3, identity(Modulus(5)), {1: UNIT, 2: UNIT})
+    assert oracle._solve_cost(spec) == oracle._choose_join(spec).walked == 17
+    expected = count(spec, "naive")
+    monkeypatch.setattr(oracle, "_count_mitm", lambda *args: pytest.fail("the join ran"))
+    assert count(spec, budget=17) == expected
+
+
+def test_auto_admits_exactly_the_cheaper_plan_over_a_seeded_grid():
+    # N = 2..16 and sizes 1..7, each constraint kind at each position, with
+    # a seeded target among the six named ones and one explicit one.  Walks
+    # stop at 20,000 naive candidates.
+    rng = random.Random(35)
+    plans, targets_seen, ran = Counter(), set(), 0
+    for n in range(2, 17):
+        mod = Modulus(n)
+        targets = [target_by_name(name, mod) for name in TARGET_NAMES] + [Mat2(2, 1, 1, 1, mod)]
+        for size in range(1, 8):
+            menus = [{}] + [{pos: con} for pos in range(1, size + 1)
+                            for con in (UNIT, NONUNIT, fixed(rng.randrange(n)))]
+            for constraints in menus:
+                target = rng.choice(targets)
+                spec = SetSpec(size, target, constraints)
+                naive = oracle._solve_cost(spec)
+                if naive > 20_000:
+                    continue
+                join = oracle._choose_join(spec) if size > 1 else None
+                cheapest = naive if join is None else min(naive, join.walked)
+                plans[cheapest == naive] += 1
+                assert count(spec, budget=cheapest) == count(spec, "naive"), spec
+                with pytest.raises(BudgetExceeded) as err:
+                    count(spec, budget=cheapest - 1)
+                assert err.value.required == cheapest, spec
+                targets_seen.add(targets.index(target))
+                ran += 1
+    assert ran > 1000 and plans[True] > 0 and plans[False] > 0, (ran, plans)
+    assert targets_seen == set(range(7))
+
+
+def test_a_split_is_checked_whatever_the_method():
+    spec = SetSpec(4, identity(MOD8))
+    for method in ("auto", "mitm"):
+        with pytest.raises(ValueError, match="^split 9 outside 1..3$"):
+            count(spec, method, split=9)
+    for split in (2, 9):
+        with pytest.raises(ValueError, match="^the naive walk takes no split$"):
+            count(spec, "naive", split=split)
+
+
+def test_auto_runs_the_join_at_a_given_split():
+    # The naive walk is charged 27, less than either join, yet a given
+    # split runs the join there: 7 + 6 * 7 candidates at split 1.
+    spec = SetSpec(3, identity(Modulus(7)), {2: UNIT})
+    assert oracle._join(spec, 1, spec.position_counts()).walked == 49
+    with pytest.raises(BudgetExceeded) as err:
+        count(spec, split=1, budget=48)
+    assert err.value.required == 49
+    assert count(spec, split=1, budget=49) == count(spec, "naive")
+
+
+def test_the_join_reaches_a_count_the_naive_walk_is_refused():
+    # Z/521Z, size 5: the naive walk would be charged 521**3 + 5 * 521,
+    # past the default budget; the join at split 2 walks 542,882.
+    spec = SetSpec(5, identity(Modulus(521)))
+    assert oracle._solve_cost(spec) == 141_423_366 > oracle.DEFAULT_BUDGET
+    assert oracle._choose_join(spec).walked == 542_882
+    assert count(spec, budget=oracle.DEFAULT_BUDGET) == int(u_count(5, 521, 1)) == 271_442
+
+
+def test_a_hopeless_long_tuple_is_refused_by_a_bound_on_every_join():
+    # Z/2Z, size 100000: every join walks at least 2 sqrt(2^99998 / 2), past
+    # the budget and past the digits Python prints, so no split is priced
+    # and the refusal names that bound by its digits.
+    spec = SetSpec(100_000, identity(Modulus(2)))
+    for method in ("auto", "mitm"):
+        with pytest.raises(BudgetExceeded) as err:
+            count(spec, method, budget=oracle.DEFAULT_BUDGET)
+        assert err.value.required == 2 * math.isqrt(2 ** 99_997)
+        assert str(err.value) == ("enumeration needs a count of candidates at least 15052 "
+                                  "digits long, budget is 134217728")
+    assert str(BudgetExceeded(5, 4, at_least=True)) == (
+        "enumeration needs at least 5 candidates, budget is 4")
+
+
+def test_a_bound_that_prints_leaves_the_exact_charge_named():
+    # Z/2Z, size 2000: the bound is past the budget but prints, so every
+    # split is priced and the refusal names the cheapest join's charge.
+    spec = SetSpec(2000, identity(Modulus(2)))
+    with pytest.raises(BudgetExceeded) as err:
+        count(spec, budget=oracle.DEFAULT_BUDGET)
+    assert err.value.required == oracle._choose_join(spec).walked
+    assert str(err.value).startswith(f"enumeration needs {err.value.required} candidates")
 
 
 @pytest.mark.parametrize("name", ["ANY", "BudgetExceeded", "Constraint", "DEFAULT_BUDGET",
