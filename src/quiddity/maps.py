@@ -7,20 +7,18 @@ forms); contract a block of letters into one letter, or expand it back
 (_contract, _expand), the pair and unit-triple merges being blocks of two
 and three letters; and scale alternately by a unit and its inverse
 (_alternate).  Unit insertion is Conway and Coxeter's insertion of a 1,
-then such a scaling.  Maps act on explicit tuples of residues, never on
-counts, so a broken transcription surfaces as a concrete counterexample
-tuple instead of a silently wrong total.  Positions are 1-based in every
-docstring to match tuple subscripts a_1..a_n; code indexes are 0-based.
+then such a scaling.  Each move reads the letters it makes from tables of
+pooled residues (_Affine), and a block's merge is worked out once
+(_block).  Maps act on explicit tuples of residues, never on counts, so a
+broken transcription surfaces as a concrete counterexample tuple instead
+of a silently wrong total.  Positions are 1-based in every docstring to
+match tuple subscripts a_1..a_n; code indexes are 0-based.
 
-The harness, not the maps, decides membership: it looks each listed domain
-member up in the domain's index before mapping it forward, and each image
-up in the codomain's.  In its pass over the codomain, a member that was
-already an image needs nothing more, so a bijection costs one forward, one
-backward and two lookups per member.  Each builder makes its own sets;
-shipped_maps alone shares them, and a battery walks each size and target
-once: its constrained sets read their members from that walk, and a
-member's product is walked once, as the index of the set that lists it is
-built.  The unit-triple merges and the fibers share one psi pass.
+The harness, not the maps, decides membership (verify_reciprocal), by
+lookups in each set's index, at one forward, one backward and two lookups
+per member.  Each builder makes its own sets; shipped_maps alone shares
+them, so a battery walks each size and target once and each member's
+product once, and its unit-triple merges and fibers share one psi pass.
 """
 
 from __future__ import annotations
@@ -41,37 +39,38 @@ class DomainViolation(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# the moves, and the tables of pooled multiples that alternate scaling reads
+# the moves, and the tables of pooled letters that they read
 
 
-class _Scaled(dict):
-    """Letter -> the pooled residue of ``unit`` times it, each entry made
-    on first use, so a table over a huge modulus holds only what it read."""
+class _Affine(dict):
+    """Letter -> the pooled residue of mul * letter + add, made on first use,
+    so a table holds only what it read, and serves every modulus."""
 
-    __slots__ = ("unit",)
+    __slots__ = ("mul", "add")
 
-    def __init__(self, unit: Residue):
-        self.unit = unit
+    def __init__(self, mul: int, add: int):
+        self.mul, self.add = mul, add
 
     def __missing__(self, a):
-        out = self[a] = Residue(self.unit.value * a.value, a.modulus)
+        out = self[a] = Residue(self.mul * a.value + self.add, a.modulus)
         return out
 
 
+_affine = functools.lru_cache(maxsize=1024)(_Affine)
+
+
 @functools.lru_cache(maxsize=256)
-def _tables(u: Residue) -> tuple[_Scaled, _Scaled]:
+def _tables(u: Residue) -> tuple[_Affine, _Affine]:
     """The letter tables of the unit u and of u^-1, made once per unit."""
-    return _Scaled(u), _Scaled(u.inverse())
+    return _affine(u.value, 0), _affine(u.inverse().value, 0)
 
 
 def _alternate(tables, t: tuple) -> tuple:
-    """t's letters, the i-th (0-based) read from tables[i % len(tables)].
-
-    Tables first, so that a map is functools.partial(_alternate, tables).
-    """
+    """t's letters, the i-th (0-based) read from tables[i % len(tables)];
+    tables first, so that a map is functools.partial(_alternate, tables)."""
     # a display, so the tuple is made at its size and reuses the short
     # tuples freed before, as in Modulus.residues
-    return (*map(dict.__getitem__, itertools.cycle(tables), t),)
+    return (*map(dict.__getitem__, tables * len(t), t),)
 
 
 def _drop(t: tuple, i: int, e: int) -> tuple:
@@ -80,10 +79,10 @@ def _drop(t: tuple, i: int, e: int) -> tuple:
     n = len(t)
     if not (2 <= i <= n - 1):
         raise DomainViolation(f"position {i} is not interior for size {n}")
-    mod = t[0].modulus
-    if t[i - 1].value != e % mod.n:
+    if t[i - 1].value != e % t[0].modulus.n:
         raise DomainViolation(f"letter at position {i} is {t[i - 1].value}, not {e}")
-    return t[: i - 2] + mod.residues([t[i - 2].value - e, t[i].value - e]) + t[i + 1:]
+    less = _affine(1, -e)
+    return t[: i - 2] + (less[t[i - 2]], less[t[i]]) + t[i + 1:]
 
 
 def _insert(t: tuple, i: int, e: int) -> tuple:
@@ -91,30 +90,45 @@ def _insert(t: tuple, i: int, e: int) -> tuple:
     n = len(t) + 1
     if not (2 <= i <= n - 1):
         raise DomainViolation(f"position {i} is not interior for size {n}")
-    return t[: i - 2] + t[0].modulus.residues([t[i - 2].value + e, e, t[i - 1].value + e]) + t[i:]
+    more = _affine(1, e)  # and e itself, read from the table sending every letter to e
+    return t[: i - 2] + (more[t[i - 2]], _affine(0, e)[t[0]], more[t[i - 1]]) + t[i:]
 
 
 def reduce_one(t: tuple, i: int = 2) -> tuple:
-    """Remove a letter 1 at interior position i, absorbing it into both
-    neighbours (each drops by 1); the product is unchanged."""
+    """Remove a letter 1 at interior position i; the product is unchanged."""
     return _drop(t, i, 1)
 
 
 def insert_one(t: tuple, i: int = 2) -> tuple:
-    """Insert a letter 1 at position i, bumping both neighbours by 1."""
+    """Insert a letter 1 at position i; the product is unchanged."""
     return _insert(t, i, 1)
 
 
 def reduce_minus_one(t: tuple, i: int = 2) -> tuple:
-    """Remove a letter -1 at interior position i (neighbours gain 1); the
-    product is negated."""
+    """Remove a letter -1 at interior position i; the product is negated."""
     return _drop(t, i, -1)
 
 
 def insert_minus_one(t: tuple, i: int = 2) -> tuple:
-    """Insert a letter -1 at position i (neighbours drop by 1); negates the
-    product."""
+    """Insert a letter -1 at position i; the product is negated."""
     return _insert(t, i, -1)
+
+
+@functools.lru_cache(maxsize=4096)
+def _block(letters: tuple, modulus: Modulus) -> tuple:
+    """A block of letters (ints or residues) as _contract merges it: the
+    block and its merged letter alpha as residues, then the tables adding
+    (1 + beta)/alpha to its left neighbour and (1 - gamma)/alpha to its
+    right one and the two undoing them, or None when alpha is no unit."""
+    n = modulus.n
+    block = modulus.residues([int(a) for a in letters])
+    alpha, beta, gamma, _ = continuant_entries([a.value for a in block], n)
+    if math.gcd(alpha, n) != 1:
+        return block, Residue(alpha, modulus), None
+    e = pow(alpha, -1, n)
+    left, right = (1 + beta) * e % n, (1 - gamma) * e % n
+    return block, Residue(alpha, modulus), tuple(
+        _affine(1, shift) for shift in (left, right, n - left, n - right))
 
 
 def _contract(t: tuple, j: int) -> tuple:
@@ -124,29 +138,23 @@ def _contract(t: tuple, j: int) -> tuple:
     and k' = k + (1 - gamma)/alpha.  Refuses exactly when alpha is no unit."""
     if len(t) < j + 2:
         raise DomainViolation(f"size {len(t)} < {j + 2}")
-    mod = t[0].modulus
-    alpha, beta, gamma, _ = continuant_entries([a.value for a in t[1:j + 1]], mod.n)
-    if math.gcd(alpha, mod.n) != 1:
-        raise NotAUnit(f"merged letter {alpha} is not invertible mod {mod.n}")
-    e = pow(alpha, -1, mod.n)
-    return mod.residues([t[0].value + (1 + beta) * e, alpha,
-                         t[j + 1].value + (1 - gamma) * e]) + t[j + 2:]
+    _, alpha, shifts = _block(t[1:j + 1], t[0].modulus)
+    if shifts is None:
+        raise NotAUnit(f"merged letter {alpha.value} is not invertible mod {alpha.modulus.n}")
+    return (shifts[0][t[0]], alpha, shifts[1][t[j + 1]]) + t[j + 2:]
 
 
-def _expand(t: tuple, letters: list) -> tuple:
-    """Inverse of _contract for the split int ``letters``; the second entry
-    of t must be the merged letter they make."""
+def _expand(t: tuple, letters) -> tuple:
+    """Inverse of _contract for the split ``letters`` (ints or residues);
+    the second entry of t must be the merged letter they make."""
     if len(t) < 3:
         raise DomainViolation(f"size {len(t)} < 3")
-    mod = t[0].modulus
-    alpha, beta, gamma, _ = continuant_entries(letters, mod.n)
-    if t[1].value != alpha:
-        raise DomainViolation(f"second entry {t[1].value} != {alpha}")
-    if math.gcd(alpha, mod.n) != 1:
-        raise NotAUnit(f"merged letter {alpha} is not invertible mod {mod.n}")
-    e = pow(alpha, -1, mod.n)
-    return mod.residues([t[0].value - (1 + beta) * e, *letters,
-                         t[2].value - (1 - gamma) * e]) + t[3:]
+    block, alpha, shifts = _block(tuple(letters), t[0].modulus)
+    if t[1] is not alpha:
+        raise DomainViolation(f"second entry {t[1].value} != {alpha.value}")
+    if shifts is None:
+        raise NotAUnit(f"merged letter {alpha.value} is not invertible mod {alpha.modulus.n}")
+    return (shifts[2][t[0]], *block, shifts[3][t[2]]) + t[3:]
 
 
 def reduce_pair(t: tuple) -> tuple:
@@ -157,7 +165,7 @@ def reduce_pair(t: tuple) -> tuple:
 
 def expand_pair(t: tuple, x: Residue, y: Residue) -> tuple:
     """Inverse of reduce_pair for the split letters (x, y)."""
-    return _expand(t, [x.value, y.value])
+    return _expand(t, (x, y))
 
 
 def reduce_quintuple(t: tuple) -> tuple:
@@ -168,7 +176,7 @@ def reduce_quintuple(t: tuple) -> tuple:
 
 def expand_quintuple(t: tuple, u: Residue, v: Residue, w: Residue) -> tuple:
     """Inverse of reduce_quintuple for the split letters (u, v, w)."""
-    return _expand(t, [u.value, v.value, w.value])
+    return _expand(t, (u, v, w))
 
 
 def unit_drop_map(t: tuple) -> tuple:
@@ -190,11 +198,10 @@ class SpecSet:
     """An enumerable tuple set described by a SetSpec.
 
     Membership is a lookup in an index of the enumerated members, built
-    once, and each member is checked against spec.matches as it goes in:
-    a member the enumeration got wrong is left out, so the harness reports
-    it, on either side of a map, and a tuple the enumeration missed is
-    refused.  That check is the one walk of a member's product; the
-    harness's membership checks are lookups in this index.
+    once, and each member is checked against spec.matches as it goes in,
+    the one walk of its product: a member the enumeration got wrong is
+    left out, so the harness reports it, on either side of a map, and a
+    tuple the enumeration missed is refused.
 
     shipped_maps may set ``_source`` to the set of all solutions of the
     same size and target.  Such a set walks nothing: its members are the
@@ -202,14 +209,12 @@ class SpecSet:
     its constrained letters are checked as they are read.
     """
 
+    # _buckets: fixed positions -> {their letters -> checked members}
     __slots__ = ("spec", "_members", "_index", "_source", "_buckets")
 
     def __init__(self, spec: SetSpec):
-        self.spec = spec
-        self._members = None
-        self._index = None
-        self._source = None
-        self._buckets = None  # fixed positions -> {their letters -> checked members}
+        self.spec, self._members, self._index, self._source, self._buckets = (
+            spec, None, None, None, None)
 
     def members(self, budget=None) -> tuple:
         if self._members is None:
@@ -232,8 +237,7 @@ class SpecSet:
         bucket of spec's fixed letters, each letter checked once more."""
         pinned = [(p - 1, con.value) for p, con in spec.constraints if con.kind == "fixed"]
         positions, letters = zip(*pinned) if pinned else ((), ())
-        if self._buckets is None:
-            self._buckets = {}
+        self._buckets = self._buckets or {}
         buckets = self._buckets.get(positions)
         if buckets is None:
             # keyed by the letters' values, as the spec gives them
@@ -282,10 +286,7 @@ class FiberSet:
     __slots__ = ("modulus", "x", "_members", "_index")
 
     def __init__(self, modulus: Modulus, x: Residue):
-        self.modulus = modulus
-        self.x = x
-        self._members = None
-        self._index = None
+        self.modulus, self.x, self._members, self._index = modulus, x, None, None
 
     def members(self, budget=None) -> tuple:
         if self._members is None:
@@ -344,35 +345,33 @@ def verify_reciprocal(tmap: TupleMap, budget: int | None = None) -> ReciprocityR
     and that the set sizes agree.
 
     Membership is decided here, never by the maps.  The first pass checks
-    that each listed domain member t is in the domain, then maps it
-    forward, checks that the image is in the codomain, and maps it back.
-    The second walks the codomain: a member s that the first pass produced
-    as forward(t) needs nothing more, since t was checked and
-    backward(s) = t; any other member is mapped back, its preimage checked
-    for domain membership, and mapped forward again.  Any failure is
-    reported with a concrete counterexample tuple.
+    each listed domain member t, maps it forward, checks the image and maps
+    it back.  The second walks the codomain: a member that the first pass
+    made as forward(t) needs nothing more; any other is mapped back, its
+    preimage checked and mapped forward again.  Any failure is reported
+    with a concrete counterexample tuple.
     """
-    domain = tmap.domain.members(budget)
-    codomain = tmap.codomain.members(budget)
+    domain, codomain = tmap.domain.members(budget), tmap.codomain.members(budget)
+    in_domain, in_codomain = tmap.domain.contains, tmap.codomain.contains
+    forward, backward = tmap.forward, tmap.backward
 
     def fail(reason, witness):
-        return ReciprocityReport(tmap.name, False, len(domain), len(codomain),
-                                 reason, witness)
+        return ReciprocityReport(tmap.name, False, len(domain), len(codomain), reason, witness)
 
     # forward(t) -> t: a dict, not a set, since a set grows to four times
     # its members, which raised the N = 16 battery's peak RSS
     preimages = {}
     for t in domain:
-        if not tmap.domain.contains(t):
+        if not in_domain(t):
             return fail("listed domain member is not in the domain", t)
         try:
-            image = tmap.forward(t)
+            image = forward(t)
         except (DomainViolation, NotAUnit) as err:
             return fail(f"forward raised {err}", t)
-        if not tmap.codomain.contains(image):
+        if not in_codomain(image):
             return fail("forward image left the codomain", (t, image))
         try:
-            back = tmap.backward(image)
+            back = backward(image)
         except (DomainViolation, NotAUnit) as err:
             return fail(f"backward raised {err}", image)
         if back != t:
@@ -382,13 +381,13 @@ def verify_reciprocal(tmap: TupleMap, budget: int | None = None) -> ReciprocityR
         if s in preimages:
             continue
         try:
-            pre = tmap.backward(s)
+            pre = backward(s)
         except (DomainViolation, NotAUnit) as err:
             return fail(f"backward raised {err}", s)
-        if not tmap.domain.contains(pre):
+        if not in_domain(pre):
             return fail("backward image left the domain", (s, pre))
         try:
-            again = tmap.forward(pre)
+            again = forward(pre)
         except (DomainViolation, NotAUnit) as err:
             return fail(f"forward raised {err}", pre)
         if again != s:
@@ -441,10 +440,11 @@ def merge_after_unit_bijection(size: int, modulus: Modulus, target: Mat2,
     """
     dom = SpecSet(SetSpec(size, target, {2: fixed(int(u)), 3: NONUNIT}))
     cod = SpecSet(SetSpec(size - 1, target, {2: UNIT}))
-    a, ui = u.value, u.inverse().value
+    ui = u.inverse().value
+    split = _affine(ui, ui)  # merged -> a3 = u^-1 (merged + 1)
     return TupleMap(
         f"merge-after-unit(n={size}, N={modulus.n}, target={target_label(target)}, u={u.value})",
-        dom, cod, reduce_pair, lambda t: _expand(t, [a, ui * (t[1].value + 1)]))
+        dom, cod, reduce_pair, lambda t: _expand(t, (u, split[t[1]])))
 
 
 def merge_fixed_pair_bijection(size: int, modulus: Modulus, target: Mat2,
@@ -466,19 +466,23 @@ def merge_unit_triple_bijection(size: int, modulus: Modulus, target: Mat2,
                                 u: Residue, v: Residue, w: Residue) -> TupleMap:
     """Entries 2..4 pinned to (u, v, w) with u, v units, onto size-2
     smaller tuples with second entry pinned to the unit psi(u, v, w)."""
-    cod = SpecSet(SetSpec(size - 2, target, {2: fixed(psi(u, v, w).value)}))
-    return _unit_triple_map(size, modulus, target, u, v, w, cod)
+    tail, pins, backward = _unit_triple(u, v, w)
+    return TupleMap(_unit_triple_head(size, modulus, target) + tail,
+                    SpecSet(SetSpec(size, target, pins)),
+                    SpecSet(SetSpec(size - 2, target, {2: fixed(psi(u, v, w).value)})),
+                    reduce_quintuple, backward)
 
 
-def _unit_triple_map(size: int, modulus: Modulus, target: Mat2,
-                     u: Residue, v: Residue, w: Residue, cod: SpecSet) -> TupleMap:
-    """merge_unit_triple_bijection onto ``cod``, the set of psi(u, v, w)."""
-    dom = SpecSet(SetSpec(size, target, {2: fixed(u.value), 3: fixed(v.value),
-                                         4: fixed(w.value)}))
-    return TupleMap(
-        f"merge-unit-triple(n={size}, N={modulus.n}, target={target_label(target)}, "
-        f"u={u.value}, v={v.value}, w={w.value})",
-        dom, cod, reduce_quintuple, lambda t: expand_quintuple(t, u, v, w))
+def _unit_triple_head(size: int, modulus: Modulus, target: Mat2) -> str:
+    return f"merge-unit-triple(n={size}, N={modulus.n}, target={target_label(target)}, "
+
+
+def _unit_triple(u: Residue, v: Residue, w: Residue) -> tuple:
+    """What a merge of (u, v, w) keeps at every size and target: its name's
+    tail, its domain's pins of letters 2..4, and its backward map."""
+    return (f"u={u.value}, v={v.value}, w={w.value})",
+            ((2, fixed(u.value)), (3, fixed(v.value)), (4, fixed(w.value))),
+            functools.partial(expand_quintuple, u=u, v=v, w=w))
 
 
 def unit_insertion_bijection(size: int, modulus: Modulus, sign: int, u: Residue) -> TupleMap:
@@ -510,18 +514,14 @@ def _require_two_power(modulus: Modulus):
 
 
 def battery_cost(modulus: Modulus, max_size: int) -> int:
-    """The candidates of shipped_maps' battery, in closed form.
-
-    - The psi pass over phi(N)^2 N triples.
-    - The unconstrained walk of each size 3..max_size and target, at what
-      oracle.solutions charges it (_solve_cost: N^(size-2) + size N), plus
-      size N^(size-2) for the letters of the members it lists: each of its
-      N^(size-2) leaves yields at most one tuple.
-    - The domains of the unit-triple merges at sizes 5 and 6, 2 targets x
-      phi(N)^2 x N distinct specs per size, each priced as if that set were
-      walked alone, at _solve_cost (3N + 3 at size 5, 4N + 3 at size 6).
-      The battery reads them from the walks above, so that is at least what
-      it walks for them.
+    """The candidates of shipped_maps' battery, in closed form: the psi
+    pass over phi(N)^2 N triples; the unconstrained walk of each size
+    3..max_size and target, at oracle.solutions' charge (_solve_cost:
+    N^(size-2) + size N), plus size N^(size-2) for the letters of the
+    members it lists, one tuple at most per leaf; and the unit-triple
+    domains at sizes 5 and 6, 2 targets x phi(N)^2 x N specs per size, each
+    at _solve_cost (3N + 3 at size 5, 4N + 3 at size 6), at least what the
+    battery walks for them though it reads them from the walks above.
 
     Admitted before the battery is built, it refuses N = 128 (and N = 4
     beyond size 12) at the default budget without building any map.
@@ -551,8 +551,6 @@ def shipped_maps(modulus: Modulus, max_size: int) -> list[TupleMap]:
     walks each member's product once, as its (size, target) set is
     indexed.  The fiber shifts all start from one fiber over 1; the fibers
     and the unit-triple merges, 2 phi(N)^2 N per size, read one psi pass.
-    Those merges are built onto shared codomains directly: no other set of
-    the battery equals one of their domains.
     """
     _require_two_power(modulus)
     units = units_of(modulus)
@@ -597,17 +595,19 @@ def shipped_maps(modulus: Modulus, max_size: int) -> list[TupleMap]:
             for x in nonunits[:2]:
                 for y in (nonunits[1], units[1]):
                     add(merge_fixed_pair_bijection(n, modulus, target, x, y))
-    for n in range(5, min(6, max_size) + 1):
+    # The unit-triple merges, most of the battery, skip shared(): no other set
+    # equals a domain of theirs.  What no size or target changes is made once.
+    sizes = range(5, min(6, max_size) + 1)
+    triples = [(_unit_triple(u, v, w), x) for (u, v, w), x in
+               zip(psi_triples(modulus), _psi_values(modulus))] if sizes else []
+    for n in sizes:
         for target in targets:
-            # The unit-triple merges, most of the battery, skip shared():
-            # their domains are all distinct and read the walk directly, and
-            # their codomains are the phi(N) sets pinning a_2 to a unit.
-            source = walks[n, target.key()]
+            head, source = _unit_triple_head(n, modulus, target), walks[n, target.key()]
             cods = {x.value: shared(SetSpec(n - 2, target, {2: fixed(x.value)})) for x in units}
-            for (u, v, w), x in zip(psi_triples(modulus), _psi_values(modulus)):
-                tmap = _unit_triple_map(n, modulus, target, u, v, w, cods[x])
-                tmap.domain._source = source
-                out.append(tmap)
+            for (tail, pins, backward), x in triples:
+                dom = SpecSet(SetSpec(n, target, pins))
+                dom._source = source
+                out.append(TupleMap(head + tail, dom, cods[x], reduce_quintuple, backward))
     for n in range(4, max_size + 1, 2):
         for sign in (1, -1):
             for u in units:

@@ -15,7 +15,7 @@ three uses:
 * solve (solutions, the naive count): walk the first n - 2 letters; the
   last two are forced by the target and kept only if they land on it and
   are allowed at their positions;
-* bucket (_half_products, product_histogram): count every candidate's
+* bucket (_half_products, _product_buckets): count every candidate's
   product, or its top row alone, the meet-in-the-middle prefix.  The last
   letter expands in C through per-row tables (_leaf_keys); Python steps
   only through the letters ahead of it, and a table row is itself picked
@@ -383,7 +383,14 @@ def count(spec: SetSpec, method: str = "auto", budget: int | None = None,
 
 def product_histogram(size: int, modulus: Modulus, constraints=None,
                       budget: int | None = None) -> dict[Mat2, int]:
-    """Bucket every candidate tuple by its final product.
+    """_product_buckets with each product's key read back as its Mat2."""
+    buckets = _product_buckets(size, modulus, constraints, budget)
+    return {Mat2.from_key(key, modulus): times for key, times in buckets.items()}
+
+
+def _product_buckets(size: int, modulus: Modulus, constraints=None,
+                     budget: int | None = None) -> dict[int, int]:
+    """Bucket every candidate tuple by its final product's Mat2.key().
 
     Independent full-distribution oracle: summing the histogram recovers
     the number of candidates, and each bucket equals count() on that target.
@@ -400,16 +407,16 @@ def product_histogram(size: int, modulus: Modulus, constraints=None,
     _admit(walked, budget)
     values = probe.position_values()
     if walked == prefix * last:
-        buckets = _half_products(values, N)
-    else:  # the last letter's key parts come from _half_products' tables
-        firsts = _LetterRows(values[-1], N, N ** 3, N)
-        seconds = _LetterRows(values[-1], N, N * N, 1)
-        buckets = {}
-        for key, times in _half_products(values[:-1], N).items():
-            (p, q), (r, s) = divmod(key // (N * N), N), divmod(key % (N * N), N)
-            for leaf in map(add, firsts[p * N + r], seconds[q * N + s]):
-                buckets[leaf] = buckets.get(leaf, 0) + times
-    return {Mat2.from_key(key, modulus): times for key, times in buckets.items()}
+        return _half_products(values, N)
+    # the last letter's key parts come from _half_products' tables
+    firsts = _LetterRows(values[-1], N, N ** 3, N)
+    seconds = _LetterRows(values[-1], N, N * N, 1)
+    buckets = {}
+    for key, times in _half_products(values[:-1], N).items():
+        (p, q), (r, s) = divmod(key // (N * N), N), divmod(key % (N * N), N)
+        for leaf in map(add, firsts[p * N + r], seconds[q * N + s]):
+            buckets[leaf] = buckets.get(leaf, 0) + times
+    return buckets
 
 
 def count_zero_pairs(m: int) -> int:

@@ -12,7 +12,7 @@ import sys
 from collections import namedtuple
 
 from .modring import Modulus
-from .sl2 import TARGET_NAMES, target_by_name
+from .sl2 import Mat2, TARGET_NAMES, target_by_name
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +200,16 @@ def _suite_totality(moduli: list[int], sizes: list[int],
             checks.append(Check(f"totality dp N={n} n={size}",
                                 vec.total() == n ** size,
                                 f"{vec.total()} vs {n}^{size}"))
+        # the DP is read at each bucket's matrix, made once per group element
+        mats: dict[int, Mat2] = {}
         for size in [s for s in sizes if n ** s <= 1 << 20]:
-            hist = oracle.product_histogram(size, modulus, budget=budget)
+            buckets = oracle._product_buckets(size, modulus, budget=budget)
+            for key in buckets.keys() - mats.keys():
+                mats[key] = Mat2.from_key(key, modulus)
             at = vecs[size].at
             checks.append(Check(f"totality oracle N={n} n={size}",
-                                sum(hist.values()) == n ** size
-                                and all(at(mat) == times for mat, times in hist.items()),
+                                sum(buckets.values()) == n ** size
+                                and all(at(mats[key]) == times for key, times in buckets.items()),
                                 "bucketed walk"))
     return checks
 
@@ -227,18 +231,21 @@ SUITES = {
 
 def run_suites(args, moduli: list[int] | None, sizes: list[int] | None,
                ms: list[int] | None) -> int:
-    """Run args.suite (every suite, in order, for ``all``), print one line
-    per check and the tally; 1 if any check failed, else 0."""
+    """Run args.suite (every suite, in order, for ``all``) and print its
+    report: one line per check, then the tally; 1 if any check failed,
+    else 0.
+
+    The report is written once, after every suite has run: with stdout
+    unbuffered (PYTHONUNBUFFERED, or a terminal's line buffering) each
+    write is a system call, and the Z/16Z battery alone has 2,127 lines.
+    """
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     checks: list[Check] = []
     for suite in suites:
         checks += SUITES[suite](args, moduli, sizes, ms or [2, 3])
-    failures = [c for c in checks if not c.ok]
-    for check in checks:
-        status = "PASS" if check.ok else "FAIL"
-        line = f"{status} {check.name}"
-        if check.detail:
-            line += f" ({check.detail})"
-        sys.stdout.write(line + "\n")
-    sys.stdout.write(f"{len(checks) - len(failures)}/{len(checks)} checks passed\n")
-    return 1 if failures else 0
+    passed = sum(1 for check in checks if check.ok)
+    lines = [f"{'PASS' if ok else 'FAIL'} {name}" + (f" ({detail})" if detail else "")
+             for name, ok, detail in checks]
+    lines.append(f"{passed}/{len(checks)} checks passed\n")
+    sys.stdout.write("\n".join(lines))
+    return 0 if passed == len(checks) else 1

@@ -659,7 +659,8 @@ def test_the_bijection_suite_frees_each_map_once_verified():
 def test_totality_checks_every_bucket_against_the_dp(monkeypatch):
     # One tuple moved between two buckets keeps the histogram's total, but
     # two buckets then disagree with the DP, so the oracle checks fail.
-    real = oracle.product_histogram
+    # The suite reads the oracle's buckets by key, as product_histogram does.
+    real = oracle._product_buckets
 
     def moved(*args, **kwargs):
         hist = real(*args, **kwargs)
@@ -668,21 +669,62 @@ def test_totality_checks_every_bucket_against_the_dp(monkeypatch):
         hist[second] -= 1
         return hist
 
-    monkeypatch.setattr(oracle, "product_histogram", moved)
+    monkeypatch.setattr(oracle, "_product_buckets", moved)
     checks = reference._suite_totality([3], [3, 4], None)
     assert [(check.name, check.ok) for check in checks] == [
         ("totality dp N=3 n=3", True), ("totality dp N=3 n=4", True),
         ("totality oracle N=3 n=3", False), ("totality oracle N=3 n=4", False)]
 
 
-@pytest.mark.parametrize("suite", ["totality", "recursion", "bounds"])
+@pytest.mark.parametrize("suite", ["totality", "recursion", "bounds", "crt"])
 def test_the_closed_form_and_histogram_suites_are_golden(capsys, suite):
     # totality buckets every candidate through the oracle's histogram and
     # checks each bucket against the DP;
-    # recursion and bounds evaluate the closed forms against the DP
+    # recursion and bounds evaluate the closed forms against the DP;
+    # crt checks the DP over Z/12Z against the product of its pieces' counts
+    # and verifies the CRT split bijection
     code, out, err = run_cli(capsys, "verify", "--suite", suite)
     assert (code, err) == (0, "")
     assert out.encode() == (GOLDEN / f"verify_{suite}.txt").read_bytes()
+
+
+class CountingWriter:
+    """A stdout that keeps each write's text."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def _per_line(checks) -> str:
+    """A report as one line per check, then the tally."""
+    lines = [f"{'PASS' if c.ok else 'FAIL'} {c.name}" + (f" ({c.detail})" if c.detail else "")
+             for c in checks]
+    return "".join(line + "\n" for line in lines) + f"{len(checks)}/{len(checks)} checks passed\n"
+
+
+def test_verify_writes_its_report_in_one_write(monkeypatch):
+    # With stdout unbuffered, each write is a system call: the report of
+    # every suite leaves in one, byte for byte the report line by line.
+    runs = [
+        (["verify", "--suite", "bijections", "--modulus", "4", "--max-size", "4"],
+         _per_line(reference._suite_bijections([4], 4, None))),
+        (["verify", "--suite", "totality", "--modulus", "3", "--sizes", "2"],
+         "PASS totality dp N=3 n=2 (9 vs 3^2)\n"
+         "PASS totality oracle N=3 n=2 (bucketed walk)\n"
+         "2/2 checks passed\n"),
+    ]
+    for argv, expected in runs:
+        writer = CountingWriter()
+        monkeypatch.setattr(sys, "stdout", writer)
+        assert main(argv) == 0
+        assert writer.writes == [expected]
 
 
 def test_an_oversized_refusal_lists_no_values(capsys, monkeypatch):

@@ -621,6 +621,29 @@ def test_the_battery_builds_each_unit_triple_merge_as_its_builder_does():
             assert verify_reciprocal(got) == verify_reciprocal(want), got.name
 
 
+def test_the_z16_unit_triple_merges_are_their_builders_maps():
+    # The benchmark's Z/16Z battery holds 2,048 unit-triple merges, most of
+    # them with an empty domain, built from parts shared across the
+    # targets.  Each must still be its builder's map: the same name, sets
+    # and action on every member of either side.
+    mod16 = Modulus(16)
+    units, targets = units_of(mod16), (identity(mod16), neg_identity(mod16))
+    built = [t for t in shipped_maps(mod16, 5) if t.name.startswith("merge-unit-triple(")]
+    alone = [merge_unit_triple_bijection(5, mod16, target, u, v, Residue(w, mod16))
+             for target in targets for u in units for v in units for w in range(16)]
+    assert len(built) == len(alone) == 2048
+    for got, want in zip(built, alone):
+        assert type(got) is TupleMap and type(got.domain) is SpecSet
+        assert got.name == want.name
+        assert (got.domain.spec, got.codomain.spec) == (want.domain.spec, want.codomain.spec)
+        assert got.domain.members() == want.domain.members()
+        for t in want.domain.members():
+            assert got.forward(t) == want.forward(t)
+        for s in want.codomain.members():
+            assert got.backward(s) == want.backward(s)
+    assert sum(1 for t in alone if t.domain.members()) == 256
+
+
 def test_the_battery_shares_one_fiber_over_1():
     shifts = [t for t in shipped_maps(MOD8, 3) if t.name.startswith("fiber-shift")]
     assert len(shifts) == 4 and len({id(t.domain) for t in shifts}) == 1

@@ -123,6 +123,29 @@ def test_the_crt_suite_loads_the_harness_on_demand():
     assert "quiddity.maps" in report["loaded"]
 
 
+# The package modules each of the benchmark's costliest verify requests
+# loads, exactly: without bytecode caching each one more is compiled again,
+# at 2-7 ms a module.
+VERIFY_LOADS = {
+    "bijections": {"cli", "modring", "sl2", "reference", "spec", "oracle", "maps"},
+    "totality": {"cli", "modring", "sl2", "reference", "spec", "oracle", "counter"},
+    "crt": {"cli", "modring", "sl2", "reference", "spec", "oracle", "counter", "route",
+            "crt", "formulas", "maps"},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "bijections", "--modulus", "4", "--max-size", "4"),
+    ("verify", "--suite", "totality", "--modulus", "3", "--sizes", "2"),
+    ("verify", "--suite", "crt", "--sizes", "4"),
+], ids=["bijections", "totality", "crt"])
+def test_each_verify_suite_loads_exactly_its_modules(argv):
+    report = probe(*argv)
+    assert report["code"] == 0
+    loaded = {name for name in report["loaded"] if name.startswith("quiddity.")}
+    assert loaded == {f"quiddity.{name}" for name in VERIFY_LOADS[argv[2]]}
+
+
 COUNTING = {"quiddity.counter", "quiddity.crt", "quiddity.oracle", "quiddity.route"}
 
 
