@@ -10,12 +10,12 @@ imports, and, without bytecode caching (PYTHONDONTWRITEBYTECODE), for
 compiling them too.  So this module imports only ``modring`` and ``sl2``
 itself: argv is read by one option table (``COMMANDS``), not ``argparse``
 with its ``gettext`` and ``locale``, and a report is printed by
-``_encode``, not ``json``.  Each command imports what it runs: ``count``
-the set spec (``spec``) and the router (``route``), which loads a count
-source, and ``crt`` for a composite modulus or a closed form, only when
-its route takes it; ``formula`` and ``crt`` the closed forms
-(``formulas``); ``table`` and ``verify`` their bodies in ``reference``,
-whose suites load the bijection harness (``maps``) where they run it.
+``_encode``, not ``json``.  Each command imports what it runs: all but
+``formula`` the budget (``spec``); ``count`` the router (``route``),
+which loads a count source, and ``crt`` for a composite modulus or a
+closed form only when its route takes it; ``formula`` and ``crt`` the
+closed forms (``formulas``); ``table`` and ``verify`` their bodies in
+``reference``, whose suites load the harness (``maps``) as they run it.
 
 The process entry is ``quiddity.__main__.main``; ``main(argv)`` here runs
 one request in process and leaves the garbage collector as it finds it.
@@ -189,7 +189,7 @@ def cmd_crt(args) -> int:
     sign = formulas.normalize_sign(args.sign)
     fact = crt.split(args.modulus)
     target = target_by_name("id" if sign == 1 else "neg-id", Modulus(args.modulus))
-    pieces = crt.piece_counts(SetSpec(args.size, target), args.method)
+    pieces = crt.piece_counts(SetSpec(args.size, target), args.method, args.budget)
     total = formulas.crt_count(args.size, [(mp, cnt) for mp, cnt, _ in pieces], sign)
     _emit({
         "modulus": args.modulus,
@@ -320,10 +320,11 @@ def main(argv: list[str] | None = None) -> int:
         if args is None:  # -h or --help
             sys.stdout.write(_help(command))
             return 0
-        if getattr(args, "budget", None) is not None:  # count and verify
-            from .spec import parse_budget
+        if command != "formula":  # every command that can walk reads its budget once
+            from .spec import default_budget, parse_budget
 
-            args.budget = parse_budget(args.budget, "--budget")
+            given = getattr(args, "budget", None)  # count and verify take --budget
+            args.budget = default_budget() if given is None else parse_budget(given, "--budget")
         return globals()[COMMANDS[command][0]](args)
     except (ValueError, NotAUnit) as err:
         # A bad request exits 2 with its message.  ValueError covers parse

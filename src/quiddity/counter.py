@@ -27,20 +27,22 @@ gives the count at X as the sum of w_Z g(-X Z^-1 e2) = w_Z g(X (q, -p)).
 That depends on Z's top row (p, q) alone, so the run folds once into its
 top-row counts, the heads; with no leading run the one head is (1, 0).
 
-All counts are exact Python integers.  A call whose walk_cost exceeds the
-budget (QUIDDITY_BUDGET by default, as for the oracle) raises CapExceeded
+All counts are exact Python integers.  spec._admit refuses a call whose
+walk_cost exceeds the budget (QUIDDITY_BUDGET by default) with CapExceeded
 before anything is built, which sends the CRT router's auto to the oracle.
 """
 
 from __future__ import annotations
 
 from .modring import Modulus
-from .spec import ANY, SetSpec, allowed_values, default_budget, normalize_constraints
+from .spec import ANY, BudgetExceeded, SetSpec, _admit, allowed_values, normalize_constraints
 from .sl2 import Mat2, TARGET_NAMES, group_order, identity, target_by_name
 
 
-class CapExceeded(ValueError):
-    """The DP's predicted cost is past the budget."""
+class CapExceeded(BudgetExceeded):
+    """The DP's predicted cost, its walk_cost in additions, is past the budget."""
+
+    walk, unit = "the DP", "additions"
 
 
 class CountVector:
@@ -149,10 +151,7 @@ def dp_vector_sequence(size: int, modulus: Modulus, constraints=None,
     each earlier one is dropped as soon as the next is made."""
     n = modulus.n
     cons = normalize_constraints(constraints, size, modulus)
-    budget = default_budget() if budget is None else budget
-    cost = walk_cost(size, modulus, cons)
-    if cost > budget:
-        raise CapExceeded(f"the DP needs {cost} additions, budget is {budget}")
+    _admit(walk_cost(size, modulus, cons), budget, CapExceeded)
     pairs, heads, cols = {identity(modulus).entries(): 1}, None, None
     snapshots = [CountVector(modulus, pairs)]
     for pos in range(1, size + 1):

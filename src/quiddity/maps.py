@@ -332,11 +332,15 @@ class ReciprocityReport(namedtuple("ReciprocityReport", "map_name ok domain_size
                                    "failure counterexample", defaults=(None, None))):
     __slots__ = ()
 
+    @property
+    def detail(self) -> str:
+        """The verdict's one text: the domain's size, or the failure and its tuple."""
+        return (f"|domain|={self.domain_size}" if self.ok
+                else f"{self.failure}; counterexample={self.counterexample}")
+
     def describe(self) -> str:
-        status = "pass" if self.ok else "FAIL"
-        extra = "" if self.ok else f" [{self.failure}; counterexample={self.counterexample}]"
-        return (f"{status} {self.map_name}: |domain|={self.domain_size}, "
-                f"|codomain|={self.codomain_size}{extra}")
+        return (f"{'pass' if self.ok else 'FAIL'} {self.map_name}: |domain|={self.domain_size}, "
+                f"|codomain|={self.codomain_size}" + ("" if self.ok else f" [{self.detail}]"))
 
 
 def verify_reciprocal(tmap: TupleMap, budget: int | None = None) -> ReciprocityReport:

@@ -126,13 +126,18 @@ def _solve(spec: SetSpec):
         yield out
 
 
+def _product(counts) -> int:
+    """math.prod(counts) as one power per distinct count, a handful per spec."""
+    return math.prod(c ** k for c, k in Counter(counts).items())
+
+
 def _solve_cost(spec: SetSpec) -> int:
     """Candidates _solve walks, the allowed letters at positions 1..n-2
     (the last two are forced), plus the values it lists for every position,
     so that a short tuple over a huge modulus is refused before any list
     is built."""
     counts = spec.position_counts()
-    return math.prod(counts[:max(spec.size - 2, 0)]) + sum(counts)
+    return _product(counts[:max(spec.size - 2, 0)]) + sum(counts)
 
 
 def solutions(spec: SetSpec, budget: int | None = None):
@@ -151,6 +156,9 @@ def _count_naive(spec: SetSpec) -> int:
     return sum(1 for _ in _solve(spec))
 
 
+_HELD = 1 << 16  # the most row and pick entries one _LetterRows keeps
+
+
 class _LetterRows(dict):
     """Packed-key parts of one row coordinate after the last letter, per letter.
 
@@ -160,40 +168,43 @@ class _LetterRows(dict):
     letter a]: both values placed at their digit of the packed matrix key.
     Adding the rows of the two coordinates gives the keys of all of a
     state's leaves without a Python step per letter.  Rows are made on
-    first use.
+    first use and kept, picks too, up to _HELD entries: past that a table
+    makes them afresh, as at split 1 over Z/pZ no key repeats, until more
+    than N^2 misses prove that keys repeat and it keeps every row again.
 
     A row is picked in C: an itemgetter of the indices a*x % N, made once
-    per x, reads the turn [(v - y) % N * scale for v in 0..N-1], made once
-    per y, and one ``map(add, ...)`` lifts it by x * lift where that is not
-    0.  So a table costs O(N) Python steps per distinct y, O(|letters|) per
-    distinct x and O(1) per row.  A turn lists all N values, so rows of one
+    per kept x, reads the turn [(v - y) % N * scale for v in 0..N-1], a
+    slice of one base row, and one ``map(add, ...)`` lifts it by x * lift
+    where that is not 0.  So a table costs O(|letters|) Python steps per
+    pick made and O(1) per row.  A turn lists all N values, so rows of one
     letter, or of fewer than N/4, are built entry by entry instead.
     """
 
-    __slots__ = ("letters", "N", "scale", "lift", "picks", "turns")
+    __slots__ = ("letters", "N", "scale", "lift", "picks", "base", "room", "misses")
 
     def __init__(self, letters, N, scale, lift):
         super().__init__()
         self.letters, self.N, self.scale, self.lift = letters, N, scale, lift
-        self.picks = {} if len(letters) > 1 and 4 * len(letters) >= N else None
-        self.turns = {}
+        picked = len(letters) > 1 and 4 * len(letters) >= N
+        self.base = [v % N * scale for v in range(2 * N)] if picked else None  # turns
+        self.picks, self.room, self.misses = {}, _HELD // max(len(letters), 1), 0
 
     def __missing__(self, key):
         N, lift, picks = self.N, self.lift, self.picks
         x, y = divmod(key, N)
-        if picks is None:
+        self.misses += 1  # past N^2 misses some key repeats: keep every row
+        keep = len(self) + len(picks) < self.room or self.misses > N * N
+        if self.base is None:
             row = [(a * x - y) % N * self.scale + x * lift for a in self.letters]
         else:
-            pick = picks.get(x)
-            if pick is None:
-                pick = picks[x] = itemgetter(*[a * x % N for a in self.letters])
-            turn = self.turns.get(y)
-            if turn is None:
-                turn = self.turns[y] = [(v - y) % N * self.scale for v in range(N)]
-            row = pick(turn)
+            pick = picks.get(x) or itemgetter(*[a * x % N for a in self.letters])
+            if keep:
+                picks[x] = pick
+            row = pick(self.base[N - y:2 * N - y])  # turn y
             if lift:
                 row = tuple(map(add, row, repeat(x * lift)))
-        self[key] = row
+        if keep:
+            self[key] = row
         return row
 
 
@@ -281,9 +292,9 @@ def _choose_join(spec: SetSpec, naive=math.inf, budget=math.inf) -> _Join | None
     the 4,300 digits (14,285 bits) Python prints by default, no split is
     priced: a hopeless long tuple fails fast, a shorter refusal is exact."""
     sizes = spec.position_counts()
-    bound = 2 * math.isqrt(math.prod(sizes[1:-1]) // max(sizes))
-    if bound > budget and bound.bit_length() > 14_285:
-        raise BudgetExceeded(bound, budget, at_least=True)
+    bound = 2 * math.isqrt(_product(sizes[1:-1]) // max(sizes))
+    if bound.bit_length() > 14_285:
+        _admit(bound, budget, at_least=True)
     join = min(_joins(spec, sizes), key=attrgetter("walked"))
     return None if naive <= join.walked else join
 
@@ -367,7 +378,6 @@ def count(spec: SetSpec, method: str = "auto", budget: int | None = None,
         raise ValueError(f"split {split} outside 1..{spec.size - 1}")
     if method == "mitm" and spec.size < 2:
         raise ValueError("meet-in-the-middle needs size >= 2")
-    budget = default_budget() if budget is None else budget
     if split is not None:
         join = _join(spec, split, spec.position_counts())
     elif method == "naive" or spec.size < 2:

@@ -99,10 +99,7 @@ def _suite_bijections(moduli: list[int], max_size: int | None,
         battery = maps.shipped_maps(modulus, depth)[::-1]
         while battery:  # each map, and the sets only it holds, is freed once verified
             report = maps.verify_reciprocal(battery.pop(), budget)
-            detail = f"|domain|={report.domain_size}"
-            if not report.ok:
-                detail = f"{report.failure}; counterexample={report.counterexample}"
-            checks.append(Check(report.map_name, report.ok, detail))
+            checks.append(Check(report.map_name, report.ok, report.detail))
     return checks
 
 
@@ -182,8 +179,7 @@ def _suite_crt(sizes: list[int], budget: int | None) -> list[Check]:
         for name in ("id", "neg-id"):
             tmap = crt.crt_split_bijection(SetSpec(size, target_by_name(name, mod12)))
             report = maps.verify_reciprocal(tmap, budget)
-            checks.append(Check(report.map_name, report.ok,
-                                report.failure or f"|domain|={report.domain_size}"))
+            checks.append(Check(report.map_name, report.ok, report.detail))
     return checks
 
 

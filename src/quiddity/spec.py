@@ -18,7 +18,7 @@ import os
 from collections import namedtuple
 from functools import lru_cache
 
-from .modring import Modulus, totient
+from .modring import Modulus, factorize, totient
 from .sl2 import Mat2, continuant_entries
 
 DEFAULT_BUDGET = 1 << 27
@@ -44,24 +44,26 @@ class BudgetExceeded(RuntimeError, ValueError):
     """A walk needs more candidates than the budget allows; a ValueError
     too, so that the CLI reports it as a bad request."""
 
+    walk, unit = "enumeration", "candidates"  # the DP's CapExceeded names its own
+
     def __init__(self, required: int, budget: int, at_least: bool = False):
         try:
-            needs = f"{'at least ' if at_least else ''}{required} candidates"
+            needs = f"{'at least ' if at_least else ''}{required} {self.unit}"
         except ValueError:  # past the interpreter's int-to-str limit, refused by size
             # the digits of 2^(bits-1) <= required: a bound that needs no str()
             digits = int((required.bit_length() - 1) * math.log10(2)) + 1
-            needs = f"a count of candidates at least {digits} digits long"
-        super().__init__(f"enumeration needs {needs}, budget is {budget}")
+            needs = f"a count of {self.unit} at least {digits} digits long"
+        super().__init__(f"{self.walk} needs {needs}, budget is {budget}")
         self.required = required
         self.budget = budget
 
 
-def _admit(required: int, budget: int | None):
-    """Raise BudgetExceeded unless ``required`` candidates fit the budget
-    (default_budget() when None)."""
+def _admit(required: int, budget: int | None, refusal=BudgetExceeded, at_least=False):
+    """The one place a charge meets the budget (default_budget() when None):
+    raise ``refusal`` unless ``required``, a lower bound with ``at_least``, fits."""
     budget = default_budget() if budget is None else budget
     if required > budget:
-        raise BudgetExceeded(required, budget)
+        raise refusal(required, budget, at_least)
 
 
 # kind is "any", "unit", "nonunit" or "fixed"; only a fixed letter has a value
@@ -113,8 +115,8 @@ def allowed_values(modulus: Modulus, constraint: Constraint) -> tuple[int, ...]:
         return tuple(range(n))
     if constraint.kind == "unit":
         return tuple(v for v in range(n) if math.gcd(v, n) == 1)
-    if constraint.kind == "nonunit":
-        return tuple(v for v in range(n) if math.gcd(v, n) != 1)
+    if constraint.kind == "nonunit":  # the multiples of N's primes: no scan of the ring
+        return tuple(sorted(set().union(*(range(0, n, p) for p, _ in factorize(n)))))
     if constraint.kind == "fixed":
         return (constraint.value % n,)
     raise ValueError(f"unknown constraint kind {constraint.kind!r}")
@@ -199,7 +201,10 @@ class SetSpec:
     def position_counts(self) -> list[int]:
         """The number of allowed letters at each position; refusals are
         decided from these, so a refused spec lists no values."""
-        return [_allowed_count(self.modulus, self.constraint_at(p)) for p in range(1, self.size + 1)]
+        counts = [self.modulus.n] * self.size  # a free letter's, then each constrained one's
+        for p, con in self.constraints:
+            counts[p - 1] = _allowed_count(self.modulus, con)
+        return counts
 
     def naive_candidates(self) -> int:
         return math.prod(self.position_counts())

@@ -133,12 +133,20 @@ def test_count_budget_exhaustion(capsys, monkeypatch):
 
 @pytest.mark.parametrize("value", ["abc", "0", "-5"])
 def test_count_rejects_a_bad_budget_variable(capsys, monkeypatch, value):
+    # Every command that can walk reads its budget at entry, whatever route
+    # the request then takes: a formula route, a crt assembly, a closed-form
+    # table.  Only formula, which never walks, does not read it.
     monkeypatch.setenv("QUIDDITY_BUDGET", value)
-    code, out, err = run_cli(capsys, "count", "--modulus", "12", "--size", "5",
-                             "--method", "brute")
-    assert code == 2
-    assert out == ""
-    assert err == f"error: QUIDDITY_BUDGET must be a positive integer, got {value!r}\n"
+    for argv in [("count", "--modulus", "12", "--size", "5", "--method", "brute"),
+                 ("count", "--modulus", "8", "--size", "5"),
+                 ("crt", "--modulus", "12", "--size", "5"),
+                 ("table", "--which", "delta-id"),
+                 ("verify", "--suite", "recursion")]:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: QUIDDITY_BUDGET must be a positive integer, got {value!r}\n"
+    code, _, err = run_cli(capsys, "formula", "--name", "w4-2m", "--m", "3", "--sign", "+")
+    assert code == 0, err
 
 
 @pytest.mark.parametrize("argv", [
@@ -262,6 +270,37 @@ def test_a_hopeless_brute_count_over_a_long_tuple_fails_fast():
     assert out.stderr == (f"error: enumeration needs {oracle._choose_join(spec).walked} "
                           "candidates, budget is 134217728\n")
     assert float(out.stdout) < 1
+
+
+def test_a_dp_charge_too_long_to_print_is_named_by_its_digits():
+    # walk_cost = 24 * (1 + size) has 4,301 digits: formatting it raised
+    # the interpreter's int-to-str limit error in place of the budget message.
+    out = run_in_a_child("count", "--modulus", "3", "--size", "9" * 4299, "--method", "dp")
+    assert (out.returncode, out.stderr) == (2, "error: the DP needs a count of additions at "
+                                               "least 4301 digits long, budget is 134217728\n")
+    assert float(out.stdout) < 1
+
+
+def test_a_long_brute_tuple_is_refused_without_a_product_per_letter():
+    # Multiplying the 300,000 letter counts one at a time took about 4 s.
+    out = run_in_a_child("count", "--modulus", "3", "--size", "300000", "--method", "brute")
+    assert (out.returncode, out.stderr) == (2, "error: enumeration needs a count of candidates "
+                                               "at least 71568 digits long, budget is 134217728\n")
+    assert float(out.stdout) < 1
+
+
+def test_a_nonunit_letter_over_a_huge_modulus_is_listed_without_a_scan():
+    # The prime's one non-unit is 0, charged 2 candidates; testing the gcd
+    # of every residue ran past 20 s.
+    out = run_in_a_child("count", "--modulus", "1000000000039", "--size", "1",
+                         "--constraint", "a1-nonunit")
+    assert (out.returncode, out.stderr) == (0, "")
+    line, seconds = out.stdout.splitlines()
+    report = json.loads(line)
+    del report["elapsed_ms"]
+    assert report == {"modulus": 1000000000039, "size": 1, "target": "id",
+                      "constraint": "a1-nonunit", "method": "brute", "count": "0"}
+    assert float(seconds) < 1
 
 
 def run_battery_in_a_child(modulus: str, max_size: str) -> subprocess.CompletedProcess:
@@ -528,6 +567,23 @@ def test_verify_crt_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "crt", "--sizes", "4,5")
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_the_crt_suite_names_the_tuple_a_failing_map_breaks_on(capsys, monkeypatch):
+    # The crt suite printed a failed map's failure alone; like the
+    # bijections suite it now prints the tuple the map breaks on.
+    from quiddity import crt
+
+    split = crt.crt_split_bijection
+    monkeypatch.setattr(crt, "crt_split_bijection",
+                        lambda spec: split(spec)._replace(backward=lambda image: ()))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "crt", "--sizes", "4")
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert [line.split(" (")[0] for line in fails] == [
+        "FAIL crt-split(n=4, N=12, target=id)", "FAIL crt-split(n=4, N=12, target=neg-id)"]
+    for line in fails:
+        assert " (backward(forward(t)) != t; counterexample=((" in line, line
 
 
 def test_crt_subcommand(capsys):

@@ -642,6 +642,34 @@ def test_the_split_walks_no_more_than_balanced_halves(n):
             assert err.value.required == walked
 
 
+def test_a_size_4_join_over_a_large_prime_keeps_bounded_letter_tables():
+    # At split 1 over Z/pZ no letter-table key repeats: tables that kept
+    # every row and pick peaked at 41.1 MB here.
+    value, peak = _traced_peak(lambda: count(SetSpec(4, identity(Modulus(1009)))))
+    assert value == 2017
+    assert peak < 8_000_000, peak
+
+
+def test_a_letter_table_past_its_room_keeps_every_row_once_keys_repeat():
+    # Z/53Z has more keys than one table's room: a first pass over them all
+    # fills the room and keeps no more, and the second pass's misses prove
+    # that keys repeat, so from then on every row is kept.
+    n = 53
+    table = oracle._LetterRows(list(range(n)), n, n, 0)
+    for key in range(n * n):
+        table[key]
+    assert len(table) + len(table.picks) <= table.room < n * n
+    for key in range(n * n):
+        assert table[key] == tuple((a * (key // n) - key % n) % n * n for a in range(n))
+    assert len(table) == n * n
+
+
+def test_the_nonunits_are_the_multiples_of_the_primes_of_n():
+    for n in range(2, 301):
+        assert oracle.allowed_values(Modulus(n), NONUNIT) == tuple(
+            v for v in range(n) if math.gcd(v, n) != 1), n
+
+
 def _traced_peak(run):
     """run() and its tracemalloc peak in bytes."""
     tracemalloc.start()
@@ -944,12 +972,14 @@ def test_the_join_agrees_with_the_naive_walk_over_wider_rings():
     assert checked > 50, checked
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 8, 9, 12, 16, 25, 27, 32, 64, 97])
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 9, 12, 16, 25, 27, 32, 64, 97, 257])
 def test_every_letter_row_is_its_definition(n):
     # Rows are picked in C from a rotation, or built entry by entry when
     # they are short next to the ring; either way each must be the row
     # the definition gives.  Every (scale, lift) a caller passes, on
-    # keys that revisit their x and their y.
+    # keys that revisit their x and their y.  At n = 257 a free or unit
+    # table stops keeping rows before the last keys, which are revisited
+    # and made afresh.
     mod = Modulus(n)
     menus = [list(range(n)), ivals(units_of(mod)),
              [v for v in range(n) if math.gcd(v, n) != 1], [n - 1], [1, n // 2]]
@@ -960,7 +990,7 @@ def test_every_letter_row_is_its_definition(n):
     for letters in menus:
         for scale, lift in pairs:
             table = oracle._LetterRows(letters, n, scale, lift)
-            for key in keys + keys[:20]:
+            for key in keys + keys[:20] + keys[-20:]:
                 x, y = divmod(key, n)
                 assert list(table[key]) == [(a * x - y) % n * scale + x * lift
                                             for a in letters], (letters, scale, lift, key)
