@@ -12,10 +12,10 @@ itself: argv is read by one option table (``COMMANDS``), not ``argparse``
 with its ``gettext`` and ``locale``, and a report is printed by
 ``_encode``, not ``json``.  Each command imports what it runs: all but
 ``formula`` the budget (``spec``); ``count`` the router (``route``),
-which loads a count source, and ``crt`` for a composite modulus or a
-closed form only when its route takes it; ``formula`` and ``crt`` the
-closed forms (``formulas``); ``table`` and ``verify`` their bodies in
-``reference``, whose suites load the harness (``maps``) as they run it.
+which loads the count sources its route takes and never ``crt``;
+``formula`` and ``crt`` the closed forms (``formulas``); ``table`` and
+``verify`` their bodies in ``reference``, whose suites load the harness
+(``maps``) as they run it.
 
 The process entry is ``quiddity.__main__.main``; ``main(argv)`` here runs
 one request in process and leaves the garbage collector as it finds it.

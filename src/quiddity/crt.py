@@ -1,20 +1,13 @@
-"""Chinese-remainder counting across the coprime pieces of a modulus,
-and the closed form that counts a prime-power spec.
+"""Chinese-remainder counting across the coprime pieces of a modulus.
 
 A tuple over Z/NZ, N = 2^m * p_1^k_1 * ... * p_r^k_r (distinct odd
 primes), is exactly its tuple of residues modulo each prime power, and its
-product reduces the same way.  So the router (``route.route_count``, read
-here as ``crt.route_count`` too), under auto and formula, counts a spec
-over two or more pieces as the product of its pieces' counts
-(piece_counts), each piece by a closed formula where one applies
-(closed_form), else the DP or the brute oracle.  dp and brute count over
-Z/NZ directly and never load this module, which keeps the three sources
-independent.  The componentwise tuple bijection ships as a TupleMap so it
-can be harness-verified, not just assumed at count level.
-
-``formulas`` is imported once a closed form is chosen and the harness
-``maps`` by the bijection alone.  No walk is priced here: each source
-charges the walk it runs.
+product reduces the same way.  The router (``route``) counts an auto or
+formula spec so; the ``crt`` command and the public API read its pieces
+and route_count to report each piece's count (piece_counts) and their
+product (assemble_count).  The componentwise tuple bijection ships as a
+TupleMap so it can be harness-verified, not just assumed at count level.
+``formulas`` is imported by assemble_count and ``maps`` by the bijection.
 """
 
 from __future__ import annotations
@@ -23,14 +16,13 @@ import math
 from collections import namedtuple
 
 from .modring import Modulus, factorize
-from .route import route_count
-from .sl2 import Mat2, identity, neg_identity, target_label, target_name
-from .spec import NONUNIT, SetSpec, UNIT, constraint_text
+from .route import pieces, route_count
+from .sl2 import identity, neg_identity, target_label
+from .spec import SetSpec, constraint_text
 
 
 class NonSquarefreeOddPart(ValueError):
-    """Once raised by split for a repeated odd prime; split now accepts
-    every modulus >= 2 and no longer raises it."""
+    """Once raised by split for a repeated odd prime; split accepts them now."""
 
 
 class Factorization(namedtuple("Factorization", "two_exponent odd_primes odd_exponents",
@@ -61,62 +53,6 @@ def split(n: int) -> Factorization:
     m = powers.pop(2, None)
     repeated = tuple(powers.values()) if max(powers.values(), default=1) > 1 else ()
     return Factorization(m, tuple(powers), repeated)
-
-
-def _form(spec: SetSpec) -> tuple[str, tuple] | None:
-    """The name and arguments of the ``formulas`` function that counts
-    ``spec`` over a prime power, or None."""
-    name, ((p, k), *other_primes) = target_name(spec.target), factorize(spec.modulus.n)
-    if name is None or other_primes:
-        return None
-    if spec.constraints == ((2, UNIT),) and p == 2 and k >= 2:
-        return "delta_value", (spec.size, k, name)
-    if spec.constraints or name not in ("id", "neg-id"):
-        return None
-    size, sign = spec.size, 1 if name == "id" else -1
-    if p > 2:
-        return ("u_count", (size, p, sign)) if k == 1 and size > 4 else None
-    if k == 1:
-        return None
-    if size % 2 and size >= 5:
-        return "w_odd_2m", ((size - 1) // 2, k, sign)
-    if size == 4:
-        return "w4_2m", (k, sign)
-    if size % 2 == 0 and size >= 6 and k == 2:
-        return "w4_ring4", (size, sign)
-    return None
-
-
-def closed_form(spec: SetSpec):
-    """The closed form (a formulas.FormulaValue) that counts ``spec`` over
-    a prime power, or None.
-
-    A unit second entry at a named target over Z/2^mZ (m >= 2) takes
-    delta_value, an unconstrained +-Id spec its piece formula; the target
-    is read from its matrix.  u_count counts over a field, which Z/p^kZ is
-    not for k >= 2 (at size 7 and +Id, F_9 has 6643 solutions and Z/9Z
-    7371).  A composite modulus has none: route_count splits it.  The
-    choice is made before ``formulas`` is imported, so a spec with no
-    closed form never loads it.
-    """
-    form = _form(spec)
-    if form is None:
-        return None
-    from . import formulas
-
-    function, args = form
-    return getattr(formulas, function)(*args)
-
-
-def pieces(spec: SetSpec) -> list[SetSpec]:
-    """``spec`` modulo each prime power of its modulus: a tuple lies in
-    ``spec`` exactly when its residues lie in every piece.  A unit letter
-    stays a unit letter; a non-unit letter, a non-unit modulo some piece
-    only, has no such reading and is refused."""
-    if any(con == NONUNIT for _, con in spec.constraints):
-        raise ValueError("a non-unit letter does not split into coprime pieces")
-    return [SetSpec(spec.size, Mat2(*spec.target.entries(), Modulus(p ** k)), spec.constraints)
-            for p, k in factorize(spec.modulus.n)]
 
 
 def piece_counts(spec: SetSpec, method: str = "auto",

@@ -126,18 +126,14 @@ def _solve(spec: SetSpec):
         yield out
 
 
-def _product(counts) -> int:
-    """math.prod(counts) as one power per distinct count, a handful per spec."""
-    return math.prod(c ** k for c, k in Counter(counts).items())
-
-
 def _solve_cost(spec: SetSpec) -> int:
     """Candidates _solve walks, the allowed letters at positions 1..n-2
-    (the last two are forced), plus the values it lists for every position,
-    so that a short tuple over a huge modulus is refused before any list
-    is built."""
+    (the last two are forced; one power per distinct count), plus the values
+    it lists for every position, so that a short tuple over a huge modulus
+    is refused before any list is built."""
     counts = spec.position_counts()
-    return _product(counts[:max(spec.size - 2, 0)]) + sum(counts)
+    walked = Counter(counts[:max(spec.size - 2, 0)])
+    return math.prod(c ** k for c, k in walked.items()) + sum(counts)
 
 
 def solutions(spec: SetSpec, budget: int | None = None):
@@ -282,21 +278,37 @@ def _join(spec: SetSpec, split: int, sizes: list[int]) -> _Join:
     return next(islice(_joins(spec, sizes), split - 1, None))
 
 
-def _choose_join(spec: SetSpec, naive=math.inf, budget=math.inf) -> _Join | None:
+def _bound_bits(sizes: list[int]) -> int:
+    """The bit length of 2 isqrt(P // max(c)), P = prod(c_2..c_{n-1}), from
+    logarithms, so no product is formed.  A log of counts not all 2-powers is
+    first lowered by far more than its rounding error: the length never
+    exceeds the true one, and falls short only next to a power of two."""
+    counts, top = Counter(sizes[1:-1]), max(sizes)
+    if top in counts:  # P // max(c) is then the product of the other counts
+        counts[top] -= 1
+        top = 1
+    log = sum(k * math.log2(c) for c, k in counts.items()) - math.log2(top)
+    if any(c & (c - 1) for c in (*+counts, top)):
+        log -= (log + 2 * math.log2(top) + 1) / 2 ** 40
+    return (math.floor(log) + 2) // 2 + 1 if log >= 0 else 0
+
+
+def _choose_join(spec: SetSpec, budget=math.inf, naive: bool = False) -> _Join | None:
     """The join that walks the fewest candidates, the shorter prefix on a
-    tie (bucketing a leaf costs more than probing one); None if the naive
-    walk, charged ``naive``, costs no more.  A join at split k walks at
-    least c_2..c_k + c_{k+2}..c_{n-1}, whose product is at least P =
+    tie (bucketing a leaf costs more than probing one); with ``naive``, None
+    if the naive walk (_solve_cost) costs no more.  A join at split k walks
+    at least c_2..c_k + c_{k+2}..c_{n-1}, whose product is at least P =
     prod(c_2..c_{n-1}) / max(c), so at least 2 sqrt(P), which is less than
-    the naive walk's charge.  Where that bound exceeds the budget and is past
-    the 4,300 digits (14,285 bits) Python prints by default, no split is
-    priced: a hopeless long tuple fails fast, a shorter refusal is exact."""
+    the naive walk's charge.  Where that bound is past the 4,300 digits
+    (14,285 bits) Python prints by default, the power of two below it meets
+    the budget before any split or the naive walk is priced: a hopeless
+    long tuple fails fast, a shorter refusal is exact."""
     sizes = spec.position_counts()
-    bound = 2 * math.isqrt(_product(sizes[1:-1]) // max(sizes))
-    if bound.bit_length() > 14_285:
-        _admit(bound, budget, at_least=True)
+    bits = _bound_bits(sizes)
+    if bits > 14_285:
+        _admit(1 << bits - 1, budget, at_least=True)
     join = min(_joins(spec, sizes), key=attrgetter("walked"))
-    return None if naive <= join.walked else join
+    return None if naive and _solve_cost(spec) <= join.walked else join
 
 
 def _count_mitm(spec: SetSpec, join: _Join) -> int:
@@ -383,7 +395,7 @@ def count(spec: SetSpec, method: str = "auto", budget: int | None = None,
     elif method == "naive" or spec.size < 2:
         join = None
     else:
-        join = _choose_join(spec, math.inf if method == "mitm" else _solve_cost(spec), budget)
+        join = _choose_join(spec, budget, method == "auto")
     if join is None:
         _admit(_solve_cost(spec), budget)
         return _count_naive(spec)

@@ -289,6 +289,16 @@ def test_a_long_brute_tuple_is_refused_without_a_product_per_letter():
     assert float(out.stdout) < 1
 
 
+def test_a_hopeless_brute_count_is_refused_from_bit_lengths():
+    # The refusal's bound, 2 isqrt(3^2999997), took about 6 s to form and
+    # the products of the 3,000,000 letter counts about 1 s more; its bit
+    # length is now read from logarithms and names the same digits.
+    out = run_in_a_child("count", "--modulus", "3", "--size", "3000000", "--method", "brute")
+    assert (out.returncode, out.stderr) == (2, "error: enumeration needs a count of candidates "
+                                               "at least 715682 digits long, budget is 134217728\n")
+    assert float(out.stdout) < 2
+
+
 def test_a_nonunit_letter_over_a_huge_modulus_is_listed_without_a_scan():
     # The prime's one non-unit is 0, charged 2 candidates; testing the gcd
     # of every residue ran past 20 s.

@@ -9,7 +9,6 @@ from quiddity.crt import (
     Factorization,
     NonSquarefreeOddPart,
     assemble_count,
-    closed_form,
     crt_split_bijection,
     piece_counts,
     pieces,
@@ -18,6 +17,7 @@ from quiddity.crt import (
 )
 from quiddity.formulas import UnsupportedCase
 from quiddity.maps import verify_reciprocal
+from quiddity.route import closed_form
 from quiddity.modring import Modulus, factorize
 from quiddity.oracle import NONUNIT, UNIT, BudgetExceeded, SetSpec, fixed
 from quiddity.sl2 import (

@@ -11,7 +11,7 @@ from helpers import ivals, sl2_elements
 from quiddity import oracle, spec as set_spec
 from quiddity.counter import dp_count
 from quiddity.formulas import u_count, w_odd_2m
-from quiddity.modring import Modulus, NotAUnit, Residue, units_of
+from quiddity.modring import Modulus, NotAUnit, Residue, totient, units_of
 from quiddity.oracle import (
     ANY,
     BudgetExceeded,
@@ -498,16 +498,40 @@ def test_the_join_reaches_a_count_the_naive_walk_is_refused():
 def test_a_hopeless_long_tuple_is_refused_by_a_bound_on_every_join():
     # Z/2Z, size 100000: every join walks at least 2 sqrt(2^99998 / 2), past
     # the budget and past the digits Python prints, so no split is priced
-    # and the refusal names that bound by its digits.
+    # and the refusal names that bound by its digits.  The bound's bit length
+    # is read from logarithms and the power of two below it is charged, so
+    # the bound itself is never formed.
     spec = SetSpec(100_000, identity(Modulus(2)))
     for method in ("auto", "mitm"):
         with pytest.raises(BudgetExceeded) as err:
             count(spec, method, budget=oracle.DEFAULT_BUDGET)
-        assert err.value.required == 2 * math.isqrt(2 ** 99_997)
+        assert err.value.required == 1 << 49_999 <= 2 * math.isqrt(2 ** 99_997) < 1 << 50_000
         assert str(err.value) == ("enumeration needs a count of candidates at least 15052 "
                                   "digits long, budget is 134217728")
     assert str(BudgetExceeded(5, 4, at_least=True)) == (
         "enumeration needs at least 5 candidates, budget is 4")
+
+
+def test_the_bound_bits_are_read_from_logarithms():
+    # Letter counts as specs have them: N, phi(N), N - phi(N) and 1.  The
+    # length read from logarithms never exceeds the bound's, and it falls
+    # short only where P / max(c) is a power of two with the largest count
+    # at an end alone, the one cancellation left to floating point.
+    rng, short = random.Random(11), 0
+    for _ in range(3000):
+        n = rng.randint(2, 300)
+        phi = totient(n)
+        sizes = rng.choices((n, phi, n - phi, 1), [rng.random() for _ in range(4)],
+                            k=rng.choice((rng.randint(2, 40), rng.randint(2, 2000))))
+        top, product = max(sizes), math.prod(sizes[1:-1])
+        exact = (2 * math.isqrt(product // top)).bit_length()
+        got = oracle._bound_bits(sizes)
+        assert got <= exact, (n, sizes)
+        if got < exact:
+            ratio, rest = divmod(product, top)
+            assert not rest and ratio & (ratio - 1) == 0 and top not in sizes[1:-1], (n, sizes)
+            short += 1
+    assert short < 10
 
 
 def test_a_bound_that_prints_leaves_the_exact_charge_named():

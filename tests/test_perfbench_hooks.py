@@ -2,12 +2,15 @@
 
 ``perfbench/worker.py`` wraps the oracle's private walkers, the DP entry
 point and the member sets' ``members`` by name, and reads their arguments
-and the ``_members`` cache; a rename there would leave its spans silently
-empty.  The names are read from its source with ``ast``: the worker is
-neither imported nor run here.
+and the ``_members`` cache, and ``perfbench/layers.py`` sums spans by
+name; a rename or a move there would leave its spans silently empty.  The
+names are read from their source with ``ast``: neither script is imported
+or run here.
 """
 
 import ast
+import functools
+import importlib
 import inspect
 from pathlib import Path
 
@@ -18,16 +21,19 @@ from quiddity.spec import SetSpec
 
 WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
 TREE = ast.parse(WORKER.read_text(), str(WORKER))
+LAYER_SOURCE = WORKER.parent / "layers.py"
+LAYER_TREE = ast.parse(LAYER_SOURCE.read_text(), str(LAYER_SOURCE))
 MOD4 = Modulus(4)
 
 
-def _assigned(name: str) -> ast.expr:
-    """The value the worker assigns to a module-level name."""
-    for node in TREE.body:
+def _assigned(name: str, tree: ast.Module = TREE) -> ast.expr:
+    """The value the worker (or another script's ``tree``) assigns to a
+    module-level name."""
+    for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(target, ast.Name) and target.id == name for target in node.targets):
             return node.value
-    raise AssertionError(f"{WORKER.name} assigns no {name}")
+    raise AssertionError(f"no module-level {name} assigned")
 
 
 def _parameters(func) -> list[str]:
@@ -99,3 +105,27 @@ def test_every_public_maps_function_runs_once_per_call():
     assert {"reduce_pair", "shipped_maps"} <= set(public)
     for name in public:
         assert name in per_element or name in per_call or name.endswith("_bijection"), name
+
+
+def test_every_span_name_the_layer_metrics_read_resolves_in_its_layer():
+    # layers.py sums spans by name ("crt.piece_counts", "maps.SpecSet.members",
+    # ...).  The worker records a span only for a function whose __module__
+    # is its layer's module, so a function moved to a module the worker does
+    # not trace would leave its metric at zero and nothing would fail.  The
+    # span names are the dotted string constants under a layer that are not
+    # metric names.
+    layers = set(ast.literal_eval(_assigned("LAYERS", LAYER_TREE)))
+    metrics = {key.value for key in _assigned("UNITS", LAYER_TREE).keys
+               if isinstance(key, ast.Constant)}
+    spans = {node.value for node in ast.walk(LAYER_TREE)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and node.value.partition(".")[0] in layers and node.value.partition(".")[2]
+             and node.value not in metrics}
+    assert {"crt.assemble_count", "crt.piece_counts", "maps.verify_reciprocal",
+            "oracle._count_naive", "oracle._count_mitm", "oracle.product_histogram",
+            *ast.literal_eval(_assigned("MEMBERS", LAYER_TREE))} <= spans, spans
+    for span in spans:
+        layer, *path = span.split(".")
+        module = importlib.import_module(f"quiddity.{layer}")
+        value = functools.reduce(getattr, path, module)
+        assert inspect.isfunction(value) and value.__module__ == module.__name__, span

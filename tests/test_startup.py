@@ -82,8 +82,8 @@ def test_a_count_loads_neither_the_harness_nor_dataclasses(argv, method):
     assert not HEAVY & set(report["loaded"])
 
 
-# ``crt`` splits a composite modulus and holds the closed forms, so only an
-# auto count (the default method) loads it; --method dp and brute never do.
+# ``route`` splits a composite modulus and chooses the closed forms itself,
+# so no count loads ``crt``, whatever its method.
 METHOD_DP_COUNT = DP_COUNT + ("--method", "dp")
 COMPOSITE_COUNT = ("count", "--modulus", "12", "--size", "6", "--target", "s")
 
@@ -96,9 +96,33 @@ def test_a_count_loads_only_the_source_its_route_takes(argv, method):
     assert json.loads(report["out"])["method"] == method
     loaded = set(report["loaded"])
     assert {"quiddity.spec", "quiddity.route"} <= loaded
-    assert ("quiddity.crt" in loaded) == ("--method" not in argv)
+    assert "quiddity.crt" not in loaded
     assert loaded & set(SOURCE.values()) == {SOURCE[method]}
     assert not {"fractions", "decimal", "numbers"} & loaded
+
+
+# The package modules each kind of benchmark count loads, exactly, as
+# VERIFY_LOADS below pins them for verify: the request lines are spelled as
+# the benchmark spells them, and each answers by the method given.
+COUNTING_BASE = {"cli", "modring", "sl2", "spec", "route"}
+COUNT_LOADS = {
+    "auto-dp-2-power": (("16", "9", "t", "none", "auto"), "dp", {"counter"}),
+    "auto-dp-composite": (("12", "8", "neg-s", "a3-nonunit", "auto"), "dp", {"counter"}),
+    "auto-formula": (("32", "10", "s", "a2-unit", "auto"), "formula", {"formulas"}),
+    "method-dp": (("24", "8", "2,1,1,1", "a4=0", "dp"), "dp", {"counter"}),
+    "method-brute": (("14", "6", "3,1,2,1", "a1=1", "brute"), "brute", {"oracle"}),
+}
+
+
+@pytest.mark.parametrize("kind", COUNT_LOADS)
+def test_each_benchmark_count_kind_loads_exactly_its_modules(kind):
+    (n, size, target, constraint, method), source, modules = COUNT_LOADS[kind]
+    report = probe("count", "--modulus", n, "--size", size, "--target", target,
+                   "--constraint", constraint, "--method", method)
+    assert report["code"] == 0, report["err"]
+    assert json.loads(report["out"])["method"] == source
+    loaded = {name for name in report["loaded"] if name.startswith("quiddity.")}
+    assert loaded == {f"quiddity.{name}" for name in COUNTING_BASE | modules}
 
 
 @pytest.mark.parametrize("argv, loads", [
