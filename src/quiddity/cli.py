@@ -1,5 +1,5 @@
-"""Command-line surface: exact counts, formula evaluation, reference
-tables, CRT assembly, and the verification suites.
+"""Command-line surface: argument parsing and dispatch for every command,
+and the bodies of ``count`` and ``formula``.
 
 Counts are always serialized as decimal strings; they outgrow 53-bit
 floats well inside the supported parameter range.  Output is
@@ -13,18 +13,19 @@ with its ``gettext`` and ``locale``, and a report is printed by
 ``_encode``, not ``json``.  Each command imports what it runs: all but
 ``formula`` the budget (``spec``); ``count`` the router (``route``),
 which loads the count sources its route takes and never ``crt``;
-``formula`` and ``crt`` the closed forms (``formulas``); ``table`` and
-``verify`` their bodies in ``reference``, whose suites load the harness
-(``maps``) as they run it.
+``formula`` the closed forms (``formulas``).  The other bodies live in
+the module ``COMMANDS`` names for them, imported only when the command
+runs: ``crt`` in ``crt``, which loads ``formulas`` too; ``table`` and
+``verify`` in ``reference``, whose suites load the harness (``maps``) as
+they run it.  So a count compiles no other command's body.
 
 The process entry is ``quiddity.__main__.main``; ``main(argv)`` here runs
 one request in process and leaves the garbage collector as it finds it.
 """
 
-from __future__ import annotations
-
 import sys
 import time
+from importlib import import_module
 from types import SimpleNamespace
 
 from .modring import Modulus, NotAUnit
@@ -34,18 +35,6 @@ from .sl2 import Mat2, TARGET_NAMES, target_by_name
 # ---------------------------------------------------------------------------
 # parsing helpers
 
-
-def _parse_ints(text: str) -> list[int]:
-    """Accept '4,8' or '5..10' (inclusive range) or a single integer."""
-    text = text.strip()
-    lo, is_range, hi = text.partition("..")
-    if is_range:
-        values = list(range(int(lo), int(hi) + 1))
-    else:
-        values = [int(part) for part in text.split(",") if part]
-    if not values:
-        raise ValueError(f"{text!r} selects no values; want e.g. 3..10 or 3,5,7")
-    return values
 
 def _parse_target(text: str, modulus: Modulus) -> tuple[Mat2, str]:
     if text in TARGET_NAMES:
@@ -151,63 +140,6 @@ def cmd_formula(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# tables and verification suites: their bodies live in ``reference``
-
-
-# The suites ``verify`` runs, in the order ``all`` runs them; the same keys
-# as reference.SUITES, listed here so that parsing does not import it.
-SUITE_NAMES = ("bijections", "recursion", "bounds", "crt", "totality")
-
-
-def cmd_table(args) -> int:
-    from .reference import table_text
-
-    rows = _parse_ints(args.rows) if args.rows is not None else None
-    sys.stdout.write(table_text(args.which, rows))
-    return 0
-
-
-def cmd_verify(args) -> int:
-    from .reference import run_suites
-
-    moduli, sizes, ms = (_parse_ints(text) if text is not None else None
-                         for text in (args.modulus, args.sizes, args.m))
-    if ms is not None and min(ms) < 1:
-        raise ValueError(f"--m must be >= 1, got {min(ms)}")
-    return run_suites(args, moduli, sizes, ms)
-
-
-# ---------------------------------------------------------------------------
-# crt
-
-
-def cmd_crt(args) -> int:
-    from . import crt, formulas
-    from .spec import SetSpec
-
-    started = time.perf_counter()
-    sign = formulas.normalize_sign(args.sign)
-    fact = crt.split(args.modulus)
-    target = target_by_name("id" if sign == 1 else "neg-id", Modulus(args.modulus))
-    pieces = crt.piece_counts(SetSpec(args.size, target), args.method, args.budget)
-    total = formulas.crt_count(args.size, [(mp, cnt) for mp, cnt, _ in pieces], sign)
-    _emit({
-        "modulus": args.modulus,
-        "size": args.size,
-        "sign": formulas.sign_name(sign),
-        "factorization": {
-            "two_exponent": fact.two_exponent,
-            "odd_primes": list(fact.odd_primes),
-        },
-        "pieces": [{"modulus": mp, "count": str(cnt), "source": src}
-                   for mp, cnt, src in pieces],
-        "count": str(int(total)),
-        "elapsed_ms": int((time.perf_counter() - started) * 1000),
-    })
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # argument wiring
 
 
@@ -217,12 +149,18 @@ HELP = {"-h", "--help"}
 # The formula parameters that take a name; every other one takes an integer.
 NAMED_PARAMS = {"sign": SIGNS, "target": TARGET_NAMES}
 
-# command -> (handler, help line, options).  The handler is looked up by
-# name at call time, as FORMULAS' functions are.  An option may set its
-# "kind" (int or str, called on its text), "default" (else None),
-# "required", "choices" and "help"; --max-size arrives as args.max_size.
+# The suites ``verify`` runs, in the order ``all`` runs them; the same keys
+# as reference.SUITES, listed here so that parsing does not import it.
+SUITE_NAMES = ("bijections", "recursion", "bounds", "crt", "totality")
+
+# command -> ("module.handler", help line, options).  The handler's module
+# is imported and the handler looked up by name at call time, as FORMULAS'
+# functions are, so a request compiles only its own command's body.  An
+# option may set its "kind" (int or str, called on its text), "default"
+# (else None), "required", "choices" and "help"; --max-size arrives as
+# args.max_size.
 COMMANDS = {
-    "count": ("cmd_count", "count solution tuples for one configuration", {
+    "count": ("cli.cmd_count", "count solution tuples for one configuration", {
         "modulus": {"kind": int, "required": True},
         "size": {"kind": int, "required": True},
         "target": {"default": "id",
@@ -231,16 +169,16 @@ COMMANDS = {
         "method": {"default": "auto", "choices": METHODS},
         "budget": {},
     }),
-    "formula": ("cmd_formula", "evaluate one closed-form expression", {
+    "formula": ("cli.cmd_formula", "evaluate one closed-form expression", {
         "name": {"required": True, "choices": tuple(FORMULAS)},
         **{name.replace("_", "-"): {"choices": NAMED_PARAMS[name]} if name in NAMED_PARAMS
            else {"kind": int} for _, names in FORMULAS.values() for name in names},
     }),
-    "table": ("cmd_table", "print one reference table as CSV", {
+    "table": ("reference.cmd_table", "print one reference table as CSV", {
         "which": {"required": True, "choices": ("odd-w-plus", "w8", "delta-id", "delta-s")},
         "rows": {"help": "row sizes, e.g. 3..10 or 3,5,7"},
     }),
-    "verify": ("cmd_verify", "run a verification suite", {
+    "verify": ("reference.cmd_verify", "run a verification suite", {
         "suite": {"required": True, "choices": (*SUITE_NAMES, "all")},
         "modulus": {"help": "moduli, e.g. 4,8"},
         "m": {"help": "2-power exponents, e.g. 2,3"},
@@ -248,7 +186,7 @@ COMMANDS = {
         "max-size": {"kind": int},
         "budget": {},
     }),
-    "crt": ("cmd_crt", "assemble a count from coprime pieces", {
+    "crt": ("crt.cmd_crt", "assemble a count from coprime pieces", {
         "modulus": {"kind": int, "required": True},
         "size": {"kind": int, "required": True},
         "sign": {"default": "+", "choices": SIGNS},
@@ -325,7 +263,8 @@ def main(argv: list[str] | None = None) -> int:
 
             given = getattr(args, "budget", None)  # count and verify take --budget
             args.budget = default_budget() if given is None else parse_budget(given, "--budget")
-        return globals()[COMMANDS[command][0]](args)
+        module, _, handler = COMMANDS[command][0].partition(".")
+        return getattr(import_module(f".{module}", __package__), handler)(args)
     except (ValueError, NotAUnit) as err:
         # A bad request exits 2 with its message.  ValueError covers parse
         # errors, CapExceeded, UnsupportedCase, BudgetExceeded and a

@@ -32,8 +32,6 @@ walk_cost exceeds the budget (QUIDDITY_BUDGET by default) with CapExceeded
 before anything is built, which sends the CRT router's auto to the oracle.
 """
 
-from __future__ import annotations
-
 from .modring import Modulus
 from .spec import ANY, BudgetExceeded, SetSpec, _admit, allowed_values, normalize_constraints
 from .sl2 import Mat2, TARGET_NAMES, group_order, identity, target_by_name

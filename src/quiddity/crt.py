@@ -5,14 +5,15 @@ primes), is exactly its tuple of residues modulo each prime power, and its
 product reduces the same way.  The router (``route``) counts an auto or
 formula spec so; the ``crt`` command and the public API read its pieces
 and route_count to report each piece's count (piece_counts) and their
-product (assemble_count).  The componentwise tuple bijection ships as a
-TupleMap so it can be harness-verified, not just assumed at count level.
-``formulas`` is imported by assemble_count and ``maps`` by the bijection.
+product (assemble_count).  The ``crt`` command's body, cmd_crt, lives
+here, so ``cli`` imports this module only for that command.  The
+componentwise tuple bijection ships as a TupleMap so it can be
+harness-verified, not just assumed at count level.  ``formulas`` is
+imported by assemble_count and cmd_crt, and ``maps`` by the bijection.
 """
 
-from __future__ import annotations
-
 import math
+import time
 from collections import namedtuple
 
 from .modring import Modulus, factorize
@@ -71,6 +72,35 @@ def assemble_count(size: int, fact: Factorization, sign, method: str = "auto",
     spec = SetSpec(size, identity(modulus) if sign == 1 else neg_identity(modulus))
     counts = piece_counts(spec, method, budget)
     return formulas.crt_count(size, [(mp, cnt) for mp, cnt, _ in counts], sign)
+
+
+def cmd_crt(args) -> int:
+    """The ``crt`` command: each piece's count, with its source, and their
+    product, as one JSON report."""
+    from . import formulas
+    from .cli import _emit
+
+    started = time.perf_counter()
+    sign = formulas.normalize_sign(args.sign)
+    fact = split(args.modulus)
+    modulus = Modulus(args.modulus)
+    target = identity(modulus) if sign == 1 else neg_identity(modulus)
+    counts = piece_counts(SetSpec(args.size, target), args.method, args.budget)
+    total = formulas.crt_count(args.size, [(mp, cnt) for mp, cnt, _ in counts], sign)
+    _emit({
+        "modulus": args.modulus,
+        "size": args.size,
+        "sign": formulas.sign_name(sign),
+        "factorization": {
+            "two_exponent": fact.two_exponent,
+            "odd_primes": list(fact.odd_primes),
+        },
+        "pieces": [{"modulus": mp, "count": str(cnt), "source": src}
+                   for mp, cnt, src in counts],
+        "count": str(int(total)),
+        "elapsed_ms": int((time.perf_counter() - started) * 1000),
+    })
+    return 0
 
 
 def crt_split_bijection(spec: SetSpec):

@@ -9,8 +9,6 @@ such a power moves to the denominator instead (_ratio_pow2).  A division
 with a remainder is a hard InexactDivision, never a rounding.
 """
 
-from __future__ import annotations
-
 import math
 
 from .modring import factorize

@@ -21,8 +21,6 @@ them, so a battery walks each size and target once and each member's
 product once, and its unit-triple merges and fibers share one psi pass.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import math

@@ -10,12 +10,12 @@ constructor and arithmetic hand back.  Each (value, N) is then a single
 object, so equality and hashing are by identity and a tuple of residues
 hashes and compares in C.  Copies and pickles return the same objects.
 
-N is factored in this module alone: factorize caches its prime powers,
-which the CRT split, the totient, |SL2(Z/NZ)| and the closed forms read,
-so one request factors each modulus once.
+N is factored through this module alone: factorize caches its prime
+powers, which the CRT split, the totient, |SL2(Z/NZ)| and the closed forms
+read, so one request factors each modulus once.  It divides out the primes
+below 2^18 itself, and imports ``primes`` only to prove prime or split a
+cofactor from there up, so no count that walks compiles that module.
 """
-
-from __future__ import annotations
 
 import functools
 import math
@@ -135,42 +135,19 @@ class Residue:
 
 # Trial division stops at this divisor, about 60 ms of it.  A modulus
 # below its square, which covers every N a DP or oracle walk reaches, is
-# factored by the full loop.
+# factored by the full loop; a cofactor from the limit up is proved prime
+# or split by ``primes``, which is imported only then.
 _TRIAL_LIMIT = 1 << 18
-# Miller-Rabin with the first thirteen primes as bases decides primality
-# exactly below this bound (Sorenson and Webster, 2015).
-_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MILLER_RABIN_EXACT_BELOW = 3317044064679887385961981
-# Pollard's rho splits a composite cofactor left above _TRIAL_LIMIT ** 2.
-# Its walks are capped so that a cofactor it cannot split, one whose prime
-# factors all lie far beyond 2^32, is refused in well under a second.
-_RHO_SEEDS = 3
-_RHO_STEPS = 1 << 16
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for odd n above the largest base and
-    below _MILLER_RABIN_EXACT_BELOW."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _MILLER_RABIN_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _proved_prime(n: int) -> bool:
     """Is n, from _TRIAL_LIMIT up to the exact Miller-Rabin bound, prime?
     Below the limit trial division ends within 2^9 steps anyway."""
-    return _TRIAL_LIMIT <= n < _MILLER_RABIN_EXACT_BELOW and _is_prime(n)
+    if n < _TRIAL_LIMIT:
+        return False
+    from .primes import proved_prime
+
+    return proved_prime(n)
 
 
 @functools.lru_cache(maxsize=64)
@@ -196,43 +173,13 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
             pairs.append((p, k))
             proved = _proved_prime(rest)
         p += 1
-    large = [rest] if proved else _large_primes(n, rest) if rest > 1 else []
+    if proved or rest < _TRIAL_LIMIT ** 2:
+        large = [rest] if rest > 1 else []
+    else:
+        from .primes import large_primes
+
+        large = large_primes(n, rest)
     return tuple(pairs + [(q, large.count(q)) for q in sorted(set(large))])
-
-
-def _large_primes(n: int, part: int) -> list[int]:
-    """The primes, with multiplicity, of a part > 1 of n that trial
-    division left.
-
-    Such a part has no prime factor below _TRIAL_LIMIT, or is below the
-    square of the last divisor tried, so below _TRIAL_LIMIT ** 2 it is
-    prime.  A larger part must pass the exact Miller-Rabin test or be
-    split by Pollard's rho, else ValueError names n.
-    """
-    if part < _TRIAL_LIMIT ** 2 or (part < _MILLER_RABIN_EXACT_BELOW and _is_prime(part)):
-        return [part]
-    d = _rho(part) if part < _MILLER_RABIN_EXACT_BELOW else None
-    if d is None:
-        raise ValueError(f"cannot factor {n}: its cofactor {part} has no prime "
-                         f"factor below {_TRIAL_LIMIT} and is not a provable prime")
-    return _large_primes(n, d) + _large_primes(n, part // d)
-
-
-def _rho(n: int) -> int | None:
-    """A proper divisor of the odd composite n by Pollard's rho, or None
-    when _RHO_SEEDS walks of _RHO_STEPS Floyd steps each find none."""
-    for c in range(1, _RHO_SEEDS + 1):
-        x = y = 2
-        for _ in range(_RHO_STEPS):
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(x - y, n)
-            if d != 1:
-                break
-        if 1 < d < n:
-            return d
-    return None
 
 
 def totient(n: int) -> int:

@@ -38,8 +38,6 @@ deliberately shares no machinery with the dynamic program: it imports only
 ``spec``, ``sl2`` and ``modring``.
 """
 
-from __future__ import annotations
-
 import math
 from collections import Counter, namedtuple
 from itertools import chain, islice, product, repeat

@@ -1,18 +1,52 @@
-"""The bodies of the ``table`` and ``verify`` commands: the reference
-tables as CSV, and the verification suites with their checks.
+"""The bodies of the ``table`` and ``verify`` commands: their list and
+range options, the reference tables as CSV, and the verification suites
+with their checks.
 
 Only those two commands import this module, so no other request compiles
-it.  Each suite imports the count sources it runs (``counter``, ``crt``,
-``oracle``, ``formulas``) and the bijection harness ``maps`` itself.
+it: ``cli`` parses their options and calls ``cmd_table`` or
+``cmd_verify`` here.  Each suite imports the count sources it runs
+(``counter``, ``crt``, ``oracle``, ``formulas``) and the bijection
+harness ``maps`` itself.
 """
-
-from __future__ import annotations
 
 import sys
 from collections import namedtuple
 
 from .modring import Modulus
 from .sl2 import Mat2, TARGET_NAMES, target_by_name
+
+
+# ---------------------------------------------------------------------------
+# the commands
+
+
+def _parse_ints(text: str) -> list[int]:
+    """Accept '4,8' or '5..10' (inclusive range) or a single integer."""
+    text = text.strip()
+    lo, is_range, hi = text.partition("..")
+    try:
+        values = (list(range(int(lo), int(hi) + 1)) if is_range
+                  else [int(part) for part in text.split(",") if part])
+    except ValueError:
+        raise ValueError(f"{text!r} is neither an integer list nor a range; "
+                         "want e.g. 3..10 or 3,5,7") from None
+    if not values:
+        raise ValueError(f"{text!r} selects no values; want e.g. 3..10 or 3,5,7")
+    return values
+
+
+def cmd_table(args) -> int:
+    rows = _parse_ints(args.rows) if args.rows is not None else None
+    sys.stdout.write(table_text(args.which, rows))
+    return 0
+
+
+def cmd_verify(args) -> int:
+    moduli, sizes, ms = (_parse_ints(text) if text is not None else None
+                         for text in (args.modulus, args.sizes, args.m))
+    if ms is not None and min(ms) < 1:
+        raise ValueError(f"--m must be >= 1, got {min(ms)}")
+    return run_suites(args, moduli, sizes, ms)
 
 
 # ---------------------------------------------------------------------------

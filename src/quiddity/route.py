@@ -8,8 +8,6 @@ process compiles only the sources its count runs, and no count compiles
 ``crt``, which reads pieces and route_count from here.
 """
 
-from __future__ import annotations
-
 import math
 
 from .modring import Modulus, factorize

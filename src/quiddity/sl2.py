@@ -6,8 +6,6 @@ position a per-position constraint refers to, and it has to agree between
 the brute-force enumerator and the dynamic program.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 from .modring import Modulus, Residue, factorize

@@ -11,8 +11,6 @@ oracle's walkers; ``oracle`` re-binds them, as the same objects, for its
 own callers.
 """
 
-from __future__ import annotations
-
 import math
 import os
 from collections import namedtuple

@@ -6,6 +6,7 @@ Error cases check the exit code and that stderr names the command or
 option at fault, not the wording of the message.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -104,11 +105,21 @@ def test_main_reads_sys_argv_as_the_console_script_calls_it(capsys, monkeypatch)
     (("formula", "--name", "w8-odd", "--n-half", "3", "--sign", "x"),
      "formula --sign wants one of +, -, got 'x'"),
     (("verify", "--suite", "crt", "--sizes"), "verify --sizes needs a value"),
+    (("table", "--which", "w8", "--rows", "5.."),
+     "'5..' is neither an integer list nor a range; want e.g. 3..10 or 3,5,7"),
 ], ids=["no-command", "missing", "ambiguous-prefix", "stray-argument", "integer", "choice",
-        "no-value"])
+        "no-value", "open-range"])
 def test_a_parse_error_is_one_error_line(capsys, argv, message):
     assert cli.main(list(argv)) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_each_handler_resolves_in_the_module_it_names(command):
+    # main imports the handler's module and looks the handler up at call
+    # time; this resolves it the same way without running it.
+    module, _, handler = cli.COMMANDS[command][0].partition(".")
+    assert callable(getattr(importlib.import_module(f"quiddity.{module}"), handler))
 
 
 def test_help_needs_no_valid_request(capsys):

@@ -18,8 +18,13 @@ SOURCES = sorted(PACKAGE.glob("*.py"))
 
 def imported_modules(path: Path) -> set[str]:
     """Dotted names a module imports; package-relative ones start with 'quiddity'."""
+    return imported_modules_of(ast.walk(ast.parse(path.read_text(), str(path))))
+
+
+def imported_modules_of(nodes) -> set[str]:
+    """Dotted names the import statements among ``nodes`` import."""
     names = set()
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for node in nodes:
         if isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -58,6 +63,22 @@ def test_no_module_imports_rational_arithmetic(path):
     assert not imported_modules(path) & {"fractions", "decimal", "numbers"}
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_module_imports_future(path):
+    # Every annotation the package writes evaluates on Python 3.10, and the
+    # first module that imported __future__ would load it on every request.
+    assert "__future__" not in imported_modules(path)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_module_imports_the_cli_at_its_top(path):
+    # cli imports a handler's module when it runs the handler, and a body
+    # that lives outside cli imports it inside the handler, for its report
+    # writer; so neither needs the other half loaded first.
+    tree = ast.parse(path.read_text(), str(path))
+    assert "quiddity.cli" not in imported_modules_of(tree.body)
+
+
 # The DP, the closed forms and the modules built on them.
 BUILT_ABOVE = {"quiddity.counter", "quiddity.formulas", "quiddity.crt", "quiddity.route",
                "quiddity.maps", "quiddity.cli"}
@@ -93,7 +114,7 @@ def test_every_imported_name_is_used(path):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        elif isinstance(node, ast.ImportFrom):
             imported.update(alias.asname or alias.name for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert imported <= used, f"{path.name} never uses {sorted(imported - used)}"
@@ -136,9 +157,9 @@ def annotation_names(tree: ast.Module) -> set[str]:
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_every_annotation_names_something_the_module_binds(path):
-    # Under ``from __future__ import annotations`` a missing name goes
-    # unnoticed at run time; a type checker, or typing.get_type_hints with
-    # the TYPE_CHECKING imports in scope, would not resolve it.
+    # A quoted annotation, one on a local variable, or one in a nested
+    # function that never runs goes unchecked at run time; a type checker,
+    # or typing.get_type_hints, would not resolve a missing name.
     tree = ast.parse(path.read_text(), str(path))
     unbound = annotation_names(tree) - module_bindings(tree) - set(dir(builtins))
     assert not unbound, f"{path.name} annotates with unbound {sorted(unbound)}"

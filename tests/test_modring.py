@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from helpers import euler_phi
-from quiddity import modring
+from quiddity import modring, primes
 from quiddity.modring import (
     Modulus, NotAUnit, Residue, factorize, nonunits_of, totient, units_of,
 )
@@ -174,12 +174,12 @@ def test_factorize_matches_trial_division():
 
 def test_miller_rabin_decides_primes_and_strong_pseudoprimes():
     for n in range(43, 20000, 2):
-        assert modring._is_prime(n) == _is_prime_by_division(n), n
+        assert primes._is_prime(n) == _is_prime_by_division(n), n
     # Strong pseudoprimes to the bases 2..23 and 2..37 (Sorenson and Webster).
-    assert not modring._is_prime(3825123056546413051)
-    assert not modring._is_prime(318665857834031151167461)
+    assert not primes._is_prime(3825123056546413051)
+    assert not primes._is_prime(318665857834031151167461)
     # The first one to all thirteen bases is where the test stops being exact.
-    assert modring._is_prime(modring._MILLER_RABIN_EXACT_BELOW)
+    assert primes._is_prime(primes._MILLER_RABIN_EXACT_BELOW)
 
 
 def test_factorize_beyond_trial_division():
@@ -196,7 +196,7 @@ def test_factorize_beyond_trial_division():
 
 
 @pytest.mark.parametrize("n", [
-    modring._MILLER_RABIN_EXACT_BELOW,  # = 1287836182261 * 2575672364521
+    primes._MILLER_RABIN_EXACT_BELOW,  # = 1287836182261 * 2575672364521
     (10 ** 30 + 57) * 3,
     (10 ** 12 + 39) * (10 ** 12 + 61),  # both factors too large for rho's capped walks
 ])
@@ -216,6 +216,6 @@ def test_a_product_of_prime_powers_factors_back_to_itself(powers):
     # Miller-Rabin is exact only below its bound, so the part that trial
     # division leaves must stay under it.
     assume(math.prod(p ** k for p, k in powers.items() if p > modring._TRIAL_LIMIT)
-           < modring._MILLER_RABIN_EXACT_BELOW)
+           < primes._MILLER_RABIN_EXACT_BELOW)
     assert factorize(math.prod(p ** k for p, k in powers.items())) == tuple(
         sorted(powers.items()))

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from quiddity import cli, crt, maps
+from quiddity import crt, maps, reference
 from quiddity.cli import main
 from quiddity.modring import Modulus
 from quiddity.sl2 import Mat2, identity, target_label
@@ -94,6 +94,13 @@ def test_an_unnamed_target_has_one_label():
 
 
 @pytest.mark.parametrize("text, values", [
-    ("-2..1", [-2, -1, 0, 1]), ("4,8", [4, 8]), ("7", [7]), (" 3..5 ", [3, 4, 5])])
+    ("-2..1", [-2, -1, 0, 1]), ("4,8", [4, 8]), ("7", [7]), (" 3..5 ", [3, 4, 5]),
+    ("5..", None), ("..3", None), ("4,x", None)])
 def test_integer_lists_and_ranges(text, values):
-    assert cli._parse_ints(text) == values
+    if values is None:  # malformed: the message names the text and the accepted forms
+        with pytest.raises(ValueError) as err:
+            reference._parse_ints(text)
+        assert str(err.value) == (f"{text!r} is neither an integer list nor a range; "
+                                  "want e.g. 3..10 or 3,5,7")
+    else:
+        assert reference._parse_ints(text) == values

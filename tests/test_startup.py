@@ -170,6 +170,17 @@ def test_each_verify_suite_loads_exactly_its_modules(argv):
     assert loaded == {f"quiddity.{name}" for name in VERIFY_LOADS[argv[2]]}
 
 
+def test_a_modulus_past_trial_division_loads_the_factoring_module():
+    # 1000003 is a prime above modring's trial limit 2^18, so factorize
+    # proves it prime by Miller-Rabin in ``primes``; every benchmark count
+    # (COUNT_LOADS, VERIFY_LOADS) factors below the limit and never loads it.
+    report = probe("count", "--modulus", "1000003", "--size", "5", "--target", "id")
+    assert report["code"] == 0, report["err"]
+    out = json.loads(report["out"])
+    assert (out["method"], out["count"]) == ("formula", "1000006000010")
+    assert "quiddity.primes" in report["loaded"]
+
+
 COUNTING = {"quiddity.counter", "quiddity.crt", "quiddity.oracle", "quiddity.route"}
 
 
@@ -204,8 +215,9 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(ast.literal_eval(sys.argv[1]))
 print(repr((code, sorted(set(sys.modules) - before))))
 """
-# argparse loads gettext, and its first message lookup locale
-STDLIB_CLI = {"argparse", "gettext", "locale", "json"}
+# argparse loads gettext, and its first message lookup locale; no package
+# module imports __future__, which would load it on every request
+STDLIB_CLI = {"argparse", "gettext", "locale", "json", "__future__"}
 
 
 @pytest.mark.parametrize("argv", [
