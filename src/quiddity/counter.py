@@ -29,7 +29,7 @@ top-row counts, the heads; with no leading run the one head is (1, 0).
 
 All counts are exact Python integers.  spec._admit refuses a call whose
 walk_cost exceeds the budget (QUIDDITY_BUDGET by default) with CapExceeded
-before anything is built, which sends the CRT router's auto to the oracle.
+before anything is built, which sends route.route_count's auto to the oracle.
 """
 
 from .modring import Modulus

@@ -233,9 +233,12 @@ def delta_base(n: int, m: int, target: str = "id") -> FormulaValue:
 
 def delta_value(n: int, m: int, target: str = "id") -> FormulaValue:
     """delta_base, delta_closed_form, or the enumerated size-2 value 0."""
+    if n < 2:
+        raise UnsupportedCase(f"delta_value needs size >= 2, got {n}")
     if n == 2:
         if m < 2:
             raise UnsupportedCase("need m >= 2")
+        _target_family(target)  # refuses an unknown target, as the larger sizes do
         # A 2-letter product is [[a1*a2 - 1, -a2], [a1, -1]]; the fixed -1
         # rules out every named target except -Id (needs a2 = 0, not a
         # unit) and -T (exactly (0, 1)).  Backed by enumeration for m >= 2;

@@ -23,13 +23,12 @@ three uses:
   fold its last letter onto the distinct products of the others instead;
 * probe (the meet-in-the-middle suffix): walk backward from the target,
   E(a_{k+1})^-1 ... E(a_n)^-1 @ target, and look each result up among the
-  prefix products.  A free junction letter a_{k+1} is not walked: the
-  suffix stops one letter short and looks its bottom row up among the
-  prefix products' top rows, each the sum of N full-key probes.  Then
-  either side may fold its outer letter onto the at most N^2 rows of its
-  other letters: the prefix's top rows give those of Q @ E(a_1)
-  (_prefix_tops), and the suffix's bottom rows, one probe per a_n, the
-  rows it looks up (_probe_folded).  _joins prices every split, either
+  prefix products.  A free junction letter a_{k+1} is not walked: a tuple
+  then counts once per prefix and suffix rest whose rows meet, and both
+  sides are one row walk of _walk's first coordinate, from (1, 0)
+  (_row_leaves), whose last letter is the side's outer one, 1 or n.  So
+  either side folds the same way: it counts the rows before that letter,
+  at most N^2, and expands each once.  _joins prices every split, either
   fold charged only where it walks fewer candidates, and _count_mitm runs
   the very _Join that count admitted.
 
@@ -48,7 +47,7 @@ from .modring import Modulus, Residue, NotAUnit, units_of
 from .sl2 import Mat2, group_order
 
 # The set spec and the budget are defined in ``spec``, so that the DP and
-# the CRT router read them without loading the walkers below; they stay
+# route.route_count read them without loading the walkers below; they stay
 # readable from the oracle as the same objects.
 SetSpec, Constraint, ANY, UNIT, NONUNIT = (
     _spec.SetSpec, _spec.Constraint, _spec.ANY, _spec.UNIT, _spec.NONUNIT)
@@ -219,30 +218,42 @@ def _leaf_keys(values, N, start, scales, lifts):
                                for p, q, r, s in _walk(values, N, *start))
 
 
+def _row_leaves(values, N, m, rows=None):
+    """The packed keys z1*N + z2 of the leaves of one row walk, as pairs
+    (times, keys): each key of ``keys`` stands for ``times`` leaves.
+
+    The walk is z = e1 E(b_1) ... E(b_j) M, ``values`` listing the letters
+    b_1..b_j and ``m`` the entries of M.  A row (u, v) steps to
+    (a*u + v, -u): _walk's first coordinate (p, r) = (u, -v), started at
+    (1, 0).  The last letter expands in C through two _LetterRows, as in
+    _leaf_keys, since z = a*(u*m11, u*m12) - (u*m21 - v*m11, u*m22 - v*m12).
+    Every row before it is walked and all leaves come in one stream; or
+    ``rows``, a Counter of those rows keyed u*N + v, folds the last letter
+    onto them: each distinct row expands once, times its count.
+    """
+    m11, m12, m21, m22 = m
+    firsts = _LetterRows(values[-1], N, N, 0)
+    seconds = _LetterRows(values[-1], N, 1, 0)
+    if rows is None:
+        states = _walk(values, N, 1, 0, 0, 0)
+    else:
+        states = ((u, 0, -v, 0) for u, v in map(divmod, rows, repeat(N)))
+    leaves = (map(add, firsts[p * m11 % N * N + (p * m21 + r * m11) % N],
+                  seconds[p * m12 % N * N + (p * m22 + r * m12) % N])
+              for p, _, r, _ in states)
+    return ((1, chain.from_iterable(leaves)),) if rows is None else zip(rows.values(), leaves)
+
+
 def _half_products(values, N, top_row: bool = False):
     """Map packed product key -> number of tuples over the given positions;
     with ``top_row`` the key is the product's top row alone."""
-    # cur is the top row, so the new cur leads the key and the old cur
-    # becomes the bottom row: digits N^3, N^2 and N, 1; or N, 1 and none.
     if top_row:
-        return Counter(_leaf_keys(values, N, (1, 0, 0, 1), (N, 1), (0, 0)))
+        # the top row of E(a_k) ... E(a_1) is the row walk over a_k..a_1
+        (_, keys), = _row_leaves(values[::-1], N, (1, 0, 0, 1))
+        return Counter(keys)
+    # cur is the top row, so the new cur leads the key and the old cur
+    # becomes the bottom row: digits N^3, N^2 and N, 1.
     return Counter(_leaf_keys(values, N, (1, 0, 0, 1), (N ** 3, N * N), (N, 1)))
-
-
-def _prefix_tops(values, N, fold: bool) -> Counter:
-    """Map top row key (first * N + second) -> number of prefix tuples
-    whose product has that top row."""
-    if not fold:
-        return _half_products(values, N, top_row=True)
-    # The product Q @ E(a_1), Q = E(a_k) ... E(a_2), has top row
-    # (a_1*q11 + q12, -q11): it needs only Q's top row and the letter.
-    tops = Counter()
-    for row, times in _half_products(values[1:], N, top_row=True).items():
-        q11, q12 = divmod(row, N)
-        second = -q11 % N
-        for a in values[0]:
-            tops[(a * q11 + q12) % N * N + second] += times
-    return tops
 
 
 _Join = namedtuple("_Join", "split walked free fold fold_last")
@@ -310,10 +321,6 @@ def _choose_join(spec: SetSpec, budget=math.inf, naive: bool = False) -> _Join |
 
 
 def _count_mitm(spec: SetSpec, join: _Join) -> int:
-    # Tuples factor as target == suffix_product @ prefix_product, so the
-    # prefix product must be E(a_{k+1})^-1 ... E(a_n)^-1 @ target.  Walk the
-    # suffix backward from the target with its rows swapped and look each
-    # result up among the prefix products.
     N = spec.modulus.n
     ta, tb, tc, td = spec.target.entries()
     split, free = join.split, join.free
@@ -322,52 +329,39 @@ def _count_mitm(spec: SetSpec, join: _Join) -> int:
     junction = split + 1 if free else None
     values = [() if p == junction else allowed_values(spec.modulus, spec.constraint_at(p))
               for p in range(1, spec.size + 1)]
-    if free:
-        # A free junction letter x is not walked.  Let R be the required
-        # product once the rest of the suffix is peeled off (det R = 1).
-        # E(x)^-1 R has R's bottom row on top and x*bottom - top below.
-        # That row is unimodular, so x -> E(x)^-1 R is a bijection from
-        # Z/NZ onto the N determinant-1 matrices with that top row.
-        # Summed over x, the prefix products count those with that top
-        # row: tops, keyed by the top row alone.
-        tops = _prefix_tops(values[:split], N, join.fold)
-        suffix = values[split + 1:][::-1]
-        if not suffix:
-            return tops[tc * N + td]
-        if join.fold_last:
-            return _probe_folded(tops, suffix, N, (ta, tb, tc, td))
-        get, lifts = tops.get, (0, 0)
+    if not free:
+        # Tuples factor as target == suffix_product @ prefix_product, so the
+        # prefix product must be E(a_{k+1})^-1 ... E(a_n)^-1 @ target.  Walk
+        # the suffix backward from the target with its rows swapped, cur the
+        # bottom row at digits N, 1, the old cur leading the key, and look
+        # each result up among the prefix products.
+        get = _half_products(values[:split], N).get
+        keys = _leaf_keys(values[split:][::-1], N, (tc, td, ta, tb), (N, 1), (N ** 3, N * N))
+        return sum(map(get, keys, repeat(0)))
+    # A free junction letter x = a_{k+1} is not walked.  Take a prefix
+    # P = E(a_k) ... E(a_1) and a suffix rest S' = E(a_n) ... E(a_{k+2}).
+    # E(x) P has P's top row below and x times it, less P's bottom row,
+    # above; that top row is unimodular, so E(x) P = S'^-1 T for exactly
+    # one x when e1 P = e2 S'^-1 T, and for none otherwise.  As
+    # E(a)^-1 = J E(a) J, J = [[0, 1], [1, 0]], both rows are row walks:
+    # the prefix's over letters k..1 with M = I, the suffix's over letters
+    # k+2..n with M = J T, T with its rows swapped.
+    if join.fold:
+        tops = Counter()
+        rows = _half_products(values[1:split], N, top_row=True)
+        for times, keys in _row_leaves(values[split - 1::-1], N, (1, 0, 0, 1), rows):
+            for key in keys:
+                tops[key] += times
     else:
-        get, lifts = _half_products(values[:split], N).get, (N ** 3, N * N)
-        suffix = values[split:][::-1]
-    # cur is the bottom row, so the new cur gets digits N, 1 and the old cur
-    # leads the key as the new top row at the lifts N^3, N^2; with lifts 0
-    # the key is the new bottom row alone, the top row after a free letter.
-    keys = _leaf_keys(suffix, N, (tc, td, ta, tb), (N, 1), lifts)
-    return sum(map(get, keys, repeat(0)))
-
-
-def _probe_folded(tops, suffix, N, target) -> int:
-    """The free-junction probe with the suffix's last letter a_n folded:
-    ``suffix`` lists letters n..k+2, ``tops`` counts the prefix top rows."""
-    # R = L @ E(a_n)^-1 @ T with L = E(a_{k+2})^-1 ... E(a_{n-1})^-1, so
-    # R's bottom row needs only L's bottom row l and the letter:
-    # l @ E(a)^-1 @ T = (-l2, l1 + a*l2) @ T.  Walk L from the identity,
-    # rows swapped, and keep its at most N^2 bottom rows, as the prefix
-    # keeps its top rows before folding letter 1.
-    ta, tb, tc, td = target
-    bottoms = Counter(_leaf_keys(suffix[1:], N, (0, 1, 1, 0), (N, 1), (0, 0)))
-    # Coordinate j of that row is a*(l2*t2j) - (l2*t1j - l1*t2j): a letter
-    # row keyed by those two values, each at its digit of the top-row key.
-    firsts = _LetterRows(suffix[0], N, N, 0)
-    seconds = _LetterRows(suffix[0], N, 1, 0)
-    get, total = tops.get, 0
-    for row, times in bottoms.items():
-        l1, l2 = divmod(row, N)
-        keys = map(add, firsts[l2 * tc % N * N + (l2 * ta - l1 * tc) % N],
-                   seconds[l2 * td % N * N + (l2 * tb - l1 * td) % N])
-        total += times * sum(map(get, keys, repeat(0)))
-    return total
+        tops = _half_products(values[:split], N, top_row=True)
+    suffix = values[split + 1:]
+    if not suffix:
+        return tops[tc * N + td]
+    # folded, the rows of letters k+2..n-1 are counted as the prefix's are
+    rows = _half_products(suffix[-2::-1], N, top_row=True) if join.fold_last else None
+    get = tops.get
+    return sum(times * sum(map(get, keys, repeat(0)))
+               for times, keys in _row_leaves(suffix, N, (tc, td, ta, tb), rows))
 
 
 def count(spec: SetSpec, method: str = "auto", budget: int | None = None,

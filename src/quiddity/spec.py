@@ -6,9 +6,9 @@ constraints (fixed value, unit, non-unit), each with one spelling that
 parse_constraint reads and constraint_text writes.  The budget bounds the
 work one count may do: QUIDDITY_BUDGET, else DEFAULT_BUDGET.
 
-The DP, the CRT router and the CLI read these without loading the brute
-oracle's walkers; ``oracle`` re-binds them, as the same objects, for its
-own callers.
+The DP, route.route_count and the CLI read these without loading the
+brute oracle's walkers; ``oracle`` re-binds them, as the same objects,
+for its own callers.
 """
 
 import math

@@ -169,6 +169,18 @@ def test_delta_value_refuses_m_below_two_at_every_size():
             delta_value(size, 1, "t")
 
 
+def test_delta_value_refuses_an_unknown_target_at_every_size():
+    for size in (2, 3, 4, 5):
+        with pytest.raises(ValueError, match="^unknown target 'zz'$"):
+            delta_value(size, 3, "zz")
+
+
+def test_delta_value_refuses_sizes_below_two_in_its_own_name():
+    for size in (-1, 0, 1):
+        with pytest.raises(UnsupportedCase, match=f"^delta_value needs size >= 2, got {size}$"):
+            delta_value(size, 3)
+
+
 def test_delta_recursion_steps():
     assert delta_recursion(48, 4, 3) == 320
     assert delta_recursion(0, 0, 5) == 0

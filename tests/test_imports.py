@@ -8,6 +8,7 @@ them, so that the three count sources stay independent.
 import ast
 import builtins
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -163,3 +164,40 @@ def test_every_annotation_names_something_the_module_binds(path):
     tree = ast.parse(path.read_text(), str(path))
     unbound = annotation_names(tree) - module_bindings(tree) - set(dir(builtins))
     assert not unbound, f"{path.name} annotates with unbound {sorted(unbound)}"
+
+
+def private_definitions(tree: ast.Module):
+    """(name, node) for every function, class and constant a module defines
+    at its top level under a private name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def test_every_private_helper_is_read():
+    # A private helper nothing reads is dead code, such as a walk a new one
+    # replaced.  Within its module a helper is read by name, outside its own
+    # definition; from another module, as an attribute or through an import.
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    elsewhere = {name for tree in trees.values() for node in ast.walk(tree)
+                 for name in ([node.attr] if isinstance(node, ast.Attribute) else
+                              [alias.name for alias in node.names]
+                              if isinstance(node, ast.ImportFrom) else [])}
+    unread = []
+    for module, tree in trees.items():
+        loads = Counter(node.id for node in ast.walk(tree)
+                        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+        for name, node in private_definitions(tree):
+            own = sum(isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id == name
+                      for n in ast.walk(node))
+            if loads[name] == own and name not in elsewhere:
+                unread.append(f"{module}:{name}")
+    assert not unread, f"never read: {unread}"

@@ -800,6 +800,40 @@ def test_the_suffix_fold_matches_the_naive_walk_at_every_split(last):
     assert ran > 500, ran
 
 
+@pytest.mark.parametrize("first", [None, UNIT, NONUNIT, fixed(1)],
+                         ids=["free", "unit", "nonunit", "fixed"])
+def test_the_prefix_fold_matches_the_naive_walk_at_every_split(first):
+    # The prefix fold is forced at every split where it can run, a free
+    # junction and two or more prefix letters, cheaper or not: alone, and
+    # with the suffix fold where that can run too.  Split 2 leaves a
+    # two-letter prefix, whose walk is one letter into top rows.  The first
+    # letter is free or constrained, alone or beside a unit letter 2 or a
+    # non-unit letter n.
+    ran = 0
+    for n in range(2, 9):
+        mod = Modulus(n)
+        targets = [target_by_name(name, mod) for name in TARGET_NAMES] + [Mat2(2, 1, 1, 1, mod)]
+        for size in range(3, 9):
+            if n ** (size - 2) > 2500:
+                break
+            ends = {} if first is None else {1: first}
+            for constraints in (ends, {**ends, 2: UNIT}, {**ends, size: NONUNIT}):
+                for target in targets:
+                    spec = SetSpec(size, target, constraints)
+                    sizes = spec.position_counts()
+                    reference = oracle._count_naive(spec)
+                    for split in range(2, size):
+                        join = oracle._join(spec, split, sizes)
+                        if not join.free:
+                            continue
+                        both = [False, True] if split < size - 2 else [False]
+                        for fold_last in both:
+                            forced = join._replace(fold=True, fold_last=fold_last)
+                            assert oracle._count_mitm(spec, forced) == reference, (spec, forced)
+                            ran += 1
+    assert ran > 500, ran
+
+
 @pytest.mark.parametrize("last", [UNIT, NONUNIT], ids=["unit", "nonunit"])
 def test_the_join_folds_a_constrained_last_letter_where_that_is_cheaper(last):
     # Z/8Z, size 10, a unit or non-unit last letter: its 4 letters probe
@@ -848,39 +882,24 @@ def _random_join_specs(rng, n):
         yield SetSpec(size, target, constraints)
 
 
-class _CountedTops(Counter):
-    """Prefix top rows that count the probes read through ``get``."""
-
-    probes = 0
-
-    def get(self, key, default=None):
-        _CountedTops.probes += 1
-        return super().get(key, default)
-
-
 def test_the_join_walks_what_it_is_charged(monkeypatch):
-    # Every leaf either side of the join streams, every update of the
-    # prefix fold and every probe of the suffix fold is counted; an empty
-    # suffix, past a free last letter, is its one leaf, the lookup of the
-    # target's bottom row.  Without a fold that is exactly the charge; a
-    # fold's N^2 bound on the rows it folds onto may overcharge it.
-    leaves, rows = [0], []
-    leaf_keys, half_products = oracle._leaf_keys, oracle._half_products
-    prefix_tops = oracle._prefix_tops
+    # Every leaf either side of the join streams is counted, and so is every
+    # key a fold expands: an update of the prefix's top rows, or a probe of
+    # them from the suffix.  An empty suffix, past a free last letter, is
+    # its one leaf, the lookup of the target's bottom row.  Without a fold
+    # that is exactly the charge; a fold's N^2 bound on the rows it folds
+    # onto may overcharge it.
+    walked = [0]
+    leaf_keys, row_leaves = oracle._leaf_keys, oracle._row_leaves
 
-    def counted_leaf_keys(*args):
-        for key in leaf_keys(*args):
-            leaves[0] += 1
+    def counted(keys):
+        for key in keys:
+            walked[0] += 1
             yield key
 
-    def counted_half_products(values, N, top_row=False):
-        products = half_products(values, N, top_row)
-        rows.append(len(products))
-        return products
-
-    monkeypatch.setattr(oracle, "_leaf_keys", counted_leaf_keys)
-    monkeypatch.setattr(oracle, "_half_products", counted_half_products)
-    monkeypatch.setattr(oracle, "_prefix_tops", lambda *args: _CountedTops(prefix_tops(*args)))
+    monkeypatch.setattr(oracle, "_leaf_keys", lambda *args: counted(leaf_keys(*args)))
+    monkeypatch.setattr(oracle, "_row_leaves", lambda *args: [
+        (times, counted(keys)) for times, keys in row_leaves(*args)])
     folded = folded_last = exact = 0
     for spec in _random_join_specs(random.Random(20), 150):
         sizes = spec.position_counts()
@@ -888,22 +907,15 @@ def test_the_join_walks_what_it_is_charged(monkeypatch):
             join = oracle._join(spec, split, sizes)
             if join.walked > 20_000:
                 continue
-            leaves[0], rows[:], _CountedTops.probes = 0, [], 0
+            walked[0] = join.free and split == spec.size - 1
             count(spec, "mitm", split=split, budget=join.walked)
-            # the prefix fold adds each of letter 1's values to each top
-            # row of letters 2..k, the one bucketing the prefix runs; the
-            # suffix fold probes the prefix top rows once per letter n and
-            # bottom row of letters k+2..n-1, whose walk streams its leaves
-            walked = leaves[0] + (rows[0] * sizes[0] if join.fold else 0)
-            walked += _CountedTops.probes if join.fold_last else 0
-            walked += join.free and split == spec.size - 1
             folded += join.fold
             folded_last += join.fold_last
             if join.fold or join.fold_last:
-                assert walked <= join.walked, (spec, join)
+                assert walked[0] <= join.walked, (spec, join)
             else:
                 exact += 1
-                assert walked == join.walked, (spec, join)
+                assert walked[0] == join.walked, (spec, join)
     assert folded > 50 and folded_last > 50 and exact > 250, (folded, folded_last, exact)
 
 
