@@ -124,6 +124,9 @@ def cmd_formula(args) -> int:
     from . import formulas
 
     function, names = FORMULAS[args.name]
+    if unread := [f"--{key.replace('_', '-')}" for key, value in vars(args).items()
+                  if value is not None and key not in (*names, "name")]:
+        raise ValueError(f"formula {args.name!r} takes no {', '.join(unread)}")
     params = {}
     for name in names:
         params[name] = getattr(args, name)

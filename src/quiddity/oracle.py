@@ -28,9 +28,11 @@ three uses:
   sides are one row walk of _walk's first coordinate, from (1, 0)
   (_row_leaves), whose last letter is the side's outer one, 1 or n.  So
   either side folds the same way: it counts the rows before that letter,
-  at most N^2, and expands each once.  _joins prices every split, either
-  fold charged only where it walks fewer candidates, and _count_mitm runs
-  the very _Join that count admitted.
+  at most N^2, and expands each once.  A side streamed whole expands its
+  longer end in C: where its inner letter, k or k+2, allows more values,
+  _leaf_keys walks it from the other end instead.  _joins prices every
+  split, either fold charged only where it walks fewer candidates, and
+  _count_mitm runs the very _Join that count admitted.
 
 This module is the independent oracle for every other count source, so it
 deliberately shares no machinery with the dynamic program: it imports only
@@ -248,7 +250,11 @@ def _half_products(values, N, top_row: bool = False):
     """Map packed product key -> number of tuples over the given positions;
     with ``top_row`` the key is the product's top row alone."""
     if top_row:
-        # the top row of E(a_k) ... E(a_1) is the row walk over a_k..a_1
+        # the top row of E(a_k) ... E(a_1), walked so that the end allowing
+        # more letters expands in C: from I over a_1..a_k where a_k allows
+        # more than a_1, else the row walk over a_k..a_1
+        if len(values[-1]) > len(values[0]):
+            return Counter(_leaf_keys(values, N, (1, 0, 0, 1), (N, 1), (0, 0)))
         (_, keys), = _row_leaves(values[::-1], N, (1, 0, 0, 1))
         return Counter(keys)
     # cur is the top row, so the new cur leads the key and the old cur
@@ -357,9 +363,15 @@ def _count_mitm(spec: SetSpec, join: _Join) -> int:
     suffix = values[split + 1:]
     if not suffix:
         return tops[tc * N + td]
+    get = tops.get
+    if not join.fold_last and len(suffix[0]) > len(suffix[-1]):
+        # a_{k+2} allows more letters than a_n, so it is the one expanded in
+        # C: walk back from the target's swapped rows over a_n..a_{k+2},
+        # whose cur is then the bottom row of S'^-1 T
+        keys = _leaf_keys(suffix[::-1], N, (tc, td, ta, tb), (N, 1), (0, 0))
+        return sum(map(get, keys, repeat(0)))
     # folded, the rows of letters k+2..n-1 are counted as the prefix's are
     rows = _half_products(suffix[-2::-1], N, top_row=True) if join.fold_last else None
-    get = tops.get
     return sum(times * sum(map(get, keys, repeat(0)))
                for times, keys in _row_leaves(suffix, N, (tc, td, ta, tb), rows))
 

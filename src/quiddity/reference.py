@@ -42,11 +42,35 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    moduli, sizes, ms = (_parse_ints(text) if text is not None else None
-                         for text in (args.modulus, args.sizes, args.m))
-    if ms is not None and min(ms) < 1:
-        raise ValueError(f"--m must be >= 1, got {min(ms)}")
-    return run_suites(args, moduli, sizes, ms)
+    """Run args.suite (every suite, in order, for ``all``) on the options it
+    reads, refusing any other given option, and print its report: one line
+    per check, then the tally; 1 if any check failed, else 0.
+
+    The report is written once, after every suite has run: with stdout
+    unbuffered (PYTHONUNBUFFERED, or a terminal's line buffering) each
+    write is a system call, and the Z/16Z battery alone has 2,127 lines.
+    """
+    suites = list(SUITES) if args.suite == "all" else [args.suite]
+    read = {key for suite in suites for key in SUITES[suite][1]}
+    given = {key.replace("_", "-"): value for key, value in vars(args).items()
+             if value is not None and key not in ("suite", "budget")}
+    if unread := [f"--{key}" for key in given if key not in read]:
+        raise ValueError(f"verify --suite {args.suite} takes no {', '.join(unread)}")
+    given = {key: _parse_ints(value) if isinstance(value, str) else value  # --max-size: an int
+             for key, value in given.items()}
+    if min(given.get("m", [1])) < 1:
+        raise ValueError(f"--m must be >= 1, got {min(given['m'])}")
+    checks: list[Check] = []
+    for suite in suites:
+        runner, options = SUITES[suite]
+        checks += runner(*(given.get(key, default) for key, default in options.items()),
+                         args.budget)
+    passed = sum(1 for check in checks if check.ok)
+    lines = [f"{'PASS' if ok else 'FAIL'} {name}" + (f" ({detail})" if detail else "")
+             for name, ok, detail in checks]
+    lines.append(f"{passed}/{len(checks)} checks passed\n")
+    sys.stdout.write("\n".join(lines))
+    return 0 if passed == len(checks) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +223,16 @@ def _suite_crt(sizes: list[int], budget: int | None) -> list[Check]:
     from . import counter, crt, maps
     from .spec import SetSpec
 
+    if min(sizes) < 1:
+        raise ValueError("tuple size must be >= 1")
     checks = []
     mod12 = Modulus(12)
     fact = crt.split(12)
+    # one DP pass reads every size, charged once for the largest
+    seq = counter.dp_vector_sequence(max(sizes), mod12, budget=budget)
     for size in sizes:
         for sign, name in ((1, "id"), (-1, "neg-id")):
-            direct = counter.dp_count(SetSpec(size, target_by_name(name, mod12)), budget)
+            direct = seq[size].at(target_by_name(name, mod12))
             assembled = int(crt.assemble_count(size, fact, sign, budget=budget))
             checks.append(Check(
                 f"crt count n={size} N=12 sign={'+' if sign == 1 else '-'}",
@@ -221,12 +249,15 @@ def _suite_totality(moduli: list[int], sizes: list[int],
                     budget: int | None) -> list[Check]:
     from . import counter, oracle
 
+    if min(sizes) < 1:
+        raise ValueError("tuple size must be >= 1")
     checks = []
     for n in moduli:
         modulus = Modulus(n)
-        vecs = {}
+        # one DP pass reads every size, charged once for the largest
+        vecs = counter.dp_vector_sequence(max(sizes), modulus, budget=budget)
         for size in sizes:
-            vec = vecs[size] = counter.dp_vector(size, modulus, budget=budget)
+            vec = vecs[size]
             checks.append(Check(f"totality dp N={n} n={size}",
                                 vec.total() == n ** size,
                                 f"{vec.total()} vs {n}^{size}"))
@@ -244,38 +275,13 @@ def _suite_totality(moduli: list[int], sizes: list[int],
     return checks
 
 
-# Suite name -> runner(args, moduli, sizes, ms); moduli and sizes are None
-# when not given, and each suite fills in its own default.  ``all`` runs
-# them in this order.
+# Suite name -> (runner, the options it reads with their defaults, in the
+# runner's argument order); the runner takes them, then the budget.  A
+# default of None leaves the runner its own.  ``all`` runs them in this order.
 SUITES = {
-    "bijections": lambda args, moduli, sizes, ms: _suite_bijections(
-        moduli or [4, 8], args.max_size, args.budget),
-    "recursion": lambda args, moduli, sizes, ms: _suite_recursion(
-        ms, sizes or list(range(5, 9)), args.budget),
-    "bounds": lambda args, moduli, sizes, ms: _suite_bounds(ms, sizes, args.budget),
-    "crt": lambda args, moduli, sizes, ms: _suite_crt(sizes or list(range(4, 8)), args.budget),
-    "totality": lambda args, moduli, sizes, ms: _suite_totality(
-        moduli or [3, 4, 8], sizes or list(range(1, 8)), args.budget),
+    "bijections": (_suite_bijections, {"modulus": (4, 8), "max-size": None}),
+    "recursion": (_suite_recursion, {"m": (2, 3), "sizes": range(5, 9)}),
+    "bounds": (_suite_bounds, {"m": (2, 3), "sizes": None}),
+    "crt": (_suite_crt, {"sizes": range(4, 8)}),
+    "totality": (_suite_totality, {"modulus": (3, 4, 8), "sizes": range(1, 8)}),
 }
-
-
-def run_suites(args, moduli: list[int] | None, sizes: list[int] | None,
-               ms: list[int] | None) -> int:
-    """Run args.suite (every suite, in order, for ``all``) and print its
-    report: one line per check, then the tally; 1 if any check failed,
-    else 0.
-
-    The report is written once, after every suite has run: with stdout
-    unbuffered (PYTHONUNBUFFERED, or a terminal's line buffering) each
-    write is a system call, and the Z/16Z battery alone has 2,127 lines.
-    """
-    suites = list(SUITES) if args.suite == "all" else [args.suite]
-    checks: list[Check] = []
-    for suite in suites:
-        checks += SUITES[suite](args, moduli, sizes, ms or [2, 3])
-    passed = sum(1 for check in checks if check.ok)
-    lines = [f"{'PASS' if ok else 'FAIL'} {name}" + (f" ({detail})" if detail else "")
-             for name, ok, detail in checks]
-    lines.append(f"{passed}/{len(checks)} checks passed\n")
-    sys.stdout.write("\n".join(lines))
-    return 0 if passed == len(checks) else 1

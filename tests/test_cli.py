@@ -431,6 +431,32 @@ def test_formula_missing_parameter_messages(capsys, argv, missing):
     assert (code, out, err) == (2, "", f"error: formula {name!r} needs --{missing}\n")
 
 
+# One request per formula with a parameter its formula does not read.
+FORMULA_REFUSALS = [
+    ("gauss-bracket --m 5 --k 2 --n 7", "--n"),
+    ("gauss-binom2 --m 5 --k 3 --sign +", "--sign"),
+    ("u-count --n 7 --q 5 --sign + --m 2", "--m"),
+    ("w4-ring4 --n 8 --sign + --q 5", "--q"),
+    ("w-odd-2m --n-half 3 --m 4 --sign - --target id", "--target"),
+    ("delta-closed --n 9 --m 3 --target s --sign +", "--sign"),
+    ("delta-base --n 4 --m 3 --target id --k 1", "--k"),
+    ("delta-recursion --prev 320 --prev2 80 --m 3 --n 5", "--n"),
+    ("w4-2m --m 5 --sign + --n-half 2", "--n-half"),
+    ("w-even-bounds --n-half 4 --m 3 --sign + --prev 1", "--prev"),
+    ("w8-even --n-half 3 --m 5 --sign -", "--m, --sign"),
+    ("w8-odd --n-half 3 --sign - --prev2 4", "--prev2"),
+    ("zero-pairs --m 6 --k 2 --q 3", "--k, --q"),
+]
+
+
+@pytest.mark.parametrize("argv,unread", FORMULA_REFUSALS,
+                         ids=[argv.split()[0] for argv, _ in FORMULA_REFUSALS])
+def test_formula_refuses_a_parameter_it_does_not_read(capsys, argv, unread):
+    code, out, err = run_cli(capsys, "formula", "--name", *argv.split())
+    name = argv.split()[0]
+    assert (code, out, err) == (2, "", f"error: formula {name!r} takes no {unread}\n")
+
+
 @pytest.mark.parametrize("which,filename", [
     ("odd-w-plus", "odd_w_plus.csv"),
     ("w8", "w8.csv"),
@@ -470,6 +496,60 @@ def test_table_text_matches_cli(capsys):
 
 def test_the_parser_lists_every_suite_in_order():
     assert cli.SUITE_NAMES == tuple(reference.SUITES)
+
+
+def test_the_suites_read_every_verify_option_but_suite_and_budget():
+    # a new suite or option cannot go unread: each option is some suite's
+    read = {key for _, options in reference.SUITES.values() for key in options}
+    assert read == set(cli.COMMANDS["verify"][2]) - {"suite", "budget"}
+
+
+VERIFY_VALUES = {"modulus": "20", "m": "5", "sizes": "5", "max-size": "6"}
+UNREAD_PAIRS = [(suite, key) for suite, (_, options) in reference.SUITES.items()
+                for key in VERIFY_VALUES if key not in options]
+
+
+@pytest.mark.parametrize("suite,key", UNREAD_PAIRS, ids=[f"{s}-{k}" for s, k in UNREAD_PAIRS])
+def test_verify_refuses_an_option_its_suite_does_not_read(capsys, monkeypatch, suite, key):
+    def walk(*args):
+        raise AssertionError(f"{suite} started")
+
+    for name, (_, options) in reference.SUITES.items():
+        monkeypatch.setitem(reference.SUITES, name, (walk, options))
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, f"--{key}", VERIFY_VALUES[key])
+    assert (code, out, err) == (2, "", f"error: verify --suite {suite} takes no --{key}\n")
+
+
+def test_verify_names_every_unread_option_in_one_line(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "bijections", "--modulus", "4",
+                             "--m", "2", "--sizes", "5")
+    assert (code, out, err) == (2, "", "error: verify --suite bijections takes no --m, --sizes\n")
+
+
+@pytest.mark.parametrize("argv", [("crt", "--sizes", "-2"), ("crt", "--sizes", "5,0"),
+                                  ("totality", "--sizes", "-5"), ("totality", "--sizes", "3,-1")])
+def test_the_dp_pass_suites_refuse_a_size_below_one(capsys, argv):
+    # one DP pass to the largest size is read at every size, so a size
+    # below 1 is refused before it could index that pass
+    code, out, err = run_cli(capsys, "verify", "--suite", *argv)
+    assert (code, out, err) == (2, "", "error: tuple size must be >= 1\n")
+
+
+def test_verify_all_hands_each_suite_the_options_it_reads(capsys, monkeypatch):
+    calls = []
+    for name, (runner, options) in reference.SUITES.items():
+        def record(*args, name=name, runner=runner):
+            calls.append((name, args))
+            return runner(*args)
+
+        monkeypatch.setitem(reference.SUITES, name, (record, options))
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--modulus", "4", "--m", "2",
+                             "--sizes", "6", "--max-size", "4", "--budget", "1000000")
+    assert (code, err) == (0, "")
+    assert out.endswith("30/30 checks passed\n")
+    assert calls == [("bijections", ([4], 4, 1000000)), ("recursion", ([2], [6], 1000000)),
+                     ("bounds", ([2], [6], 1000000)), ("crt", ([6], 1000000)),
+                     ("totality", ([4], [6], 1000000))]
 
 
 def test_verify_recursion_suite(capsys):
@@ -839,8 +919,10 @@ def test_a_short_tuple_over_a_huge_modulus_lists_no_values(capsys, monkeypatch, 
     (("--suite", "bounds", "--m", "2", "--sizes", "6", "--budget", "10"),
      "the DP needs 336 additions, budget is 10"),
     (("--suite", "recursion", "--budget", "10"), "the DP needs 576 additions, budget is 10"),
-    (("--suite", "crt", "--budget", "10"), "the DP needs 5760 additions, budget is 10"),
-    (("--suite", "totality", "--budget", "10"), "the DP needs 48 additions, budget is 10"),
+    # crt and totality walk the DP once, charged for their largest size 7:
+    # |SL2(Z/12Z)| * 8 and |SL2(Z/3Z)| * 8
+    (("--suite", "crt", "--budget", "10"), "the DP needs 9216 additions, budget is 10"),
+    (("--suite", "totality", "--budget", "10"), "the DP needs 192 additions, budget is 10"),
     # the walk's 192 additions fit, the histogram's 801 candidates do not:
     # 3**6 prefix leaves and 3 updates onto each of |SL2(Z/3Z)| = 24 products
     (("--suite", "totality", "--modulus", "3", "--sizes", "7", "--budget", "800"),

@@ -919,6 +919,34 @@ def test_the_join_walks_what_it_is_charged(monkeypatch):
     assert folded > 50 and folded_last > 50 and exact > 250, (folded, folded_last, exact)
 
 
+@pytest.mark.parametrize("constraints", [{1: fixed(1), 8: fixed(1)}, {4: fixed(1), 6: fixed(1)}],
+                         ids=["short-outer", "short-inner"])
+def test_each_streamed_side_of_the_join_expands_its_longer_end(monkeypatch, constraints):
+    # At split 4 of these size-8 specs over Z/8Z the junction a5 is free and
+    # neither side folds.  Python steps through a side's letters up to the
+    # one it expands in C, so each side walks its leaves over the larger
+    # count of its two end letters: a1 or a4 for the prefix, a6 or a8 for
+    # the suffix.  The prefix is walked first.
+    spec = SetSpec(8, s_mat(Modulus(8)), constraints)
+    sizes = spec.position_counts()
+    join = oracle._join(spec, 4, sizes)
+    assert join.free and not (join.fold or join.fold_last)
+    expected = oracle._count_naive(spec)
+    walks, walk = [], oracle._walk
+
+    def counted(*args):
+        walks.append(0)
+        for state in walk(*args):
+            walks[-1] += 1
+            yield state
+
+    monkeypatch.setattr(oracle, "_walk", counted)
+    assert count(spec, "mitm", split=4) == expected
+    prefix, suffix = sizes[:4], sizes[5:]
+    assert walks == [math.prod(prefix) // max(prefix[0], prefix[-1]),
+                     math.prod(suffix) // max(suffix[0], suffix[-1])]
+
+
 # ---------------------------------------------------------------------------
 # the bucket walk, its last letter expanded through tables
 
