@@ -141,15 +141,14 @@ def walk_cost(size: int, modulus: Modulus, constraints=None) -> int:
 
 
 def dp_vector_sequence(size: int, modulus: Modulus, constraints=None,
-                       budget: int | None = None, *, last_only: bool = False
-                       ) -> list[CountVector]:
-    """Vectors after 0, 1, ..., size steps (one DP pass, snapshots kept).
-
-    With last_only, the list holds just the vector after size steps, and
-    each earlier one is dropped as soon as the next is made."""
+                       budget: int | None = None, *, keep=None) -> list[CountVector | None]:
+    """Vectors after 0, 1, ..., size steps from one DP pass.  With keep, a
+    collection of sizes, each earlier size not in it reads None, its vector
+    dropped as soon as the next is made; the last one is always kept."""
     n = modulus.n
     cons = normalize_constraints(constraints, size, modulus)
     _admit(walk_cost(size, modulus, cons), budget, CapExceeded)
+    keep = range(size) if keep is None else set(keep)
     pairs, heads, cols = {identity(modulus).entries(): 1}, None, None
     snapshots = [CountVector(modulus, pairs)]
     for pos in range(1, size + 1):
@@ -161,15 +160,15 @@ def dp_vector_sequence(size: int, modulus: Modulus, constraints=None,
         else:
             heads, cols, pairs = _heads(pairs), [0] * (n * n), None
             cols[n] = 1  # the column e1 = (1, 0), before any later letter
-        if last_only:
-            snapshots.pop()
+        if pos - 1 not in keep:
+            snapshots[-1] = None
         snapshots.append(CountVector(modulus, pairs, heads, cols))
     return snapshots
 
 
 def dp_vector(size: int, modulus: Modulus, constraints=None, budget=None) -> CountVector:
     """The vector after size steps; no earlier snapshot is kept."""
-    return dp_vector_sequence(size, modulus, constraints, budget, last_only=True)[-1]
+    return dp_vector_sequence(size, modulus, constraints, budget, keep=())[-1]
 
 
 def dp_count(spec: SetSpec, budget: int | None = None) -> int:

@@ -162,20 +162,19 @@ def _suite_bijections(moduli: list[int], max_size: int | None,
 
 
 def _suite_recursion(ms: list[int], sizes: list[int], budget: int | None) -> list[Check]:
-    sizes = [size for size in sizes if size >= 5]
-    if not sizes:
+    if min(sizes) < 5:
         raise ValueError("recursion checks need a size >= 5")
     from . import counter, formulas
     from .spec import UNIT
 
     checks = []
-    top = max(sizes)
+    keep = {size - back for size in sizes for back in range(3)}
     for m in ms:
         modulus = Modulus(1 << m)
-        seq = counter.dp_vector_sequence(top, modulus, {2: UNIT}, budget)
+        seq = counter.dp_vector_sequence(max(sizes), modulus, {2: UNIT}, budget, keep=keep)
         for name in TARGET_NAMES:
             target = target_by_name(name, modulus)
-            series = [vec.at(target) for vec in seq]
+            series = {size: seq[size].at(target) for size in keep}
             for size in sizes:
                 expected = int(formulas.delta_recursion(series[size - 1], series[size - 2], m))
                 checks.append(Check(
@@ -201,17 +200,18 @@ def _suite_bounds(ms: list[int], sizes: list[int] | None,
                   budget: int | None) -> list[Check]:
     from . import counter, formulas
 
+    if any(size % 2 or size < 6 for size in sizes or ()):
+        raise ValueError("bounds apply to even sizes >= 6")
     default_sizes = {2: [6, 8, 10], 3: [6, 8]}
     checks = []
     for m in ms:
         modulus = Modulus(1 << m)
-        for size in (sizes or default_sizes.get(m, [6, 8])):
-            if size % 2 or size < 6:
-                raise ValueError("bounds apply to even sizes >= 6")
-            vec = counter.dp_vector(size, modulus, budget=budget)
+        wanted = sizes or default_sizes.get(m, [6, 8])
+        seq = counter.dp_vector_sequence(max(wanted), modulus, budget=budget, keep=wanted)
+        for size in wanted:
             for sign, name in ((1, "id"), (-1, "neg-id")):
                 lower, upper = formulas.w_even_bounds(size // 2, m, sign)
-                got = vec.at(target_by_name(name, modulus))
+                got = seq[size].at(target_by_name(name, modulus))
                 checks.append(Check(
                     f"bounds m={m} n={size} sign={'+' if sign == 1 else '-'}",
                     int(lower) <= got <= int(upper),
@@ -228,8 +228,8 @@ def _suite_crt(sizes: list[int], budget: int | None) -> list[Check]:
     checks = []
     mod12 = Modulus(12)
     fact = crt.split(12)
-    # one DP pass reads every size, charged once for the largest
-    seq = counter.dp_vector_sequence(max(sizes), mod12, budget=budget)
+    # one DP pass keeps the sizes asked for, charged once for the largest
+    seq = counter.dp_vector_sequence(max(sizes), mod12, budget=budget, keep=sizes)
     for size in sizes:
         for sign, name in ((1, "id"), (-1, "neg-id")):
             direct = seq[size].at(target_by_name(name, mod12))
@@ -254,8 +254,8 @@ def _suite_totality(moduli: list[int], sizes: list[int],
     checks = []
     for n in moduli:
         modulus = Modulus(n)
-        # one DP pass reads every size, charged once for the largest
-        vecs = counter.dp_vector_sequence(max(sizes), modulus, budget=budget)
+        # one DP pass keeps the sizes asked for, charged once for the largest
+        vecs = counter.dp_vector_sequence(max(sizes), modulus, budget=budget, keep=sizes)
         for size in sizes:
             vec = vecs[size]
             checks.append(Check(f"totality dp N={n} n={size}",

@@ -606,9 +606,12 @@ def test_only_a_command_that_prints_json_loads_it():
 
 
 def test_verify_recursion_rejects_sizes_below_five(capsys):
-    code, out, err = run_cli(capsys, "verify", "--suite", "recursion", "--sizes", "2..4")
-    assert (code, out) == (2, "")
-    assert err == "error: recursion checks need a size >= 5\n"
+    # a size below 5 is refused, not dropped: at +-S the DP gives 2^m at
+    # size 4 where the recursion gives 0
+    for sizes in ("2..4", "3..6"):
+        code, out, err = run_cli(capsys, "verify", "--suite", "recursion", "--sizes", sizes)
+        assert (code, out) == (2, "")
+        assert err == "error: recursion checks need a size >= 5\n"
 
 
 def test_verify_recursion_reports_a_wrong_closed_form(capsys, monkeypatch):
@@ -927,8 +930,61 @@ def test_a_short_tuple_over_a_huge_modulus_lists_no_values(capsys, monkeypatch, 
     # 3**6 prefix leaves and 3 updates onto each of |SL2(Z/3Z)| = 24 products
     (("--suite", "totality", "--modulus", "3", "--sizes", "7", "--budget", "800"),
      "enumeration needs 801 candidates, budget is 800"),
-], ids=["bounds", "recursion", "crt", "totality-dp", "totality-histogram"])
+    # one walk per m, charged for its largest size: |SL2(Z/4Z)| * 11
+    (("--suite", "bounds", "--m", "2", "--sizes", "6,10", "--budget", "10"),
+     "the DP needs 528 additions, budget is 10"),
+], ids=["bounds", "recursion", "crt", "totality-dp", "totality-histogram", "bounds-largest"])
 def test_verify_budget_reaches_the_dp_suites(capsys, argv, refusal):
     code, out, err = run_cli(capsys, "verify", *argv)
     assert (code, out) == (2, "")
     assert err == f"error: {refusal}\n"
+
+
+def _record_dp_walks(monkeypatch) -> list[tuple[int, int]]:
+    """Patch the DP pass to note each call's (modulus, size) as it runs."""
+    from quiddity import counter
+
+    walks, walk = [], counter.dp_vector_sequence
+
+    def record(size, modulus, *args, **kwargs):
+        walks.append((modulus.n, size))
+        return walk(size, modulus, *args, **kwargs)
+
+    monkeypatch.setattr(counter, "dp_vector_sequence", record)
+    return walks
+
+
+@pytest.mark.parametrize("suite,walks", [
+    ("recursion", [(4, 8), (8, 8)]), ("bounds", [(4, 10), (8, 8)]),
+    # the two Z/3Z walks are the CRT assembly's size-4 piece counts, which
+    # the router sends to the DP, not reads of the suite's own pass
+    ("crt", [(12, 7), (3, 4), (3, 4)]), ("totality", [(3, 7), (4, 7), (8, 7)])])
+def test_each_dp_suite_walks_each_ring_once(capsys, monkeypatch, suite, walks):
+    recorded = _record_dp_walks(monkeypatch)
+    code, out, err = run_cli(capsys, "verify", "--suite", suite)
+    assert (code, err) == (0, "")
+    assert recorded == walks
+
+
+def test_bounds_refuses_a_size_before_any_walk(capsys, monkeypatch):
+    recorded = _record_dp_walks(monkeypatch)
+    code, out, err = run_cli(capsys, "verify", "--suite", "bounds", "--m", "2,3",
+                             "--sizes", "6,7")
+    assert (code, out, err) == (2, "", "error: bounds apply to even sizes >= 6\n")
+    assert recorded == []
+
+
+@pytest.mark.parametrize("run,bound", [
+    # every snapshot to the largest size took 47.6 MB and 20.3 MB
+    (lambda: reference._suite_crt([3000], None), 8_000_000),
+    (lambda: reference._suite_totality([16], [1500], None), 4_000_000),
+], ids=["crt", "totality"])
+def test_a_sparse_dp_suite_keeps_only_the_sizes_it_reads(run, bound):
+    tracemalloc.start()
+    try:
+        checks = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert checks and all(check.ok for check in checks)
+    assert peak < bound

@@ -146,12 +146,19 @@ def test_dp_vector_keeps_only_its_last_snapshot():
 
 
 @pytest.mark.parametrize("cons", [None, {1: UNIT}, {1: fixed(3), 2: NONUNIT, 5: UNIT}])
-def test_last_only_walk_ends_where_the_full_walk_does(cons):
+def test_a_walk_keeps_the_sizes_asked_for_and_its_last(cons):
+    # the last case's sizes 1 and 2 are pair-state vectors, before its first free letter
     full = dp_vector_sequence(6, MOD8, cons)
-    (last,) = dp_vector_sequence(6, MOD8, cons, last_only=True)
     targets = [target_by_name(name, MOD8) for name in TARGET_NAMES]
-    assert [last.at(t) for t in targets] == [full[-1].at(t) for t in targets]
-    assert last.total() == full[-1].total()
+    for keep in ((), {0, 2}, {1, 3, 6}, range(7)):
+        walk = dp_vector_sequence(6, MOD8, cons, keep=keep)
+        assert len(walk) == 7
+        for size, (vec, whole) in enumerate(zip(walk, full)):
+            if size in keep or size == 6:
+                assert [vec.at(t) for t in targets] == [whole.at(t) for t in targets]
+                assert vec.total() == whole.total()
+            else:
+                assert vec is None, (keep, size)
 
 
 @pytest.mark.parametrize("m", [5, 6, 7, 8])

@@ -60,6 +60,12 @@ def test_the_dp_entry_point_resolves():
     for name in used:
         assert hasattr(counter, name), name
     assert _parameters(counter.dp_vector_sequence)[:3] == ["size", "modulus", "constraints"]
+    # the timed replay passes three positional arguments, so it walks with
+    # keep's default, which keeps every size
+    keep = inspect.signature(counter.dp_vector_sequence).parameters["keep"]
+    assert (keep.kind, keep.default) == (inspect.Parameter.KEYWORD_ONLY, None)
+    walk = counter.dp_vector_sequence(5, MOD4, None)
+    assert len(walk) == 6 and None not in walk
 
 
 def test_every_member_class_has_members_and_its_cache():
