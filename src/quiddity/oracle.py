@@ -28,10 +28,10 @@ three uses:
   sides are one row walk of _walk's first coordinate, from (1, 0)
   (_row_leaves), whose last letter is the side's outer one, 1 or n.  So
   either side folds the same way: it counts the rows before that letter,
-  at most N^2, and expands each once.  A side streamed whole expands its
-  longer end in C: where its inner letter, k or k+2, allows more values,
-  _leaf_keys walks it from the other end instead.  _joins prices every
-  split, either fold charged only where it walks fewer candidates, and
+  at most N^2, and expands each once.  _side is the one place that decides
+  how a side is walked: folded, or streamed whole with whichever end allows
+  more values expanded in C (_leaf_keys).  _joins prices every split,
+  either fold charged only where it walks fewer candidates, and
   _count_mitm runs the very _Join that count admitted.
 
 This module is the independent oracle for every other count source, so it
@@ -246,16 +246,24 @@ def _row_leaves(values, N, m, rows=None):
     return ((1, chain.from_iterable(leaves)),) if rows is None else zip(rows.values(), leaves)
 
 
+def _side(values, N, m, fold: bool = False):
+    """One side's row walk z = e1 E(b_1) ... E(b_j) M as _row_leaves' pairs
+    (times, keys), ``values`` listing b_1..b_j and ``m`` the entries of M.
+    Folded, b_j expands once per distinct row of the others (_half_products);
+    streamed whole, the end allowing more letters expands in C: b_j, or b_1
+    by _leaf_keys from M over b_j..b_1, the product's top row its cur."""
+    if fold:
+        return _row_leaves(values, N, m, _half_products(values[-2::-1], N, top_row=True))
+    if len(values[0]) > len(values[-1]):
+        return ((1, _leaf_keys(values[::-1], N, m, (N, 1), (0, 0))),)
+    return _row_leaves(values, N, m)
+
+
 def _half_products(values, N, top_row: bool = False):
     """Map packed product key -> number of tuples over the given positions;
-    with ``top_row`` the key is the product's top row alone."""
+    with ``top_row`` the key is the top row alone, _side's walk reversed."""
     if top_row:
-        # the top row of E(a_k) ... E(a_1), walked so that the end allowing
-        # more letters expands in C: from I over a_1..a_k where a_k allows
-        # more than a_1, else the row walk over a_k..a_1
-        if len(values[-1]) > len(values[0]):
-            return Counter(_leaf_keys(values, N, (1, 0, 0, 1), (N, 1), (0, 0)))
-        (_, keys), = _row_leaves(values[::-1], N, (1, 0, 0, 1))
+        (_, keys), = _side(values[::-1], N, (1, 0, 0, 1))
         return Counter(keys)
     # cur is the top row, so the new cur leads the key and the old cur
     # becomes the bottom row: digits N^3, N^2 and N, 1.
@@ -341,39 +349,31 @@ def _count_mitm(spec: SetSpec, join: _Join) -> int:
         # the suffix backward from the target with its rows swapped, cur the
         # bottom row at digits N, 1, the old cur leading the key, and look
         # each result up among the prefix products.
-        get = _half_products(values[:split], N).get
-        keys = _leaf_keys(values[split:][::-1], N, (tc, td, ta, tb), (N, 1), (N ** 3, N * N))
-        return sum(map(get, keys, repeat(0)))
-    # A free junction letter x = a_{k+1} is not walked.  Take a prefix
-    # P = E(a_k) ... E(a_1) and a suffix rest S' = E(a_n) ... E(a_{k+2}).
-    # E(x) P has P's top row below and x times it, less P's bottom row,
-    # above; that top row is unimodular, so E(x) P = S'^-1 T for exactly
-    # one x when e1 P = e2 S'^-1 T, and for none otherwise.  As
-    # E(a)^-1 = J E(a) J, J = [[0, 1], [1, 0]], both rows are row walks:
-    # the prefix's over letters k..1 with M = I, the suffix's over letters
-    # k+2..n with M = J T, T with its rows swapped.
-    if join.fold:
-        tops = Counter()
-        rows = _half_products(values[1:split], N, top_row=True)
-        for times, keys in _row_leaves(values[split - 1::-1], N, (1, 0, 0, 1), rows):
-            for key in keys:
-                tops[key] += times
+        table = _half_products(values[:split], N)
+        probes = ((1, _leaf_keys(values[split:][::-1], N, (tc, td, ta, tb),
+                                 (N, 1), (N ** 3, N * N))),)
     else:
-        tops = _half_products(values[:split], N, top_row=True)
-    suffix = values[split + 1:]
-    if not suffix:
-        return tops[tc * N + td]
-    get = tops.get
-    if not join.fold_last and len(suffix[0]) > len(suffix[-1]):
-        # a_{k+2} allows more letters than a_n, so it is the one expanded in
-        # C: walk back from the target's swapped rows over a_n..a_{k+2},
-        # whose cur is then the bottom row of S'^-1 T
-        keys = _leaf_keys(suffix[::-1], N, (tc, td, ta, tb), (N, 1), (0, 0))
-        return sum(map(get, keys, repeat(0)))
-    # folded, the rows of letters k+2..n-1 are counted as the prefix's are
-    rows = _half_products(suffix[-2::-1], N, top_row=True) if join.fold_last else None
-    return sum(times * sum(map(get, keys, repeat(0)))
-               for times, keys in _row_leaves(suffix, N, (tc, td, ta, tb), rows))
+        # A free junction letter x = a_{k+1} is not walked.  Take a prefix
+        # P = E(a_k) ... E(a_1) and a suffix rest S' = E(a_n) ... E(a_{k+2}).
+        # E(x) P has P's top row below and x times it, less P's bottom row,
+        # above; that top row is unimodular, so E(x) P = S'^-1 T for exactly
+        # one x when e1 P = e2 S'^-1 T, and for none otherwise.  As
+        # E(a)^-1 = J E(a) J, J = [[0, 1], [1, 0]], both rows are _side's
+        # walks: the prefix's over letters k..1 with M = I, the suffix's
+        # over letters k+2..n with M = J T, T with its rows swapped.
+        if join.fold:
+            table = Counter()
+            for times, keys in _side(values[split - 1::-1], N, (1, 0, 0, 1), fold=True):
+                for key in keys:
+                    table[key] += times
+        else:
+            table = _half_products(values[:split], N, top_row=True)
+        suffix = values[split + 1:]
+        if not suffix:
+            return table[tc * N + td]
+        probes = _side(suffix, N, (tc, td, ta, tb), join.fold_last)
+    get = table.get
+    return sum(times * sum(map(get, keys, repeat(0))) for times, keys in probes)
 
 
 def count(spec: SetSpec, method: str = "auto", budget: int | None = None,

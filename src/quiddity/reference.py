@@ -60,6 +60,10 @@ def cmd_verify(args) -> int:
              for key, value in given.items()}
     if min(given.get("m", [1])) < 1:
         raise ValueError(f"--m must be >= 1, got {min(given['m'])}")
+    if min(given.get("modulus", [2])) < 2:
+        raise ValueError(f"modulus must be >= 2, got {min(given['modulus'])}")
+    if "bounds" in suites and min(given.get("m", [2])) < 2:
+        raise ValueError(f"bounds need --m >= 2, got {min(given['m'])}")
     checks: list[Check] = []
     for suite in suites:
         runner, options = SUITES[suite]

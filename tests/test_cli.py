@@ -974,6 +974,31 @@ def test_bounds_refuses_a_size_before_any_walk(capsys, monkeypatch):
     assert recorded == []
 
 
+@pytest.mark.parametrize("argv,refusal", [
+    (("--suite", "totality", "--modulus", "3,1"), "modulus must be >= 2, got 1"),
+    (("--suite", "bijections", "--modulus", "4,0"), "modulus must be >= 2, got 0"),
+    (("--suite", "all", "--modulus", "3,1"), "modulus must be >= 2, got 1"),
+    (("--suite", "bounds", "--m", "2,1"), "bounds need --m >= 2, got 1"),
+    (("--suite", "all", "--m", "2,1"), "bounds need --m >= 2, got 1"),
+], ids=["totality", "bijections", "all-modulus", "bounds", "all-m"])
+def test_verify_refuses_a_ring_too_small_before_any_suite_walks(capsys, monkeypatch, argv,
+                                                                refusal):
+    from quiddity import maps
+
+    walks = _record_dp_walks(monkeypatch)
+    for module, name in ((oracle, "_product_buckets"), (maps, "shipped_maps")):
+        monkeypatch.setattr(module, name, lambda *args, name=name, **kwargs: walks.append(name))
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert (code, out, err) == (2, "", f"error: {refusal}\n")
+    assert walks == []
+
+
+def test_recursion_still_checks_the_exponent_one(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "recursion", "--m", "1")
+    assert (code, err) == (0, "")
+    assert out.endswith("25/25 checks passed\n")
+
+
 @pytest.mark.parametrize("run,bound", [
     # every snapshot to the largest size took 47.6 MB and 20.3 MB
     (lambda: reference._suite_crt([3000], None), 8_000_000),

@@ -947,6 +947,72 @@ def test_each_streamed_side_of_the_join_expands_its_longer_end(monkeypatch, cons
                      math.prod(suffix) // max(suffix[0], suffix[-1])]
 
 
+SIDE_LETTERS = [(ANY, fixed(1)), (fixed(1), ANY), (UNIT, NONUNIT), (UNIT, ANY, NONUNIT),
+                (NONUNIT, fixed(3), UNIT), (fixed(0), UNIT, NONUNIT, ANY),
+                (ANY, NONUNIT, ANY, UNIT), (NONUNIT, UNIT, fixed(1), fixed(3))]
+
+
+def _direct_rows(values, N, m):
+    """Tally the rows e1 E(b_1) ... E(b_j) M, keyed z1*N + z2, one by one."""
+    m11, m12, m21, m22 = m
+    rows = Counter()
+    for letters in itertools.product(*values):
+        u, v = 1, 0
+        for b in letters:  # (u, v) [[b, -1], [1, 0]]
+            u, v = (u * b + v) % N, -u % N
+        rows[(u * m11 + v * m21) % N * N + (u * m12 + v * m22) % N] += 1
+    return rows
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_each_side_walks_the_rows_of_its_letters(n):
+    # Both ends of a side are the shorter in some case, and a 2-letter side
+    # folds its last letter onto the rows of the first alone.
+    mod, ends = Modulus(n), set()
+    target = target_by_name("s", mod).entries()
+    for kinds in SIDE_LETTERS:
+        values = [oracle.allowed_values(mod, kind) for kind in kinds]
+        ends.add((len(values[0]) > len(values[-1]), len(values[0]) < len(values[-1])))
+        for m in ((1, 0, 0, 1), (*target[2:], *target[:2])):
+            expected = _direct_rows(values, n, m)
+            for fold in (False, True):
+                got = Counter()
+                for times, keys in oracle._side(values, n, m, fold):
+                    for key in keys:
+                        got[key] += times
+                assert got == expected, (kinds, m, fold)
+    assert {(True, False), (False, True)} <= ends
+
+
+JOIN_LETTERS = {1: ANY, 2: UNIT, 3: NONUNIT, 4: fixed(3), 6: fixed(1), 7: UNIT, 8: NONUNIT}
+
+
+@pytest.mark.parametrize("junction, flags, calls", [
+    (fixed(2), {}, [((1, 2, 3, 4), False)]),
+    (ANY, {"fold": False, "fold_last": False}, [((1, 2, 3, 4), True)]),
+    (ANY, {"fold": True, "fold_last": False}, [((2, 3, 4), True)]),
+    (ANY, {"fold": False, "fold_last": True}, [((1, 2, 3, 4), True), ((7, 6), True)]),
+], ids=["constrained", "streamed", "fold", "fold-last"])
+def test_the_join_buckets_through_the_calls_the_benchmark_counts(monkeypatch, junction, flags,
+                                                                 calls):
+    # The benchmark's worker counts the oracle's candidates from its
+    # _half_products calls, so each join makes exactly these: the prefix's
+    # letters, full keys or top rows, then a folded suffix's inner rows.
+    spec = SetSpec(8, s_mat(MOD8), {**JOIN_LETTERS, 5: junction})
+    values = [oracle.allowed_values(MOD8, spec.constraint_at(p)) for p in range(1, 9)]
+    join = oracle._join(spec, 4, spec.position_counts())._replace(**flags)
+    recorded, half_products = [], oracle._half_products
+
+    def record(letters, N, top_row=False):
+        recorded.append(([list(v) for v in letters], top_row))
+        return half_products(letters, N, top_row)
+
+    monkeypatch.setattr(oracle, "_half_products", record)
+    assert oracle._count_mitm(spec, join) == oracle._count_naive(spec)
+    assert recorded == [([list(values[p - 1]) for p in letters], top_row)
+                        for letters, top_row in calls]
+
+
 # ---------------------------------------------------------------------------
 # the bucket walk, its last letter expanded through tables
 
