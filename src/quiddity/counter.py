@@ -68,6 +68,10 @@ class CountVector:
         return self.modulus.n * sum(w for _, _, w in self._heads) * sum(self._cols)
 
     def at(self, target: Mat2) -> int:
+        """The count at target, which must be over the vector's own ring."""
+        if target.modulus.n != self.modulus.n:
+            raise ValueError(f"a count over Z/{self.modulus.n}Z read at a matrix "
+                             f"over Z/{target.modulus.n}Z")
         if self._pairs is not None:
             return self._pairs.get(target.entries(), 0)
         if target.det() != 1:
@@ -144,7 +148,10 @@ def dp_vector_sequence(size: int, modulus: Modulus, constraints=None,
                        budget: int | None = None, *, keep=None) -> list[CountVector | None]:
     """Vectors after 0, 1, ..., size steps from one DP pass.  With keep, a
     collection of sizes, each earlier size not in it reads None, its vector
-    dropped as soon as the next is made; the last one is always kept."""
+    dropped as soon as the next is made; the last one is always kept.  A
+    negative size is refused before anything is charged or built."""
+    if size < 0:
+        raise ValueError(f"size must be >= 0, got {size}")
     n = modulus.n
     cons = normalize_constraints(constraints, size, modulus)
     _admit(walk_cost(size, modulus, cons), budget, CapExceeded)

@@ -16,21 +16,20 @@ three uses:
   last two are forced by the target and kept only if they land on it and
   are allowed at their positions;
 * bucket (_half_products, _product_buckets): count every candidate's
-  product, or its top row alone, the meet-in-the-middle prefix.  The last
-  letter expands in C through per-row tables (_leaf_keys); Python steps
-  only through the letters ahead of it, and a table row is itself picked
-  in C unless it is short next to the ring (_LetterRows).  A histogram may
-  fold its last letter onto the distinct products of the others instead;
+  product, or its top row alone, the meet-in-the-middle prefix.  Every
+  walk's last letter expands in C in one place, _leaf_keys, over the
+  states it is given; Python steps only through the letters ahead of it,
+  and a table row is itself picked in C unless it is short next to the
+  ring (_LetterRows).  A histogram may hand _leaf_keys the distinct
+  products of the others instead, each expanded once, times its count;
 * probe (the meet-in-the-middle suffix): walk backward from the target,
   E(a_{k+1})^-1 ... E(a_n)^-1 @ target, and look each result up among the
   prefix products.  A free junction letter a_{k+1} is not walked: a tuple
   then counts once per prefix and suffix rest whose rows meet, and both
-  sides are one row walk of _walk's first coordinate, from (1, 0)
-  (_row_leaves), whose last letter is the side's outer one, 1 or n.  So
-  either side folds the same way: it counts the rows before that letter,
-  at most N^2, and expands each once.  _side is the one place that decides
-  how a side is walked: folded, or streamed whole with whichever end allows
-  more values expanded in C (_leaf_keys).  _joins prices every split,
+  sides are one row walk, _side, which may fold its outer letter, 1 or n,
+  onto the at most N^2 rows before it, each handed to _leaf_keys once.
+  Streamed whole, a side expands its outer letter only where that allows
+  more values, and otherwise its inner end.  _joins prices every split,
   either fold charged only where it walks fewer candidates, and
   _count_mitm runs the very _Join that count admitted.
 
@@ -203,60 +202,47 @@ class _LetterRows(dict):
         return row
 
 
-def _leaf_keys(values, N, start, scales, lifts):
-    """Stream the packed key of every leaf of the walk from ``start``.
+def _leaf_keys(values, N, states, scales, lifts):
+    """Stream the packed keys of the leaves of each given state (p, q, r, s),
+    cur = (p, q) and prev = (r, s), one stream per state.
 
-    _walk steps through every letter but the last, which is expanded
-    through _LetterRows: a walked state's leaves are its two coordinates'
-    rows added pairwise by ``map(add, ...)``, each row picked in C on
-    first use (built entry by entry if it is short next to the ring), so
-    picked tables take O(N^2) Python steps in all and a leaf none.  The
-    states' streams are chained, so the caller consumes every leaf in one
-    C-level call (Counter, or sum over map) and no list of leaves is built.
+    This is the one place a last letter, values[-1], expands: a state's
+    leaves are its two coordinates' rows (_LetterRows) added pairwise by
+    ``map(add, ...)``, each row picked in C on first use (built entry by
+    entry if it is short next to the ring), so picked tables take O(N^2)
+    Python steps in all and a leaf none.  Chaining the streams, a caller
+    consumes every leaf in one C-level call (Counter, or sum over map) and
+    no list of leaves is built; or it weights each by its state's count.
     """
     firsts = _LetterRows(values[-1], N, scales[0], lifts[0])
     seconds = _LetterRows(values[-1], N, scales[1], lifts[1])
-    return chain.from_iterable(map(add, firsts[p * N + r], seconds[q * N + s])
-                               for p, q, r, s in _walk(values, N, *start))
-
-
-def _row_leaves(values, N, m, rows=None):
-    """The packed keys z1*N + z2 of the leaves of one row walk, as pairs
-    (times, keys): each key of ``keys`` stands for ``times`` leaves.
-
-    The walk is z = e1 E(b_1) ... E(b_j) M, ``values`` listing the letters
-    b_1..b_j and ``m`` the entries of M.  A row (u, v) steps to
-    (a*u + v, -u): _walk's first coordinate (p, r) = (u, -v), started at
-    (1, 0).  The last letter expands in C through two _LetterRows, as in
-    _leaf_keys, since z = a*(u*m11, u*m12) - (u*m21 - v*m11, u*m22 - v*m12).
-    Every row before it is walked and all leaves come in one stream; or
-    ``rows``, a Counter of those rows keyed u*N + v, folds the last letter
-    onto them: each distinct row expands once, times its count.
-    """
-    m11, m12, m21, m22 = m
-    firsts = _LetterRows(values[-1], N, N, 0)
-    seconds = _LetterRows(values[-1], N, 1, 0)
-    if rows is None:
-        states = _walk(values, N, 1, 0, 0, 0)
-    else:
-        states = ((u, 0, -v, 0) for u, v in map(divmod, rows, repeat(N)))
-    leaves = (map(add, firsts[p * m11 % N * N + (p * m21 + r * m11) % N],
-                  seconds[p * m12 % N * N + (p * m22 + r * m12) % N])
-              for p, _, r, _ in states)
-    return ((1, chain.from_iterable(leaves)),) if rows is None else zip(rows.values(), leaves)
+    return (map(add, firsts[p * N + r], seconds[q * N + s]) for p, q, r, s in states)
 
 
 def _side(values, N, m, fold: bool = False):
-    """One side's row walk z = e1 E(b_1) ... E(b_j) M as _row_leaves' pairs
-    (times, keys), ``values`` listing b_1..b_j and ``m`` the entries of M.
-    Folded, b_j expands once per distinct row of the others (_half_products);
-    streamed whole, the end allowing more letters expands in C: b_j, or b_1
-    by _leaf_keys from M over b_j..b_1, the product's top row its cur."""
+    """One side's row walk z = e1 E(b_1) ... E(b_j) M as pairs (times, keys),
+    each packed key z1*N + z2 standing for ``times`` leaves; ``values``
+    lists b_1..b_j and ``m`` the entries of M.  Streamed whole where b_j
+    allows no more letters than b_1, it is _walk from M over b_j..b_1, the
+    product's top row its cur.  Else b_j expands: a row (u, v) steps to
+    (a*u + v, -u), _walk's first coordinate (p, r) = (u, -v) from (1, 0),
+    and z = a*(u*m11, u*m12) - (u*m21 - v*m11, u*m22 - v*m12), so each
+    row before b_j, walked or folded (each distinct row of the others'
+    Counter once, times its count), is the state with cur p*(m11, m12)
+    and prev p*(m21, m22) + r*(m11, m12)."""
+    if not fold and len(values[0]) >= len(values[-1]):
+        keys = _leaf_keys(values[::-1], N, _walk(values[::-1], N, *m), (N, 1), (0, 0))
+        return ((1, chain.from_iterable(keys)),)
     if fold:
-        return _row_leaves(values, N, m, _half_products(values[-2::-1], N, top_row=True))
-    if len(values[0]) > len(values[-1]):
-        return ((1, _leaf_keys(values[::-1], N, m, (N, 1), (0, 0))),)
-    return _row_leaves(values, N, m)
+        rows = _half_products(values[-2::-1], N, top_row=True)
+        tops = ((u, -v) for u, v in map(divmod, rows, repeat(N)))
+    else:
+        tops = map(itemgetter(0, 2), _walk(values, N, 1, 0, 0, 0))
+    m11, m12, m21, m22 = m
+    states = ((p * m11 % N, p * m12 % N, (p * m21 + r * m11) % N, (p * m22 + r * m12) % N)
+              for p, r in tops)
+    keys = _leaf_keys(values, N, states, (N, 1), (0, 0))
+    return zip(rows.values(), keys) if fold else ((1, chain.from_iterable(keys)),)
 
 
 def _half_products(values, N, top_row: bool = False):
@@ -267,7 +253,8 @@ def _half_products(values, N, top_row: bool = False):
         return Counter(keys)
     # cur is the top row, so the new cur leads the key and the old cur
     # becomes the bottom row: digits N^3, N^2 and N, 1.
-    return Counter(_leaf_keys(values, N, (1, 0, 0, 1), (N ** 3, N * N), (N, 1)))
+    return Counter(chain.from_iterable(_leaf_keys(
+        values, N, _walk(values, N, 1, 0, 0, 1), (N ** 3, N * N), (N, 1))))
 
 
 _Join = namedtuple("_Join", "split walked free fold fold_last")
@@ -350,8 +337,9 @@ def _count_mitm(spec: SetSpec, join: _Join) -> int:
         # bottom row at digits N, 1, the old cur leading the key, and look
         # each result up among the prefix products.
         table = _half_products(values[:split], N)
-        probes = ((1, _leaf_keys(values[split:][::-1], N, (tc, td, ta, tb),
-                                 (N, 1), (N ** 3, N * N))),)
+        suffix = values[split:][::-1]
+        probes = ((1, chain.from_iterable(_leaf_keys(
+            suffix, N, _walk(suffix, N, tc, td, ta, tb), (N, 1), (N ** 3, N * N)))),)
     else:
         # A free junction letter x = a_{k+1} is not walked.  Take a prefix
         # P = E(a_k) ... E(a_1) and a suffix rest S' = E(a_n) ... E(a_{k+2}).
@@ -434,13 +422,13 @@ def _product_buckets(size: int, modulus: Modulus, constraints=None,
     values = probe.position_values()
     if walked == prefix * last:
         return _half_products(values, N)
-    # the last letter's key parts come from _half_products' tables
-    firsts = _LetterRows(values[-1], N, N ** 3, N)
-    seconds = _LetterRows(values[-1], N, N * N, 1)
+    # each prefix product [[p, q], [r, s]] expands at _half_products' digits
+    products = _half_products(values[:-1], N)
+    states = ((*divmod(key // (N * N), N), *divmod(key % (N * N), N)) for key in products)
     buckets = {}
-    for key, times in _half_products(values[:-1], N).items():
-        (p, q), (r, s) = divmod(key // (N * N), N), divmod(key % (N * N), N)
-        for leaf in map(add, firsts[p * N + r], seconds[q * N + s]):
+    for times, leaves in zip(products.values(),
+                             _leaf_keys(values, N, states, (N ** 3, N * N), (N, 1))):
+        for leaf in leaves:
             buckets[leaf] = buckets.get(leaf, 0) + times
     return buckets
 

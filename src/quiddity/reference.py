@@ -44,7 +44,8 @@ def cmd_table(args) -> int:
 def cmd_verify(args) -> int:
     """Run args.suite (every suite, in order, for ``all``) on the options it
     reads, refusing any other given option, and print its report: one line
-    per check, then the tally; 1 if any check failed, else 0.
+    per check, then the tally; 1 if any check failed, else 0.  Every value
+    a selected suite would refuse is refused before any suite walks.
 
     The report is written once, after every suite has run: with stdout
     unbuffered (PYTHONUNBUFFERED, or a terminal's line buffering) each
@@ -64,6 +65,18 @@ def cmd_verify(args) -> int:
         raise ValueError(f"modulus must be >= 2, got {min(given['modulus'])}")
     if "bounds" in suites and min(given.get("m", [2])) < 2:
         raise ValueError(f"bounds need --m >= 2, got {min(given['m'])}")
+    # each suite's own refusals, in suite order: the one that wins is the
+    # one the first suite to refuse would give
+    sizes = given.get("sizes", ())
+    if given.get("max-size", 3) < 3:
+        raise ValueError("--max-size must be >= 3 (the smallest shipped map), "
+                         f"got {given['max-size']}")
+    if "recursion" in suites and min(sizes, default=5) < 5:
+        raise ValueError("recursion checks need a size >= 5")
+    if "bounds" in suites and any(size % 2 or size < 6 for size in sizes):
+        raise ValueError("bounds apply to even sizes >= 6")
+    if min(sizes, default=1) < 1:  # crt's and totality's; the two above cover theirs
+        raise ValueError("tuple size must be >= 1")
     checks: list[Check] = []
     for suite in suites:
         runner, options = SUITES[suite]
@@ -145,8 +158,6 @@ Check = namedtuple("Check", "name ok detail", defaults=("",))
 
 def _suite_bijections(moduli: list[int], max_size: int | None,
                       budget: int | None) -> list[Check]:
-    if max_size is not None and max_size < 3:
-        raise ValueError(f"--max-size must be >= 3 (the smallest shipped map), got {max_size}")
     from . import maps
     from .spec import _admit
 
@@ -166,8 +177,6 @@ def _suite_bijections(moduli: list[int], max_size: int | None,
 
 
 def _suite_recursion(ms: list[int], sizes: list[int], budget: int | None) -> list[Check]:
-    if min(sizes) < 5:
-        raise ValueError("recursion checks need a size >= 5")
     from . import counter, formulas
     from .spec import UNIT
 
@@ -204,8 +213,6 @@ def _suite_bounds(ms: list[int], sizes: list[int] | None,
                   budget: int | None) -> list[Check]:
     from . import counter, formulas
 
-    if any(size % 2 or size < 6 for size in sizes or ()):
-        raise ValueError("bounds apply to even sizes >= 6")
     default_sizes = {2: [6, 8, 10], 3: [6, 8]}
     checks = []
     for m in ms:
@@ -227,8 +234,6 @@ def _suite_crt(sizes: list[int], budget: int | None) -> list[Check]:
     from . import counter, crt, maps
     from .spec import SetSpec
 
-    if min(sizes) < 1:
-        raise ValueError("tuple size must be >= 1")
     checks = []
     mod12 = Modulus(12)
     fact = crt.split(12)
@@ -253,8 +258,6 @@ def _suite_totality(moduli: list[int], sizes: list[int],
                     budget: int | None) -> list[Check]:
     from . import counter, oracle
 
-    if min(sizes) < 1:
-        raise ValueError("tuple size must be >= 1")
     checks = []
     for n in moduli:
         modulus = Modulus(n)

@@ -993,6 +993,22 @@ def test_verify_refuses_a_ring_too_small_before_any_suite_walks(capsys, monkeypa
     assert walks == []
 
 
+@pytest.mark.parametrize("sizes,refusal", [
+    # the bijection battery was built, and recursion's DP run, before these
+    ("3..6", "recursion checks need a size >= 5"), ("5..8", "bounds apply to even sizes >= 6"),
+], ids=["recursion", "bounds"])
+def test_verify_all_refuses_a_suite_s_sizes_before_any_suite_walks(capsys, monkeypatch, sizes,
+                                                                    refusal):
+    from quiddity import maps
+
+    walks = _record_dp_walks(monkeypatch)
+    for module, name in ((oracle, "_product_buckets"), (maps, "shipped_maps")):
+        monkeypatch.setattr(module, name, lambda *args, name=name, **kwargs: walks.append(name))
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--sizes", sizes)
+    assert (code, out, err) == (2, "", f"error: {refusal}\n")
+    assert walks == []
+
+
 def test_recursion_still_checks_the_exponent_one(capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "recursion", "--m", "1")
     assert (code, err) == (0, "")

@@ -61,6 +61,30 @@ def test_no_count_off_the_group():
     assert dp_vector(2, MOD8, {2: UNIT}).at(off) == 0
 
 
+@pytest.mark.parametrize("vec,name", [(dp_vector(1, MOD8, {1: fixed(0)}), "s"),
+                                      (dp_vector(3, MOD8), "id")], ids=["pairs", "columns"])
+def test_a_vector_refuses_a_matrix_over_another_ring(vec, name):
+    # Read over Z/16Z, the pair-state vector gave 0 at S, and the column
+    # vector read diag(9, 9) as if it were Id over Z/8Z.
+    mod16 = Modulus(16)
+    for target in (target_by_name("s", mod16), Mat2(9, 0, 0, 9, mod16)):
+        with pytest.raises(ValueError, match=r"^a count over Z/8Z read at a matrix over Z/16Z$"):
+            vec.at(target)
+    assert vec.at(target_by_name(name, MOD8)) == 1
+
+
+@pytest.mark.parametrize("read", [
+    lambda size: dp_vector(size, MOD8).total(),
+    lambda size: dp_vector_sequence(size, MOD8)[-1].total(),
+    lambda size: sum(dp_count_all_targets(size, MOD8).values()),
+], ids=["dp_vector", "dp_vector_sequence", "dp_count_all_targets"])
+def test_a_negative_size_is_refused_and_size_zero_is_the_identity(read):
+    with pytest.raises(ValueError, match=r"^size must be >= 0, got -1$"):
+        read(-1)
+    assert read(0) == 1  # the one empty tuple, at Id
+    assert dp_count_all_targets(0, MOD8) == {name: int(name == "id") for name in TARGET_NAMES}
+
+
 def test_conservation():
     for n in (3, 4, 8, 12):
         mod = Modulus(n)

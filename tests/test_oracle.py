@@ -1,9 +1,11 @@
+import ast
 import itertools
 import math
 import random
 import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -890,16 +892,14 @@ def test_the_join_walks_what_it_is_charged(monkeypatch):
     # that is exactly the charge; a fold's N^2 bound on the rows it folds
     # onto may overcharge it.
     walked = [0]
-    leaf_keys, row_leaves = oracle._leaf_keys, oracle._row_leaves
+    leaf_keys = oracle._leaf_keys
 
     def counted(keys):
         for key in keys:
             walked[0] += 1
             yield key
 
-    monkeypatch.setattr(oracle, "_leaf_keys", lambda *args: counted(leaf_keys(*args)))
-    monkeypatch.setattr(oracle, "_row_leaves", lambda *args: [
-        (times, counted(keys)) for times, keys in row_leaves(*args)])
+    monkeypatch.setattr(oracle, "_leaf_keys", lambda *args: map(counted, leaf_keys(*args)))
     folded = folded_last = exact = 0
     for spec in _random_join_specs(random.Random(20), 150):
         sizes = spec.position_counts()
@@ -917,6 +917,20 @@ def test_the_join_walks_what_it_is_charged(monkeypatch):
                 exact += 1
                 assert walked[0] == join.walked, (spec, join)
     assert folded > 50 and folded_last > 50 and exact > 250, (folded, folded_last, exact)
+
+
+def test_one_function_expands_every_last_letter():
+    # Every walk hands its states to _leaf_keys, so the letter tables a
+    # charge must count are built in that one function and nowhere else.
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+    def uses(node):
+        return sum(isinstance(name, ast.Name) and name.id == "_LetterRows"
+                   for name in ast.walk(node))
+
+    assert "_row_leaves" not in functions
+    assert uses(tree) == uses(functions["_leaf_keys"]) == 2
 
 
 @pytest.mark.parametrize("constraints", [{1: fixed(1), 8: fixed(1)}, {4: fixed(1), 6: fixed(1)}],
